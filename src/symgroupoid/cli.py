@@ -31,6 +31,8 @@ def cmd_verify(args) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     if args.suite not in SUITE_NAMES + ("all",):
         raise UsageError(f"unknown suite {args.suite!r}; expected one of {SUITE_NAMES + ('all',)}")
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     failed = 0
     reports = []
     for name in names:
@@ -66,9 +68,16 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _load_seed(path: str) -> Seed:
+def _load_json(path: str):
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: malformed JSON: {exc}") from exc
+
+
+def _load_seed(path: str) -> Seed:
+    data = _load_json(path)
     try:
         return Seed.from_json(data)
     except (KeyError, ValueError, TypeError) as exc:
@@ -157,11 +166,10 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    with open(args.point) as fh:
-        raw = json.load(fh)
+    raw = _load_json(args.point)
     try:
         point = {k: Fraction(v) for k, v in raw.items()}
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(f"{args.point}: point values must be exact rationals: {exc}") from exc
     if args.surface and args.label:
         model = build_surface(args.surface)
@@ -169,8 +177,7 @@ def cmd_evaluate(args) -> int:
             raise UsageError(f"unknown label {args.label!r}")
         fn = catalog_value(model, args.label)
     elif args.fn:
-        with open(args.fn) as fh:
-            data = json.load(fh)
+        data = _load_json(args.fn)
         seed = _load_seed(args.fn) if "vertices" in data else None
         if seed is not None:
             raise UsageError("--fn expects a serialized rational function, not a seed")

@@ -5,6 +5,7 @@ suites, and Poisson-leaf diagnostics."""
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -13,6 +14,9 @@ from .laurent import GeneratorTable, Q, RationalFn
 from .matrices import MatrixRF, charpoly_is_palindromic, divide_out_root, is_zero_entry
 from .quiver import Quiver, poisson_bracket, bracket_value_at
 from .report import Check
+
+# random specializations tried per point before a numeric check gives up
+NUMERIC_ATTEMPTS = 100
 
 
 def antidiagonal_sign_matrix(n: int) -> list:
@@ -273,66 +277,62 @@ def verify_groupoid_theorem(n: int, rng_seed: int = 0, numeric_points: int = 3) 
     """Checks of the compatibility identities on gr-compatible generic data.
 
     Sizes two and three run fully symbolically; larger sizes substitute exact
-    random rational values for the free generators.
+    random rational values for the free generators.  No check does any work
+    before it runs: the symbolic matrices are built by the first check that
+    needs them and shared with the other two.
     """
-    checks = []
+    if n <= 3:
+        mats = functools.cache(lambda: groupoid_matrices(generic_transport_pair(n)))
+        return [
+            Check(
+                f"groupoid_upper_A_n{n}",
+                "the solved bilinear form is upper-triangular",
+                lambda: mats()["A"].is_upper_triangular(),
+            ),
+            Check(
+                f"groupoid_upper_At_n{n}",
+                "the companion-side form is upper-triangular",
+                lambda: mats()["Atilde"].is_upper_triangular(),
+            ),
+            Check(
+                f"groupoid_conjugation_n{n}",
+                "conjugating the form by the transport product gives the companion form",
+                lambda: mats()["BABt"] == mats()["Atilde"],
+            ),
+        ]
 
     def build_numeric(rng):
-        while True:
+        for _ in range(NUMERIC_ATTEMPTS):
             try:
                 return generic_transport_pair(
                     n, specialize=lambda _name: Q(rng.randint(1, 30), rng.randint(1, 7))
                 )
             except ZeroDivisionError:
                 continue
+        return None
 
-    if n <= 3:
-        parts = generic_transport_pair(n)
-        mats = groupoid_matrices(parts)
-        checks.append(
-            Check(
-                f"groupoid_upper_A_n{n}",
-                "the solved bilinear form is upper-triangular",
-                lambda m=mats: m["A"].is_upper_triangular(),
-            )
-        )
-        checks.append(
-            Check(
-                f"groupoid_upper_At_n{n}",
-                "the companion-side form is upper-triangular",
-                lambda m=mats: m["Atilde"].is_upper_triangular(),
-            )
-        )
-        checks.append(
-            Check(
-                f"groupoid_conjugation_n{n}",
-                "conjugating the form by the transport product gives the companion form",
-                lambda m=mats: m["BABt"] == m["Atilde"],
-            )
-        )
-    else:
+    def run_numeric():
+        rng = random.Random(rng_seed)
+        for _ in range(numeric_points):
+            parts = build_numeric(rng)
+            if parts is None:
+                return (False, f"no nonsingular specialization in {NUMERIC_ATTEMPTS} attempts")
+            mats = groupoid_matrices(parts)
+            if not mats["A"].is_upper_triangular():
+                return (False, "A not upper-triangular at a random specialization")
+            if not mats["Atilde"].is_upper_triangular():
+                return (False, "Atilde not upper-triangular at a random specialization")
+            if not mats["BABt"] == mats["Atilde"]:
+                return (False, "B A B^T differs from the companion form")
+        return True
 
-        def run_numeric():
-            rng = random.Random(rng_seed)
-            for _ in range(numeric_points):
-                parts = build_numeric(rng)
-                mats = groupoid_matrices(parts)
-                if not mats["A"].is_upper_triangular():
-                    return (False, "A not upper-triangular at a random specialization")
-                if not mats["Atilde"].is_upper_triangular():
-                    return (False, "Atilde not upper-triangular at a random specialization")
-                if not mats["BABt"] == mats["Atilde"]:
-                    return (False, "B A B^T differs from the companion form")
-            return True
-
-        checks.append(
-            Check(
-                f"groupoid_numeric_n{n}",
-                f"compatibility identities at {numeric_points} exact random specializations",
-                run_numeric,
-            )
+    return [
+        Check(
+            f"groupoid_numeric_n{n}",
+            f"compatibility identities at {numeric_points} exact random specializations",
+            run_numeric,
         )
-    return checks
+    ]
 
 
 # -- unique unipotent solution and corner minors ------------------------------------

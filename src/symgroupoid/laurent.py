@@ -514,32 +514,47 @@ class RationalFn:
             raise SingularPointError(self.den)
         return self.num.evaluate(point) / dval
 
-    def substitute(self, bindings: Mapping[str, "RationalFn"]) -> "RationalFn":
-        """Exact composition: replace every generator by a rational function."""
-        needed = self.support()
-        missing = needed - set(bindings)
+    def substitute(
+        self,
+        bindings: Mapping[str, "RationalFn"],
+        square_bindings: Mapping[str, "RationalFn"] | None = None,
+    ) -> "RationalFn":
+        """Exact composition: replace every generator by a rational function.
+
+        A generator in ``square_bindings`` is bound at the squared level: its
+        value replaces the generator's square, so it must appear with even
+        exponents only (its square root need not exist in the ring).
+        """
+        square_bindings = square_bindings or {}
+        missing = self.support() - set(bindings) - set(square_bindings)
         if missing:
             raise KeyError(f"unbound generators: {sorted(missing)}")
-        some = None
-        for v in bindings.values():
-            some = v
-            break
-        if some is None:
+        values = [*bindings.values(), *square_bindings.values()]
+        if not values:
             raise ValueError("empty bindings")
-        target = some.table
+        target = values[0].table
+        cache: dict = {}
+
+        def power(name: str, e: int) -> RationalFn:
+            key = (name, e)
+            if key not in cache:
+                if name in square_bindings:
+                    if e % 2:
+                        raise ArithmeticError(
+                            f"generator {name} appears with odd exponent {e}; no square root available"
+                        )
+                    cache[key] = square_bindings[name] ** (e // 2)
+                else:
+                    cache[key] = bindings[name] ** e
+            return cache[key]
 
         def sub_poly(p: LaurentPoly) -> RationalFn:
-            cache: dict = {}
             total = RationalFn.constant(target, 0)
             for exps, c in p.terms.items():
                 term = RationalFn.constant(target, c)
                 for name, e in zip(p.table.names, exps):
-                    if e == 0:
-                        continue
-                    key = (name, e)
-                    if key not in cache:
-                        cache[key] = bindings[name] ** e
-                    term = term * cache[key]
+                    if e != 0:
+                        term = term * power(name, e)
                 total = total + term
             return total
 
@@ -588,6 +603,8 @@ def equal_rational(
         return (f == g, None)
     if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
+    if trials < 1:
+        raise ValueError(f"randomized equality needs at least one trial, got {trials}")
     import random as _random
 
     rng = rng or _random.Random()
@@ -607,47 +624,6 @@ def equal_rational(
             return (False, point)
         done += 1
     return (True, None)
-
-
-def substitute_mixed(f: RationalFn, wbind: Mapping[str, RationalFn], zbind: Mapping[str, RationalFn]) -> RationalFn:
-    """Substitution with some generators bound only at the squared level.
-
-    Generators in ``zbind`` must appear with even exponents everywhere in f
-    (their square roots need not exist in the ring); generators in ``wbind``
-    are bound directly.
-    """
-    table = f.table
-    some = next(iter(wbind.values()), None) or next(iter(zbind.values()))
-    target = some.table
-
-    def sub_poly(p: LaurentPoly) -> RationalFn:
-        total = RationalFn.constant(target, 0)
-        cache: dict = {}
-        for exps, c in p.terms.items():
-            term = RationalFn.constant(target, c)
-            for name, e in zip(table.names, exps):
-                if e == 0:
-                    continue
-                if name in zbind:
-                    if e % 2:
-                        raise ArithmeticError(
-                            f"generator {name} appears with odd exponent {e}; no square root available"
-                        )
-                    key = ("z", name, e // 2)
-                    if key not in cache:
-                        cache[key] = zbind[name] ** (e // 2)
-                else:
-                    key = ("w", name, e)
-                    if key not in cache:
-                        cache[key] = wbind[name] ** e
-                term = term * cache[key]
-            total = total + term
-        return total
-
-    den = sub_poly(f.den)
-    if den.is_zero():
-        raise ZeroDivisionError("denominator is identically zero after substitution")
-    return sub_poly(f.num) / den
 
 
 def cancel_factors(f: RationalFn, candidates) -> RationalFn:
@@ -697,19 +673,19 @@ def exact_poly_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     def negkey(exps):
         return (-sum(exps), tuple(-x for x in exps))
 
+    # degrees in each generator add under multiplication, so an exact
+    # quotient lies in the box 0 <= e_i <= deg_i(n) - deg_i(d); leading terms
+    # fall strictly in grlex order, which bounds the loop by the box's size
+    top = tuple(a - b for a, b in zip(map(max, zip(*n.terms)), map(max, zip(*d.terms))))
     heap = [negkey(e) for e in rem]
     heapq.heapify(heap)
-    guard = len(n.terms) * (len(d.terms) + 1) + 16
     while heap:
         nk = heapq.heappop(heap)
         rlead = tuple(-x for x in nk[1])
         if rlead not in rem:
             continue  # stale heap entry
-        guard -= 1
-        if guard < 0:
-            return None
         qexps = tuple(a - b for a, b in zip(rlead, lead))
-        if any(e < 0 for e in qexps):
+        if any(e < 0 or e > t for e, t in zip(qexps, top)):
             return None
         qc = rem.pop(rlead) / lead_c
         quo[qexps] = qc

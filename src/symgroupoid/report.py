@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 ENGINE_VERSION = "0.1.0"
@@ -83,15 +81,6 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _num_workers(n_checks: int) -> int:
-    raw = os.environ.get("GC_NUM_THREADS", "1")
-    try:
-        cap = max(1, int(raw))
-    except ValueError:
-        cap = 1
-    return min(cap, max(1, n_checks))
-
-
 def _execute(check: Check) -> CheckResult:
     start = time.monotonic()
     witness = None
@@ -113,15 +102,8 @@ def _execute(check: Check) -> CheckResult:
 
 
 def run_suite_checks(suite: str, checks: list, rng_seed: int) -> SuiteReport:
-    """Execute checks (optionally in parallel, capped by GC_NUM_THREADS)."""
-    report = SuiteReport(suite=suite, rng_seed=rng_seed)
-    workers = _num_workers(len(checks))
-    if workers == 1:
-        report.checks = [_execute(c) for c in checks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            report.checks = list(pool.map(_execute, checks))
-    return report
+    """Execute the checks one after another, in the given order."""
+    return SuiteReport(suite=suite, rng_seed=rng_seed, checks=[_execute(c) for c in checks])
 
 
 def write_report(report: SuiteReport, path: str) -> None:

@@ -1,0 +1,29 @@
+"""Shared fixtures: every verification suite is built and run at most once per
+test session, and its verdicts are read by every test that asserts them."""
+
+import pytest
+
+from symgroupoid.report import run_suite_checks
+from symgroupoid.suites import build_suite
+
+SUITE_SEED = 42
+
+
+@pytest.fixture(scope="session")
+def suite_report():
+    """``suite_report(name)``: the suite's report at rng seed 42, computed on
+    first use and reused for the rest of the session."""
+    reports = {}
+
+    def get(name: str):
+        if name not in reports:
+            reports[name] = run_suite_checks(name, build_suite(name, SUITE_SEED), SUITE_SEED)
+        return reports[name]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def check_results(suite_report):
+    """``check_results(name)``: the suite's results keyed by check id."""
+    return lambda name: {c.id: c for c in suite_report(name).checks}

@@ -1,36 +1,38 @@
 """Acceptance gate: the thirteen exit criteria, one test each.
 
-Every test prints a single pass/fail line; tolerances and counts are pinned
-here and never loosened.  The shared sampling seed keeps runs reproducible.
+Every test prints a pass/fail line per check; tolerances and counts are pinned
+here and never loosened.  Verdicts come from the session's single run of each
+suite (``suite_report`` in conftest.py).  The shared sampling seed keeps runs
+reproducible.
 """
 
 import random
 from fractions import Fraction
 
-from symgroupoid.suites import build_suite
+import pytest
 
 RNG_SEED = 42
 
-_cache = {}
+
+@pytest.fixture
+def run(check_results):
+    """``run(suite, *ids, label=...)``: print and assert the session's verdicts
+    for the given check ids, or for every check of the suite when none are given."""
+
+    def run_(suite: str, *ids, label: str):
+        results = check_results(suite)
+        for cid in ids or results:
+            result = results[cid]
+            ok = result.status == "pass"
+            status = "PASS" if ok else "FAIL"
+            witness = result.witness
+            print(f"[acceptance] {label} :: {cid}: {status}" + (f" ({witness})" if witness else ""))
+            assert ok, f"{label}: {cid} failed: {witness}"
+
+    return run_
 
 
-def checks_for(suite: str) -> dict:
-    if suite not in _cache:
-        _cache[suite] = {c.id: c for c in build_suite(suite, RNG_SEED)}
-    return _cache[suite]
-
-
-def run(suite: str, *ids, label: str):
-    table = checks_for(suite)
-    for cid in ids:
-        outcome = table[cid].run()
-        ok, witness = outcome if isinstance(outcome, tuple) else (outcome, None)
-        status = "PASS" if ok else "FAIL"
-        print(f"[acceptance] {label} :: {cid}: {status}" + (f" ({witness})" if witness else ""))
-        assert ok, f"{label}: {cid} failed: {witness}"
-
-
-def test_criterion_01_path_sum_term_counts():
+def test_criterion_01_path_sum_term_counts(run):
     run(
         "reflection",
         "network_term_counts_n4",
@@ -39,15 +41,11 @@ def test_criterion_01_path_sum_term_counts():
     )
 
 
-def test_criterion_02_casimir_counts():
-    for cid, check in checks_for("casimirs").items():
-        outcome = check.run()
-        ok = outcome[0] if isinstance(outcome, tuple) else outcome
-        print(f"[acceptance] 2 casimir counts :: {cid}: {'PASS' if ok else 'FAIL'}")
-        assert ok, cid
+def test_criterion_02_casimir_counts(run):
+    run("casimirs", label="2 casimir counts")
 
 
-def test_criterion_03_groupoid_theorem():
+def test_criterion_03_groupoid_theorem(run):
     run(
         "groupoid",
         "groupoid_upper_A_n2",
@@ -61,11 +59,11 @@ def test_criterion_03_groupoid_theorem():
     )
 
 
-def test_criterion_04_unique_unipotent():
+def test_criterion_04_unique_unipotent(run):
     run("groupoid", "groupoid_unique_unipotent", label="4 unique unipotent solution")
 
 
-def test_criterion_05_reflection_structure():
+def test_criterion_05_reflection_structure(run):
     run(
         "reflection",
         "reflection_twin_commutation_n3",
@@ -76,23 +74,23 @@ def test_criterion_05_reflection_structure():
     )
 
 
-def test_criterion_06_markov_element():
+def test_criterion_06_markov_element(run):
     run("genus2", "genus2_markov_forms", label="6 separating element")
 
 
-def test_criterion_07_twist_identities():
+def test_criterion_07_twist_identities(run):
     run("genus2", "genus2_twist_identities", label="7 twist identities")
 
 
-def test_criterion_08_modular_relations():
+def test_criterion_08_modular_relations(run):
     run("braid", "braid_modular_relations", "braid_generator_basics", label="8 modular relations")
 
 
-def test_criterion_09_braid_lemma():
+def test_criterion_09_braid_lemma(run):
     run("genus3", "genus3_braid_lemma", label="9 mutation twist lemma")
 
 
-def test_criterion_10_genus3_pair_and_rank():
+def test_criterion_10_genus3_pair_and_rank(run):
     run(
         "genus3",
         "genus3_markov_pair",
@@ -101,7 +99,7 @@ def test_criterion_10_genus3_pair_and_rank():
     )
 
 
-def test_criterion_11_genus4_reduction():
+def test_criterion_11_genus4_reduction(run):
     run(
         "genus4",
         "genus4_chiral_toy",
@@ -111,11 +109,11 @@ def test_criterion_11_genus4_reduction():
     )
 
 
-def test_criterion_12_sl2_reconstruction():
+def test_criterion_12_sl2_reconstruction(run):
     run("sl2", "sl2_reconstruction", label="12 transport reconstruction")
 
 
-def test_criterion_13_property_suites():
+def test_criterion_13_property_suites(run):
     run(
         "genus2",
         "genus2_mutation_properties",

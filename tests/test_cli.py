@@ -102,3 +102,40 @@ def test_verify_sl2_exit_zero(tmp_path):
     assert main(["verify", "sl2", "--rng", "7", "--json", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["rng_seed"] == 7
+
+
+def test_verify_rejects_trials_below_one(capsys):
+    for trials in ("0", "-1"):
+        assert main(["verify", "genus3", "--mode", "randomized", "--trials", trials]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --trials") and err.count("\n") == 1
+
+
+def test_mutate_malformed_json(tmp_path, capsys):
+    qfile = tmp_path / "bad.json"
+    qfile.write_text("{not json")
+    assert main(["mutate", "--quiver", str(qfile)]) == 2
+    assert "malformed JSON" in capsys.readouterr().err
+
+
+def test_evaluate_malformed_point(tmp_path, capsys):
+    pt = tmp_path / "p.json"
+    pt.write_text('{"w:a": ')
+    assert main(["evaluate", "--point", str(pt), "--surface", "genus2_x7", "--label", "G_B"]) == 2
+    assert "malformed JSON" in capsys.readouterr().err
+
+
+def test_evaluate_malformed_fn(tmp_path, capsys):
+    pt = tmp_path / "p.json"
+    pt.write_text(json.dumps({"w:a": "1"}))
+    ff = tmp_path / "fn.json"
+    ff.write_text("[1, 2")
+    assert main(["evaluate", "--point", str(pt), "--fn", str(ff)]) == 2
+    assert "malformed JSON" in capsys.readouterr().err
+
+
+def test_evaluate_zero_denominator_point(tmp_path, capsys):
+    pt = tmp_path / "p.json"
+    pt.write_text(json.dumps({f"w:{v}": "1/0" for v in "abcdefg"}))
+    assert main(["evaluate", "--point", str(pt), "--surface", "genus2_x7", "--label", "G_B"]) == 2
+    assert "exact rationals" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from symgroupoid import groupoid
 from symgroupoid.groupoid import (
     InadmissibleMatrixError,
     RMatrix,
@@ -17,6 +18,8 @@ from symgroupoid.groupoid import (
 )
 from symgroupoid.laurent import GeneratorTable, RationalFn
 from symgroupoid.matrices import MatrixRF, charpoly_is_palindromic
+from symgroupoid.report import run_suite_checks
+from symgroupoid.suites import build_suite
 
 T0 = GeneratorTable([])
 
@@ -51,11 +54,33 @@ def test_r_matrix_structure(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_groupoid_identities_symbolic(n):
-    mats = groupoid_matrices(generic_transport_pair(n))
-    assert mats["A"].is_upper_triangular()
-    assert mats["Atilde"].is_upper_triangular()
-    assert mats["BABt"] == mats["Atilde"]
+def test_groupoid_identities_symbolic(n, check_results):
+    # A and Atilde upper-triangular, B A B^T == Atilde: the groupoid suite's
+    # three checks of this size, read from the session's run of that suite
+    results = check_results("groupoid")
+    for cid in (f"groupoid_upper_A_n{n}", f"groupoid_upper_At_n{n}", f"groupoid_conjugation_n{n}"):
+        assert results[cid].status == "pass", (cid, results[cid].witness)
+
+
+def test_groupoid_build_is_lazy_and_build_errors_fail_one_check(monkeypatch):
+    def singular(n, specialize=None):
+        raise ZeroDivisionError("singular linear system")
+
+    monkeypatch.setattr(groupoid, "generic_transport_pair", singular)
+    checks = {c.id: c for c in build_suite("groupoid", 42)}  # builds nothing yet
+    report = run_suite_checks("groupoid", [checks["groupoid_upper_A_n2"], checks["groupoid_numeric_n4"]], 42)
+    assert [(c.status, c.witness) for c in report.checks] == [
+        ("fail", "ZeroDivisionError: singular linear system"),
+        ("fail", f"no nonsingular specialization in {groupoid.NUMERIC_ATTEMPTS} attempts"),
+    ]
+
+
+def test_matched_minors_check_passes_at_every_seed():
+    # seeds 2, 7, 8 and 21 drew matrices off the admissible stratum
+    # (b13 = delta_2 = delta~_2 = 0) and failed before such draws were skipped
+    for seed in range(30):
+        (check,) = [c for c in build_suite("groupoid", seed) if c.id == "groupoid_matched_minors_unipotent"]
+        assert check.run() is True, seed
 
 
 def test_groupoid_identities_numeric_n4():

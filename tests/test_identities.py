@@ -40,6 +40,13 @@ def test_equal_rational_rejects_unknown_mode():
         equal_rational(g, g, "guess")
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_equal_rational_rejects_vacuous_trials(trials):
+    g = catalog_value(build_surface("genus2_x7"), "G_{1,2}")
+    with pytest.raises(ValueError):
+        equal_rational(g, g, "randomized", trials=trials)
+
+
 def test_eliminate_constraint_x7():
     x7 = build_surface("genus2_x7")
     m = markov(x7, "product_G")

@@ -100,6 +100,18 @@ def test_substitute_invertible_monomial_map_round_trip():
     assert g.substitute(sigma) == f
 
 
+def test_substitute_square_bindings():
+    wa, wb = gen("w:a"), gen("w:b")
+    f = RationalFn(wa ** 4 * wb, wa ** 2 + LaurentPoly.one(T))
+    z = rf(gen("w:c")) + 1
+    # w:a^2 -> z, w:b -> w:b
+    assert f.substitute({"w:b": rf(wb)}, {"w:a": z}) == z ** 2 * rf(wb) / (z + 1)
+    with pytest.raises(ArithmeticError):
+        rf(wa ** 3).substitute({}, {"w:a": z})
+    with pytest.raises(KeyError):
+        f.substitute({}, {"w:a": z})
+
+
 def test_unbound_generator_raises():
     w = gen("w:x", table=W1)
     with pytest.raises(KeyError):
@@ -188,6 +200,16 @@ def test_exact_poly_div():
     assert exact_poly_div(w ** 2 + one, w - one) is None
 
 
+@pytest.mark.parametrize("n", [23, 30])
+def test_exact_poly_div_geometric_sum(n):
+    # a step-count cap once gave up on these exact quotients (n >= 23)
+    w = gen("w:x", table=W1)
+    one = LaurentPoly.one(W1)
+    quotient = sum((w ** k for k in range(1, n)), one)
+    assert exact_poly_div(w ** n - one, w - one) == quotient
+    assert exact_poly_div(w ** n + one, w - one) is None
+
+
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=5
 )
@@ -220,3 +242,11 @@ def test_evaluate_commutes_with_arithmetic(a):
     b = LaurentPoly.monomial(T, Fraction(2), {"w:a": 1}) + LaurentPoly.one(T)
     assert (a * b).evaluate(p) == a.evaluate(p) * b.evaluate(p)
     assert (a + b).evaluate(p) == a.evaluate(p) + b.evaluate(p)
+
+
+@given(laurent_polys(), laurent_polys())
+@settings(max_examples=60, deadline=None)
+def test_exact_poly_div_recovers_factor(p, q):
+    if q.is_zero():
+        return
+    assert exact_poly_div(p * q, q) == p

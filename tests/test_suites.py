@@ -2,13 +2,12 @@
 
 import pytest
 
-from symgroupoid.report import run_suite_checks
 from symgroupoid.suites import SUITE_NAMES, build_suite
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
-def test_suite_green(name):
-    report = run_suite_checks(name, build_suite(name, 42), 42)
+def test_suite_green(name, suite_report):
+    report = suite_report(name)
     bad = [(c.id, c.witness) for c in report.checks if c.status != "pass"]
     assert not bad, bad
 
