@@ -167,6 +167,8 @@ def cmd_geodesic(args) -> int:
 
 def cmd_evaluate(args) -> int:
     raw = _load_json(args.point)
+    if not isinstance(raw, dict):
+        raise UsageError(f"{args.point}: the point must be a JSON object of generator values")
     try:
         point = {k: Fraction(v) for k, v in raw.items()}
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -178,16 +180,22 @@ def cmd_evaluate(args) -> int:
         fn = catalog_value(model, args.label)
     elif args.fn:
         data = _load_json(args.fn)
+        if not isinstance(data, dict):
+            raise UsageError(f"{args.fn}: a serialized rational function is a JSON object")
         seed = _load_seed(args.fn) if "vertices" in data else None
         if seed is not None:
             raise UsageError("--fn expects a serialized rational function, not a seed")
         from .laurent import GeneratorTable
 
-        names = sorted(
-            {k for part in ("num", "den") for entry in data[part] for k in entry["exps"]}
-        )
-        table = GeneratorTable(names)
-        fn = RationalFn.from_json(table, data)
+        try:
+            names = sorted(
+                {k for part in ("num", "den") for entry in data[part] for k in entry["exps"]}
+            )
+            fn = RationalFn.from_json(GeneratorTable(names), data)
+        except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
+            raise UsageError(
+                f"{args.fn}: not a rational function with 'num' and 'den' term lists: {exc!r}"
+            ) from exc
     else:
         raise UsageError("evaluate needs --surface NAME --label LBL or --fn FILE")
     missing = [n for n in fn.table.names if n not in point]

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .laurent import GeneratorTable, Q, RationalFn
 from .matrices import MatrixRF, charpoly_is_palindromic, divide_out_root, is_zero_entry
-from .quiver import Quiver, poisson_bracket, bracket_value_at
+from .quiver import Quiver, aligned_doubled, bracket_from_gradients, gradient_at, poisson_bracket
 from .report import Check
 
 # random specializations tried per point before a numeric check gives up
@@ -110,14 +110,21 @@ def bracket_tensor(m1: MatrixRF, m2: MatrixRF, quiver: Quiver) -> MatrixRF:
 def bracket_tensor_at(m1: MatrixRF, m2: MatrixRF, quiver: Quiver, point) -> MatrixRF:
     """Same as :func:`bracket_tensor`, exactly evaluated at a point."""
     n = m1.rows
+    table = m1[0, 0].table
+    b_rows = aligned_doubled(quiver, table)
+    wv = [point[name] for name in table.names]
+
+    def gradients(m: MatrixRF) -> dict:
+        return {(i, j): gradient_at(m[i, j], point)[1] for i in range(n) for j in range(n)}
+
+    g1 = gradients(m1)
+    g2 = g1 if m2 is m1 else gradients(m2)
     entries = []
     for i in range(n):
         for k in range(n):
-            row = []
-            for j in range(n):
-                for l in range(n):
-                    row.append(bracket_value_at(m1[i, j], m2[k, l], quiver, point))
-            entries.append(row)
+            entries.append(
+                [bracket_from_gradients(g1[i, j], g2[k, l], b_rows, wv) for j in range(n) for l in range(n)]
+            )
     return MatrixRF(entries)
 
 

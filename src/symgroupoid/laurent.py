@@ -14,6 +14,7 @@ exponent vector, which makes term counts and serialized output deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 Q = Fraction
@@ -280,8 +281,95 @@ class LaurentPoly:
                 del terms[key]
         return LaurentPoly(self.table, terms)
 
+    def value_and_gradient(self, point: Mapping[str, object]) -> tuple:
+        """Exact value and every partial derivative (in table order) at a point.
+
+        One pass over the terms in integers when the coordinates are ints or
+        Fractions; any other field value goes through the derivative polynomials.
+        """
+        exact = self._rational_pass(point, gradient=True)
+        if exact is not None:
+            return exact
+        return self.evaluate(point), [self.derivative(n).evaluate(point) for n in self.table.names]
+
+    def _rational_pass(self, point: Mapping[str, object], gradient: bool):
+        """Value (and partials) at a point of ints and Fractions, in integer arithmetic.
+
+        With the coordinate ``w_i = a/b`` and the exponent box ``[lo, hi]`` of
+        ``w_i`` over the terms, ``w_i**e = a**(e-lo) * b**(hi-e) * a**lo / b**hi``:
+        one integer table per generator makes every term an integer, up to one
+        scale shared by all terms, once the coefficients are over their lcm.
+        Forward mode needs no further table, since the partial in ``w_i`` of a
+        term is ``e_i * term / w_i``: its integer sum is the exponent-weighted sum
+        of the terms, and its scale is the value's times ``b/a``.
+
+        Returns None when a coordinate is of another type, and also when the
+        partials are asked for and a coordinate the terms use is zero.
+        """
+        names = self.table.names
+        for name in names:
+            v = point.get(name)
+            if v is not None and not isinstance(v, (int, Fraction)):
+                return None
+        terms = self.terms
+        if not terms:
+            return (Q(0), [Q(0)] * len(names)) if gradient else (Q(0), None)
+        lcd = lcm(*(c.denominator for c in terms.values()))
+        num, den = 1, lcd
+        coords = []  # (table index, a, b) for every generator the terms use
+        tables = []  # (table index, lo, powers) where the exponent varies
+        for i, column in enumerate(zip(*terms)):
+            lo, hi = min(column), max(column)
+            if lo == hi == 0:
+                continue
+            if names[i] not in point:
+                raise KeyError(f"no value for generator {names[i]!r}")
+            a, b = point[names[i]].numerator, point[names[i]].denominator
+            if a == 0 and lo < 0:
+                raise ZeroDivisionError(f"{names[i]} = 0 under a negative exponent")
+            if lo > 0:
+                num *= a ** lo
+            else:
+                den *= a ** -lo
+            if hi > 0:
+                den *= b ** hi
+            else:
+                num *= b ** -hi
+            if lo != hi:
+                apow, bpow = [1], [1]
+                for _ in range(hi - lo):
+                    apow.append(apow[-1] * a)
+                    bpow.append(bpow[-1] * b)
+                tables.append((i, lo, [x * y for x, y in zip(apow, reversed(bpow))]))
+            coords.append((i, a, b))
+        if gradient and any(a == 0 for _, a, _ in coords):
+            return None
+        total = 0
+        sums = [0] * len(coords)
+        for exps, c in terms.items():
+            t = c.numerator * (lcd // c.denominator)
+            for i, lo, powers in tables:
+                t *= powers[exps[i] - lo]
+            total += t
+            if gradient:
+                for k, (i, _, _) in enumerate(coords):
+                    e = exps[i]
+                    if e:
+                        sums[k] += e * t
+        value = Fraction(total * num, den)
+        if not gradient:
+            return value, None
+        grads = [Q(0)] * len(names)
+        for s, (i, a, b) in zip(sums, coords):
+            if s:
+                grads[i] = Fraction(s * num * b, den * a)
+        return value, grads
+
     def evaluate(self, point: Mapping[str, object]):
         """Exact value at a point (any field-like values: Fraction, GaussianRational...)."""
+        exact = self._rational_pass(point, gradient=False)
+        if exact is not None:
+            return exact[0]
         idx_vals = []
         for i, name in enumerate(self.table.names):
             if name in point:
@@ -499,8 +587,9 @@ class RationalFn:
         o = self._coerce(other)
         return self.num * o.den == o.num * self.den
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
+    # equal values need not share a canonical (num, den) without a gcd, so no
+    # hash can agree with ==; rational functions are not set members or keys
+    __hash__ = None
 
     # -- calculus and evaluation ----------------------------------------------
 
@@ -594,8 +683,9 @@ def equal_rational(
 
     Symbolic mode cross-multiplies canonical forms (sound and complete).
     Randomized mode compares exact evaluations at ``trials`` positive points
-    with coordinates in [1, coefficient_bound], retrying on denominator zeros;
-    a distinguishing point is returned as the witness on failure.
+    with coordinates in [1, coefficient_bound] drawn from ``rng`` (required,
+    so that the verdict repeats), retrying on denominator zeros; a
+    distinguishing point is returned as the witness on failure.
     """
     if f.table != g.table:
         raise ValueError("mixed generator tables")
@@ -605,9 +695,8 @@ def equal_rational(
         raise ValueError(f"unknown mode {mode!r}")
     if trials < 1:
         raise ValueError(f"randomized equality needs at least one trial, got {trials}")
-    import random as _random
-
-    rng = rng or _random.Random()
+    if rng is None:
+        raise ValueError("randomized equality needs an explicit rng, so that its verdict repeats")
     done = 0
     budget = retry_budget
     while done < trials:

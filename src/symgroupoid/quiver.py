@@ -386,7 +386,7 @@ def apply_sequence(seed: Seed, seq: Sequence) -> Seed:
 # -- log-canonical Poisson bracket ------------------------------------------
 
 
-def _aligned_doubled(quiver: Quiver, table: GeneratorTable) -> list:
+def aligned_doubled(quiver: Quiver, table: GeneratorTable) -> list:
     """Doubled exchange matrix re-indexed by table positions (0 for strangers)."""
     n = len(table)
     rows = [[0] * n for _ in range(n)]
@@ -432,7 +432,7 @@ def poisson_bracket(f: RationalFn, g: RationalFn, quiver: Quiver) -> RationalFn:
     table = f.table
     if g.table != table:
         raise ValueError("mixed generator tables")
-    b_rows = _aligned_doubled(quiver, table)
+    b_rows = aligned_doubled(quiver, table)
     p, q = f.num, f.den
     r, s = g.num, g.den
     num = (
@@ -444,29 +444,20 @@ def poisson_bracket(f: RationalFn, g: RationalFn, quiver: Quiver) -> RationalFn:
     return RationalFn(num, q * q * s * s)
 
 
-def bracket_value_at(f: RationalFn, g: RationalFn, quiver: Quiver, point: Mapping[str, Fraction]) -> Fraction:
-    """Exact value of {f, g} at a nonsingular point, via evaluated gradients."""
-    table = f.table
-    b_rows = _aligned_doubled(quiver, table)
-    names = table.names
+def gradient_at(h: RationalFn, point: Mapping[str, Fraction]) -> tuple:
+    """Exact value and gradient (in table order) of h at a nonsingular point."""
+    pv, pg = h.num.value_and_gradient(point)
+    qv, qg = h.den.value_and_gradient(point)
+    if qv == 0:
+        raise ZeroDivisionError("singular point")
+    q2 = qv * qv
+    return pv / qv, [(dp * qv - pv * dq) / q2 if dp or dq else dp for dp, dq in zip(pg, qg)]
 
-    def gradient(h: RationalFn) -> list:
-        pv = h.num.evaluate(point)
-        qv = h.den.evaluate(point)
-        if qv == 0:
-            raise ZeroDivisionError("singular point")
-        grads = []
-        for name in names:
-            dp = h.num.derivative(name).evaluate(point)
-            dq = h.den.derivative(name).evaluate(point)
-            grads.append((dp * qv - pv * dq) / (qv * qv))
-        return grads
 
-    fg = gradient(f)
-    gg = gradient(g)
-    wv = [point[name] for name in names]
+def bracket_from_gradients(fg: list, gg: list, b_rows: list, wv: list) -> Fraction:
+    """{f, g} at a point from the gradients of f and g and the coordinates ``wv``."""
     total = Q(0)
-    n = len(names)
+    n = len(wv)
     for i in range(n):
         if fg[i] == 0 and gg[i] == 0:
             continue
@@ -479,6 +470,17 @@ def bracket_value_at(f: RationalFn, g: RationalFn, quiver: Quiver, point: Mappin
                 continue
             total += Fraction(bij, 8) * wv[i] * wv[j] * cross
     return total
+
+
+def bracket_value_at(f: RationalFn, g: RationalFn, quiver: Quiver, point: Mapping[str, Fraction]) -> Fraction:
+    """Exact value of {f, g} at a nonsingular point, via evaluated gradients."""
+    table = f.table
+    return bracket_from_gradients(
+        gradient_at(f, point)[1],
+        gradient_at(g, point)[1],
+        aligned_doubled(quiver, table),
+        [point[name] for name in table.names],
+    )
 
 
 # -- Casimir lattice ----------------------------------------------------------
@@ -497,7 +499,7 @@ def monomial_casimirs(quiver: Quiver) -> list:
     """
     basis = smith_kernel_basis(quiver.doubled)
     table = initial_table(quiver.vertices)
-    b_rows = _aligned_doubled(quiver, table)
+    b_rows = aligned_doubled(quiver, table)
     out = []
     for alpha in basis:
         exps = tuple(2 * a for a in alpha)

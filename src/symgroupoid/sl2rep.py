@@ -10,8 +10,9 @@ locus; entries are exposed as ordinary floats.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -36,6 +37,18 @@ class Reconstruction:
 
     def to_json(self) -> dict:
         return {"matrices": self.as_floats(), "branch": list(self.branch)}
+
+
+def _high_precision(fn):
+    """Run ``fn`` in a local decimal context of PRECISION digits, leaving the caller's alone."""
+
+    @functools.wraps(fn)
+    def wrapped(*args, **kwargs):
+        with localcontext() as ctx:
+            ctx.prec = PRECISION
+            return fn(*args, **kwargs)
+
+    return wrapped
 
 
 def _dec(x) -> Decimal:
@@ -66,10 +79,10 @@ def _markov_combination(g: Mapping, a: int, b: int, c: int):
 
 
 def _normalize_input(g: Mapping) -> dict:
-    getcontext().prec = PRECISION
     return {tuple(sorted(k)): _dec(v) for k, v in g.items()}
 
 
+@_high_precision
 def reconstruct(g: Mapping, tolerance: float = DEFAULT_TOL) -> Reconstruction:
     """Five transport matrices from the ten trace values g[(i, j)], i < j <= 5.
 
@@ -151,9 +164,9 @@ def reconstruct(g: Mapping, tolerance: float = DEFAULT_TOL) -> Reconstruction:
     return Reconstruction(matrices=mats, branch=branch, tolerance=tolerance)
 
 
+@_high_precision
 def trace_table(matrices: Sequence) -> dict:
     """tr(M_i M_j^{-1}) for all pairs i < j."""
-    getcontext().prec = PRECISION
     mats = [[[_dec(x) for x in row] for row in m] for m in matrices]
     out = {}
     for i in range(5):
@@ -163,6 +176,7 @@ def trace_table(matrices: Sequence) -> dict:
     return out
 
 
+@_high_precision
 def determinant_residuals(matrices: Sequence) -> list:
     out = []
     for m in matrices:
@@ -171,9 +185,9 @@ def determinant_residuals(matrices: Sequence) -> list:
     return out
 
 
+@_high_precision
 def monodromy_residual(matrices: Sequence):
     """Deviation of the commutator composition from plus or minus identity."""
-    getcontext().prec = PRECISION
     m1, m2, m3, m4, m5 = [[[_dec(x) for x in row] for row in m] for m in matrices]
     word = _mat_mul(
         _mat_mul(_mat_mul(_mat_inv(m5), m4), _mat_mul(_mat_inv(m3), m2)),
@@ -187,6 +201,7 @@ def monodromy_residual(matrices: Sequence):
     return min(plus, minus)
 
 
+@_high_precision
 def consistency_residuals(g: Mapping, rec: Reconstruction) -> dict:
     """The leftover trace equation and the monodromy deviation."""
     g = _normalize_input(g)

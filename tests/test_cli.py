@@ -139,3 +139,22 @@ def test_evaluate_zero_denominator_point(tmp_path, capsys):
     pt.write_text(json.dumps({f"w:{v}": "1/0" for v in "abcdefg"}))
     assert main(["evaluate", "--point", str(pt), "--surface", "genus2_x7", "--label", "G_B"]) == 2
     assert "exact rationals" in capsys.readouterr().err
+
+
+def test_evaluate_point_not_an_object(tmp_path, capsys):
+    pt = tmp_path / "p.json"
+    pt.write_text(json.dumps(["w:a"]))
+    assert main(["evaluate", "--point", str(pt), "--surface", "genus2_x7", "--label", "G_B"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_evaluate_fn_without_term_lists(tmp_path, capsys):
+    pt = tmp_path / "p.json"
+    pt.write_text(json.dumps({"w:a": "1"}))
+    ff = tmp_path / "fn.json"
+    for bad in ({"nums": []}, ["num", "den"], {"num": [{"coeff": "1"}], "den": []}):
+        ff.write_text(json.dumps(bad))
+        assert main(["evaluate", "--point", str(pt), "--fn", str(ff)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -183,3 +183,23 @@ def test_leaf_diagnostics_requires_unipotent():
     b = rational_matrix([[1, 2], [3, 4]])
     with pytest.raises(ValueError):
         leaf_diagnostics(b)
+
+
+def test_bracket_tensor_at_matches_entrywise_brackets():
+    from symgroupoid.groupoid import bracket_tensor_at
+    from symgroupoid.network import SquareNetwork
+    from symgroupoid.quiver import bracket_value_at
+
+    net = SquareNetwork(3)
+    a, at = net.assemble_A()
+    rng = random.Random(5)
+    pt = {name: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for name in net.table.names}
+    n = a.rows
+    for m1, m2 in ((a, a), (a, at)):
+        tensor = bracket_tensor_at(m1, m2, net.quiver, pt)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    for l in range(n):
+                        expected = bracket_value_at(m1[i, j], m2[k, l], net.quiver, pt)
+                        assert tensor[i * n + k, j * n + l] == expected

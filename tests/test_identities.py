@@ -40,6 +40,13 @@ def test_equal_rational_rejects_unknown_mode():
         equal_rational(g, g, "guess")
 
 
+def test_equal_rational_randomized_requires_rng():
+    g = catalog_value(build_surface("genus2_x7"), "G_{1,2}")
+    with pytest.raises(ValueError, match="rng"):
+        equal_rational(g, g, "randomized", trials=1)
+    assert equal_rational(g, g, "randomized", trials=1, rng=random.Random(3)) == (True, None)
+
+
 @pytest.mark.parametrize("trials", [0, -1])
 def test_equal_rational_rejects_vacuous_trials(trials):
     g = catalog_value(build_surface("genus2_x7"), "G_{1,2}")

@@ -250,3 +250,71 @@ def test_exact_poly_div_recovers_factor(p, q):
     if q.is_zero():
         return
     assert exact_poly_div(p * q, q) == p
+
+
+def test_equal_rational_functions_are_not_two_set_members():
+    x = rf(gen("w:a")) + rf(LaurentPoly.one(T))
+    a, b = x / x, RationalFn.constant(T, 1)
+    assert a == b
+    try:
+        members = {a, b}
+    except TypeError:
+        return  # unhashable: no set can hold them at all
+    assert len(members) == 1
+
+
+def _reference_value(p, point):
+    total = Fraction(0)
+    for exps, c in p.terms.items():
+        term = c
+        for name, e in zip(p.table.names, exps):
+            if e:
+                term *= Fraction(point[name]) ** e
+        total += term
+    return total
+
+
+coordinates = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=9),
+)
+
+
+@given(laurent_polys(), st.lists(coordinates, min_size=3, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_value_and_gradient_matches_fraction_reference(p, coords):
+    point = dict(zip(T.names, coords))
+    try:
+        expected = (
+            _reference_value(p, point),
+            [_reference_value(p.derivative(n), point) for n in T.names],
+        )
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            p.value_and_gradient(point)
+        return
+    assert p.value_and_gradient(point) == expected
+    assert p.evaluate(point) == expected[0]
+
+
+def test_value_and_gradient_at_a_gaussian_point():
+    from symgroupoid.gauss import GaussianRational
+
+    p = LaurentPoly.monomial(T, Fraction(3, 2), {"w:a": 2, "w:b": -1}) + gen("w:c")
+    i = GaussianRational(0, 1)
+    point = {"w:a": i, "w:b": GaussianRational(2), "w:c": GaussianRational(1, 1)}
+    value, grads = p.value_and_gradient(point)
+    assert value == p.evaluate(point)
+    assert grads == [p.derivative(n).evaluate(point) for n in T.names]
+
+
+def test_zero_coordinate_under_negative_exponent_raises():
+    p = LaurentPoly.monomial(T, Fraction(1), {"w:a": -1}) + gen("w:b")
+    point = {"w:a": Q(0), "w:b": Q(2), "w:c": Q(3)}
+    with pytest.raises(ZeroDivisionError):
+        p.value_and_gradient(point)
+    with pytest.raises(ZeroDivisionError):
+        p.evaluate(point)
+    # a zero coordinate under nonnegative exponents is an ordinary point
+    q = gen("w:a") * gen("w:b") + gen("w:a", 2)
+    assert q.value_and_gradient(point) == (Q(0), [Q(2), Q(0), Q(0)])

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import getcontext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -100,3 +101,23 @@ def test_constraint_violation_rejected():
     pt["w:g"] = Fraction(2)  # breaks the unit constraint
     with pytest.raises(ValueError):
         cluster_to_lengths(model, pt)
+
+
+def test_reconstruct_keeps_the_callers_decimal_precision():
+    m1 = [[1.0, 0.0], [0.0, 1.0]]
+    m2 = [[math.exp(0.9), 0.0], [0.0, math.exp(-0.9)]]
+    m3 = [[1.5, 0.6], [0.6, (1 + 0.36) / 1.5]]
+    m4 = [[1.2, 0.4], [0.3, (1 + 0.12) / 1.2]]
+    m5 = [[0.8, 0.5], [0.2, (1 + 0.1) / 0.8]]
+    g = trace_table([m1, m2, m3, m4, m5])
+    reference = reconstruct(g)
+    with localcontext() as ctx:
+        ctx.prec = 12
+        rec = reconstruct(g)
+        trace_table(rec.matrices)
+        determinant_residuals(rec.matrices)
+        monodromy_residual(rec.matrices)
+        consistency_residuals(g, rec)
+        assert getcontext().prec == 12
+    # the solve runs at its own precision whatever the caller's
+    assert rec.matrices == reference.matrices
