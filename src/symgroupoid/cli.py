@@ -33,6 +33,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown suite {args.suite!r}; expected one of {SUITE_NAMES + ('all',)}")
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.size is not None and args.size < 1:
+        raise UsageError(f"-n/--size must be at least 1, got {args.size}")
     failed = 0
     reports = []
     for name in names:
@@ -76,6 +78,12 @@ def _load_json(path: str):
             raise UsageError(f"{path}: malformed JSON: {exc}") from exc
 
 
+def _surface(name: str):
+    if name not in surfaces.MODEL_NAMES:
+        raise UsageError(f"unknown surface {name!r}; expected one of {surfaces.MODEL_NAMES}")
+    return build_surface(name)
+
+
 def _load_seed(path: str) -> Seed:
     data = _load_json(path)
     try:
@@ -114,7 +122,7 @@ def cmd_casimirs(args) -> int:
     if args.quiver:
         quiver = _load_seed(args.quiver).quiver
     elif args.surface:
-        quiver = build_surface(args.surface).quiver
+        quiver = _surface(args.surface).quiver
     else:
         raise UsageError("casimirs needs --quiver FILE or --surface NAME")
     basis = monomial_casimirs(quiver)
@@ -141,9 +149,7 @@ def cmd_geodesic(args) -> int:
         return 0
     if not args.surface:
         raise UsageError("geodesic needs --surface NAME or --network N")
-    if args.surface not in surfaces.MODEL_NAMES:
-        raise UsageError(f"unknown surface {args.surface!r}; expected one of {surfaces.MODEL_NAMES}")
-    model = build_surface(args.surface)
+    model = _surface(args.surface)
     if args.label is None:
         print("labels:", ", ".join(sorted(model.catalog)))
         return 0
@@ -174,7 +180,7 @@ def cmd_evaluate(args) -> int:
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(f"{args.point}: point values must be exact rationals: {exc}") from exc
     if args.surface and args.label:
-        model = build_surface(args.surface)
+        model = _surface(args.surface)
         if args.label not in model.catalog:
             raise UsageError(f"unknown label {args.label!r}")
         fn = catalog_value(model, args.label)
@@ -221,7 +227,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=5, help="trials for randomized equality")
     p.add_argument("--mode", choices=("symbolic", "randomized"), default="symbolic")
     p.add_argument("--tolerance", type=float, default=1e-9, help="residual tolerance (sl2 only)")
-    p.add_argument("-n", "--size", type=int, help="restrict the casimirs suite to one size")
+    p.add_argument(
+        "-n",
+        "--size",
+        type=int,
+        help="restrict the casimirs suite to one size (at least 1; the cost grows steeply: "
+        "about 1 s at n = 12, 4 s at 16, 11 s at 20)",
+    )
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("mutate", help="apply a mutation sequence to a quiver/seed file")

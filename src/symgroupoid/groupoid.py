@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .laurent import GeneratorTable, Q, RationalFn
 from .matrices import MatrixRF, charpoly_is_palindromic, divide_out_root, is_zero_entry
-from .quiver import Quiver, aligned_doubled, bracket_from_gradients, gradient_at, poisson_bracket
+from .quiver import Quiver, aligned_doubled, bracket_from_gradients, gradient_at
 from .report import Check
 
 # random specializations tried per point before a numeric check gives up
@@ -65,50 +65,31 @@ class RMatrix:
                 if self.r[a][b] + self.r[b][a] != self.p[a][b]:
                     raise AssertionError("r + r^T differs from the permutation operator")
 
-    def as_matrices(self, table: GeneratorTable) -> tuple:
-        wrap = lambda rows: MatrixRF(
-            [[RationalFn.constant(table, x) for x in row] for row in rows]
-        )
-        return wrap(self.r), wrap(self.rt2)
 
-
-def reflection_rhs(m: MatrixRF, quiver_table: GeneratorTable) -> MatrixRF:
-    """Right side of the reflection identity r M1M2 - M1M2 r - M1 rt2 M2 + M2 rt2 M1."""
-    n = m.rows
-    rm = RMatrix(n)
-    r, rt2 = rm.as_matrices(quiver_table)
-    zero = RationalFn.constant(quiver_table, 0)
-    m1 = MatrixRF(
+def reflection_rhs(mv: MatrixRF) -> MatrixRF:
+    """Right side of the reflection identity r M1M2 - M1M2 r - M1 rt2 M2 + M2 rt2 M1
+    for a matrix of field values, built entrywise: entry ((i,k),(j,l)) is
+    (th(k-i) - th(j-l)) m_kj m_il - th(j-k) m_ik m_jl + th(l-i) m_ki m_lj."""
+    n = mv.rows
+    m = mv.entries
+    return MatrixRF(
         [
-            [m[i // n, j // n] if i % n == j % n else zero for j in range(n * n)]
-            for i in range(n * n)
+            [
+                (theta(k - i) - theta(j - l)) * m[k][j] * m[i][l]
+                - theta(j - k) * m[i][k] * m[j][l]
+                + theta(l - i) * m[k][i] * m[l][j]
+                for j in range(n)
+                for l in range(n)
+            ]
+            for i in range(n)
+            for k in range(n)
         ]
     )
-    m2 = MatrixRF(
-        [
-            [m[i % n, j % n] if i // n == j // n else zero for j in range(n * n)]
-            for i in range(n * n)
-        ]
-    )
-    return r * m1 * m2 - m1 * m2 * r - m1 * rt2 * m2 + m2 * rt2 * m1
-
-
-def bracket_tensor(m1: MatrixRF, m2: MatrixRF, quiver: Quiver) -> MatrixRF:
-    """{M1 tensor, M2}: entry ((i,k),(j,l)) = {m1[i][j], m2[k][l]}."""
-    n = m1.rows
-    entries = []
-    for i in range(n):
-        for k in range(n):
-            row = []
-            for j in range(n):
-                for l in range(n):
-                    row.append(poisson_bracket(m1[i, j], m2[k, l], quiver))
-            entries.append(row)
-    return MatrixRF(entries)
 
 
 def bracket_tensor_at(m1: MatrixRF, m2: MatrixRF, quiver: Quiver, point) -> MatrixRF:
-    """Same as :func:`bracket_tensor`, exactly evaluated at a point."""
+    """{M1 tensor, M2} exactly evaluated at a point: entry ((i,k),(j,l)) is
+    {m1[i][j], m2[k][l]}."""
     n = m1.rows
     table = m1[0, 0].table
     b_rows = aligned_doubled(quiver, table)
@@ -131,24 +112,9 @@ def bracket_tensor_at(m1: MatrixRF, m2: MatrixRF, quiver: Quiver, point) -> Matr
 # -- generic transport matrices and the compatibility identities ---------------
 
 
-def _generic_triangular(table: GeneratorTable, prefix: str, n: int, upper: bool) -> MatrixRF:
-    zero = RationalFn.constant(table, 0)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(RationalFn.generator(table, f"{prefix}{i + 1}{j + 1}"))
-            elif (j > i) == upper:
-                row.append(RationalFn.generator(table, f"{prefix}{i + 1}{j + 1}"))
-            else:
-                row.append(zero)
-        rows.append(row)
-    return rows
-
-
 def generic_transport_pair(n: int, specialize=None) -> dict:
-    """Generic T1, T2 and the gr-compatible companions T1~, T2~, T1-, T2-.
+    """Generic T1, T2, the gr-compatible companions T1~, T2~, and the inverses
+    of the third transports, T1-^-1 = S T1 S T1~ S and T2-^-1 = S T2 S T2~ S.
 
     T1 (upper) and T2 (lower) have fresh generator entries.  The companions'
     triangularity forces linear conditions that are solved for the strict
@@ -207,9 +173,6 @@ def generic_transport_pair(n: int, specialize=None) -> dict:
 
     t1t = solve_companion(t1, "u", True)
     t2t = solve_companion(t2, "v", False)
-    sinv = s.inverse()
-    t1bar = (s * t1 * s * t1t * s).inverse()
-    t2bar = (s * t2 * s * t2t * s).inverse()
     return {
         "table": table,
         "S": s,
@@ -217,8 +180,8 @@ def generic_transport_pair(n: int, specialize=None) -> dict:
         "T2": t2,
         "T1t": t1t,
         "T2t": t2t,
-        "T1bar": t1bar,
-        "T2bar": t2bar,
+        "T1bar_inv": s * t1 * s * t1t * s,
+        "T2bar_inv": s * t2 * s * t2t * s,
     }
 
 
@@ -264,7 +227,7 @@ def _solve_field(mat: list, vec: list, allow_underdetermined: bool = False) -> l
         for j in range(n):
             if not is_zero_entry(mat[i][j]) and not is_zero_entry(sol[j]):
                 acc = acc + mat[i][j] * sol[j]
-        if not _field_eq(acc, vec[i]):
+        if not is_zero_entry(acc - vec[i]):
             raise ZeroDivisionError("inconsistent linear system")
     return sol
 
@@ -273,10 +236,10 @@ def groupoid_matrices(parts: dict) -> dict:
     """A, Atilde (directly and as B A B^T) from the transport data."""
     s = parts["S"]
     t1, t2, t1t, t2t = parts["T1"], parts["T2"], parts["T1t"], parts["T2t"]
-    t1bar, t2bar = parts["T1bar"], parts["T2bar"]
+    t1bar_inv, t2bar_inv = parts["T1bar_inv"], parts["T2bar_inv"]
     b = t2 * t1
     a = t1.inverse() * s * t2t * t1t.transpose() * s
-    atilde = s * t2bar.inverse() * t1bar.transpose().inverse() * s * t2.transpose()
+    atilde = s * t2bar_inv * t1bar_inv.transpose() * s * t2.transpose()
     return {"B": b, "A": a, "Atilde": atilde, "BABt": b * a * b.transpose()}
 
 
@@ -365,10 +328,7 @@ def corner_minor_ratios(b: MatrixRF) -> tuple:
     """
     n = b.rows
     det = b.det()
-    one = det / det if not is_zero_entry(det) else None
-    if one is None:
-        # fall back: build 1 from any nonzero entry
-        one = b._one()
+    one = b._one()
     deltas = [one]
     tildes = []
     for k in range(1, n):
@@ -390,16 +350,8 @@ def solve_unipotent_A(b: MatrixRF) -> dict:
     (-1)^(n+1) (delta~_{n-k}/delta_{n-k}) (delta_{n-k+1}/delta~_{n-k+1}).
     """
     n = b.rows
-    probe = b[0, 0]
-    zero = probe - probe
-    one = None
-    for i in range(n):
-        for j in range(n):
-            if not is_zero_entry(b[i, j]):
-                one = b[i, j] / b[i, j]
-                break
-        if one is not None:
-            break
+    zero = b._zero()
+    one = b._one()
     unknowns = [(i, j) for i in range(n) for j in range(i + 1, n)]
     targets = [(i, j) for i in range(n) for j in range(i)]
 
@@ -442,14 +394,9 @@ def solve_unipotent_A(b: MatrixRF) -> dict:
             ratio_ok = None
             break
         expected = sign * (tk / dk) * (dk1 / tk1)
-        if not _field_eq(diag[k - 1], expected):
+        if not is_zero_entry(diag[k - 1] - expected):
             ratio_ok = False
     return {"A": a, "image": image, "diag": diag, "ratio_formula_holds": ratio_ok}
-
-
-def _field_eq(x, y) -> bool:
-    d = x - y
-    return d.is_zero() if hasattr(d, "is_zero") else d == 0
 
 
 # -- leaf diagnostics ------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -185,25 +184,3 @@ def kernel_rank_bruteforce(m: IntMatrix, bound: int = 3) -> int:
             if rank_bareiss(IntMatrix(trial)) == len(trial):
                 vecs.append(list(cand))
     return len(vecs)
-
-
-def solve_rational(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list | None:
-    """Solve the square system a x = b over the rationals; None when singular."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return None
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return [m[i][n] for i in range(n)]

@@ -343,13 +343,6 @@ def path_sum_bruteforce(net: SquareNetwork, i: int, j: int) -> RationalFn:
 # -- Casimir suite -------------------------------------------------------------
 
 
-def casimir_suite(n: int):
-    """Run the Casimir-count checks for one size and return the report."""
-    from .report import run_suite_checks
-
-    return run_suite_checks(f"casimirs_n{n}", casimir_suite_checks(n), rng_seed=0)
-
-
 def casimir_suite_checks(n: int) -> list:
     """Checks for the Casimir counts and the published monomials."""
     from .quiver import corank, monomial_is_casimir

@@ -15,7 +15,6 @@ from .groupoid import (
     leaf_diagnostics,
     reflection_rhs,
     solve_unipotent_A,
-    theta,
     verify_groupoid_theorem,
 )
 from .laurent import GeneratorTable, Q, RationalFn, equal_rational
@@ -112,20 +111,11 @@ def groupoid_checks(rng_seed: int) -> list:
 
     def unipotent_solver():
         rng = random.Random(rng_seed + 1)
-        t = GeneratorTable([])
         done = 0
         for n in (3, 4):
             succeeded = 0
             while succeeded < 10:
-                b = MatrixRF(
-                    [
-                        [
-                            RationalFn.constant(t, Q(rng.randint(-9, 9), rng.randint(1, 5)))
-                            for _ in range(n)
-                        ]
-                        for _ in range(n)
-                    ]
-                )
+                b = MatrixRF([[Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)])
                 try:
                     out = solve_unipotent_A(b)
                 except (InadmissibleMatrixError, ZeroDivisionError):
@@ -135,7 +125,7 @@ def groupoid_checks(rng_seed: int) -> list:
                 succeeded += 1
                 if not out["A"].is_unipotent_upper():
                     return (False, f"solution not unipotent at size {n}")
-                if any(not out["image"][i, j].is_zero() for i in range(n) for j in range(i)):
+                if any(out["image"][i, j] != 0 for i in range(n) for j in range(i)):
                     return (False, f"conjugated form has lower entries at size {n}")
                 if not out["ratio_formula_holds"]:
                     return (False, f"corner-minor diagonal formula fails at size {n}")
@@ -153,8 +143,6 @@ def groupoid_checks(rng_seed: int) -> list:
     def signed_stratum_solver():
         # matrices built to satisfy delta_k = delta~_k: the conjugated form is unipotent
         rng = random.Random(rng_seed + 2)
-        t = GeneratorTable([])
-        wrap = lambda x: RationalFn.constant(t, x)
         trials = 0
         while trials < 5:
             b21, b22, b31, b32 = (Q(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(4))
@@ -169,7 +157,7 @@ def groupoid_checks(rng_seed: int) -> list:
             m12 = b21 * b33 - b23 * b31
             m13 = b21 * b32 - b22 * b31
             b11 = (1 + b12 * m12 - b13 * m13) / m11
-            b = MatrixRF([[wrap(b11), wrap(b12), wrap(b13)], [wrap(b21), wrap(b22), wrap(b23)], [wrap(b31), wrap(b32), wrap(b33)]])
+            b = MatrixRF([[b11, b12, b13], [b21, b22, b23], [b31, b32, b33]])
             try:
                 out = solve_unipotent_A(b)
             except (InadmissibleMatrixError, ZeroDivisionError):
@@ -192,9 +180,7 @@ def groupoid_checks(rng_seed: int) -> list:
     )
 
     def diagnostics():
-        t = GeneratorTable([])
-        wrap = lambda x: RationalFn.constant(t, x)
-        ident5 = MatrixRF.identity(5, wrap(1), wrap(0))
+        ident5 = MatrixRF.identity(5, Q(1), Q(0))
         d = leaf_diagnostics(ident5)
         if d["rank_sym"] != 5 or not d["palindromic"]:
             return (False, "identity diagnostics broken")
@@ -202,10 +188,7 @@ def groupoid_checks(rng_seed: int) -> list:
         for n in (4, 5, 6):
             a = MatrixRF(
                 [
-                    [
-                        wrap(1) if i == j else (wrap(Q(rng.randint(1, 9), rng.randint(1, 4))) if j > i else wrap(0))
-                        for j in range(n)
-                    ]
+                    [Q(1) if i == j else (Q(rng.randint(1, 9), rng.randint(1, 4)) if j > i else Q(0)) for j in range(n)]
                     for i in range(n)
                 ]
             )
@@ -230,16 +213,11 @@ def groupoid_checks(rng_seed: int) -> list:
         u = skein_complete(chain, model.quiver, check_k_independence=False)
         rng = random.Random(rng_seed + 4)
         pt = _positive_point(model.seed.frame, rng, 1, 9)
-        t = GeneratorTable([])
-        wrap = lambda x: RationalFn.constant(t, x)
         signed = MatrixRF(
-            [
-                [wrap(((-1) ** (i + j)) * u[i, j].evaluate(pt)) if j >= i else wrap(0) for j in range(4)]
-                for i in range(4)
-            ]
+            [[((-1) ** (i + j)) * u[i, j].evaluate(pt) if j >= i else Q(0) for j in range(4)] for i in range(4)]
         )
         for i in range(4):
-            signed[i, i] = wrap(1)
+            signed[i, i] = Q(1)
         d = leaf_diagnostics(signed)
         msum = d["separating_sum"]
         pf = d["pfaffian_skew"]
@@ -258,21 +236,13 @@ def groupoid_checks(rng_seed: int) -> list:
     )
 
     def spectrum_on_reduced_locus():
-        t = GeneratorTable([])
-        wrap = lambda x: RationalFn.constant(t, x)
         rng = random.Random(rng_seed + 5)
         # size three on the vanishing-determinant locus via the chiral chart
         for _ in range(3):
             uu = Q(rng.randint(2, 9), rng.randint(1, 4))
             vv = Q(rng.randint(2, 9), rng.randint(1, 4))
             g12, g23, g13 = uu + 1 / uu, vv + 1 / vv, uu * vv + 1 / (uu * vv)
-            a = MatrixRF(
-                [
-                    [wrap(1), wrap(-g12), wrap(g13)],
-                    [wrap(0), wrap(1), wrap(-g23)],
-                    [wrap(0), wrap(0), wrap(1)],
-                ]
-            )
+            a = MatrixRF([[Q(1), -g12, g13], [Q(0), Q(1), -g23], [Q(0), Q(0), Q(1)]])
             d = leaf_diagnostics(a)
             if d["minus_one_multiplicity"] < d["on_leaf_multiplicity"]:
                 return (False, "missing -1 eigenvalues on the reduced size-3 locus")
@@ -297,7 +267,7 @@ def groupoid_checks(rng_seed: int) -> list:
         # negative control: a generic unipotent matrix carries none
         a = MatrixRF(
             [
-                [wrap(1) if i == j else (wrap(Q(rng.randint(1, 9), rng.randint(1, 4))) if j > i else wrap(0)) for j in range(5)]
+                [Q(1) if i == j else (Q(rng.randint(1, 9), rng.randint(1, 4)) if j > i else Q(0)) for j in range(5)]
                 for i in range(5)
             ]
         )
@@ -455,13 +425,7 @@ def reflection_checks(rng_seed: int) -> list:
         for rep in range(5):
             pt = _positive_point(net.table, rng, 1, 30)
             for m in (a, at):
-                mv = m.evaluate(pt)
-                lhs = bracket_tensor_at(m, m, net.quiver, pt)
-                wrapq = lambda x: RationalFn.constant(net.table, x)
-                lhs = lhs.map(wrapq)
-                mvq = mv.map(wrapq)
-                rhs = reflection_rhs(mvq, net.table)
-                if not lhs == rhs:
+                if bracket_tensor_at(m, m, net.quiver, pt) != reflection_rhs(m.evaluate(pt)):
                     return (False, f"rep {rep}: reflection identity fails")
         return True
 
@@ -477,40 +441,18 @@ def reflection_checks(rng_seed: int) -> list:
         net = SquareNetwork(4)
         a, at = net.assemble_A()
         rng = random.Random(rng_seed + 4)
-        names = net.table.names
-        b_rows = aligned_doubled(net.quiver, net.table)
         n = 4
         for rep in range(2):
             pt = _positive_point(net.table, rng, 1, 12)
-            wv = [pt[nm] for nm in names]
             for m in (a, at):
-                grads = {}
-                vals = {}
+                lhs = bracket_tensor_at(m, m, net.quiver, pt)
+                rhs = reflection_rhs(m.evaluate(pt))
                 for i in range(n):
                     for j in range(n):
-                        vals[(i, j)], grads[(i, j)] = gradient_at(m[i, j], pt)
-
-                def br(e1, e2):
-                    return bracket_from_gradients(grads[e1], grads[e2], b_rows, wv)
-
-                def val(i, j):
-                    return vals[(i, j)]
-
-                # component form of the verified tensor identity:
-                # {m_ij, m_kl} = (th(k-i) - th(j-l)) m_kj m_il
-                #                - th(j-k) m_ik m_jl + th(l-i) m_ki m_lj
-                for i in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        for k in range(1, n + 1):
-                            for l in range(1, n + 1):
-                                lhs = br((i - 1, j - 1), (k - 1, l - 1))
-                                rhs = (
-                                    (theta(k - i) - theta(j - l)) * val(k - 1, j - 1) * val(i - 1, l - 1)
-                                    - theta(j - k) * val(i - 1, k - 1) * val(j - 1, l - 1)
-                                    + theta(l - i) * val(k - 1, i - 1) * val(l - 1, j - 1)
-                                )
-                                if lhs != rhs:
-                                    return (False, f"rep {rep}: indices ({i},{j}),({k},{l})")
+                        for k in range(n):
+                            for l in range(n):
+                                if lhs[i * n + k, j * n + l] != rhs[i * n + k, j * n + l]:
+                                    return (False, f"rep {rep}: indices ({i + 1},{j + 1}),({k + 1},{l + 1})")
         return True
 
     checks.append(
@@ -968,7 +910,8 @@ def genus3_checks(rng_seed: int, mode: str = "symbolic", trials: int = 5) -> lis
                     pt[wname("at")] = GaussianRational(1 / prod_w)
                 else:
                     pt[wname("at")] = GaussianRational(0, 1 / prod_w)
-                rank = (u.evaluate(pt) + u.evaluate(pt).transpose()).rank()
+                upt = u.evaluate(pt)
+                rank = (upt + upt.transpose()).rank()
                 if expect_low and rank > 4:
                     return (False, f"rank {rank} on the locus")
                 if not expect_low and rank <= 4:
@@ -1376,15 +1319,9 @@ def braid_checks(rng_seed: int) -> list:
         tw = matrix_braid(u, 3)
         rng = random.Random(rng_seed + 2)
         pt = _positive_point(model.seed.frame, rng, 1, 9)
-        n = u.rows
-        ref = RMatrix(n)
 
         def theta_form(m):
-            wrapq = lambda x: RationalFn.constant(model.seed.frame, x)
-            mv = m.evaluate(pt).map(wrapq)
-            lhs = bracket_tensor_at(m, m, q, pt).map(wrapq)
-            rhs = reflection_rhs(mv, model.seed.frame)
-            return lhs == rhs
+            return bracket_tensor_at(m, m, q, pt) == reflection_rhs(m.evaluate(pt))
 
         if not theta_form(u):
             return (False, "chain matrix fails the reflection identity")

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .laurent import LaurentPoly, Q, RationalFn, cancel_factors
-from .matrices import MatrixRF
+from .matrices import MatrixRF, is_zero_entry
 from .quiver import (
     ClusterValue,
     Quiver,
@@ -157,9 +157,9 @@ def matrix_braid(u: MatrixRF, i: int, direction: str = "+") -> MatrixRF:
     if not 1 <= i <= n - 1:
         raise IndexError(f"braid index {i} out of range for size {n}")
     a = u[i - 1, i]
-    one = a / a if not _is_zero(a) else None
-    if one is None:
+    if is_zero_entry(a):
         raise ArithmeticError("vanishing superdiagonal entry")
+    one = a / a
     zero = a - a
     block = MatrixRF.identity(n, one, zero)
     block[i - 1, i - 1] = a
@@ -170,10 +170,6 @@ def matrix_braid(u: MatrixRF, i: int, direction: str = "+") -> MatrixRF:
         return block.transpose() * u * block
     binv = block.inverse()
     return binv.transpose() * u * binv
-
-
-def _is_zero(x) -> bool:
-    return x.is_zero() if hasattr(x, "is_zero") else x == 0
 
 
 # -- surface construction -------------------------------------------------------------

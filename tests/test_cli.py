@@ -13,8 +13,18 @@ def test_geodesic_example(capsys):
     assert "monomials (with multiplicity): 3" in out
 
 
-def test_geodesic_unknown_surface():
-    assert main(["geodesic", "--surface", "genus7_wat", "--label", "x"]) == 2
+def test_geodesic_unknown_surface(tmp_path, capsys):
+    # every command that takes --surface rejects an unknown name with one line
+    pt = tmp_path / "p.json"
+    pt.write_text(json.dumps({"w:a": "1"}))
+    for argv in (
+        ["geodesic", "--surface", "genus7_wat", "--label", "x"],
+        ["casimirs", "--surface", "nope"],
+        ["evaluate", "--point", str(pt), "--surface", "nope", "--label", "G"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown surface") and err.count("\n") == 1, argv
 
 
 def test_casimirs_contains_x7_monomial(capsys):
@@ -109,6 +119,14 @@ def test_verify_rejects_trials_below_one(capsys):
         assert main(["verify", "genus3", "--mode", "randomized", "--trials", trials]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --trials") and err.count("\n") == 1
+
+
+def test_verify_rejects_size_below_one(capsys):
+    # sizes below one used to run and report failed checks ("corank -1"), exit 1
+    for size in ("0", "-3"):
+        assert main(["verify", "casimirs", "-n", size]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: -n/--size") and err.count("\n") == 1
 
 
 def test_mutate_malformed_json(tmp_path, capsys):

@@ -10,14 +10,17 @@ from symgroupoid.groupoid import (
     InadmissibleMatrixError,
     RMatrix,
     antidiagonal_S,
+    bracket_tensor_at,
     corner_minor_ratios,
     generic_transport_pair,
     groupoid_matrices,
     leaf_diagnostics,
+    reflection_rhs,
     solve_unipotent_A,
 )
 from symgroupoid.laurent import GeneratorTable, RationalFn
 from symgroupoid.matrices import MatrixRF, charpoly_is_palindromic
+from symgroupoid.network import SquareNetwork
 from symgroupoid.report import run_suite_checks
 from symgroupoid.suites import build_suite
 
@@ -186,8 +189,6 @@ def test_leaf_diagnostics_requires_unipotent():
 
 
 def test_bracket_tensor_at_matches_entrywise_brackets():
-    from symgroupoid.groupoid import bracket_tensor_at
-    from symgroupoid.network import SquareNetwork
     from symgroupoid.quiver import bracket_value_at
 
     net = SquareNetwork(3)
@@ -203,3 +204,46 @@ def test_bracket_tensor_at_matches_entrywise_brackets():
                     for l in range(n):
                         expected = bracket_value_at(m1[i, j], m2[k, l], net.quiver, pt)
                         assert tensor[i * n + k, j * n + l] == expected
+
+
+def _dense_rhs(m, r, rt2):
+    """r M1M2 - M1M2 r - M1 rt2 M2 + M2 rt2 M1 as dense Fraction products, with
+    M1 = M (x) 1 and M2 = 1 (x) M on the doubled index (i, k) -> i n + k."""
+    n = len(m)
+    size = n * n
+    m1 = MatrixRF([[m[a // n][b // n] if a % n == b % n else Fraction(0) for b in range(size)] for a in range(size)])
+    m2 = MatrixRF([[m[a % n][b % n] if a // n == b // n else Fraction(0) for b in range(size)] for a in range(size)])
+    r, rt2 = MatrixRF(r), MatrixRF(rt2)
+    return (r * m1 * m2 - m1 * m2 * r - m1 * rt2 * m2 + m2 * rt2 * m1).entries
+
+
+def _partial_transpose_2(r, n):
+    """Swap the second-leg indices: out[(i,k),(j,l)] = r[(i,l),(j,k)]."""
+    return [
+        [r[i * n + l][j * n + k] for j in range(n) for l in range(n)] for i in range(n) for k in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_reflection_rhs_matches_dense_r_matrix_products(n):
+    rng = random.Random(n)
+    ref = RMatrix(n)
+    assert _partial_transpose_2(ref.r, n) == ref.rt2
+    for _ in range(3):
+        m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)]
+        assert reflection_rhs(MatrixRF(m)).entries == _dense_rhs(m, ref.r, ref.rt2)
+
+
+def test_reflection_identity_fails_with_transposed_r_matrix():
+    # negative control: the size-3 network form satisfies the identity with r
+    # and not with r^T, so the check cannot pass whatever the bracket
+    net = SquareNetwork(3)
+    a, _ = net.assemble_A()
+    rng = random.Random(9)
+    pt = {name: Fraction(rng.randint(1, 30), rng.randint(1, 30)) for name in net.table.names}
+    lhs = bracket_tensor_at(a, a, net.quiver, pt).entries
+    mv = [[a[i, j].evaluate(pt) for j in range(3)] for i in range(3)]
+    ref = RMatrix(3)
+    rt = [list(col) for col in zip(*ref.r)]
+    assert lhs == _dense_rhs(mv, ref.r, ref.rt2)
+    assert lhs != _dense_rhs(mv, rt, _partial_transpose_2(rt, 3))
