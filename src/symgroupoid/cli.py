@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -35,6 +36,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
     if args.size is not None and args.size < 1:
         raise UsageError(f"-n/--size must be at least 1, got {args.size}")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise UsageError(f"--tolerance must be a finite positive number, got {args.tolerance}")
     failed = 0
     reports = []
     for name in names:
@@ -101,8 +104,10 @@ def cmd_mutate(args) -> int:
             if not item:
                 continue
             if "~" in item:
-                u, v = item.split("~")
-                seq.append((u.strip(), v.strip()))
+                pair = [name.strip() for name in item.split("~")]
+                if len(pair) != 2:
+                    raise UsageError(f"--seq item {item!r}: u~v swaps exactly two labels")
+                seq.append(tuple(pair))
             else:
                 seq.append(item)
     try:
@@ -271,10 +276,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -715,28 +715,6 @@ def equal_rational(
     return (True, None)
 
 
-def cancel_factors(f: RationalFn, candidates) -> RationalFn:
-    """Cancel each candidate polynomial from num and den while both divide.
-
-    Used where factored bookkeeping names the factors that must cancel (the
-    general fraction is never reduced by a full multivariate gcd)."""
-    num, den = f.num, f.den
-    changed = False
-    for p in candidates:
-        if p.is_monomial() or p.is_zero():
-            continue
-        while True:
-            dd = exact_poly_div(den, p)
-            if dd is None:
-                break
-            dn = exact_poly_div(num, p)
-            if dn is None:
-                break
-            num, den = dn, dd
-            changed = True
-    return RationalFn(num, den) if changed else f
-
-
 def exact_poly_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     """Exact Laurent division ``num / den`` or None when it does not divide.
 

@@ -23,7 +23,8 @@ class MatrixRF:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence]):
-        self.entries = [list(row) for row in entries]
+        # plain ints would leave exact arithmetic at the first division
+        self.entries = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
         if any(len(r) != self.cols for r in self.entries):
@@ -86,12 +87,7 @@ class MatrixRF:
         return probe - probe
 
     def _one(self):
-        z = self._zero()
-        for row in self.entries:
-            for x in row:
-                if not is_zero_entry(x):
-                    return x / x
-        raise ZeroDivisionError("zero matrix has no unit entry")
+        return self._zero() ** 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixRF) or self.rows != other.rows or self.cols != other.cols:

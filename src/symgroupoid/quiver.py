@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .intlinalg import IntMatrix, rank_bareiss, smith_kernel_basis
-from .laurent import GeneratorTable, LaurentPoly, Q, RationalFn
+from .laurent import GeneratorTable, LaurentPoly, Q, RationalFn, exact_poly_div
 
 
 def wname(vertex: str) -> str:
@@ -184,9 +184,20 @@ class ClusterValue:
         out = cls(fn.table)._with_factor(fn.num, 1)
         return out._with_factor(fn.den, -1)
 
-    def _with_factor(self, poly: LaurentPoly, exp: int) -> "ClusterValue":
+    def _with_factor(self, poly: LaurentPoly, exp: int, known=()) -> "ClusterValue":
+        """Multiply by ``poly**exp``, first dividing ``poly`` by each known factor
+        as often as it divides."""
         if exp == 0:
             return self
+        factors = dict(self.factors)
+        # the split ends: every factor is non-monomial, since units are dropped
+        # below, so each exact division lowers the degree of a nonzero ``poly``
+        for p in known:
+            q = exact_poly_div(poly, p)
+            while q is not None:
+                poly = q
+                factors[p] = factors.get(p, 0) + exp
+                q = exact_poly_div(poly, p)
         # keep factors content-free with positive leading coefficient
         content = poly.content_exponents()
         coeff = self.coeff
@@ -198,15 +209,9 @@ class ClusterValue:
         if lead != 1:
             poly = poly.scale(Q(1) / lead)
             coeff = coeff * lead ** exp
-        if poly == LaurentPoly.one(self.table):
-            return ClusterValue(self.table, coeff, mono, self.factors)
-        factors = dict(self.factors)
-        e = factors.get(poly, 0) + exp
-        if e:
-            factors[poly] = e
-        elif poly in factors:
-            del factors[poly]
-        return ClusterValue(self.table, coeff, mono, factors)
+        if poly != LaurentPoly.one(self.table):
+            factors[poly] = factors.get(poly, 0) + exp
+        return ClusterValue(self.table, coeff, mono, {p: e for p, e in factors.items() if e})
 
     def inverse(self) -> "ClusterValue":
         return ClusterValue(
@@ -267,14 +272,13 @@ class ClusterValue:
             {p: e // 2 for p, e in self.factors.items()},
         )
 
-    def one_plus_power(self, sign: int) -> "ClusterValue":
-        """(1 + self**sign) as a ClusterValue (one fresh factor over known ones)."""
+    def one_plus_power(self, sign: int, known=()) -> "ClusterValue":
+        """(1 + self**sign) as a ClusterValue, its fresh factor split over ``known``."""
         z = self if sign > 0 else self.inverse()
         num, den = z.split()
-        fresh = den + num
         # den from split() is exactly prod(p^-e) over negative-exponent factors,
         # so dividing it back keeps the factorization bookkeeping exact.
-        out = ClusterValue(self.table)._with_factor(fresh, 1)
+        out = ClusterValue(self.table)._with_factor(den + num, 1, known)
         for p, e in z.factors.items():
             if e < 0:
                 out = out._with_factor(p, e)
@@ -349,19 +353,16 @@ def mutate(seed: Seed, k: str) -> Seed:
         raise FrozenVertexError(f"vertex {k!r} is frozen")
     quiver = seed.quiver.mutate_matrix(k)
     zk = seed.values[k]
+    known = list(dict.fromkeys(p for v in seed.quiver.vertices for p in seed.values[v].factors))
+    plus, minus = zk.one_plus_power(+1, known), zk.one_plus_power(-1, known)
     values = dict(seed.values)
     values[k] = zk.inverse()
-    for j, v in enumerate(seed.quiver.vertices):
-        if v == k:
-            continue
+    for v in seed.quiver.vertices:
         m2 = seed.quiver.b(k, v)
-        if m2 == 0:
+        if v == k or m2 == 0:
             continue
         m = m2 // 2
-        if m > 0:
-            values[v] = seed.values[v] * zk.one_plus_power(-1) ** (-m)
-        else:
-            values[v] = seed.values[v] * zk.one_plus_power(+1) ** (-m)
+        values[v] = seed.values[v] * (minus if m > 0 else plus) ** (-m)
     return Seed(quiver, values, seed.frame)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .laurent import LaurentPoly, Q, RationalFn, cancel_factors
+from .laurent import LaurentPoly, Q, RationalFn
 from .matrices import MatrixRF, is_zero_entry
 from .quiver import (
     ClusterValue,
@@ -64,12 +64,12 @@ def telescopic(word: Sequence, seed: Seed) -> RationalFn:
             terms.append(suffix * zx)
             suffix = suffix * zx * zy
             terms.append(suffix)
-    value = cv_sum([t * inv_root for t in terms])
-    return cancel_factors(value, _seed_factors(seed))
+    return cv_sum([t * inv_root for t in terms])
 
 
 def cv_sum(values: Sequence[ClusterValue]) -> RationalFn:
-    """Exact sum of factored values over the least common factored denominator."""
+    """Exact sum of factored values over the least common factored denominator,
+    the summed numerator split over that denominator's factors."""
     if not values:
         raise ValueError("empty sum")
     table = values[0].table
@@ -78,9 +78,6 @@ def cv_sum(values: Sequence[ClusterValue]) -> RationalFn:
         for p, e in v.factors.items():
             if e < 0:
                 den_exp[p] = max(den_exp.get(p, 0), -e)
-    den = LaurentPoly.one(table)
-    for p, e in den_exp.items():
-        den = den * p ** e
     total = LaurentPoly.zero(table)
     for v in values:
         num = LaurentPoly(table, {v.mono: v.coeff})
@@ -92,15 +89,12 @@ def cv_sum(values: Sequence[ClusterValue]) -> RationalFn:
             if p not in v.factors and e:
                 num = num * p ** e
         total = total + num
-    return RationalFn(total, den)
-
-
-def _seed_factors(seed: Seed) -> list:
-    seen: dict = {}
-    for v in seed.quiver.vertices:
-        for p in seed.values[v].factors:
-            seen[p] = None
-    return list(seen)
+    # nothing to split over, or a zero sum, which the split must never get:
+    # exact_poly_div(0, p) is 0, never None
+    if total.is_zero() or not den_exp:
+        return RationalFn.from_poly(total)
+    den = ClusterValue(table, factors={p: -e for p, e in den_exp.items()})
+    return den._with_factor(total, 1, known=den_exp).as_rational()
 
 
 # -- skein structure --------------------------------------------------------------
@@ -486,8 +480,4 @@ def braid_twist(seed: Seed, chain: Sequence[str], mode: str = "mutation_sequence
 
 def _cv_sum(a: ClusterValue, b: ClusterValue) -> ClusterValue:
     """Sum of two factored values, refactored over the shared denominator."""
-    ra = a.as_rational()
-    rb = b.as_rational()
-    s = ra + rb
-    out = ClusterValue(a.table)._with_factor(s.num, 1)
-    return out._with_factor(s.den, -1)
+    return ClusterValue.from_rational(a.as_rational() + b.as_rational())

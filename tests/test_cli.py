@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from symgroupoid.cli import main
 from symgroupoid.teich import build_surface
 
@@ -176,3 +178,44 @@ def test_evaluate_fn_without_term_lists(tmp_path, capsys):
         assert main(["evaluate", "--point", str(pt), "--fn", str(ff)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "casimirs", "-n", "2", "--json", "DIR"],
+        ["evaluate", "--point", "DIR", "--surface", "genus2_x7", "--label", "G_B"],
+        ["evaluate", "--point", "POINT", "--fn", "DIR"],
+        ["mutate", "--quiver", "DIR"],
+        ["mutate", "--quiver", "SEED", "--json", "DIR"],
+        ["casimirs", "--quiver", "DIR"],
+        ["geodesic", "--network", "4", "--json", "DIR"],
+        ["geodesic", "--surface", "genus2_x7", "--label", "G_B", "--json", "DIR"],
+    ],
+)
+def test_directory_path_exits_two(tmp_path, capsys, argv):
+    # reading or writing a directory used to print an IsADirectoryError traceback
+    point = tmp_path / "p.json"
+    point.write_text(json.dumps({"w:a": "1"}))
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps(build_surface("genus2_k33").seed.to_json()))
+    paths = {"DIR": str(tmp_path), "POINT": str(point), "SEED": str(seed)}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_mutate_rejects_swap_of_three_labels(tmp_path, capsys):
+    qfile = tmp_path / "k.json"
+    qfile.write_text(json.dumps(build_surface("genus2_k33").seed.to_json()))
+    assert main(["mutate", "--quiver", str(qfile), "--seq", "a~b~c"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seq") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_verify_rejects_tolerance_not_finite_positive(capsys, tolerance):
+    # nan and -1 used to fail sl2_reconstruction; inf passed having tested nothing
+    assert main(["verify", "sl2", "--tolerance", tolerance]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --tolerance") and err.count("\n") == 1

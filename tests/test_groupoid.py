@@ -247,3 +247,15 @@ def test_reflection_identity_fails_with_transposed_r_matrix():
     rt = [list(col) for col in zip(*ref.r)]
     assert lhs == _dense_rhs(mv, ref.r, ref.rt2)
     assert lhs != _dense_rhs(mv, rt, _partial_transpose_2(rt, 3))
+
+
+def test_integer_matrix_stays_exact():
+    # int entries used to give the unit 1 / 1 == 1.0, so these came back as floats
+    m = MatrixRF([[2, 1], [1, 1]])
+    inv = m.inverse()
+    assert inv == MatrixRF([[1, -1], [-1, 2]])
+    assert m.rank() == 2
+    assert m.charpoly() == [1, -3, 1]
+    values = [x for row in inv.entries for x in row] + m.charpoly()
+    assert not any(isinstance(x, float) for x in values)
+    assert MatrixRF([[1, 5], [0, 1]]).is_unipotent_upper()

@@ -188,3 +188,42 @@ def test_casimirs_commute_with_all_variables():
         for v in q.vertices:
             zv = RationalFn.generator(t, wname(v), 2)
             assert poisson_bracket(f, zv, q).is_zero()
+
+
+def _plain_mutation(quiver, values, k):
+    """The mutation rule on plain rational functions, with no factored form."""
+    zk = values[k]
+    one = RationalFn.constant(zk.table, 1)
+    out = dict(values)
+    out[k] = zk.inverse()
+    for v in quiver.vertices:
+        m = quiver.b(k, v) // 2
+        if v == k or m == 0:
+            continue
+        out[v] = values[v] * ((one + zk.inverse()) if m > 0 else (one + zk)) ** (-m)
+    return quiver.mutate_matrix(k), out
+
+
+@pytest.mark.parametrize("name", ["genus2_x7", "genus3_original"])
+def test_mutation_sequence_matches_plain_rule(name):
+    from symgroupoid.teich import build_surface
+
+    seed = build_surface(name).seed
+    quiver, values = seed.quiver, {v: seed.value(v) for v in seed.quiver.vertices}
+    # at this rng seed both sequences split a new factor over a known one
+    rng = random.Random(11)
+    last = None
+    for _ in range(4):
+        k = rng.choice(
+            [
+                v
+                for v in quiver.vertices
+                if v != last and not any(quiver.b(v, u) % 2 for u in quiver.vertices)
+            ]
+        )
+        seed = mutate(seed, k)
+        quiver, values = _plain_mutation(quiver, values, k)
+        assert seed.quiver == quiver
+        for v in quiver.vertices:
+            assert seed.value(v) == values[v], (k, v)
+        last = k

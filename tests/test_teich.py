@@ -168,3 +168,19 @@ def test_genus4_model_g45():
 def test_build_surface_unknown():
     with pytest.raises(ValueError):
         build_surface("genus9_mystery")
+
+
+def test_twisted_seed_values_in_lowest_terms():
+    # every mutation-twist value has the closed form's term counts, so the
+    # twisted chain function comes back Laurent
+    model = build_surface("genus3_symmetric")
+    word = surfaces.GENUS3_SYMMETRIC_CATALOG["G_{2,3}"]
+    sm = braid_twist(model.seed, list(word), "mutation_sequence")
+    sc = braid_twist(model.seed, list(word), "closed_form")
+    for v in model.quiver.vertices:
+        a, b = sm.value(v), sc.value(v)
+        assert (a.num.term_count(), a.den.term_count()) == (
+            b.num.term_count(),
+            b.den.term_count(),
+        ), v
+    assert telescopic(word, sm).is_laurent()
