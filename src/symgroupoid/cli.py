@@ -9,6 +9,7 @@ tools over the documented JSON schemas.  Exit status: 0 all checks passed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from .laurent import RationalFn, SingularPointError
 from .quiver import Seed, apply_sequence, corank, monomial_casimirs
-from .report import run_suite_checks, write_report
+from .report import all_report, run_suite_checks, write_report
 from .suites import SUITE_NAMES, build_suite, unit_count
 from .teich import build_surface, catalog_value
 from . import surfaces
@@ -40,36 +41,23 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--tolerance must be a finite positive number, got {args.tolerance}")
     failed = 0
     reports = []
-    for name in names:
-        if name == "casimirs" and args.size is not None:
-            from .network import casimir_suite_checks
+    # opened first, so that a bad path fails before any suite runs
+    with open(args.json, "w") if args.json else contextlib.nullcontext() as out:
+        for name in names:
+            if name == "casimirs" and args.size is not None:
+                from .network import casimir_suite_checks
 
-            checks = casimir_suite_checks(args.size)
-        else:
-            checks = build_suite(
-                name, args.rng, tolerance=args.tolerance, mode=args.mode, trials=args.trials
-            )
-        report = run_suite_checks(name, checks, args.rng)
-        reports.append(report)
-        print(report.render_table())
-        failed += report.failed
-    if args.json:
-        if len(reports) == 1:
-            write_report(reports[0], args.json)
-        else:
-            data = {
-                "suite": "all",
-                "rng_seed": args.rng,
-                "suites": [r.to_json() for r in reports],
-                "summary": {
-                    "pass": sum(r.passed for r in reports),
-                    "fail": sum(r.failed for r in reports),
-                    "skipped": sum(r.skipped for r in reports),
-                },
-            }
-            with open(args.json, "w") as fh:
-                json.dump(data, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                checks = casimir_suite_checks(args.size)
+            else:
+                checks = build_suite(
+                    name, args.rng, tolerance=args.tolerance, mode=args.mode, trials=args.trials
+                )
+            report = run_suite_checks(name, checks, args.rng)
+            reports.append(report)
+            print(report.render_table())
+            failed += report.failed
+        if out is not None:
+            write_report(all_report(reports, args.rng) if args.suite == "all" else reports[0].to_json(), out)
     return 1 if failed else 0
 
 

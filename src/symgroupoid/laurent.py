@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
 
+from .gauss import GaussianRational
+
 Q = Fraction
 
 
@@ -284,8 +286,9 @@ class LaurentPoly:
     def value_and_gradient(self, point: Mapping[str, object]) -> tuple:
         """Exact value and every partial derivative (in table order) at a point.
 
-        One pass over the terms in integers when the coordinates are ints or
-        Fractions; any other field value goes through the derivative polynomials.
+        One pass over the terms in integers; at a point where a coordinate the
+        terms use is zero or not real, the partials come from the derivative
+        polynomials.
         """
         exact = self._rational_pass(point, gradient=True)
         if exact is not None:
@@ -293,9 +296,10 @@ class LaurentPoly:
         return self.evaluate(point), [self.derivative(n).evaluate(point) for n in self.table.names]
 
     def _rational_pass(self, point: Mapping[str, object], gradient: bool):
-        """Value (and partials) at a point of ints and Fractions, in integer arithmetic.
+        """Value (and partials) at a point of ints, Fractions and GaussianRationals.
 
-        With the coordinate ``w_i = a/b`` and the exponent box ``[lo, hi]`` of
+        With a real coordinate ``w_i = a/b`` (a GaussianRational with imaginary
+        part 0 counts as its real part) and the exponent box ``[lo, hi]`` of
         ``w_i`` over the terms, ``w_i**e = a**(e-lo) * b**(hi-e) * a**lo / b**hi``:
         one integer table per generator makes every term an integer, up to one
         scale shared by all terms, once the coefficients are over their lcm.
@@ -303,28 +307,38 @@ class LaurentPoly:
         term is ``e_i * term / w_i``: its integer sum is the exponent-weighted sum
         of the terms, and its scale is the value's times ``b/a``.
 
-        Returns None when a coordinate is of another type, and also when the
-        partials are asked for and a coordinate the terms use is zero.
+        A coordinate off the real line gets no table: the integer terms are
+        summed per exponent vector over those coordinates, and each sum is
+        multiplied by the scale and its monomial in GaussianRational, so the
+        value is a GaussianRational exactly when the terms use such a coordinate.
+
+        Returns None when the partials are asked for and a coordinate the terms
+        use is zero or not real.
         """
         names = self.table.names
-        for name in names:
-            v = point.get(name)
-            if v is not None and not isinstance(v, (int, Fraction)):
-                return None
         terms = self.terms
         if not terms:
             return (Q(0), [Q(0)] * len(names)) if gradient else (Q(0), None)
         lcd = lcm(*(c.denominator for c in terms.values()))
         num, den = 1, lcd
-        coords = []  # (table index, a, b) for every generator the terms use
+        coords = []  # (table index, a, b) for every real generator the terms use
         tables = []  # (table index, lo, powers) where the exponent varies
+        nonreal = []  # (table index, value) for the others
         for i, column in enumerate(zip(*terms)):
             lo, hi = min(column), max(column)
             if lo == hi == 0:
                 continue
             if names[i] not in point:
                 raise KeyError(f"no value for generator {names[i]!r}")
-            a, b = point[names[i]].numerator, point[names[i]].denominator
+            v = point[names[i]]
+            if isinstance(v, GaussianRational):
+                if v.im:
+                    nonreal.append((i, v))
+                    continue
+                v = v.re
+            elif not isinstance(v, (int, Fraction)):
+                raise TypeError(f"{names[i]} = {v!r} is not an exact (Gaussian) rational")
+            a, b = v.numerator, v.denominator
             if a == 0 and lo < 0:
                 raise ZeroDivisionError(f"{names[i]} = 0 under a negative exponent")
             if lo > 0:
@@ -342,21 +356,27 @@ class LaurentPoly:
                     bpow.append(bpow[-1] * b)
                 tables.append((i, lo, [x * y for x, y in zip(apow, reversed(bpow))]))
             coords.append((i, a, b))
-        if gradient and any(a == 0 for _, a, _ in coords):
+        if gradient and (nonreal or any(a == 0 for _, a, _ in coords)):
             return None
-        total = 0
+        buckets: dict = {}  # integer sums by exponent vector over the non-real coordinates
         sums = [0] * len(coords)
         for exps, c in terms.items():
             t = c.numerator * (lcd // c.denominator)
             for i, lo, powers in tables:
                 t *= powers[exps[i] - lo]
-            total += t
+            key = tuple([exps[i] for i, _ in nonreal]) if nonreal else ()
+            buckets[key] = buckets.get(key, 0) + t
             if gradient:
                 for k, (i, _, _) in enumerate(coords):
                     e = exps[i]
                     if e:
                         sums[k] += e * t
-        value = Fraction(total * num, den)
+        value = Q(0)
+        for key, total in buckets.items():
+            x = Fraction(total * num, den)
+            for (_, v), e in zip(nonreal, key):
+                x = x * v ** e
+            value = value + x
         if not gradient:
             return value, None
         grads = [Q(0)] * len(names)
@@ -366,33 +386,8 @@ class LaurentPoly:
         return value, grads
 
     def evaluate(self, point: Mapping[str, object]):
-        """Exact value at a point (any field-like values: Fraction, GaussianRational...)."""
-        exact = self._rational_pass(point, gradient=False)
-        if exact is not None:
-            return exact[0]
-        idx_vals = []
-        for i, name in enumerate(self.table.names):
-            if name in point:
-                idx_vals.append((i, point[name]))
-            else:
-                idx_vals.append((i, None))
-        total = None
-        for exps, c in self.terms.items():
-            val = c
-            for i, v in idx_vals:
-                e = exps[i]
-                if e == 0:
-                    continue
-                if v is None:
-                    raise KeyError(f"no value for generator {self.table.names[i]!r}")
-                if e > 0:
-                    val = val * v ** e
-                else:
-                    val = val / v ** (-e)
-            total = val if total is None else total + val
-        if total is None:
-            return Q(0)
-        return total
+        """Exact value at a point of ints, Fractions and GaussianRationals."""
+        return self._rational_pass(point, gradient=False)[0]
 
     # -- serialization -----------------------------------------------------
 
@@ -511,12 +506,6 @@ class RationalFn:
     def is_laurent(self) -> bool:
         """True when the denominator is a single monomial."""
         return self.den.is_monomial()
-
-    def laurent_term_count(self) -> int:
-        """Number of terms of a Laurent value (monomial denominator required)."""
-        if not self.is_laurent():
-            raise ArithmeticError("not in Laurent form: denominator is not a monomial")
-        return self.num.term_count()
 
     def as_laurent(self) -> LaurentPoly:
         """The value as a Laurent polynomial (monomial denominator required)."""

@@ -181,6 +181,8 @@ class ClusterValue:
 
     @classmethod
     def from_rational(cls, fn: RationalFn) -> "ClusterValue":
+        if fn.is_zero():
+            raise ValueError("a seed value cannot be zero")
         out = cls(fn.table)._with_factor(fn.num, 1)
         return out._with_factor(fn.den, -1)
 

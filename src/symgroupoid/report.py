@@ -106,7 +106,21 @@ def run_suite_checks(suite: str, checks: list, rng_seed: int) -> SuiteReport:
     return SuiteReport(suite=suite, rng_seed=rng_seed, checks=[_execute(c) for c in checks])
 
 
-def write_report(report: SuiteReport, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def all_report(reports: list, rng_seed: int) -> dict:
+    """The ``verify all`` document: every suite's report and their summed summary."""
+    return {
+        "suite": "all",
+        "rng_seed": rng_seed,
+        "suites": [r.to_json() for r in reports],
+        "summary": {
+            "pass": sum(r.passed for r in reports),
+            "fail": sum(r.failed for r in reports),
+            "skipped": sum(r.skipped for r in reports),
+        },
+    }
+
+
+def write_report(document: dict, fh) -> None:
+    """Write a report document to an open text file, as sorted, indented JSON."""
+    json.dump(document, fh, indent=2, sort_keys=True)
+    fh.write("\n")

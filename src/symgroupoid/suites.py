@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from .gauss import GaussianRational
 from .groupoid import (
+    NUMERIC_ATTEMPTS,
     InadmissibleMatrixError,
     RMatrix,
     antidiagonal_S,
@@ -73,6 +74,22 @@ def _positive_point(table: GeneratorTable, rng: random.Random, lo: int = 1, hi: 
     return {name: Q(rng.randint(lo, hi), rng.randint(lo, hi)) for name in table.names}
 
 
+def _solve_admissible(draw) -> dict | None:
+    """``solve_unipotent_A`` on the first of ``NUMERIC_ATTEMPTS`` draws that lies on
+    the admissible stratum (``draw`` returns None for a draw to skip), or None."""
+    for _ in range(NUMERIC_ATTEMPTS):
+        b = draw()
+        if b is None:
+            continue
+        try:
+            out = solve_unipotent_A(b)
+        except (InadmissibleMatrixError, ZeroDivisionError):
+            continue
+        if out["ratio_formula_holds"] is not None:
+            return out
+    return None
+
+
 # -- groupoid ------------------------------------------------------------------
 
 
@@ -111,26 +128,20 @@ def groupoid_checks(rng_seed: int) -> list:
 
     def unipotent_solver():
         rng = random.Random(rng_seed + 1)
-        done = 0
         for n in (3, 4):
-            succeeded = 0
-            while succeeded < 10:
-                b = MatrixRF([[Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)])
-                try:
-                    out = solve_unipotent_A(b)
-                except (InadmissibleMatrixError, ZeroDivisionError):
-                    continue
-                if out["ratio_formula_holds"] is None:
-                    continue
-                succeeded += 1
+            for _ in range(10):
+                out = _solve_admissible(
+                    lambda: MatrixRF([[Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)])
+                )
+                if out is None:
+                    return (False, f"no admissible size-{n} matrix in {NUMERIC_ATTEMPTS} draws")
                 if not out["A"].is_unipotent_upper():
                     return (False, f"solution not unipotent at size {n}")
                 if any(out["image"][i, j] != 0 for i in range(n) for j in range(i)):
                     return (False, f"conjugated form has lower entries at size {n}")
                 if not out["ratio_formula_holds"]:
                     return (False, f"corner-minor diagonal formula fails at size {n}")
-            done += succeeded
-        return done == 20
+        return True
 
     checks.append(
         Check(
@@ -143,30 +154,24 @@ def groupoid_checks(rng_seed: int) -> list:
     def signed_stratum_solver():
         # matrices built to satisfy delta_k = delta~_k: the conjugated form is unipotent
         rng = random.Random(rng_seed + 2)
-        trials = 0
-        while trials < 5:
+
+        def draw():
             b21, b22, b31, b32 = (Q(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(4))
             b23, b33 = (Q(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(2))
             b13 = b21 * b32 - b22 * b31
-            if b23 == 0:
-                continue
             b12 = (b31 + b13 * b22) / b23
             m11 = b22 * b33 - b23 * b32
             if m11 == 0:
-                continue
+                return None
             m12 = b21 * b33 - b23 * b31
             m13 = b21 * b32 - b22 * b31
             b11 = (1 + b12 * m12 - b13 * m13) / m11
-            b = MatrixRF([[b11, b12, b13], [b21, b22, b23], [b31, b32, b33]])
-            try:
-                out = solve_unipotent_A(b)
-            except (InadmissibleMatrixError, ZeroDivisionError):
-                continue
-            if out["ratio_formula_holds"] is None:
-                # a corner minor vanishes (b13 = delta_2 = delta~_2 = 0): off the
-                # admissible stratum, as in groupoid_unique_unipotent
-                continue
-            trials += 1
+            return MatrixRF([[b11, b12, b13], [b21, b22, b23], [b31, b32, b33]])
+
+        for _ in range(5):
+            out = _solve_admissible(draw)
+            if out is None:
+                return (False, f"no admissible matched-minor matrix in {NUMERIC_ATTEMPTS} draws")
             if not out["image"].is_unipotent_upper():
                 return (False, "conjugated form not unipotent on the matched-minor stratum")
         return True
@@ -257,7 +262,7 @@ def groupoid_checks(rng_seed: int) -> list:
         prod_w = Fraction(1)
         for n in names:
             val = Fraction(rng.randint(2, 7), rng.randint(1, 4))
-            pt[n] = GaussianRational(val)
+            pt[n] = val
             prod_w *= val
         pt[wname("at")] = GaussianRational(0, 1 / prod_w)
         upt = u.evaluate(pt)
@@ -904,10 +909,10 @@ def genus3_checks(rng_seed: int, mode: str = "symbolic", trials: int = 5) -> lis
                 prod_w = Fraction(1)
                 for n in names:
                     v = Fraction(rng.randint(2, 7), rng.randint(1, 4))
-                    pt[n] = GaussianRational(v)
+                    pt[n] = v
                     prod_w *= v
                 if c_target == 1:
-                    pt[wname("at")] = GaussianRational(1 / prod_w)
+                    pt[wname("at")] = 1 / prod_w
                 else:
                     pt[wname("at")] = GaussianRational(0, 1 / prod_w)
                 upt = u.evaluate(pt)

@@ -219,3 +219,23 @@ def test_verify_rejects_tolerance_not_finite_positive(capsys, tolerance):
     assert main(["verify", "sl2", "--tolerance", tolerance]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --tolerance") and err.count("\n") == 1
+
+
+def test_mutate_zero_seed_value_exits_two(tmp_path, capsys):
+    # a zero value used to end in a ZeroDivisionError traceback (exit 1)
+    data = build_surface("genus2_k33").seed.to_json()
+    vertex = next(iter(data["values"]))
+    data["values"][vertex] = {"num": [], "den": [{"coeff": "1/1", "exps": {}}]}
+    qfile = tmp_path / "zero.json"
+    qfile.write_text(json.dumps(data))
+    assert main(["mutate", "--quiver", str(qfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_checks_json_path_before_running(tmp_path, capsys):
+    # a directory for --json used to be found only after every suite had run
+    assert main(["verify", "casimirs", "-n", "2", "--json", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1

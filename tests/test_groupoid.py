@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from symgroupoid import groupoid
+from symgroupoid import groupoid, suites
 from symgroupoid.groupoid import (
     InadmissibleMatrixError,
     RMatrix,
@@ -84,6 +84,30 @@ def test_matched_minors_check_passes_at_every_seed():
     for seed in range(30):
         (check,) = [c for c in build_suite("groupoid", seed) if c.id == "groupoid_matched_minors_unipotent"]
         assert check.run() is True, seed
+
+
+def test_admissible_draws_are_capped(monkeypatch):
+    # both checks once drew until a draw was admissible, with no cap; the
+    # RuntimeError past 10 000 draws stands in for a hang
+    calls = 0
+
+    def never_admissible(b):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise RuntimeError("draws are not capped")
+        raise InadmissibleMatrixError("delta_1")
+
+    monkeypatch.setattr(suites, "solve_unipotent_A", never_admissible)
+    checks = {c.id: c for c in build_suite("groupoid", 42)}
+    ids = ["groupoid_unique_unipotent", "groupoid_matched_minors_unipotent"]
+    report = run_suite_checks("groupoid", [checks[cid] for cid in ids], 42)
+    cap = groupoid.NUMERIC_ATTEMPTS
+    assert [(c.status, c.witness) for c in report.checks] == [
+        ("fail", f"no admissible size-3 matrix in {cap} draws"),
+        ("fail", f"no admissible matched-minor matrix in {cap} draws"),
+    ]
+    assert calls <= 2 * cap  # a matched-minor draw with m11 = 0 is skipped before solving
 
 
 def test_groupoid_identities_numeric_n4():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symgroupoid.gauss import GaussianRational
 from symgroupoid.laurent import (
     GeneratorTable,
     LaurentPoly,
@@ -297,15 +298,53 @@ def test_value_and_gradient_matches_fraction_reference(p, coords):
     assert p.evaluate(point) == expected[0]
 
 
-def test_value_and_gradient_at_a_gaussian_point():
-    from symgroupoid.gauss import GaussianRational
+def _gaussian_reference(p, point):
+    total = GaussianRational(0)
+    for exps, c in p.terms.items():
+        term = GaussianRational(c)
+        for name, e in zip(p.table.names, exps):
+            if e:
+                term = term * point[name] ** e
+        total = total + term
+    return total
 
+
+nonzero_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=9).filter(bool)
+
+gaussian_coordinates = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=9),
+    st.builds(GaussianRational, st.fractions(min_value=-6, max_value=6, max_denominator=9)),
+    st.builds(GaussianRational, st.just(0), nonzero_fractions),
+    st.builds(GaussianRational, nonzero_fractions, nonzero_fractions),
+)
+
+
+@given(laurent_polys(), st.lists(gaussian_coordinates, min_size=3, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_evaluate_matches_gaussian_reference(p, coords):
+    point = dict(zip(T.names, coords))
+    try:
+        expected = _gaussian_reference(p, point)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            p.evaluate(point)
+        return
+    value = p.evaluate(point)
+    assert value == expected
+    # a Gaussian value only where the terms use a coordinate off the real line
+    nonreal = {
+        i for i, v in enumerate(coords) if isinstance(v, GaussianRational) and v.im and any(e[i] for e in p.terms)
+    }
+    assert isinstance(value, GaussianRational) == bool(nonreal)
+
+
+def test_value_and_gradient_at_a_gaussian_point():
     p = LaurentPoly.monomial(T, Fraction(3, 2), {"w:a": 2, "w:b": -1}) + gen("w:c")
     i = GaussianRational(0, 1)
     point = {"w:a": i, "w:b": GaussianRational(2), "w:c": GaussianRational(1, 1)}
     value, grads = p.value_and_gradient(point)
-    assert value == p.evaluate(point)
-    assert grads == [p.derivative(n).evaluate(point) for n in T.names]
+    assert value == _gaussian_reference(p, point)
+    assert grads == [_gaussian_reference(p.derivative(n), point) for n in T.names]
 
 
 def test_zero_coordinate_under_negative_exponent_raises():
