@@ -30,6 +30,6 @@ from .quiver import (
     poisson_bracket,
 )
 from .network import SquareNetwork, build_square_network
-from .teich import build_surface, markov, matrix_braid, skein_complete, telescopic
+from .teich import build_surface, chain_matrix, markov, matrix_braid, skein_complete, telescopic
 
 __version__ = "0.1.0"

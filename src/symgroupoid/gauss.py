@@ -63,11 +63,14 @@ class GaussianRational:
         return out
 
     def __eq__(self, other):
+        if not isinstance(other, (GaussianRational, int, Fraction)):
+            return NotImplemented
         o = _coerce(other)
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as its real part, as it compares equal to it
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0

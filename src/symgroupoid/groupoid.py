@@ -122,7 +122,8 @@ def generic_transport_pair(n: int, specialize=None) -> dict:
     the structure of the three transport matrices around a triangle.
 
     With ``specialize`` (a callable producing exact rationals), the free
-    generators take random values and the same systems are solved over Q.
+    generators take its values and the same systems are solved over Q in
+    ``Fraction`` entries.
     """
     names = []
     for i in range(1, n + 1):
@@ -133,18 +134,18 @@ def generic_transport_pair(n: int, specialize=None) -> dict:
         for j in range(1, i + 1):
             names.append(f"s{i}{j}")
             names.append(f"v{i}{j}")
-    table = GeneratorTable(names if specialize is None else [])
-    zero = RationalFn.constant(table, 0)
-    one = RationalFn.constant(table, 1)
-
-    def gen(name):
-        if specialize is None:
-            return RationalFn.generator(table, name)
-        return RationalFn.constant(table, specialize(name))
+    if specialize is None:
+        table = GeneratorTable(names)
+        zero = RationalFn.constant(table, 0)
+        one = RationalFn.constant(table, 1)
+        gen = functools.partial(RationalFn.generator, table)
+        s = antidiagonal_S(n, table)
+    else:
+        zero, one, gen = Q(0), Q(1), specialize
+        s = MatrixRF(antidiagonal_sign_matrix(n))
 
     t1 = MatrixRF([[gen(f"t{i}{j}") if j >= i else zero for j in range(1, n + 1)] for i in range(1, n + 1)])
     t2 = MatrixRF([[gen(f"s{i}{j}") if j <= i else zero for j in range(1, n + 1)] for i in range(1, n + 1)])
-    s = antidiagonal_S(n, table)
 
     def solve_companion(t: MatrixRF, diag_prefix: str, upper: bool) -> MatrixRF:
         # unknown X triangular like t, with S t S X S triangular of the same kind;
@@ -174,7 +175,6 @@ def generic_transport_pair(n: int, specialize=None) -> dict:
     t1t = solve_companion(t1, "u", True)
     t2t = solve_companion(t2, "v", False)
     return {
-        "table": table,
         "S": s,
         "T1": t1,
         "T2": t2,
@@ -437,17 +437,4 @@ def leaf_diagnostics(a: MatrixRF) -> dict:
         out["separating_sum"] = (
             g(1, 3) * g(2, 4) - g(1, 2) * g(3, 4) - g(2, 3) * g(1, 4)
         )
-        lam_t = GeneratorTable(["lam"])
-        lam = RationalFn.generator(lam_t, "lam")
-
-        def wrap(x):
-            if isinstance(x, (int, Fraction)):
-                return RationalFn.constant(lam_t, x)
-            return RationalFn.constant(lam_t, x.evaluate({}))
-
-        pencil = MatrixRF(
-            [[wrap(a[i, j]) + lam * wrap(a[j, i]) for j in range(4)] for i in range(4)]
-        )
-        d = pencil.det().as_laurent()
-        out["separating_product"] = -d.terms.get((1,), Fraction(0))
     return out

@@ -222,7 +222,7 @@ def cluster_to_lengths(model, point: Mapping[str, Fraction]) -> dict:
     five indices become the reconstruction input (exact rationals, so the
     decimal solve keeps full precision).
     """
-    from .teich import catalog_value, skein_complete
+    from .teich import chain_matrix
 
     if "braid" not in model.chains:
         raise ValueError("model carries no chain data")
@@ -232,8 +232,7 @@ def cluster_to_lengths(model, point: Mapping[str, Fraction]) -> dict:
         prod *= point[f"w:{v}"] ** int(2 * e)
     if prod != value:
         raise ValueError("point violates the unit-Casimir constraint")
-    chain = [catalog_value(model, lbl) for lbl in model.chains["braid"]]
-    u = skein_complete(chain, model.quiver, check_k_independence=False)
+    u = chain_matrix(model.name, model.chains["braid"])
     out = {}
     for i in range(5):
         for j in range(i + 1, 5):

@@ -3,6 +3,7 @@ structural identities of the construction with exact arithmetic."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -46,8 +47,9 @@ from .teich import (
     braid_twist,
     build_surface,
     catalog_value,
+    chain_matrix,
+    check_split_points,
     matrix_braid,
-    skein_complete,
     skein_product,
     telescopic,
 )
@@ -88,6 +90,17 @@ def _solve_admissible(draw) -> dict | None:
         if out["ratio_formula_holds"] is not None:
             return out
     return None
+
+
+def _casimir_point(frame: GeneratorTable, rng: random.Random, casimir: int) -> dict:
+    """A point of the extended genus-three chart where the product of all the
+    z = w^2 is ``casimir`` (1 or -1): every coordinate but ``w:at`` is drawn
+    from ``rng`` and ``w:at`` is solved for, imaginary at -1."""
+    at = wname("at")
+    pt = {n: Fraction(rng.randint(2, 7), rng.randint(1, 4)) for n in frame.names if n != at}
+    inv = 1 / math.prod(pt.values())
+    pt[at] = inv if casimir == 1 else GaussianRational(0, inv)
+    return pt
 
 
 # -- groupoid ------------------------------------------------------------------
@@ -213,9 +226,7 @@ def groupoid_checks(rng_seed: int) -> list:
     def pfaffian_vs_pencil():
         # on a genus-three point the size-four separating pair matches the pencil data
         model = build_surface("genus3_original")
-        cat = model.catalog
-        chain = [telescopic(cat[l], model.seed) for l in ("G_{1,2}", "G_{2,3}", "G_{3,4}")]
-        u = skein_complete(chain, model.quiver, check_k_independence=False)
+        u = chain_matrix(model.name, ("G_{1,2}", "G_{2,3}", "G_{3,4}"))
         rng = random.Random(rng_seed + 4)
         pt = _positive_point(model.seed.frame, rng, 1, 9)
         signed = MatrixRF(
@@ -255,17 +266,8 @@ def groupoid_checks(rng_seed: int) -> list:
                 return (False, "rank too large on the reduced size-3 locus")
         # size eight at the minus-one Casimir locus
         model = build_surface("genus3_extended")
-        chain = [telescopic(model.catalog[l], model.seed) for l in model.chains["rank"]]
-        u = skein_complete(chain, model.quiver, check_k_independence=False)
-        names = [n for n in model.seed.frame.names if n != wname("at")]
-        pt = {}
-        prod_w = Fraction(1)
-        for n in names:
-            val = Fraction(rng.randint(2, 7), rng.randint(1, 4))
-            pt[n] = val
-            prod_w *= val
-        pt[wname("at")] = GaussianRational(0, 1 / prod_w)
-        upt = u.evaluate(pt)
+        u = chain_matrix(model.name, model.chains["rank"])
+        upt = u.evaluate(_casimir_point(model.seed.frame, rng, -1))
         d = leaf_diagnostics(upt)
         if d["minus_one_multiplicity"] < d["on_leaf_multiplicity"]:
             return (False, "missing -1 eigenvalues on the size-8 reduced locus")
@@ -857,10 +859,9 @@ def genus3_checks(rng_seed: int, mode: str = "symbolic", trials: int = 5) -> lis
         model = build_surface("genus3_original")
         seed = model.seed
         q = model.quiver
-        cat = model.catalog
-        chain = [telescopic(cat[l], seed) for l in ("G_{1,2}", "G_{2,3}", "G_{3,4}")]
-        u = skein_complete(chain, q)
-        g12, g23, g34 = chain
+        u = chain_matrix(model.name, ("G_{1,2}", "G_{2,3}", "G_{3,4}"))
+        check_split_points(u, q)
+        g12, g23, g34 = u[0, 1], u[1, 2], u[2, 3]
         g13, g24, g14 = u[0, 2], u[1, 3], u[0, 3]
         msum = g13 * g24 - g12 * g34 - g23 * g14
         sq = g12 ** 2 + g13 ** 2 + g14 ** 2 + g23 ** 2 + g24 ** 2 + g34 ** 2
@@ -877,12 +878,11 @@ def genus3_checks(rng_seed: int, mode: str = "symbolic", trials: int = 5) -> lis
             return (False, f"separating sum counts {unit_count(msum)}")
         if unit_count(mprod) != 417:
             return (False, f"separating product counts {unit_count(mprod)}")
-        tchain = [telescopic(cat[l], seed) for l in ("Gt_{1,2}", "Gt_{2,3}", "Gt_{3,4}")]
-        ut = skein_complete(tchain, q, check_k_independence=False)
-        msum_t = ut[0, 2] * ut[1, 3] - tchain[0] * tchain[2] - tchain[1] * ut[0, 3]
+        ut = chain_matrix(model.name, ("Gt_{1,2}", "Gt_{2,3}", "Gt_{3,4}"))
+        msum_t = ut[0, 2] * ut[1, 3] - ut[0, 1] * ut[2, 3] - ut[1, 2] * ut[0, 3]
         if msum != msum_t:
             return (False, "separating sum differs between the two sides")
-        for g in chain + tchain:
+        for g in (g12, g23, g34, ut[0, 1], ut[1, 2], ut[2, 3]):
             if not poisson_bracket(msum, g, q).is_zero():
                 return (False, "separating sum fails to commute")
         return True
@@ -897,25 +897,11 @@ def genus3_checks(rng_seed: int, mode: str = "symbolic", trials: int = 5) -> lis
 
     def rank_locus():
         model = build_surface("genus3_extended")
-        seed = model.seed
-        q = model.quiver
-        chain = [telescopic(model.catalog[l], seed) for l in model.chains["rank"]]
-        u = skein_complete(chain, q, check_k_independence=False)
+        u = chain_matrix(model.name, model.chains["rank"])
         rng = random.Random(rng_seed)
-        names = [n for n in seed.frame.names if n != wname("at")]
         for c_target, expect_low in ((-1, True), (1, False)):
             for rep in range(5):
-                pt = {}
-                prod_w = Fraction(1)
-                for n in names:
-                    v = Fraction(rng.randint(2, 7), rng.randint(1, 4))
-                    pt[n] = v
-                    prod_w *= v
-                if c_target == 1:
-                    pt[wname("at")] = 1 / prod_w
-                else:
-                    pt[wname("at")] = GaussianRational(0, 1 / prod_w)
-                upt = u.evaluate(pt)
+                upt = u.evaluate(_casimir_point(model.seed.frame, rng, c_target))
                 rank = (upt + upt.transpose()).rank()
                 if expect_low and rank > 4:
                     return (False, f"rank {rank} on the locus")
@@ -933,8 +919,7 @@ def genus3_checks(rng_seed: int, mode: str = "symbolic", trials: int = 5) -> lis
 
     def k_independence():
         model = build_surface("genus3_extended")
-        chain = [telescopic(model.catalog[l], model.seed) for l in model.chains["rank"]]
-        skein_complete(chain, model.quiver, check_k_independence=True)
+        check_split_points(chain_matrix(model.name, model.chains["rank"]), model.quiver)
         return True
 
     checks.append(
@@ -1101,8 +1086,7 @@ def genus4_checks(rng_seed: int, mode: str = "symbolic", trials: int = 5) -> lis
 
     def chain_split_independence():
         model = build_surface("genus4_n5")
-        chain = [catalog_value(model, l) for l in model.chains["rank"]]
-        skein_complete(chain, model.quiver, check_k_independence=True)
+        check_split_points(chain_matrix(model.name, model.chains["rank"]), model.quiver)
         return True
 
     checks.append(
@@ -1117,8 +1101,7 @@ def genus4_checks(rng_seed: int, mode: str = "symbolic", trials: int = 5) -> lis
         model = build_surface("genus4_n5")
         seed = model.seed
         t = seed.frame
-        chain = [catalog_value(model, l) for l in model.chains["rank"]]
-        u = skein_complete(chain, model.quiver, check_k_independence=False)
+        u = chain_matrix(model.name, model.chains["rank"])
         rng = random.Random(rng_seed)
         small = GeneratorTable([wname("a1"), wname("a2")])
         for rep in range(3):
@@ -1195,8 +1178,7 @@ def braid_checks(rng_seed: int) -> list:
 
     def relations():
         model = build_surface("genus2_x7")
-        chain = [catalog_value(model, lbl) for lbl in model.chains["braid"]]
-        u = skein_complete(chain, model.quiver, check_k_independence=False)
+        u = chain_matrix(model.name, model.chains["braid"])
         rng = random.Random(rng_seed)
 
         def word(m, seq):
@@ -1234,8 +1216,7 @@ def braid_checks(rng_seed: int) -> list:
 
     def braid_basics():
         model = build_surface("genus2_x7")
-        chain = [catalog_value(model, lbl) for lbl in model.chains["braid"]]
-        u = skein_complete(chain, model.quiver, check_k_independence=False)
+        u = chain_matrix(model.name, model.chains["braid"])
         rng = random.Random(rng_seed + 1)
         pt = _positive_point(model.seed.frame, rng, 1, 9)
         upt = u.evaluate(pt)
@@ -1288,8 +1269,7 @@ def braid_checks(rng_seed: int) -> list:
 
     def markov_twist_invariance():
         model = build_surface("genus2_x7")
-        chain = [catalog_value(model, lbl) for lbl in model.chains["braid"]]
-        u = skein_complete(chain, model.quiver, check_k_independence=False)
+        u = chain_matrix(model.name, model.chains["braid"])
         rng = random.Random(rng_seed + 3)
         for rep in range(3):
             pt = _positive_point(model.seed.frame, rng, 1, 9)
@@ -1318,8 +1298,7 @@ def braid_checks(rng_seed: int) -> list:
     def twist_preserves_brackets():
         model = build_surface("genus2_x7")
         q = model.quiver
-        chain = [catalog_value(model, lbl) for lbl in model.chains["braid"]]
-        u = skein_complete(chain, q, check_k_independence=False)
+        u = chain_matrix(model.name, model.chains["braid"])
         # apply a matrix twist symbolically and re-check the reflection bracket
         tw = matrix_braid(u, 3)
         rng = random.Random(rng_seed + 2)

@@ -7,6 +7,7 @@ the mutation-sequence twist with its closed-form product formula.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Sequence
 
@@ -109,11 +110,12 @@ class SkeinInconsistency(ArithmeticError):
     pass
 
 
-def skein_complete(chain: Sequence[RationalFn], quiver: Quiver, check_k_independence: bool = True) -> MatrixRF:
+def skein_complete(chain: Sequence[RationalFn], quiver: Quiver) -> MatrixRF:
     """Unipotent matrix built from a chain of consecutively-crossing functions.
 
     ``chain[i]`` becomes the entry (i, i+1); longer-range entries follow from
-    U_ij = 1/2 U_ik U_kj + {U_ik, U_kj}, independent of the split point k.
+    U_ij = 1/2 U_ik U_kj + {U_ik, U_kj} at the split k = i+1 (see
+    ``check_split_points`` for the other splits).
     """
     m = len(chain) + 1
     table = chain[0].table
@@ -124,18 +126,33 @@ def skein_complete(chain: Sequence[RationalFn], quiver: Quiver, check_k_independ
         entries[i][i + 1] = g
     for span in range(2, m):
         for i in range(m - span):
-            j = i + span
-            k = i + 1
-            value = skein_product(entries[i][k], entries[k][j], quiver)
-            if check_k_independence:
-                for other in range(i + 2, j):
-                    alt = skein_product(entries[i][other], entries[other][j], quiver)
-                    if not (alt - value).is_zero():
-                        raise SkeinInconsistency(
-                            f"entry ({i + 1},{j + 1}) depends on the split point"
-                        )
-            entries[i][j] = value
+            entries[i][i + span] = skein_product(entries[i][i + 1], entries[i + 1][i + span], quiver)
     return MatrixRF(entries)
+
+
+def check_split_points(u: MatrixRF, quiver: Quiver) -> None:
+    """Raise ``SkeinInconsistency`` unless every long entry of the completed
+    chain matrix ``u`` is the skein product at every split point i < k < j."""
+    m = u.rows
+    for span in range(3, m):
+        for i in range(m - span):
+            j = i + span
+            for k in range(i + 2, j):
+                if not (skein_product(u[i, k], u[k, j], quiver) - u[i, j]).is_zero():
+                    raise SkeinInconsistency(f"entry ({i + 1},{j + 1}) depends on the split point")
+
+
+def chain_matrix(surface: str, labels: Sequence[str]) -> MatrixRF:
+    """Skein completion of the catalog functions ``labels`` on the named
+    surface, built once per process; each call gets its own rows over the
+    shared, immutable entries."""
+    return MatrixRF(_chain_matrix(surface, tuple(labels)).entries)
+
+
+@functools.cache
+def _chain_matrix(surface: str, labels: tuple) -> MatrixRF:
+    model = build_surface(surface)
+    return skein_complete([catalog_value(model, label) for label in labels], model.quiver)
 
 
 # -- matrix-level braid action ------------------------------------------------------

@@ -357,3 +357,15 @@ def test_zero_coordinate_under_negative_exponent_raises():
     # a zero coordinate under nonnegative exponents is an ordinary point
     q = gen("w:a") * gen("w:b") + gen("w:a", 2)
     assert q.value_and_gradient(point) == (Q(0), [Q(2), Q(0), Q(0)])
+
+
+def test_gaussian_hash_agrees_with_equality_on_real_values():
+    assert GaussianRational(2) == Fraction(2) == 2
+    assert len({GaussianRational(2), Fraction(2), 2}) == 1
+    assert len({GaussianRational(Fraction(1, 3)), Fraction(1, 3)}) == 1
+    assert len({GaussianRational(2, 1), GaussianRational(2)}) == 2
+
+
+def test_gaussian_equality_with_a_foreign_operand_is_false():
+    assert (GaussianRational(1) == None) is False  # noqa: E711
+    assert GaussianRational(1) != "1"

@@ -11,6 +11,8 @@ from symgroupoid.teich import (
     braid_twist,
     build_surface,
     catalog_value,
+    chain_matrix,
+    check_split_points,
     locate_flanking,
     markov,
     matrix_braid,
@@ -98,7 +100,8 @@ def test_genus3_mutation_image_example():
 def test_skein_complete_chain_and_k_independence():
     model = build_surface("genus2_x7")
     chain = [catalog_value(model, lbl) for lbl in model.chains["braid"]]
-    u = skein_complete(chain, model.quiver)  # raises on split dependence
+    u = skein_complete(chain, model.quiver)
+    check_split_points(u, model.quiver)  # raises on split dependence
     assert u.rows == 6
     assert u.is_unipotent_upper()
     # base case: length-two chain gives a single derived entry
@@ -111,14 +114,28 @@ def test_skein_inconsistency_detected():
     # a scrambled chain fails the split-independence check
     model = build_surface("genus2_x7")
     bogus = [catalog_value(model, l) for l in ("G_B", "G_{1,2}", "G_{2,3}")]
-    with pytest.raises(SkeinInconsistency):
-        skein_complete(bogus, model.quiver)
+    u = skein_complete(bogus, model.quiver)
+    with pytest.raises(SkeinInconsistency, match=r"entry \(1,4\) depends on the split point"):
+        check_split_points(u, model.quiver)
+
+
+def test_chain_matrix_is_built_once_and_not_shared():
+    model = build_surface("genus2_x7")
+    labels = model.chains["braid"]
+    first = chain_matrix(model.name, labels)
+    second = chain_matrix(model.name, list(labels))
+    assert first == second and first is not second
+    assert all(r1 is not r2 for r1, r2 in zip(first.entries, second.entries))
+    first[0, 1] = first[0, 2]
+    third = chain_matrix(model.name, labels)
+    assert third == second != first
+    chain = [catalog_value(model, lbl) for lbl in labels]
+    assert third == skein_complete(chain, model.quiver)
 
 
 def test_matrix_braid_involution_and_shape():
     model = build_surface("genus2_x7")
-    chain = [catalog_value(model, lbl) for lbl in model.chains["braid"]]
-    u = skein_complete(chain, model.quiver, check_k_independence=False)
+    u = chain_matrix(model.name, model.chains["braid"])
     pt = {name: Q(k + 2, k + 1) for k, name in enumerate(model.seed.frame.names)}
     upt = u.evaluate(pt)
     for i in (1, 3, 5):
