@@ -13,9 +13,8 @@ import contextlib
 import json
 import math
 import sys
-from fractions import Fraction
 
-from .laurent import RationalFn, SingularPointError
+from .laurent import RationalFn, SingularPointError, exact_rational
 from .quiver import Seed, apply_sequence, corank, monomial_casimirs
 from .report import all_report, run_suite_checks, write_report
 from .suites import SUITE_NAMES, build_suite, unit_count
@@ -79,7 +78,7 @@ def _load_seed(path: str) -> Seed:
     data = _load_json(path)
     try:
         return Seed.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(f"{path}: bad quiver/seed schema: {exc}") from exc
 
 
@@ -169,7 +168,7 @@ def cmd_evaluate(args) -> int:
     if not isinstance(raw, dict):
         raise UsageError(f"{args.point}: the point must be a JSON object of generator values")
     try:
-        point = {k: Fraction(v) for k, v in raw.items()}
+        point = {k: exact_rational(v, f"the value of {k}") for k, v in raw.items()}
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(f"{args.point}: point values must be exact rationals: {exc}") from exc
     if args.surface and args.label:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .laurent import GeneratorTable, Q, RationalFn
-from .matrices import MatrixRF, charpoly_is_palindromic, divide_out_root, is_zero_entry
+from .matrices import MatrixRF, charpoly_is_palindromic, divide_out_root, is_zero_entry, solve
 from .quiver import Quiver, aligned_doubled, bracket_from_gradients, gradient_at
 from .report import Check
 
@@ -137,40 +137,22 @@ def generic_transport_pair(n: int, specialize=None) -> dict:
     if specialize is None:
         table = GeneratorTable(names)
         zero = RationalFn.constant(table, 0)
-        one = RationalFn.constant(table, 1)
         gen = functools.partial(RationalFn.generator, table)
         s = antidiagonal_S(n, table)
     else:
-        zero, one, gen = Q(0), Q(1), specialize
+        zero, gen = Q(0), specialize
         s = MatrixRF(antidiagonal_sign_matrix(n))
 
     t1 = MatrixRF([[gen(f"t{i}{j}") if j >= i else zero for j in range(1, n + 1)] for i in range(1, n + 1)])
     t2 = MatrixRF([[gen(f"s{i}{j}") if j <= i else zero for j in range(1, n + 1)] for i in range(1, n + 1)])
 
     def solve_companion(t: MatrixRF, diag_prefix: str, upper: bool) -> MatrixRF:
-        # unknown X triangular like t, with S t S X S triangular of the same kind;
-        # strict entries of X solve the linear system, diagonal is free.
-        m = MatrixRF([[zero] * n for _ in range(n)])
-        sts = s * t * s
-        # X entries: diagonal fresh, off-diagonal unknown; solve strict
-        # "wrong-triangle" entries of (sts * X * s) = 0 for X's strict entries.
-        unknowns = [(i, j) for i in range(n) for j in range(n) if (j > i) == upper and i != j]
-        # build the linear system over the rational function field
-        targets = [(i, j) for i in range(n) for j in range(n) if (j > i) != upper and i != j]
-        base = MatrixRF([[gen(f"{diag_prefix}{i + 1}{i + 1}") if i == j else zero for j in range(n)] for i in range(n)])
-        # product = sts * (base + sum unknown_ij E_ij) * s
-        fixed = sts * base * s
-        coeff = {}
-        for (i, j) in unknowns:
-            e = MatrixRF([[one if (a, b) == (i, j) else zero for b in range(n)] for a in range(n)])
-            coeff[(i, j)] = sts * e * s
-        mat = [[coeff[u][t_] for u in unknowns] for t_ in targets]
-        vec = [zero - fixed[t_] for t_ in targets]
-        sol = _solve_field(mat, vec)
-        x = base
-        for (i, j), val in zip(unknowns, sol):
-            x = x + MatrixRF([[val if (a, b) == (i, j) else zero for b in range(n)] for a in range(n)])
-        return x
+        # X triangular like t with a fresh diagonal, and S t S X S triangular
+        # of the same kind: its wrong-triangle entries vanish
+        x = MatrixRF([[gen(f"{diag_prefix}{i + 1}{i + 1}") if i == j else zero for j in range(n)] for i in range(n)])
+        unknowns = [(i, j) for i in range(n) for j in range(n) if i != j and (j > i) == upper]
+        targets = [(i, j) for i in range(n) for j in range(n) if i != j and (j > i) != upper]
+        return _solve_entries(s * t * s, x, s, unknowns, targets)
 
     t1t = solve_companion(t1, "u", True)
     t2t = solve_companion(t2, "v", False)
@@ -185,51 +167,18 @@ def generic_transport_pair(n: int, specialize=None) -> dict:
     }
 
 
-def _solve_field(mat: list, vec: list, allow_underdetermined: bool = False) -> list:
-    """Gaussian elimination over an exact field.
-
-    With ``allow_underdetermined``, free unknowns are set to zero and the
-    solution is verified against every equation (raising on inconsistency).
-    """
-    m = len(vec)
-    n = len(mat[0]) if mat else 0
-    a = [mat[i][:] + [vec[i]] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if not is_zero_entry(a[i][c]):
-                piv = i
-                break
-        if piv is None:
-            if not allow_underdetermined:
-                raise ZeroDivisionError("singular linear system")
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(m):
-            if i != r and not is_zero_entry(a[i][c]):
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    zero = vec[0] - vec[0]
-    sol = [zero] * n
-    for row, col in pivots:
-        sol[col] = a[row][n]
-    # consistency of the dropped equations
-    for i in range(m):
-        acc = zero
-        for j in range(n):
-            if not is_zero_entry(mat[i][j]) and not is_zero_entry(sol[j]):
-                acc = acc + mat[i][j] * sol[j]
-        if not is_zero_entry(acc - vec[i]):
-            raise ZeroDivisionError("inconsistent linear system")
-    return sol
+def _solve_entries(
+    p: MatrixRF, x: MatrixRF, q: MatrixRF, unknowns, targets, allow_underdetermined: bool = False
+) -> MatrixRF:
+    """Set the ``unknowns`` entries of ``x`` (given as zero) in place so that
+    the ``targets`` entries of P X Q vanish, the other entries of ``x`` staying
+    fixed; the coefficient of X_ij in (P X Q)_ab is P_ai Q_jb."""
+    fixed = p * x * q
+    mat = [[p[a, i] * q[j, b] for i, j in unknowns] for a, b in targets]
+    sol = solve(mat, [-fixed[t] for t in targets], allow_underdetermined)
+    for (i, j), val in zip(unknowns, sol):
+        x[i, j] = val
+    return x
 
 
 def groupoid_matrices(parts: dict) -> dict:
@@ -329,15 +278,8 @@ def corner_minor_ratios(b: MatrixRF) -> tuple:
     n = b.rows
     det = b.det()
     one = b._one()
-    deltas = [one]
-    tildes = []
-    for k in range(1, n):
-        deltas.append(_minor(b, range(n - k, n), range(0, k)))
-    deltas.append(det)
-    for k in range(0, n):
-        tildes.append(_minor(b, range(0, n - k), range(k, n)))
-    tildes.append(one)
-    tildes[0] = det
+    deltas = [one] + [_minor(b, range(n - k, n), range(0, k)) for k in range(1, n)] + [det]
+    tildes = [det] + [_minor(b, range(0, n - k), range(k, n)) for k in range(1, n)] + [one]
     return deltas, tildes
 
 
@@ -350,24 +292,13 @@ def solve_unipotent_A(b: MatrixRF) -> dict:
     (-1)^(n+1) (delta~_{n-k}/delta_{n-k}) (delta_{n-k+1}/delta~_{n-k+1}).
     """
     n = b.rows
-    zero = b._zero()
     one = b._one()
+    bt = b.transpose()
+    a = MatrixRF.identity(n, one, b._zero())
     unknowns = [(i, j) for i in range(n) for j in range(i + 1, n)]
     targets = [(i, j) for i in range(n) for j in range(i)]
-
-    def conj(mat: MatrixRF) -> MatrixRF:
-        return b * mat * b.transpose()
-
-    ident = MatrixRF.identity(n, one, zero)
-    fixed = conj(ident)
-    cols = {}
-    for (i, j) in unknowns:
-        e = MatrixRF([[one if (a, c) == (i, j) else zero for c in range(n)] for a in range(n)])
-        cols[(i, j)] = conj(e)
-    mat = [[cols[u][t] for u in unknowns] for t in targets]
-    vec = [zero - fixed[t] for t in targets]
     try:
-        sol = _solve_field(mat, vec, allow_underdetermined=True)
+        _solve_entries(b, a, bt, unknowns, targets, allow_underdetermined=True)
     except ZeroDivisionError:
         deltas, tildes = corner_minor_ratios(b)
         for k, x in enumerate(deltas):
@@ -377,13 +308,10 @@ def solve_unipotent_A(b: MatrixRF) -> dict:
             if is_zero_entry(x):
                 raise InadmissibleMatrixError(f"delta~_{k}") from None
         raise InadmissibleMatrixError("linear system for the unipotent solution") from None
-    a = ident
-    for (i, j), val in zip(unknowns, sol):
-        a = a + MatrixRF([[val if (r, c) == (i, j) else zero for c in range(n)] for r in range(n)])
-    image = conj(a)
+    image = b * a * bt
     diag = [image[k, k] for k in range(n)]
     deltas, tildes = corner_minor_ratios(b)
-    sign = one if n % 2 else zero - one
+    sign = one if n % 2 else -one
     ratio_ok = True
     for k in range(1, n + 1):
         dk, tk = deltas[n - k], tildes[n - k]

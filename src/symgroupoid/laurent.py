@@ -22,6 +22,21 @@ from .gauss import GaussianRational
 Q = Fraction
 
 
+def exact_int(value, what: str) -> int:
+    """A JSON integer (not a boolean) from a file; anything else is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def exact_rational(value, what: str) -> Fraction:
+    """A JSON integer (not a boolean) or a string ``Fraction`` parses, such as
+    ``"p/q"``; floats and anything else are a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f'{what} must be a JSON integer or a "p/q" string, got {value!r}')
+    return Fraction(value)
+
+
 class SingularPointError(ArithmeticError):
     """Raised when a denominator vanishes at an evaluation point."""
 
@@ -440,8 +455,8 @@ class LaurentPoly:
         for entry in data:
             vec = [0] * len(table)
             for name, e in entry["exps"].items():
-                vec[table.index(name)] = int(e)
-            terms[tuple(vec)] = Q(entry["coeff"])
+                vec[table.index(name)] = exact_int(e, f"exponent of {name}")
+            terms[tuple(vec)] = exact_rational(entry["coeff"], "a coefficient")
         return cls(table, terms)
 
     def __repr__(self) -> str:

@@ -17,6 +17,54 @@ def is_zero_entry(x) -> bool:
     return x == 0
 
 
+def row_reduce(rows: list, ncols: int) -> list:
+    """Gauss-Jordan elimination over the first ``ncols`` columns of ``rows``.
+
+    Each column's pivot is its first nonzero entry, searched top-down among
+    the rows not yet holding a pivot; the pivot row is scaled to a leading one
+    and the column is cleared in every other row.  The outer list is reduced
+    in place (row lists are replaced, never mutated).  Returns the pivot
+    columns, the k-th one led by row k.
+    """
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        found = next((i for i in range(r, len(rows)) if not is_zero_entry(rows[i][c])), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        inv = 1 / rows[r][c]
+        pivot_row = rows[r] = [x * inv for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and not is_zero_entry(f):
+                rows[i] = [x - f * y for x, y in zip(row, pivot_row)]
+        pivots.append(c)
+    return pivots
+
+
+def solve(mat: Sequence[Sequence], vec: Sequence, allow_underdetermined: bool = False) -> list:
+    """A solution x of ``mat x = vec`` over an exact field.
+
+    Raises ``ZeroDivisionError`` on an inconsistent system (a pivot in the
+    augmented column) and, unless ``allow_underdetermined``, on one without a
+    pivot in every unknown's column; with it, free unknowns are zero.
+    """
+    n = len(mat[0]) if mat else 0
+    rows = [list(row) + [v] for row, v in zip(mat, vec)]
+    pivots = row_reduce(rows, n + 1)
+    if pivots and pivots[-1] == n:
+        raise ZeroDivisionError("inconsistent linear system")
+    if len(pivots) < n and not allow_underdetermined:
+        raise ZeroDivisionError("singular linear system")
+    sol = [vec[0] - vec[0]] * n if vec else []
+    for row, c in zip(rows, pivots):
+        sol[c] = row[n]
+    return sol
+
+
 class MatrixRF:
     """Square or rectangular matrix of exact field elements."""
 
@@ -145,49 +193,14 @@ class MatrixRF:
         n = self.rows
         if n != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        zero = self._zero()
-        one = self._one()
-        a = [row[:] + [one if i == j else zero for j in range(n)] for i, row in enumerate(self.entries)]
-        for c in range(n):
-            pivot = None
-            for r in range(c, n):
-                if not is_zero_entry(a[r][c]):
-                    pivot = r
-                    break
-            if pivot is None:
-                raise ZeroDivisionError("singular matrix")
-            a[c], a[pivot] = a[pivot], a[c]
-            inv = one / a[c][c]
-            a[c] = [x * inv for x in a[c]]
-            for r in range(n):
-                if r != c and not is_zero_entry(a[r][c]):
-                    f = a[r][c]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-        return MatrixRF([row[n:] for row in a])
+        zero, one = self._zero(), self._one()
+        rows = [row + [one if i == j else zero for j in range(n)] for i, row in enumerate(self.entries)]
+        if len(row_reduce(rows, n)) < n:
+            raise ZeroDivisionError("singular matrix")
+        return MatrixRF([row[n:] for row in rows])
 
     def rank(self) -> int:
-        a = [row[:] for row in self.entries]
-        rank = 0
-        r = 0
-        for c in range(self.cols):
-            pivot = None
-            for i in range(r, self.rows):
-                if not is_zero_entry(a[i][c]):
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            a[r], a[pivot] = a[pivot], a[r]
-            inv_p = a[r][c]
-            for i in range(r + 1, self.rows):
-                if not is_zero_entry(a[i][c]):
-                    f = a[i][c] / inv_p
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            r += 1
-            rank += 1
-            if r == self.rows:
-                break
-        return rank
+        return len(row_reduce(list(self.entries), self.cols))
 
     def charpoly(self) -> list:
         """Coefficients [c0 .. cn] of det(lambda I - M), c_n = 1 (Faddeev scheme)."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .intlinalg import IntMatrix, rank_bareiss, smith_kernel_basis
-from .laurent import GeneratorTable, LaurentPoly, Q, RationalFn, exact_poly_div
+from .laurent import GeneratorTable, LaurentPoly, Q, RationalFn, exact_int, exact_poly_div
 
 
 def wname(vertex: str) -> str:
@@ -148,11 +148,11 @@ class Quiver:
 
     @classmethod
     def from_json(cls, data: dict) -> "Quiver":
-        return cls.from_arrows(
-            data["vertices"],
-            [tuple(e) for e in data["doubled_exchange"]],
-            data.get("frozen", ()),
-        )
+        arrows = [tuple(e) for e in data["doubled_exchange"]]
+        for arrow in arrows:
+            if len(arrow) == 3:
+                exact_int(arrow[2], f"weight of arrow {arrow[0]} -> {arrow[1]}")
+        return cls.from_arrows(data["vertices"], arrows, data.get("frozen", ()))
 
     def __repr__(self) -> str:
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows())} arrows)"

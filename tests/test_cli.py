@@ -155,10 +155,14 @@ def test_evaluate_malformed_fn(tmp_path, capsys):
 
 
 def test_evaluate_zero_denominator_point(tmp_path, capsys):
+    # Infinity used to end in an OverflowError traceback; 0.1 was read as its
+    # binary value and true as 1
     pt = tmp_path / "p.json"
-    pt.write_text(json.dumps({f"w:{v}": "1/0" for v in "abcdefg"}))
-    assert main(["evaluate", "--point", str(pt), "--surface", "genus2_x7", "--label", "G_B"]) == 2
-    assert "exact rationals" in capsys.readouterr().err
+    for value in ('"1/0"', "Infinity", "0.1", "true"):
+        pt.write_text("{" + ", ".join(f'"w:{v}": {value}' for v in "abcdefg") + "}")
+        assert main(["evaluate", "--point", str(pt), "--surface", "genus2_x7", "--label", "G_B"]) == 2, value
+        err = capsys.readouterr().err
+        assert "exact rationals" in err and err.count("\n") == 1, value
 
 
 def test_evaluate_point_not_an_object(tmp_path, capsys):
@@ -173,7 +177,15 @@ def test_evaluate_fn_without_term_lists(tmp_path, capsys):
     pt = tmp_path / "p.json"
     pt.write_text(json.dumps({"w:a": "1"}))
     ff = tmp_path / "fn.json"
-    for bad in ({"nums": []}, ["num", "den"], {"num": [{"coeff": "1"}], "den": []}):
+    one = [{"coeff": "1", "exps": {}}]
+    for bad in (
+        {"nums": []},
+        ["num", "den"],
+        {"num": [{"coeff": "1"}], "den": []},
+        # exponent 1.5 was read as 1 and coefficient 0.5 as a float
+        {"num": [{"coeff": "1", "exps": {"w:a": 1.5}}], "den": one},
+        {"num": [{"coeff": 0.5, "exps": {"w:a": 1}}], "den": one},
+    ):
         ff.write_text(json.dumps(bad))
         assert main(["evaluate", "--point", str(pt), "--fn", str(ff)]) == 2
         err = capsys.readouterr().err
@@ -239,3 +251,18 @@ def test_verify_checks_json_path_before_running(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_mutate_inexact_quiver_exits_two(tmp_path, capsys):
+    # a weight of 2.5 was read as 2, and a coefficient "1/0" ended in a
+    # ZeroDivisionError traceback
+    one = {"num": [{"coeff": "1", "exps": {}}], "den": [{"coeff": "1", "exps": {}}]}
+    qfile = tmp_path / "q.json"
+    for arrows, coeff in (([["a", "b", 2.5]], "1"), ([["a", "b", True]], "1"), ([["a", "b", 2]], "1/0")):
+        value = {"num": [{"coeff": coeff, "exps": {}}], "den": one["den"]}
+        qfile.write_text(
+            json.dumps({"vertices": ["a", "b"], "doubled_exchange": arrows, "values": {"a": value, "b": one}})
+        )
+        assert main(["mutate", "--quiver", str(qfile), "--seq", "a"]) == 2, arrows
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, arrows
