@@ -5,16 +5,21 @@ square-root generators ``w:v``.  A cluster variable ``z_v`` is represented as
 ``w_v**2``, so half-integer powers of cluster variables become integer powers
 of the generators and no radicals ever appear.
 
-Coefficients are :class:`fractions.Fraction`; exponent vectors are tuples of
-ints indexed by a :class:`GeneratorTable`.  Terms are kept in a dict with no
-zero coefficients; the canonical term order is graded lexicographic on the
-exponent vector, which makes term counts and serialized output deterministic.
+A coefficient is a plain ``int`` when it is integral and a
+:class:`fractions.Fraction` with denominator > 1 otherwise, never a float or a
+bool; the constructor's coercion keeps that invariant, and every division or
+negative power of a coefficient goes through ``Fraction``.  Exponent vectors
+are tuples of ints indexed by a :class:`GeneratorTable`.  Terms are kept in a
+dict with no zero coefficients; the canonical term order is graded
+lexicographic on the exponent vector, which makes term counts and serialized
+output deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterable, Mapping
 
 from .gauss import GaussianRational
@@ -81,14 +86,16 @@ class GeneratorTable:
         return f"GeneratorTable({list(self.names)!r})"
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def exact_coefficient(x) -> int | Fraction:
+    """The exact rational ``x`` as a coefficient: an ``int`` when integral, else
+    a ``Fraction``; strings are parsed by ``Fraction``, and floats, bools and
+    anything else are a TypeError."""
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
+        raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def grlex_key(exps: tuple) -> tuple:
@@ -97,17 +104,17 @@ def grlex_key(exps: tuple) -> tuple:
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: map exponent vector -> nonzero Fraction."""
+    """Sparse Laurent polynomial: map exponent vector -> nonzero exact coefficient."""
 
     __slots__ = ("table", "terms", "_hash")
 
-    def __init__(self, table: GeneratorTable, terms: Mapping[tuple, Fraction] | None = None):
+    def __init__(self, table: GeneratorTable, terms: Mapping[tuple, int | Fraction] | None = None):
         self.table = table
         clean = {}
         if terms:
             for exps, coeff in terms.items():
-                c = _as_fraction(coeff)
-                if c != 0:
+                c = exact_coefficient(coeff)
+                if c:
                     clean[tuple(exps)] = c
         self.terms = clean
         self._hash = None
@@ -120,7 +127,7 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, table: GeneratorTable, value) -> "LaurentPoly":
-        c = _as_fraction(value)
+        c = exact_coefficient(value)
         if c == 0:
             return cls.zero(table)
         return cls(table, {(0,) * len(table): c})
@@ -133,14 +140,14 @@ class LaurentPoly:
     def generator(cls, table: GeneratorTable, name: str, power: int = 1) -> "LaurentPoly":
         exps = [0] * len(table)
         exps[table.index(name)] = power
-        return cls(table, {tuple(exps): Q(1)})
+        return cls(table, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, table: GeneratorTable, coeff, exps: Mapping[str, int]) -> "LaurentPoly":
         vec = [0] * len(table)
         for name, e in exps.items():
             vec[table.index(name)] = int(e)
-        return cls(table, {tuple(vec): _as_fraction(coeff)})
+        return cls(table, {tuple(vec): coeff})
 
     # -- basic structure -------------------------------------------------
 
@@ -156,10 +163,10 @@ class LaurentPoly:
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> int | Fraction:
         """Coefficient of the graded-lex-largest term (0 for the zero polynomial)."""
         if not self.terms:
-            return Q(0)
+            return 0
         exps = max(self.terms, key=grlex_key)
         return self.terms[exps]
 
@@ -227,7 +234,7 @@ class LaurentPoly:
         terms: dict = {}
         for e2, c2 in small.items():
             for e1, c1 in big.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 s = terms.get(key, 0) + c1 * c2
                 if s:
                     terms[key] = s
@@ -238,16 +245,14 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "LaurentPoly":
-        c = _as_fraction(c)
+        c = exact_coefficient(c)
         if c == 0:
             return LaurentPoly.zero(self.table)
         return LaurentPoly(self.table, {e: k * c for e, k in self.terms.items()})
 
     def shift(self, exps: tuple) -> "LaurentPoly":
         """Multiply by the monomial with exponent vector ``exps``."""
-        return LaurentPoly(
-            self.table, {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()}
-        )
+        return LaurentPoly(self.table, {tuple(map(add, e, exps)): c for e, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if not isinstance(k, int):
@@ -256,7 +261,7 @@ class LaurentPoly:
             if not self.is_monomial():
                 raise ArithmeticError("negative power of a non-monomial")
             ((exps, coeff),) = self.terms.items()
-            return LaurentPoly(self.table, {tuple(k * e for e in exps): coeff ** k})
+            return LaurentPoly(self.table, {tuple(k * e for e in exps): Fraction(coeff) ** k})
         result = LaurentPoly.one(self.table)
         base = self
         while k:
@@ -758,10 +763,10 @@ def exact_poly_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
         qexps = tuple(a - b for a, b in zip(rlead, lead))
         if any(e < 0 or e > t for e, t in zip(qexps, top)):
             return None
-        qc = rem.pop(rlead) / lead_c
+        qc = exact_coefficient(Fraction(rem.pop(rlead), lead_c))
         quo[qexps] = qc
         for e, c in d_rest:
-            key = tuple(a + b for a, b in zip(e, qexps))
+            key = tuple(map(add, e, qexps))
             s = rem.get(key, 0) - qc * c
             if s:
                 if key not in rem:

@@ -11,10 +11,11 @@ than by multivariate gcd.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .intlinalg import IntMatrix, rank_bareiss, smith_kernel_basis
-from .laurent import GeneratorTable, LaurentPoly, Q, RationalFn, exact_int, exact_poly_div
+from .laurent import GeneratorTable, LaurentPoly, Q, RationalFn, exact_coefficient, exact_int, exact_poly_div
 
 
 def wname(vertex: str) -> str:
@@ -167,9 +168,9 @@ class ClusterValue:
 
     __slots__ = ("table", "coeff", "mono", "factors")
 
-    def __init__(self, table: GeneratorTable, coeff=Q(1), mono: tuple | None = None, factors=None):
+    def __init__(self, table: GeneratorTable, coeff=1, mono: tuple | None = None, factors=None):
         self.table = table
-        self.coeff = Fraction(coeff)
+        self.coeff = exact_coefficient(coeff)
         self.mono = tuple(mono) if mono is not None else (0,) * len(table)
         self.factors: dict = dict(factors) if factors else {}
 
@@ -177,7 +178,7 @@ class ClusterValue:
     def generator_square(cls, table: GeneratorTable, vertex: str) -> "ClusterValue":
         mono = [0] * len(table)
         mono[table.index(wname(vertex))] = 2
-        return cls(table, Q(1), tuple(mono))
+        return cls(table, 1, tuple(mono))
 
     @classmethod
     def from_rational(cls, fn: RationalFn) -> "ClusterValue":
@@ -210,7 +211,7 @@ class ClusterValue:
         lead = poly.leading_coefficient()
         if lead != 1:
             poly = poly.scale(Q(1) / lead)
-            coeff = coeff * lead ** exp
+            coeff = coeff * Fraction(lead) ** exp
         if poly != LaurentPoly.one(self.table):
             factors[poly] = factors.get(poly, 0) + exp
         return ClusterValue(self.table, coeff, mono, {p: e for p, e in factors.items() if e})
@@ -237,7 +238,7 @@ class ClusterValue:
     def __pow__(self, k: int) -> "ClusterValue":
         return ClusterValue(
             self.table,
-            self.coeff ** k,
+            Fraction(self.coeff) ** k,
             tuple(k * e for e in self.mono),
             {p: k * e for p, e in self.factors.items()},
         )
@@ -408,7 +409,12 @@ def aligned_doubled(quiver: Quiver, table: GeneratorTable) -> list:
 
 
 def _poly_bracket(p: LaurentPoly, r: LaurentPoly, b_rows: list) -> LaurentPoly:
-    """{p, r} for Laurent polynomials in w-generators: pairwise monomial brackets."""
+    """8·{p, r} for Laurent polynomials in w-generators: pairwise monomial brackets.
+
+    The monomial bracket {w^a, w^b} is (a·B·b)/8 · w^(a+b) with B the doubled
+    exchange matrix, so the integers ``ca*cb*a·B·b`` are summed here and the
+    caller takes the 1/8 once.
+    """
     table = p.table
     terms: dict = {}
     bcache = []
@@ -421,8 +427,8 @@ def _poly_bracket(p: LaurentPoly, r: LaurentPoly, b_rows: list) -> LaurentPoly:
             q = sum(alpha[i] * col[i] for i in nz)
             if q == 0:
                 continue
-            key = tuple(a + b for a, b in zip(alpha, beta))
-            s = terms.get(key, 0) + ca * cb * Fraction(q, 8)
+            key = tuple(map(add, alpha, beta))
+            s = terms.get(key, 0) + ca * cb * q
             if s:
                 terms[key] = s
             elif key in terms:
@@ -444,7 +450,7 @@ def poisson_bracket(f: RationalFn, g: RationalFn, quiver: Quiver) -> RationalFn:
         - _poly_bracket(q, r, b_rows) * p * s
         + _poly_bracket(q, s, b_rows) * p * r
     )
-    return RationalFn(num, q * q * s * s)
+    return RationalFn(num.scale(Fraction(1, 8)), q * q * s * s)
 
 
 def gradient_at(h: RationalFn, point: Mapping[str, Fraction]) -> tuple:

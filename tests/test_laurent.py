@@ -369,3 +369,79 @@ def test_gaussian_hash_agrees_with_equality_on_real_values():
 def test_gaussian_equality_with_a_foreign_operand_is_false():
     assert (GaussianRational(1) == None) is False  # noqa: E711
     assert GaussianRational(1) != "1"
+
+
+def _exact_coefficient_ok(c):
+    """A coefficient is an int (not a bool) when integral, else a Fraction with denominator > 1."""
+    if isinstance(c, bool):
+        return False
+    return type(c) is int or (isinstance(c, Fraction) and c.denominator > 1)
+
+
+def _all_coefficients_exact(p):
+    return all(_exact_coefficient_ok(c) for c in p.terms.values())
+
+
+def test_boolean_coefficient_is_rejected():
+    with pytest.raises(TypeError):
+        LaurentPoly.constant(T, True)
+    with pytest.raises(TypeError):
+        LaurentPoly.one(T).scale(True)
+    with pytest.raises(TypeError):
+        LaurentPoly.constant(T, 0.5)
+
+
+def _reference_product(a, b):
+    """a * b on Fraction coefficients, one term pair at a time."""
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            terms[key] = terms.get(key, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return {e: c for e, c in terms.items() if c}
+
+
+integer_half_third = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=-6, max_value=6).map(lambda k: Fraction(k, 2)),
+    st.integers(min_value=-6, max_value=6).map(lambda k: Fraction(k, 3)),
+)
+
+
+@st.composite
+def integer_half_third_polys(draw):
+    n_terms = draw(st.integers(min_value=0, max_value=4))
+    terms = {}
+    for _ in range(n_terms):
+        exps = tuple(draw(st.integers(min_value=-3, max_value=3)) for _ in range(3))
+        terms[exps] = draw(integer_half_third)
+    return LaurentPoly(T, terms)
+
+
+@given(
+    integer_half_third_polys(),
+    integer_half_third_polys(),
+    integer_half_third.filter(bool),
+    st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_coefficients_are_ints_when_integral(a, b, c, k):
+    assert _all_coefficients_exact(a) and _all_coefficients_exact(b)
+    product = a * b
+    assert product.terms == _reference_product(a, b)
+    results = [a + b, a - b, product, a.scale(c), a.shift((1, -2, 0)), a.derivative("w:b")]
+    mono = LaurentPoly.monomial(T, c, {"w:a": 1, "w:c": -2})
+    assert (mono ** -k).terms == {(-k, 0, 2 * k): Fraction(c) ** -k}
+    results += [mono ** k, mono ** -k]
+    if not b.is_zero():
+        quotient = exact_poly_div(product, b)
+        assert quotient == a
+        results.append(quotient)
+    for p in results:
+        assert _all_coefficients_exact(p), p.terms
+
+
+def test_negative_power_of_an_integer_monomial_is_exact():
+    m = LaurentPoly.monomial(T, 3, {"w:a": 1})
+    assert (m ** -1).terms == {(-1, 0, 0): Fraction(1, 3)}
+    assert (m ** -2 * m ** 2) == LaurentPoly.one(T)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from symgroupoid.laurent import LaurentPoly, Q, RationalFn
 from symgroupoid.quiver import (
+    ClusterValue,
     FrozenVertexError,
     HalfIntegerMutationError,
     Quiver,
@@ -227,3 +228,38 @@ def test_mutation_sequence_matches_plain_rule(name):
         for v in quiver.vertices:
             assert seed.value(v) == values[v], (k, v)
         last = k
+
+
+def test_cluster_value_rejects_inexact_coefficients():
+    t = initial_table(["a"])
+    for bad in (0.1, True, 1.0):
+        with pytest.raises(TypeError):
+            ClusterValue(t, bad)
+    assert ClusterValue(t, Fraction(4, 2)).coeff == 2
+
+
+def test_from_rational_takes_an_exact_reciprocal_of_the_leading_coefficient():
+    # the factor 3 w_a + 4 w_b is made monic by its leading coefficient 3, which
+    # the value keeps as 3**-1: an exact 1/3, not the float 0.333...
+    t = initial_table(["a", "b"])
+    den = LaurentPoly.monomial(t, 3, {wname("a"): 1}) + LaurentPoly.monomial(t, 4, {wname("b"): 1})
+    value = ClusterValue.from_rational(RationalFn(LaurentPoly.one(t), den))
+    assert value.coeff == Fraction(1, 3)
+    assert isinstance(value.coeff, Fraction)
+    assert value.as_rational() == RationalFn(LaurentPoly.one(t), den)
+    assert (value ** -1).coeff == 3 and type((value ** -1).coeff) is int
+
+
+def test_bracket_on_a_half_weight_arrow():
+    # a doubled weight 1 is eps = 1/2: {z_u, z_v} = z_u z_v / 2 and {w_u, w_v} = w_u w_v / 8
+    q = Quiver.from_arrows(["u", "v"], [("u", "v", 1)])
+    t = initial_table(q.vertices)
+    wu, wv = (RationalFn.generator(t, wname(x)) for x in ("u", "v"))
+    br = poisson_bracket(wu, wv, q)
+    assert br.num.terms == {(1, 1): Fraction(1, 8)}
+    assert br.den == LaurentPoly.one(t)
+    zu, zv = wu ** 2, wv ** 2
+    assert poisson_bracket(zu, zv, q) == Fraction(1, 2) * zu * zv
+    # 4 * 2 / 8 = 1: an integral bracket coefficient is an int
+    br = poisson_bracket(wu ** 4, zv, q)
+    assert br.num.terms == {(4, 2): 1} and type(br.num.terms[(4, 2)]) is int
