@@ -13,7 +13,6 @@ from .laurent import (
     LaurentPoly,
     RationalFn,
     SingularPointError,
-    equal_rational,
 )
 from .intlinalg import IntMatrix, rank_bareiss, smith_kernel_basis
 from .matrices import MatrixRF
@@ -29,7 +28,7 @@ from .quiver import (
     mutate,
     poisson_bracket,
 )
-from .network import SquareNetwork, build_square_network
+from .network import SquareNetwork
 from .teich import build_surface, chain_matrix, markov, matrix_braid, skein_complete, telescopic
 
 __version__ = "0.1.0"

@@ -28,12 +28,18 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError (subparsers inherit it),
+    so that bad usage, like bad input, is one ``error:`` line and exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def cmd_verify(args) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     if args.suite not in SUITE_NAMES + ("all",):
         raise UsageError(f"unknown suite {args.suite!r}; expected one of {SUITE_NAMES + ('all',)}")
-    if args.trials < 1:
-        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     if args.size is not None and args.size < 1:
         raise UsageError(f"-n/--size must be at least 1, got {args.size}")
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
@@ -48,9 +54,7 @@ def cmd_verify(args) -> int:
 
                 checks = casimir_suite_checks(args.size)
             else:
-                checks = build_suite(
-                    name, args.rng, tolerance=args.tolerance, mode=args.mode, trials=args.trials
-                )
+                checks = build_suite(name, args.rng, tolerance=args.tolerance)
             report = run_suite_checks(name, checks, args.rng)
             reports.append(report)
             print(report.render_table())
@@ -208,16 +212,14 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="symgroupoid", description=__doc__)
+def make_parser() -> _Parser:
+    parser = _Parser(prog="symgroupoid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", help=f"one of {', '.join(SUITE_NAMES)} or 'all'")
     p.add_argument("--json", metavar="PATH", help="write the machine-readable report here")
     p.add_argument("--rng", type=int, default=DEFAULT_SEED, help="seed for randomized sampling")
-    p.add_argument("--trials", type=int, default=5, help="trials for randomized equality")
-    p.add_argument("--mode", choices=("symbolic", "randomized"), default="symbolic")
     p.add_argument("--tolerance", type=float, default=1e-9, help="residual tolerance (sl2 only)")
     p.add_argument(
         "-n",
@@ -256,13 +258,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = make_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:  # --help; bad usage raises UsageError instead
+        return 2 if exc.code not in (0, None) else 0
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -85,6 +85,3 @@ def _coerce(x) -> GaussianRational:
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
     raise TypeError(f"cannot mix GaussianRational with {type(x).__name__}")
-
-
-I = GaussianRational(0, 1)

@@ -30,12 +30,6 @@ class IntMatrix:
         i, j = ij
         self.entries[i][j] = int(value)
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
     def is_skew_symmetric(self) -> bool:
         if self.rows != self.cols:
             return False

@@ -304,46 +304,42 @@ class LaurentPoly:
         return LaurentPoly(self.table, terms)
 
     def value_and_gradient(self, point: Mapping[str, object]) -> tuple:
-        """Exact value and every partial derivative (in table order) at a point.
-
-        One pass over the terms in integers; at a point where a coordinate the
-        terms use is zero or not real, the partials come from the derivative
-        polynomials.
-        """
-        exact = self._rational_pass(point, gradient=True)
-        if exact is not None:
-            return exact
-        return self.evaluate(point), [self.derivative(n).evaluate(point) for n in self.table.names]
+        """Exact value and every partial derivative (in table order) at a point,
+        from one pass over the terms in integers."""
+        return self._rational_pass(point, gradient=True)
 
     def _rational_pass(self, point: Mapping[str, object], gradient: bool):
         """Value (and partials) at a point of ints, Fractions and GaussianRationals.
 
-        With a real coordinate ``w_i = a/b`` (a GaussianRational with imaginary
-        part 0 counts as its real part) and the exponent box ``[lo, hi]`` of
-        ``w_i`` over the terms, ``w_i**e = a**(e-lo) * b**(hi-e) * a**lo / b**hi``:
-        one integer table per generator makes every term an integer, up to one
-        scale shared by all terms, once the coefficients are over their lcm.
-        Forward mode needs no further table, since the partial in ``w_i`` of a
-        term is ``e_i * term / w_i``: its integer sum is the exponent-weighted sum
-        of the terms, and its scale is the value's times ``b/a``.
+        With a nonzero real coordinate ``w_i = a/b`` (a GaussianRational with
+        imaginary part 0 counts as its real part) and the exponent box
+        ``[lo, hi]`` of ``w_i`` over the terms,
+        ``w_i**e = a**(e-lo) * b**(hi-e) * a**lo / b**hi``: one integer table per
+        generator makes every term an integer, up to one scale shared by all
+        terms, once the coefficients are over their lcm.  Forward mode needs no
+        further table, since the partial in ``w_i`` of a term is
+        ``e_i * term / w_i``: its integer sum is the exponent-weighted sum of the
+        terms, and its scale is the value's times ``b/a``.
 
-        A coordinate off the real line gets no table: the integer terms are
-        summed per exponent vector over those coordinates, and each sum is
-        multiplied by the scale and its monomial in GaussianRational, so the
-        value is a GaussianRational exactly when the terms use such a coordinate.
+        A coordinate that is zero or off the real line gets no table: the
+        integer terms (and their exponent-weighted sums) are summed per
+        exponent vector over those coordinates, and each sum is multiplied by
+        the scale and its monomial; the partial in such a coordinate ``v`` takes
+        ``e * v**(e-1)`` in place of ``v**e``.  So the value is a
+        GaussianRational exactly when the terms use a non-real coordinate, and
+        a zero coordinate under a negative exponent is a ZeroDivisionError.
 
-        Returns None when the partials are asked for and a coordinate the terms
-        use is zero or not real.
+        Returns ``(value, partials)``, the partials None unless asked for.
         """
         names = self.table.names
         terms = self.terms
         if not terms:
-            return (Q(0), [Q(0)] * len(names)) if gradient else (Q(0), None)
+            return Q(0), [Q(0)] * len(names) if gradient else None
         lcd = lcm(*(c.denominator for c in terms.values()))
         num, den = 1, lcd
-        coords = []  # (table index, a, b) for every real generator the terms use
+        coords = []  # (table index, a, b) for every nonzero real generator the terms use
         tables = []  # (table index, lo, powers) where the exponent varies
-        nonreal = []  # (table index, value) for the others
+        bucketed = []  # (table index, value) for the zero and non-real ones
         for i, column in enumerate(zip(*terms)):
             lo, hi = min(column), max(column)
             if lo == hi == 0:
@@ -353,14 +349,17 @@ class LaurentPoly:
             v = point[names[i]]
             if isinstance(v, GaussianRational):
                 if v.im:
-                    nonreal.append((i, v))
+                    bucketed.append((i, v))
                     continue
                 v = v.re
             elif not isinstance(v, (int, Fraction)):
                 raise TypeError(f"{names[i]} = {v!r} is not an exact (Gaussian) rational")
             a, b = v.numerator, v.denominator
-            if a == 0 and lo < 0:
-                raise ZeroDivisionError(f"{names[i]} = 0 under a negative exponent")
+            if a == 0:
+                if lo < 0:
+                    raise ZeroDivisionError(f"{names[i]} = 0 under a negative exponent")
+                bucketed.append((i, v))
+                continue
             if lo > 0:
                 num *= a ** lo
             else:
@@ -376,33 +375,52 @@ class LaurentPoly:
                     bpow.append(bpow[-1] * b)
                 tables.append((i, lo, [x * y for x, y in zip(apow, reversed(bpow))]))
             coords.append((i, a, b))
-        if gradient and (nonreal or any(a == 0 for _, a, _ in coords)):
-            return None
-        buckets: dict = {}  # integer sums by exponent vector over the non-real coordinates
-        sums = [0] * len(coords)
+        # (slot in a bucket's sums, table index) for each partial asked for
+        weighted = [(k, i) for k, (i, _, _) in enumerate(coords, 1)] if gradient else []
+        width = 1 + len(weighted)
+        # per exponent vector over the bucketed coordinates: the integer sum of
+        # the terms, then their exponent-weighted sums in the slots of
+        # ``weighted``; with no coordinate bucketed there is one bucket
+        sums = [0] * width
+        buckets: dict = {} if bucketed else {(): sums}
         for exps, c in terms.items():
             t = c.numerator * (lcd // c.denominator)
             for i, lo, powers in tables:
                 t *= powers[exps[i] - lo]
-            key = tuple([exps[i] for i, _ in nonreal]) if nonreal else ()
-            buckets[key] = buckets.get(key, 0) + t
-            if gradient:
-                for k, (i, _, _) in enumerate(coords):
+            if bucketed:
+                key = tuple([exps[i] for i, _ in bucketed])
+                sums = buckets.get(key) or buckets.setdefault(key, [0] * width)
+            sums[0] += t
+            if weighted:
+                for k, i in weighted:
                     e = exps[i]
                     if e:
                         sums[k] += e * t
         value = Q(0)
-        for key, total in buckets.items():
+        zero = Q(0)  # also marks a partial with no contribution yet
+        grads = [zero] * len(names) if gradient else None
+        for key, (total, *weighted_sums) in buckets.items():
+            factors = [v ** e for (_, v), e in zip(bucketed, key)] if bucketed else ()
             x = Fraction(total * num, den)
-            for (_, v), e in zip(nonreal, key):
-                x = x * v ** e
+            for f in factors:
+                x = x * f
             value = value + x
-        if not gradient:
-            return value, None
-        grads = [Q(0)] * len(names)
-        for s, (i, a, b) in zip(sums, coords):
-            if s:
-                grads[i] = Fraction(s * num * b, den * a)
+            if not gradient:
+                continue
+            for s, (i, a, b) in zip(weighted_sums, coords):
+                if s:
+                    y = Fraction(s * num * b, den * a)
+                    for f in factors:
+                        y = y * f
+                    g = grads[i]
+                    grads[i] = y if g is zero else g + y
+            for j, ((i, v), e) in enumerate(zip(bucketed, key)):
+                if e:
+                    y = Fraction(total * num * e, den) * v ** (e - 1)
+                    for f in factors[:j] + factors[j + 1 :]:
+                        y = y * f
+                    g = grads[i]
+                    grads[i] = y if g is zero else g + y
         return value, grads
 
     def evaluate(self, point: Mapping[str, object]):
@@ -423,26 +441,6 @@ class LaurentPoly:
                     parts.append(f"{name}^{e}" if e != 1 else name)
             chunks.append(" * ".join(parts))
         return " + ".join(chunks)
-
-    @classmethod
-    def from_text(cls, table: GeneratorTable, text: str) -> "LaurentPoly":
-        text = text.strip()
-        if text == "0":
-            return cls.zero(table)
-        terms: dict = {}
-        for chunk in text.split(" + "):
-            parts = [p.strip() for p in chunk.split("*")]
-            coeff = Q(parts[0])
-            vec = [0] * len(table)
-            for p in parts[1:]:
-                if "^" in p:
-                    name, e = p.split("^")
-                    vec[table.index(name.strip())] = int(e)
-                else:
-                    vec[table.index(p)] = 1
-            key = tuple(vec)
-            terms[key] = terms.get(key, 0) + coeff
-        return cls(table, terms)
 
     def to_json(self) -> list:
         out = []
@@ -677,51 +675,6 @@ class RationalFn:
 
     def __repr__(self) -> str:
         return f"RationalFn({self.to_text()})"
-
-
-def equal_rational(
-    f: RationalFn,
-    g: RationalFn,
-    mode: str = "symbolic",
-    trials: int = 5,
-    coefficient_bound: int = 10 ** 6,
-    rng=None,
-    retry_budget: int = 50,
-) -> tuple:
-    """Equality of two rational functions: (verdict, witness).
-
-    Symbolic mode cross-multiplies canonical forms (sound and complete).
-    Randomized mode compares exact evaluations at ``trials`` positive points
-    with coordinates in [1, coefficient_bound] drawn from ``rng`` (required,
-    so that the verdict repeats), retrying on denominator zeros; a
-    distinguishing point is returned as the witness on failure.
-    """
-    if f.table != g.table:
-        raise ValueError("mixed generator tables")
-    if mode == "symbolic":
-        return (f == g, None)
-    if mode != "randomized":
-        raise ValueError(f"unknown mode {mode!r}")
-    if trials < 1:
-        raise ValueError(f"randomized equality needs at least one trial, got {trials}")
-    if rng is None:
-        raise ValueError("randomized equality needs an explicit rng, so that its verdict repeats")
-    done = 0
-    budget = retry_budget
-    while done < trials:
-        point = {name: Fraction(rng.randint(1, coefficient_bound)) for name in f.table.names}
-        try:
-            fv = f.evaluate(point)
-            gv = g.evaluate(point)
-        except SingularPointError:
-            budget -= 1
-            if budget < 0:
-                raise
-            continue
-        if fv != gv:
-            return (False, point)
-        done += 1
-    return (True, None)
 
 
 def exact_poly_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:

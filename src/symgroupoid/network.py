@@ -263,24 +263,6 @@ class SquareNetwork:
         }
 
 
-@dataclass
-class NetworkQuiverFamily:
-    q_square: Quiver
-    q_transport: Quiver
-    q_amalgamated: Quiver
-
-
-def build_square_network(n: int) -> tuple:
-    """The network together with its three lattice quivers."""
-    net = SquareNetwork(n)
-    family = NetworkQuiverFamily(
-        q_square=square_quiver(n),
-        q_transport=transport_quiver(n),
-        q_amalgamated=amalgamated_quiver(n),
-    )
-    return net, family
-
-
 # -- independent oracle: exhaustive DFS on the explicit planar graph ---------
 
 

@@ -19,7 +19,7 @@ from .groupoid import (
     solve_unipotent_A,
     verify_groupoid_theorem,
 )
-from .laurent import GeneratorTable, Q, RationalFn, equal_rational
+from .laurent import GeneratorTable, Q, RationalFn
 from .matrices import MatrixRF
 from .network import SquareNetwork, casimir_suite_checks, enumerate_paths_dfs, path_sum_bruteforce
 from .quiver import (
@@ -745,7 +745,7 @@ def genus2_checks(rng_seed: int) -> list:
 # -- genus three -------------------------------------------------------------------
 
 
-def genus3_checks(rng_seed: int, mode: str = "symbolic", trials: int = 5) -> list:
+def genus3_checks(rng_seed: int) -> list:
     checks = []
 
     def mutation_catalog():
@@ -822,28 +822,23 @@ def genus3_checks(rng_seed: int, mode: str = "symbolic", trials: int = 5) -> lis
         w23 = surfaces.GENUS3_SYMMETRIC_CATALOG["G_{2,3}"]
         w34 = surfaces.GENUS3_SYMMETRIC_CATALOG["G_{3,4}"]
         chain = list(w23)
-        rng = random.Random(rng_seed + 9)
-
-        def same(a, b):
-            return equal_rational(a, b, mode=mode, trials=trials, rng=rng)[0]
-
         sm = braid_twist(seed, chain, "mutation_sequence")
         sc = braid_twist(seed, chain, "closed_form")
         if sm.quiver != seed.quiver:
             return (False, "twist changes the exchange matrix")
         for v in q.vertices:
-            if not same(sm.values[v].as_rational(), sc.values[v].as_rational()):
+            if sm.values[v].as_rational() != sc.values[v].as_rational():
                 return (False, f"modes disagree at {v}")
         g12, g23, g34 = (telescopic(w, seed) for w in (w12, w23, w34))
-        if not same(telescopic(w23, sm), g23):
+        if telescopic(w23, sm) != g23:
             return (False, "twisted chain function is not invariant")
-        if not same(telescopic(w12, sm), skein_product(g12, g23, q)):
+        if telescopic(w12, sm) != skein_product(g12, g23, q):
             return (False, "left neighbor transformation law fails")
-        if not same(telescopic(w34, sm), skein_product(g34, g23, q)):
+        if telescopic(w34, sm) != skein_product(g34, g23, q):
             return (False, "right neighbor transformation law fails")
         for lbl in ("Gt_{1,2}", "Gt_{2,3}", "Gt_{3,4}"):
             w = surfaces.GENUS3_SYMMETRIC_CATALOG[lbl]
-            if not same(telescopic(w, sm), telescopic(w, seed)):
+            if telescopic(w, sm) != telescopic(w, seed):
                 return (False, f"{lbl} not invariant under the twist")
         return True
 
@@ -990,7 +985,7 @@ def genus3_checks(rng_seed: int, mode: str = "symbolic", trials: int = 5) -> lis
 # -- genus four ---------------------------------------------------------------------
 
 
-def genus4_checks(rng_seed: int, mode: str = "symbolic", trials: int = 5) -> list:
+def genus4_checks(rng_seed: int) -> list:
     checks = []
 
     def chiral_toy():
@@ -1072,9 +1067,7 @@ def genus4_checks(rng_seed: int, mode: str = "symbolic", trials: int = 5) -> lis
         wbind[wname("a1")] = RationalFn.generator(t, wname("at")).inverse()
         del wbind[wname("a2")]
         zbind = {wname("a2"): RationalFn.generator(t, wname("a2"), 2) * (one + zat)}
-        rhs = g45.substitute(wbind, zbind)
-        rng = random.Random(rng_seed + 7)
-        return equal_rational(lhs, rhs, mode=mode, trials=trials, rng=rng)[0]
+        return lhs == g45.substitute(wbind, zbind)
 
     checks.append(
         Check(
@@ -1392,13 +1385,7 @@ def sl2_checks(rng_seed: int, tolerance: float = 1e-9) -> list:
     return checks
 
 
-def build_suite(
-    name: str,
-    rng_seed: int,
-    tolerance: float = 1e-9,
-    mode: str = "symbolic",
-    trials: int = 5,
-) -> list:
+def build_suite(name: str, rng_seed: int, tolerance: float = 1e-9) -> list:
     if name == "groupoid":
         return groupoid_checks(rng_seed)
     if name == "casimirs":
@@ -1411,9 +1398,9 @@ def build_suite(
     if name == "genus2":
         return genus2_checks(rng_seed)
     if name == "genus3":
-        return genus3_checks(rng_seed, mode, trials)
+        return genus3_checks(rng_seed)
     if name == "genus4":
-        return genus4_checks(rng_seed, mode, trials)
+        return genus4_checks(rng_seed)
     if name == "braid":
         return braid_checks(rng_seed)
     if name == "sl2":

@@ -116,11 +116,20 @@ def test_verify_sl2_exit_zero(tmp_path):
     assert data["rng_seed"] == 7
 
 
-def test_verify_rejects_trials_below_one(capsys):
-    for trials in ("0", "-1"):
-        assert main(["verify", "genus3", "--mode", "randomized", "--trials", trials]) == 2
+def test_bad_usage_is_one_line_and_exit_2(capsys):
+    # argparse used to print a usage block before its error line
+    for argv in (
+        ["verify", "genus3", "--bogus"],
+        ["verify", "genus3", "--rng", "x"],
+        ["verify", "genus3", "--trials", "5"],
+        ["verify"],
+        ["frobnicate"],
+    ):
+        assert main(argv) == 2, argv
         err = capsys.readouterr().err
-        assert err.startswith("error: --trials") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert main(["verify", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: symgroupoid verify")
 
 
 def test_verify_rejects_size_below_one(capsys):

@@ -188,7 +188,8 @@ def test_text_and_json_round_trip():
         + LaurentPoly.monomial(T, Fraction(-1), {"w:b": 1})
         + LaurentPoly.constant(T, Fraction(11, 2))
     )
-    assert LaurentPoly.from_text(T, p.to_text()) == p
+    # the text form the CLI prints
+    assert p.to_text() == "3/7 * w:a^2 * w:c^-5 + 11/2 + -1 * w:b"
     assert LaurentPoly.from_json(T, p.to_json()) == p
     f = RationalFn(p, LaurentPoly.monomial(T, 2, {"w:a": 1}) + LaurentPoly.one(T))
     assert RationalFn.from_json(T, f.to_json()) == f
@@ -312,6 +313,7 @@ def _gaussian_reference(p, point):
 nonzero_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=9).filter(bool)
 
 gaussian_coordinates = st.one_of(
+    st.just(Q(0)),
     st.fractions(min_value=-6, max_value=6, max_denominator=9),
     st.builds(GaussianRational, st.fractions(min_value=-6, max_value=6, max_denominator=9)),
     st.builds(GaussianRational, st.just(0), nonzero_fractions),
@@ -325,17 +327,23 @@ def test_evaluate_matches_gaussian_reference(p, coords):
     point = dict(zip(T.names, coords))
     try:
         expected = _gaussian_reference(p, point)
+        expected_grads = [_gaussian_reference(p.derivative(n), point) for n in T.names]
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
             p.evaluate(point)
+        with pytest.raises(ZeroDivisionError):
+            p.value_and_gradient(point)
         return
     value = p.evaluate(point)
     assert value == expected
+    value_too, grads = p.value_and_gradient(point)
+    assert value_too == expected and grads == expected_grads
     # a Gaussian value only where the terms use a coordinate off the real line
     nonreal = {
         i for i, v in enumerate(coords) if isinstance(v, GaussianRational) and v.im and any(e[i] for e in p.terms)
     }
     assert isinstance(value, GaussianRational) == bool(nonreal)
+    assert isinstance(value_too, GaussianRational) == bool(nonreal)
 
 
 def test_value_and_gradient_at_a_gaussian_point():

@@ -5,12 +5,12 @@ import pytest
 from symgroupoid.laurent import Q
 from symgroupoid.network import (
     SquareNetwork,
-    build_square_network,
     casimir_suite_checks,
     enumerate_paths_dfs,
     path_sum_bruteforce,
 )
 from symgroupoid.quiver import poisson_bracket
+from symgroupoid.squares import amalgamated_quiver, square_quiver, transport_quiver
 
 
 def test_unsupported_size_rejected():
@@ -89,14 +89,13 @@ def test_twin_sides_commute_n3():
 
 
 def test_network_json_dump():
-    net, family = build_square_network(3)
-    data = net.to_json()
+    data = SquareNetwork(3).to_json()
     assert data["n"] == 3
     assert {f["name"] for f in data["faces"]} >= {"s1", "s2", "f1", "f2"}
     assert "1,3" in data["regions"]
-    assert len(family.q_square.vertices) == 16
-    assert len(family.q_amalgamated.vertices) == 12
-    assert len(family.q_transport.vertices) == 9
+    assert len(square_quiver(3).vertices) == 16
+    assert len(amalgamated_quiver(3).vertices) == 12
+    assert len(transport_quiver(3).vertices) == 9
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
