@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 
 from .laurent import RationalFn, SingularPointError, exact_rational
 from .quiver import Seed, apply_sequence, corank, monomial_casimirs
 from .report import all_report, run_suite_checks, write_report
-from .suites import SUITE_NAMES, build_suite, unit_count
+from .suites import SUITE_NAMES, build_suite, casimir_checks, unit_count
 from .teich import build_surface, catalog_value
 from . import surfaces
 
@@ -42,19 +41,15 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown suite {args.suite!r}; expected one of {SUITE_NAMES + ('all',)}")
     if args.size is not None and args.size < 1:
         raise UsageError(f"-n/--size must be at least 1, got {args.size}")
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        raise UsageError(f"--tolerance must be a finite positive number, got {args.tolerance}")
     failed = 0
     reports = []
     # opened first, so that a bad path fails before any suite runs
     with open(args.json, "w") if args.json else contextlib.nullcontext() as out:
         for name in names:
             if name == "casimirs" and args.size is not None:
-                from .network import casimir_suite_checks
-
-                checks = casimir_suite_checks(args.size)
+                checks = casimir_checks(args.size)
             else:
-                checks = build_suite(name, args.rng, tolerance=args.tolerance)
+                checks = build_suite(name, args.rng)
             report = run_suite_checks(name, checks, args.rng)
             reports.append(report)
             print(report.render_table())
@@ -220,7 +215,6 @@ def make_parser() -> _Parser:
     p.add_argument("suite", help=f"one of {', '.join(SUITE_NAMES)} or 'all'")
     p.add_argument("--json", metavar="PATH", help="write the machine-readable report here")
     p.add_argument("--rng", type=int, default=DEFAULT_SEED, help="seed for randomized sampling")
-    p.add_argument("--tolerance", type=float, default=1e-9, help="residual tolerance (sl2 only)")
     p.add_argument(
         "-n",
         "--size",

@@ -1,7 +1,7 @@
 """Matrix-level groupoid algebra: the signed antidiagonal, generic transport
 matrices and the compatibility identities, the unique-unipotent solver with
-its corner-minor ratio formula, the trigonometric r-matrix, reflection-bracket
-suites, and Poisson-leaf diagnostics."""
+its corner-minor ratio formula, the trigonometric r-matrix, the reflection
+bracket, and Poisson-leaf diagnostics."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from typing import Sequence
 from .laurent import GeneratorTable, Q, RationalFn
 from .matrices import MatrixRF, charpoly_is_palindromic, divide_out_root, is_zero_entry, solve
 from .quiver import Quiver, aligned_doubled, bracket_from_gradients, gradient_at
-from .report import Check
 
 # random specializations tried per point before a numeric check gives up
 NUMERIC_ATTEMPTS = 100
@@ -192,66 +191,19 @@ def groupoid_matrices(parts: dict) -> dict:
     return {"B": b, "A": a, "Atilde": atilde, "BABt": b * a * b.transpose()}
 
 
-def verify_groupoid_theorem(n: int, rng_seed: int = 0, numeric_points: int = 3) -> list:
-    """Checks of the compatibility identities on gr-compatible generic data.
-
-    Sizes two and three run fully symbolically; larger sizes substitute exact
-    random rational values for the free generators.  No check does any work
-    before it runs: the symbolic matrices are built by the first check that
-    needs them and shared with the other two.
-    """
-    if n <= 3:
-        mats = functools.cache(lambda: groupoid_matrices(generic_transport_pair(n)))
-        return [
-            Check(
-                f"groupoid_upper_A_n{n}",
-                "the solved bilinear form is upper-triangular",
-                lambda: mats()["A"].is_upper_triangular(),
-            ),
-            Check(
-                f"groupoid_upper_At_n{n}",
-                "the companion-side form is upper-triangular",
-                lambda: mats()["Atilde"].is_upper_triangular(),
-            ),
-            Check(
-                f"groupoid_conjugation_n{n}",
-                "conjugating the form by the transport product gives the companion form",
-                lambda: mats()["BABt"] == mats()["Atilde"],
-            ),
-        ]
-
-    def build_numeric(rng):
-        for _ in range(NUMERIC_ATTEMPTS):
-            try:
-                return generic_transport_pair(
-                    n, specialize=lambda _name: Q(rng.randint(1, 30), rng.randint(1, 7))
-                )
-            except ZeroDivisionError:
-                continue
-        return None
-
-    def run_numeric():
-        rng = random.Random(rng_seed)
-        for _ in range(numeric_points):
-            parts = build_numeric(rng)
-            if parts is None:
-                return (False, f"no nonsingular specialization in {NUMERIC_ATTEMPTS} attempts")
-            mats = groupoid_matrices(parts)
-            if not mats["A"].is_upper_triangular():
-                return (False, "A not upper-triangular at a random specialization")
-            if not mats["Atilde"].is_upper_triangular():
-                return (False, "Atilde not upper-triangular at a random specialization")
-            if not mats["BABt"] == mats["Atilde"]:
-                return (False, "B A B^T differs from the companion form")
-        return True
-
-    return [
-        Check(
-            f"groupoid_numeric_n{n}",
-            f"compatibility identities at {numeric_points} exact random specializations",
-            run_numeric,
-        )
-    ]
+def transport_groupoid(n: int, rng: random.Random | None = None) -> dict | None:
+    """``groupoid_matrices`` of size-n transport data: symbolic without ``rng``;
+    with it, at the first of ``NUMERIC_ATTEMPTS`` exact random specializations
+    of the free generators that is nonsingular, or None if none is."""
+    if rng is None:
+        return groupoid_matrices(generic_transport_pair(n))
+    for _ in range(NUMERIC_ATTEMPTS):
+        try:
+            parts = generic_transport_pair(n, specialize=lambda _name: Q(rng.randint(1, 30), rng.randint(1, 7)))
+        except ZeroDivisionError:
+            continue
+        return groupoid_matrices(parts)
+    return None
 
 
 # -- unique unipotent solution and corner minors ------------------------------------

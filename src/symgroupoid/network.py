@@ -1,4 +1,4 @@
-"""The SL_n square network: planar face lattice, path sums, and Casimir counts.
+"""The SL_n square network: planar face lattice and path sums.
 
 Sources ``1..n`` enter on the right of horizontal wires ``y = n-1 .. 0`` and
 sinks ``1'..n'`` leave on the left.  Between wires ``y = n-t`` and
@@ -21,16 +21,7 @@ from fractions import Fraction
 
 from .laurent import GeneratorTable, LaurentPoly, RationalFn
 from .quiver import Quiver, wname
-from .report import Check
-from .squares import (
-    amalgamate_monomial,
-    amalgamated_quiver,
-    det_b_exponents,
-    kname,
-    square4_pre_casimirs,
-    square_quiver,
-    transport_quiver,
-)
+from .squares import amalgamated_quiver, kname
 
 SUPPORTED_N = (3, 4, 5)
 
@@ -321,61 +312,3 @@ def path_sum_bruteforce(net: SquareNetwork, i: int, j: int) -> RationalFn:
         total = total + RationalFn.from_poly(mono)
     return total
 
-
-# -- Casimir suite -------------------------------------------------------------
-
-
-def casimir_suite_checks(n: int) -> list:
-    """Checks for the Casimir counts and the published monomials."""
-    from .quiver import corank, monomial_is_casimir
-
-    checks = [
-        Check(
-            f"casimirs_square_corank_n{n}",
-            f"full lattice quiver on ({n}+1)^2 vertices has corank {n + 1}",
-            lambda: corank(square_quiver(n)) == n + 1,
-        ),
-        Check(
-            f"casimirs_transport_corank_n{n}",
-            f"unit-determinant transport quiver has corank {n - 1}",
-            lambda: corank(transport_quiver(n)) - 1 == n - 1,
-        ),
-        Check(
-            f"casimirs_amalgamated_corank_n{n}",
-            f"Moebius-amalgamated quiver has corank {2 * n}",
-            lambda: corank(amalgamated_quiver(n)) == 2 * n,
-        ),
-        Check(
-            f"casimirs_det_transport_n{n}",
-            "graded row-product monomial (the transport determinant) commutes with all parameters",
-            lambda: monomial_is_casimir(transport_quiver(n), det_b_exponents(n)),
-        ),
-    ]
-    if n == 4:
-
-        def figure_monomials_ok():
-            q4 = square_quiver(4)
-            amalg = amalgamated_quiver(4)
-            monos = square4_pre_casimirs()
-            for label in ("C0", "C1"):
-                if not monomial_is_casimir(q4, monos[label]):
-                    return (False, f"{label} fails on the full lattice")
-            for k in (2, 3, 4):
-                prod = dict(monos[f"C{k}"])
-                for v, e in monos[f"C{k}~"].items():
-                    prod[v] = prod.get(v, 0) + e
-                if not monomial_is_casimir(q4, prod):
-                    return (False, f"C{k}*C{k}~ fails on the full lattice")
-            for label, exps in monos.items():
-                if not monomial_is_casimir(amalg, amalgamate_monomial(4, exps)):
-                    return (False, f"{label} fails on the amalgamated quiver")
-            return True
-
-        checks.append(
-            Check(
-                "casimirs_published_monomials_n4",
-                "published boundary/anti-diagonal/hook monomials are Casimirs",
-                figure_monomials_ok,
-            )
-        )
-    return checks

@@ -63,6 +63,8 @@ class Quiver:
                 weight = 2
             else:
                 src, dst, weight = arrow
+            if src == dst:
+                raise ValueError(f"arrow {src} -> {dst} is a self-loop")
             i, j = pos[src], pos[dst]
             m[i, j] += weight
             m[j, i] -= weight
@@ -115,7 +117,8 @@ class Quiver:
         return Quiver(self.vertices, new, self.frozen)
 
     def swap(self, u: str, v: str) -> "Quiver":
-        """Relabel two vertices (rows/columns exchanged)."""
+        """Relabel two vertices (rows/columns exchanged); a frozen vertex stays
+        frozen under its new label."""
         order = list(self.vertices)
         iu, iv = self.index(u), self.index(v)
         order[iu], order[iv] = order[iv], order[iu]
@@ -123,8 +126,8 @@ class Quiver:
         for i, a in enumerate(order):
             for j, b in enumerate(order):
                 m[i, j] = self.b(a, b)
-        frozen = set(self.frozen)
-        return Quiver(self.vertices, m, frozen)
+        relabel = {u: v, v: u}
+        return Quiver(self.vertices, m, {relabel.get(w, w) for w in self.frozen})
 
     def __eq__(self, other) -> bool:
         return (
@@ -149,11 +152,19 @@ class Quiver:
 
     @classmethod
     def from_json(cls, data: dict) -> "Quiver":
-        arrows = [tuple(e) for e in data["doubled_exchange"]]
+        vertices, arrows, frozen = data["vertices"], data["doubled_exchange"], data.get("frozen", [])
+        for key, value in (("vertices", vertices), ("doubled_exchange", arrows), ("frozen", frozen)):
+            if not isinstance(value, list):
+                raise ValueError(f"{key} must be a list, got {value!r}")
+        for name in vertices + frozen:
+            if not isinstance(name, str):
+                raise ValueError(f"a vertex name is a string, got {name!r}")
         for arrow in arrows:
+            if not (isinstance(arrow, list) and len(arrow) in (2, 3)):
+                raise ValueError(f"an arrow is a [source, target] or [source, target, weight] list, got {arrow!r}")
             if len(arrow) == 3:
                 exact_int(arrow[2], f"weight of arrow {arrow[0]} -> {arrow[1]}")
-        return cls.from_arrows(data["vertices"], arrows, data.get("frozen", ()))
+        return cls.from_arrows(vertices, [tuple(e) for e in arrows], frozen)
 
     def __repr__(self) -> str:
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows())} arrows)"

@@ -5,7 +5,7 @@ This is the one floating-point corner of the package: the solve involves
 square roots.  All internal arithmetic runs in fixed high-precision decimals
 (exact rational inputs are converted losslessly), so the advertised residual
 tolerances hold with a wide margin whenever the input sits on the geometric
-locus; entries are exposed as ordinary floats.
+locus; the residuals are reported as ordinary floats.
 """
 
 from __future__ import annotations
@@ -30,13 +30,6 @@ class ReconstructionError(ValueError):
 class Reconstruction:
     matrices: list  # five 2x2 matrices with Decimal entries
     branch: tuple
-    tolerance: float
-
-    def as_floats(self) -> list:
-        return [[[float(x) for x in row] for row in m] for m in self.matrices]
-
-    def to_json(self) -> dict:
-        return {"matrices": self.as_floats(), "branch": list(self.branch)}
 
 
 def _high_precision(fn):
@@ -83,7 +76,7 @@ def _normalize_input(g: Mapping) -> dict:
 
 
 @_high_precision
-def reconstruct(g: Mapping, tolerance: float = DEFAULT_TOL) -> Reconstruction:
+def reconstruct(g: Mapping) -> Reconstruction:
     """Five transport matrices from the ten trace values g[(i, j)], i < j <= 5.
 
     The first matrix is the identity, the second diagonal hyperbolic, the
@@ -113,7 +106,7 @@ def reconstruct(g: Mapping, tolerance: float = DEFAULT_TOL) -> Reconstruction:
     if abs(b2 - (a3 * c3 - 1)) > Decimal("1e-20") * max(Decimal(1), abs(b2)):
         raise ReconstructionError("b^2", "trace identity a c - 1 violated")
     if b2 < 0:
-        if b2 > -_dec(tolerance):
+        if b2 > -_dec(DEFAULT_TOL):
             b2 = Decimal(0)
         else:
             raise ReconstructionError("b^2", "negative square off the geometric locus")
@@ -130,7 +123,7 @@ def reconstruct(g: Mapping, tolerance: float = DEFAULT_TOL) -> Reconstruction:
     def roots(total, prod, name):
         d = total * total - 4 * prod
         if d < 0:
-            if d > -_dec(tolerance):
+            if d > -_dec(DEFAULT_TOL):
                 d = Decimal(0)
             else:
                 raise ReconstructionError(name, "negative discriminant off the geometric locus")
@@ -161,7 +154,7 @@ def reconstruct(g: Mapping, tolerance: float = DEFAULT_TOL) -> Reconstruction:
             if best is None or score < best[0]:
                 best = (score, mats, (swap_ef, swap_ij))
     _, mats, branch = best
-    return Reconstruction(matrices=mats, branch=branch, tolerance=tolerance)
+    return Reconstruction(matrices=mats, branch=branch)
 
 
 @_high_precision

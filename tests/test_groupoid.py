@@ -70,6 +70,7 @@ def test_groupoid_build_is_lazy_and_build_errors_fail_one_check(monkeypatch):
         raise ZeroDivisionError("singular linear system")
 
     monkeypatch.setattr(groupoid, "generic_transport_pair", singular)
+    suites._symbolic_groupoid.cache_clear()  # the symbolic build is kept once per process
     checks = {c.id: c for c in build_suite("groupoid", 42)}  # builds nothing yet
     report = run_suite_checks("groupoid", [checks["groupoid_upper_A_n2"], checks["groupoid_numeric_n4"]], 42)
     assert [(c.status, c.witness) for c in report.checks] == [

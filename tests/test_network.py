@@ -3,14 +3,10 @@
 import pytest
 
 from symgroupoid.laurent import Q
-from symgroupoid.network import (
-    SquareNetwork,
-    casimir_suite_checks,
-    enumerate_paths_dfs,
-    path_sum_bruteforce,
-)
+from symgroupoid.network import SquareNetwork, enumerate_paths_dfs, path_sum_bruteforce
 from symgroupoid.quiver import poisson_bracket
 from symgroupoid.squares import amalgamated_quiver, square_quiver, transport_quiver
+from symgroupoid.suites import casimir_checks
 
 
 def test_unsupported_size_rejected():
@@ -102,6 +98,6 @@ def test_network_json_dump():
 def test_casimir_suite(n, check_results):
     # the size-n checks, read from the session's run of the casimirs suite
     results = check_results("casimirs")
-    for check in casimir_suite_checks(n):
+    for check in casimir_checks(n):
         result = results[check.id]
         assert result.status == "pass", f"{check.id}: {result.witness}"

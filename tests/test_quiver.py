@@ -86,6 +86,18 @@ def test_apply_sequence_empty_and_swap():
     assert apply_sequence(swapped, [("a", "b")]) == seed
 
 
+def test_swap_moves_frozen_with_the_vertex():
+    # frozen stayed with the label: after x~y the vertex named y carried x's
+    # arrows and value but could be mutated, and x raised FrozenVertexError
+    q = Quiver.from_arrows(["x", "y", "z"], [("x", "z", 2), ("y", "z", 4)], frozen={"x"})
+    swapped = apply_sequence(Seed.initial(q), [("x", "y")])
+    assert swapped.quiver.b("y", "z") == 2
+    assert swapped.quiver.frozen == {"y"}
+    mutate(swapped, "x")
+    with pytest.raises(FrozenVertexError):
+        mutate(swapped, "y")
+
+
 def test_bracket_base_case():
     seed = Seed.initial(PATTERN)
     t = seed.frame

@@ -1,12 +1,14 @@
 """Every named verification suite must be fully green under pytest too."""
 
+import importlib.util
 import io
+import sys
 from pathlib import Path
 
 import pytest
 
 from symgroupoid.report import all_report, write_report
-from symgroupoid.suites import SUITE_NAMES, build_suite
+from symgroupoid.suites import SUITE_NAMES, build_suite, check
 
 # written by `symgroupoid verify all --rng 42 --json`; the report must stay
 # byte-identical, so a change to any verdict, witness, claim or check id shows here
@@ -30,3 +32,33 @@ def test_reports_match_golden(suite_report):
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         build_suite("nope", 42)
+
+
+def test_registry_rejects_unknown_suite_and_taken_id():
+    with pytest.raises(ValueError, match="unknown suite"):
+        check("nope", "nope_check", "a claim")
+    with pytest.raises(ValueError, match="declared twice"):
+        check("genus4", "groupoid_s_matrix", "a claim")
+
+
+def _benchmark_worker():
+    """perfbench/worker.py, imported read-only and leaving sys.path as it was."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    saved = list(sys.path)
+    try:
+        spec.loader.exec_module(worker)
+    finally:
+        sys.path[:] = saved
+    return worker
+
+
+def test_benchmark_contract():
+    # the benchmark runs every suite through its workloads, and reruns one
+    # check at another seed by rebinding the rng_seed cell of its closure
+    worker = _benchmark_worker()
+    assert sorted(name for names in worker.WORKLOADS.values() for name in names) == sorted(SUITE_NAMES)
+    (original,) = [c for c in build_suite("groupoid", 42) if c.id == worker.KNOWN_FAILURE]
+    rebound = worker.at_seed(original, worker.KNOWN_FAILURE_SEED)
+    assert rebound.run() is True
