@@ -133,6 +133,15 @@ def test_bad_usage_is_one_line_and_exit_2(capsys):
     assert capsys.readouterr().out.startswith("usage: symgroupoid verify")
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_verify_rejects_tolerance_not_finite_positive(capsys, tolerance):
+    # nan and -1 used to fail sl2_reconstruction, and inf passed having tested
+    # nothing; --tolerance is now no option at all, so every value is rejected
+    assert main(["verify", "sl2", "--tolerance", tolerance]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unrecognized arguments: --tolerance {tolerance}\n"
+
+
 def test_verify_rejects_size_below_one(capsys):
     # sizes below one used to run and report failed checks ("corank -1"), exit 1
     for size in ("0", "-3"):
