@@ -75,6 +75,9 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
     def __repr__(self):
         return f"GaussianRational({self.re}, {self.im})"
 

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .laurent import GeneratorTable, Q, RationalFn
 from .matrices import MatrixRF, charpoly_is_palindromic, divide_out_root, is_zero_entry, solve
-from .quiver import Quiver, aligned_doubled, bracket_from_gradients, gradient_at
+from .quiver import Quiver, bivector_at, dot, gradient_at, hamiltonian_at
 
 # random specializations tried per point before a numeric check gives up
 NUMERIC_ATTEMPTS = 100
@@ -88,24 +88,19 @@ def reflection_rhs(mv: MatrixRF) -> MatrixRF:
 
 def bracket_tensor_at(m1: MatrixRF, m2: MatrixRF, quiver: Quiver, point) -> MatrixRF:
     """{M1 tensor, M2} exactly evaluated at a point: entry ((i,k),(j,l)) is
-    {m1[i][j], m2[k][l]}."""
+    {m1[i][j], m2[k][l]}, the gradient of m1[i][j] dotted with the bivector
+    contracted once with the gradient of m2[k][l]."""
     n = m1.rows
-    table = m1[0, 0].table
-    b_rows = aligned_doubled(quiver, table)
-    wv = [point[name] for name in table.names]
+    pi = bivector_at(quiver, m1[0, 0].table, point)
 
-    def gradients(m: MatrixRF) -> dict:
-        return {(i, j): gradient_at(m[i, j], point)[1] for i in range(n) for j in range(n)}
+    def gradients(m: MatrixRF) -> list:
+        return [[gradient_at(m[i, j], point)[1] for j in range(n)] for i in range(n)]
 
     g1 = gradients(m1)
-    g2 = g1 if m2 is m1 else gradients(m2)
-    entries = []
-    for i in range(n):
-        for k in range(n):
-            entries.append(
-                [bracket_from_gradients(g1[i, j], g2[k, l], b_rows, wv) for j in range(n) for l in range(n)]
-            )
-    return MatrixRF(entries)
+    h2 = [[hamiltonian_at(pi, g) for g in row] for row in (g1 if m2 is m1 else gradients(m2))]
+    return MatrixRF(
+        [[dot(g1[i][j], h2[k][l]) for j in range(n) for l in range(n)] for i in range(n) for k in range(n)]
+    )
 
 
 # -- generic transport matrices and the compatibility identities ---------------

@@ -14,6 +14,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
+from .gauss import GaussianRational
 from .intlinalg import IntMatrix, rank_bareiss, smith_kernel_basis
 from .laurent import GeneratorTable, LaurentPoly, Q, RationalFn, exact_coefficient, exact_int, exact_poly_div
 
@@ -474,33 +475,34 @@ def gradient_at(h: RationalFn, point: Mapping[str, Fraction]) -> tuple:
     return pv / qv, [(dp * qv - pv * dq) / q2 if dp or dq else dp for dp, dq in zip(pg, qg)]
 
 
-def bracket_from_gradients(fg: list, gg: list, b_rows: list, wv: list) -> Fraction:
-    """{f, g} at a point from the gradients of f and g and the coordinates ``wv``."""
-    total = Q(0)
-    n = len(wv)
-    for i in range(n):
-        if fg[i] == 0 and gg[i] == 0:
-            continue
-        for j in range(i + 1, n):
-            bij = b_rows[i][j]
-            if bij == 0:
-                continue
-            cross = fg[i] * gg[j] - fg[j] * gg[i]
-            if cross == 0:
-                continue
-            total += Fraction(bij, 8) * wv[i] * wv[j] * cross
-    return total
+def bivector_at(quiver: Quiver, table: GeneratorTable, point: Mapping[str, Fraction]) -> list:
+    """The Poisson bivector at a point: {f, g} = sum over i != j of Pi_ij f_i g_j
+    with Pi_ij = b_ij w_i w_j / 8, in table order.  Row i holds the pairs
+    ``(j, Pi_ij)`` with Pi_ij nonzero."""
+    wv = [point[name] for name in table.names]
+    return [
+        [(j, pij) for j, bij in enumerate(row) if bij and (pij := Fraction(bij, 8) * wv[i] * wv[j])]
+        for i, row in enumerate(aligned_doubled(quiver, table))
+    ]
 
 
-def bracket_value_at(f: RationalFn, g: RationalFn, quiver: Quiver, point: Mapping[str, Fraction]) -> Fraction:
+def hamiltonian_at(pi: list, gg: list) -> list:
+    """Pi contracted with the gradient of g: entry i is {w_i, g} at the point,
+    so that {f, g} is ``dot(f's gradient, hamiltonian_at(pi, gg))``."""
+    return [sum([pij * gg[j] for j, pij in row if gg[j]], Q(0)) for row in pi]
+
+
+def dot(u: list, v: list) -> Fraction | GaussianRational:
+    """Exact dot product of two vectors, skipping zero entries."""
+    return sum([x * y for x, y in zip(u, v) if x and y], Q(0))
+
+
+def bracket_value_at(
+    f: RationalFn, g: RationalFn, quiver: Quiver, point: Mapping[str, Fraction]
+) -> Fraction | GaussianRational:
     """Exact value of {f, g} at a nonsingular point, via evaluated gradients."""
-    table = f.table
-    return bracket_from_gradients(
-        gradient_at(f, point)[1],
-        gradient_at(g, point)[1],
-        aligned_doubled(quiver, table),
-        [point[name] for name in table.names],
-    )
+    pi = bivector_at(quiver, f.table, point)
+    return dot(gradient_at(f, point)[1], hamiltonian_at(pi, gradient_at(g, point)[1]))
 
 
 # -- Casimir lattice ----------------------------------------------------------

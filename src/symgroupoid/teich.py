@@ -161,8 +161,11 @@ def _chain_matrix(surface: str, labels: tuple) -> MatrixRF:
 def matrix_braid(u: MatrixRF, i: int, direction: str = "+") -> MatrixRF:
     """Braid generator acting on a unipotent upper-triangular matrix.
 
-    Conjugates by the two-line block ``[[a, 1], [-1, 0]]`` built from the
-    entry ``a = u[i-1][i]``; the result is again unipotent upper-triangular.
+    Conjugates by the two-line block ``[[a, 1], [-1, 0]]`` (Bᵀ·U·B), or for
+    ``"-"`` by its inverse ``[[0, -1], [1, a]]``, built from the entry
+    ``a = u[i-1][i]``; the result is again unipotent upper-triangular.  The
+    block differs from the identity only on lines i-1 and i, so the
+    conjugation is two column updates and two row updates.
     """
     n = u.rows
     if not 1 <= i <= n - 1:
@@ -170,17 +173,17 @@ def matrix_braid(u: MatrixRF, i: int, direction: str = "+") -> MatrixRF:
     a = u[i - 1, i]
     if is_zero_entry(a):
         raise ArithmeticError("vanishing superdiagonal entry")
-    one = a / a
-    zero = a - a
-    block = MatrixRF.identity(n, one, zero)
-    block[i - 1, i - 1] = a
-    block[i - 1, i] = one
-    block[i, i - 1] = zero - one
-    block[i, i] = zero
+    p, q = i - 1, i
+    rows = [list(row) for row in u.entries]
     if direction == "+":
-        return block.transpose() * u * block
-    binv = block.inverse()
-    return binv.transpose() * u * binv
+        for row in rows:
+            row[p], row[q] = row[p] * a - row[q], row[p]
+        rows[p], rows[q] = [a * x - y for x, y in zip(rows[p], rows[q])], rows[p]
+    else:
+        for row in rows:
+            row[p], row[q] = row[q], row[q] * a - row[p]
+        rows[p], rows[q] = rows[q], [a * y - x for x, y in zip(rows[p], rows[q])]
+    return MatrixRF(rows)
 
 
 # -- surface construction -------------------------------------------------------------

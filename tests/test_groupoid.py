@@ -18,9 +18,11 @@ from symgroupoid.groupoid import (
     reflection_rhs,
     solve_unipotent_A,
 )
+from symgroupoid.gauss import GaussianRational
 from symgroupoid.laurent import GeneratorTable, RationalFn
 from symgroupoid.matrices import MatrixRF, charpoly_is_palindromic
 from symgroupoid.network import SquareNetwork
+from symgroupoid.quiver import poisson_bracket
 from symgroupoid.report import run_suite_checks
 from symgroupoid.suites import build_suite
 
@@ -214,21 +216,29 @@ def test_leaf_diagnostics_requires_unipotent():
 
 
 def test_bracket_tensor_at_matches_entrywise_brackets():
-    from symgroupoid.quiver import bracket_value_at
-
     net = SquareNetwork(3)
     a, at = net.assemble_A()
     rng = random.Random(5)
-    pt = {name: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for name in net.table.names}
+    real = {name: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for name in net.table.names}
+    # one non-real coordinate puts the contraction on GaussianRational values
+    first = net.table.names[0]
+    gaussian = dict(real, **{first: GaussianRational(real[first], Fraction(1, 2))})
     n = a.rows
+    nonreal = 0
     for m1, m2 in ((a, a), (a, at)):
-        tensor = bracket_tensor_at(m1, m2, net.quiver, pt)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        expected = bracket_value_at(m1[i, j], m2[k, l], net.quiver, pt)
-                        assert tensor[i * n + k, j * n + l] == expected
+        symbolic = {
+            (i, j, k, l): poisson_bracket(m1[i, j], m2[k, l], net.quiver)
+            for i in range(n)
+            for j in range(n)
+            for k in range(n)
+            for l in range(n)
+        }
+        for pt in (real, gaussian):
+            tensor = bracket_tensor_at(m1, m2, net.quiver, pt)
+            for (i, j, k, l), br in symbolic.items():
+                assert tensor[i * n + k, j * n + l] == br.evaluate(pt)
+            nonreal += sum(isinstance(x, GaussianRational) and x.im != 0 for row in tensor.entries for x in row)
+    assert nonreal
 
 
 def _dense_rhs(m, r, rt2):

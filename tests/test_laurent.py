@@ -451,3 +451,12 @@ def test_negative_power_of_an_integer_monomial_is_exact():
     m = LaurentPoly.monomial(T, 3, {"w:a": 1})
     assert (m ** -1).terms == {(-1, 0, 0): Fraction(1, 3)}
     assert (m ** -2 * m ** 2) == LaurentPoly.one(T)
+
+
+def test_gaussian_zero_is_falsy():
+    # truthiness zero-skips (gradients, the bracket contraction) must skip it
+    assert not GaussianRational(0)
+    assert not GaussianRational(Fraction(0), Fraction(0))
+    assert GaussianRational(0, 1)
+    assert GaussianRational(Fraction(1, 3))
+    assert [x for x in (GaussianRational(2) - 2, GaussianRational(1, -1)) if x] == [GaussianRational(1, -1)]

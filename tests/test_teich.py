@@ -3,7 +3,8 @@
 import pytest
 
 from symgroupoid import surfaces
-from symgroupoid.laurent import Q, RationalFn
+from symgroupoid.laurent import GeneratorTable, Q, RationalFn
+from symgroupoid.matrices import MatrixRF
 from symgroupoid.quiver import apply_sequence, mutate, poisson_bracket, wname
 from symgroupoid.suites import unit_count
 from symgroupoid.teich import (
@@ -144,6 +145,52 @@ def test_matrix_braid_involution_and_shape():
         assert matrix_braid(tw, i, "-") == upt
     with pytest.raises(IndexError):
         matrix_braid(upt, 6)
+
+
+def _dense_braid(u, i, direction):
+    """Bᵀ·U·B, or B⁻ᵀ·U·B⁻¹ for "-", with B the identity but for the block
+    [[a, 1], [-1, 0]] on lines i-1, i (a = u[i-1][i]), by dense products."""
+    a = u[i - 1, i]
+    one, zero = a / a, a - a
+    b = MatrixRF.identity(u.rows, one, zero)
+    b[i - 1, i - 1], b[i - 1, i], b[i, i - 1], b[i, i] = a, one, zero - one, zero
+    if direction == "-":
+        b = b.inverse()
+    return b.transpose() * u * b
+
+
+def _generic_unipotent(n):
+    table = GeneratorTable([f"u{i}{j}" for i in range(n) for j in range(i + 1, n)])
+    one, zero = RationalFn.constant(table, 1), RationalFn.constant(table, 0)
+    return MatrixRF(
+        [
+            [RationalFn.generator(table, f"u{i}{j}") if j > i else one if j == i else zero for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def test_matrix_braid_matches_dense_conjugation():
+    model = build_surface("genus2_x7")
+    u = chain_matrix(model.name, model.chains["braid"])
+    pt = {name: Q(k + 2, k + 1) for k, name in enumerate(model.seed.frame.names)}
+    for m in (u.evaluate(pt), _generic_unipotent(4)):
+        for i in range(1, m.rows):
+            for direction in ("+", "-"):
+                assert matrix_braid(m, i, direction) == _dense_braid(m, i, direction)
+
+
+def test_matrix_braid_rejects_bad_index_and_zero_superdiagonal():
+    m = _generic_unipotent(4)
+    for i in (0, 4):
+        for direction in ("+", "-"):
+            with pytest.raises(IndexError):
+                matrix_braid(m, i, direction)
+    m[1, 2] = m[1, 2] - m[1, 2]
+    for direction in ("+", "-"):
+        with pytest.raises(ArithmeticError):
+            matrix_braid(m, 2, direction)
+    assert matrix_braid(m, 1).is_unipotent_upper()
 
 
 def test_braid_twist_modes_small():
