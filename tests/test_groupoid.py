@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from symgroupoid import groupoid, suites
+from symgroupoid.gauss import GaussianRational
 from symgroupoid.groupoid import (
     InadmissibleMatrixError,
     RMatrix,
@@ -18,7 +19,6 @@ from symgroupoid.groupoid import (
     reflection_rhs,
     solve_unipotent_A,
 )
-from symgroupoid.gauss import GaussianRational
 from symgroupoid.laurent import GeneratorTable, RationalFn
 from symgroupoid.matrices import MatrixRF, charpoly_is_palindromic
 from symgroupoid.network import SquareNetwork
