@@ -67,6 +67,15 @@ def _load_json(path: str):
             raise UsageError(f"{path}: malformed JSON: {exc}") from exc
 
 
+def _write_json(document: dict, path: str | None) -> None:
+    """Write a JSON document to the file at ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w") as fh:
+            write_report(document, fh)
+    else:
+        write_report(document, sys.stdout)
+
+
 def _surface(name: str):
     if name not in surfaces.MODEL_NAMES:
         raise UsageError(f"unknown surface {name!r}; expected one of {surfaces.MODEL_NAMES}")
@@ -100,12 +109,7 @@ def cmd_mutate(args) -> int:
         out = apply_sequence(seed, seq)
     except (KeyError, ValueError, ArithmeticError) as exc:
         raise UsageError(f"mutation failed: {exc}") from exc
-    text = json.dumps(out.to_json(), indent=2, sort_keys=True)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_json(out.to_json(), args.json)
     return 0
 
 
@@ -131,12 +135,7 @@ def cmd_geodesic(args) -> int:
             net = SquareNetwork(args.network)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        text = json.dumps(net.to_json(), indent=2, sort_keys=True)
-        if args.json:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write_json(net.to_json(), args.json)
         return 0
     if not args.surface:
         raise UsageError("geodesic needs --surface NAME or --network N")
@@ -151,14 +150,9 @@ def cmd_geodesic(args) -> int:
     print(value.to_text())
     print(f"monomials (with multiplicity): {count}")
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(
-                {"surface": args.surface, "label": args.label, "value": value.to_json(), "count": str(count)},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        _write_json(
+            {"surface": args.surface, "label": args.label, "value": value.to_json(), "count": str(count)}, args.json
+        )
     return 0
 
 
@@ -179,9 +173,8 @@ def cmd_evaluate(args) -> int:
         data = _load_json(args.fn)
         if not isinstance(data, dict):
             raise UsageError(f"{args.fn}: a serialized rational function is a JSON object")
-        seed = _load_seed(args.fn) if "vertices" in data else None
-        if seed is not None:
-            raise UsageError("--fn expects a serialized rational function, not a seed")
+        if "vertices" in data:
+            raise UsageError(f"{args.fn}: --fn expects a serialized rational function, not a seed")
         from .laurent import GeneratorTable
 
         try:

@@ -278,7 +278,9 @@ def solve_unipotent_A(b: MatrixRF) -> dict:
 
 
 def leaf_diagnostics(a: MatrixRF) -> dict:
-    """Rank/spectrum/Pfaffian data of a unipotent form at a rational point."""
+    """Rank and spectrum data of a unipotent form at a rational point: the rank
+    of A + A^T, the characteristic polynomial of A^-T A, its palindromy, and the
+    multiplicity of the eigenvalue -1 against the count expected on a leaf."""
     if not a.is_unipotent_upper():
         raise ValueError("matrix must be unipotent upper-triangular")
     n = a.rows
@@ -304,12 +306,4 @@ def leaf_diagnostics(a: MatrixRF) -> dict:
         "minus_one_multiplicity": power,
         "on_leaf_multiplicity": max(expected_power, 0),
     }
-    if n % 2 == 0:
-        skew = a - a.transpose()
-        out["pfaffian_skew"] = skew.pfaffian()
-    if n == 4:
-        g = lambda i, j: a[i - 1, j - 1]
-        out["separating_sum"] = (
-            g(1, 3) * g(2, 4) - g(1, 2) * g(3, 4) - g(2, 3) * g(1, 4)
-        )
     return out

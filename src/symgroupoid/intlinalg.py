@@ -163,18 +163,3 @@ def smith_kernel_basis(m: IntMatrix) -> list:
             basis.append(vec)
     return basis
 
-
-def kernel_rank_bruteforce(m: IntMatrix, bound: int = 3) -> int:
-    """Dev oracle for tiny matrices: dimension of the kernel by enumerating
-    small-coefficient vectors and counting independent ones."""
-    from itertools import product
-
-    vecs = []
-    for cand in product(range(-bound, bound + 1), repeat=m.cols):
-        if all(x == 0 for x in cand):
-            continue
-        if all(s == 0 for s in m.mul_vector(cand)):
-            trial = vecs + [list(cand)]
-            if rank_bareiss(IntMatrix(trial)) == len(trial):
-                vecs.append(list(cand))
-    return len(vecs)

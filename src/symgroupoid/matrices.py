@@ -261,12 +261,6 @@ class MatrixRF:
     def evaluate(self, point) -> "MatrixRF":
         return self.map(lambda f: f.evaluate(point))
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.rows,
-            "entries": [[x.to_json() if hasattr(x, "to_json") else str(x) for x in row] for row in self.entries],
-        }
-
     def __repr__(self) -> str:
         return f"MatrixRF({self.rows}x{self.cols})"
 

@@ -139,15 +139,9 @@ class Quiver:
         )
 
     def to_json(self) -> dict:
-        entries = []
-        for i in range(len(self.vertices)):
-            for j in range(len(self.vertices)):
-                w = self.doubled[i, j]
-                if w > 0:
-                    entries.append([self.vertices[i], self.vertices[j], w])
         return {
             "vertices": list(self.vertices),
-            "doubled_exchange": entries,
+            "doubled_exchange": [list(arrow) for arrow in self.arrows()],
             "frozen": sorted(self.frozen),
         }
 
@@ -497,14 +491,6 @@ def dot(u: list, v: list) -> Fraction | GaussianRational:
     return sum([x * y for x, y in zip(u, v) if x and y], Q(0))
 
 
-def bracket_value_at(
-    f: RationalFn, g: RationalFn, quiver: Quiver, point: Mapping[str, Fraction]
-) -> Fraction | GaussianRational:
-    """Exact value of {f, g} at a nonsingular point, via evaluated gradients."""
-    pi = bivector_at(quiver, f.table, point)
-    return dot(gradient_at(f, point)[1], hamiltonian_at(pi, gradient_at(g, point)[1]))
-
-
 # -- Casimir lattice ----------------------------------------------------------
 
 
@@ -536,13 +522,4 @@ def monomial_casimirs(quiver: Quiver) -> list:
 
 def monomial_is_casimir(quiver: Quiver, z_exponents: Mapping[str, Fraction]) -> bool:
     """Check Sum_j eps_ij alpha_j = 0 for a monomial prod z_j^alpha_j (alpha rational)."""
-    alphas = [Fraction(z_exponents.get(v, 0)) for v in quiver.vertices]
-    n = len(alphas)
-    for i in range(n):
-        s = Q(0)
-        for j in range(n):
-            if alphas[j]:
-                s += Fraction(quiver.doubled[i, j], 2) * alphas[j]
-        if s != 0:
-            return False
-    return True
+    return not any(quiver.doubled.mul_vector([Fraction(z_exponents.get(v, 0)) for v in quiver.vertices]))

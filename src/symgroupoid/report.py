@@ -121,6 +121,7 @@ def all_report(reports: list, rng_seed: int) -> dict:
 
 
 def write_report(document: dict, fh) -> None:
-    """Write a report document to an open text file, as sorted, indented JSON."""
+    """Write a JSON document (a report, a seed, a network) to an open text
+    file, as sorted, indented JSON."""
     json.dump(document, fh, indent=2, sort_keys=True)
     fh.write("\n")

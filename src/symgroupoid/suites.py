@@ -29,7 +29,6 @@ from .quiver import (
     Seed,
     apply_sequence,
     bivector_at,
-    bracket_value_at,
     corank,
     dot,
     gradient_at,
@@ -123,6 +122,17 @@ def unit_count(f: RationalFn) -> Fraction:
 
 def _positive_point(table: GeneratorTable, rng: random.Random, lo: int = 1, hi: int = 40) -> dict:
     return {name: Q(rng.randint(lo, hi), rng.randint(lo, hi)) for name in table.names}
+
+
+def _random_unipotent(rng: random.Random, n: int) -> MatrixRF:
+    """A generic n x n unipotent upper-triangular matrix over the rationals,
+    its strict upper entries drawn row by row."""
+    return MatrixRF(
+        [
+            [Q(1) if i == j else (Q(rng.randint(1, 9), rng.randint(1, 4)) if j > i else Q(0)) for j in range(n)]
+            for i in range(n)
+        ]
+    )
 
 
 def _solve_admissible(draw) -> dict | None:
@@ -272,13 +282,7 @@ def diagnostics(rng_seed):
         return (False, "identity diagnostics broken")
     rng = random.Random(rng_seed + 3)
     for n in (4, 5, 6):
-        a = MatrixRF(
-            [
-                [Q(1) if i == j else (Q(rng.randint(1, 9), rng.randint(1, 4)) if j > i else Q(0)) for j in range(n)]
-                for i in range(n)
-            ]
-        )
-        d = leaf_diagnostics(a)
+        d = leaf_diagnostics(_random_unipotent(rng, n))
         if not d["palindromic"]:
             return (False, f"palindromy fails for generic unipotent size {n}")
     return True
@@ -300,10 +304,11 @@ def pfaffian_vs_pencil(rng_seed):
     )
     for i in range(4):
         signed[i, i] = Q(1)
-    d = leaf_diagnostics(signed)
-    msum = d["separating_sum"]
-    pf = d["pfaffian_skew"]
-    if pf * pf != ((signed - signed.transpose()).det()):
+    g = lambda i, j: signed[i - 1, j - 1]
+    msum = g(1, 3) * g(2, 4) - g(1, 2) * g(3, 4) - g(2, 3) * g(1, 4)
+    skew = signed - signed.transpose()
+    pf = skew.pfaffian()
+    if pf * pf != skew.det():
         return (False, "pfaffian square differs from the determinant")
     if msum != -pf and msum != pf:
         return (False, "separating sum is not the skew pfaffian up to sign")
@@ -332,13 +337,7 @@ def spectrum_on_reduced_locus(rng_seed):
     if d["minus_one_multiplicity"] < d["on_leaf_multiplicity"]:
         return (False, "missing -1 eigenvalues on the size-8 reduced locus")
     # negative control: a generic unipotent matrix carries none
-    a = MatrixRF(
-        [
-            [Q(1) if i == j else (Q(rng.randint(1, 9), rng.randint(1, 4)) if j > i else Q(0)) for j in range(5)]
-            for i in range(5)
-        ]
-    )
-    if leaf_diagnostics(a)["minus_one_multiplicity"] != 0:
+    if leaf_diagnostics(_random_unipotent(rng, 5))["minus_one_multiplicity"] != 0:
         return (False, "off-locus control unexpectedly divisible")
     return True
 
@@ -567,16 +566,17 @@ def reflection_equation_n4_points(rng_seed):
 @check("reflection", "reflection_twin_commutation_n4", "mirror entries commute at random points (n = 4)")
 def twin_commutation_n4_points(rng_seed):
     net = SquareNetwork(4)
+    a, at = net.assemble_A()
     rng = random.Random(rng_seed + 1)
-    entries = [(i, j) for i in range(1, 4) for j in range(i + 1, 5)]
+    entries = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     for rep in range(2):
-        pt = _positive_point(net.table, rng, 1, 20)
+        # entry ((i,k),(j,l)) is {a_ij, at_kl}; the signs of assemble_A do not
+        # change which brackets vanish
+        tensor = bracket_tensor_at(a, at, net.quiver, _positive_point(net.table, rng, 1, 20))
         for (i, j) in entries:
-            f = net.path_sum_entry(i, j)
             for (k, l) in entries:
-                g = net.path_sum_entry(k, l, "Atilde")
-                if bracket_value_at(f, g, net.quiver, pt) != 0:
-                    return (False, f"pair ({i},{j}),({k},{l}) fails at a point")
+                if tensor[i * 4 + k, j * 4 + l] != 0:
+                    return (False, f"pair ({i + 1},{j + 1}),({k + 1},{l + 1}) fails at a point")
     return True
 
 

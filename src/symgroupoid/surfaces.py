@@ -21,13 +21,13 @@ def _renamed_active(n: int, rename: dict) -> Quiver:
     """Non-frozen part of the amalgamated lattice quiver under new names."""
     amalg = amalgamated_quiver(n)
     active = [v for v in amalg.vertices if v not in amalg.frozen]
-    arrows = []
-    for u in active:
-        for v in active:
-            w = amalg.b(u, v)
-            if w > 0:
-                arrows.append((rename[u], rename[v], w))
+    arrows = [(rename[u], rename[v], w) for u, v, w in amalg.arrows() if not {u, v} & amalg.frozen]
     return Quiver.from_arrows([rename[v] for v in active], arrows)
+
+
+def _with_vertex(q: Quiver, v: str, arrows: list) -> Quiver:
+    """``q`` with one more vertex ``v`` and the given arrows added."""
+    return Quiver.from_arrows(list(q.vertices) + [v], q.arrows() + arrows, q.frozen)
 
 
 def genus2_original_quiver() -> Quiver:
@@ -52,11 +52,7 @@ def genus2_papillon_quiver() -> Quiver:
 
 def genus2_x7_quiver() -> Quiver:
     """Two-wing quiver with the third wing pair (f, g) closing the triangle."""
-    pap = genus2_papillon_quiver()
-    vertices = list(pap.vertices) + ["g"]
-    arrows = [(u, v, w) for u, v, w in pap.arrows()]
-    arrows += [("g", "f", 4), ("e", "g", 2)]
-    return Quiver.from_arrows(vertices, arrows)
+    return _with_vertex(genus2_papillon_quiver(), "g", [("g", "f", 4), ("e", "g", 2)])
 
 
 # -- genus three: twelve-vertex charts ----------------------------------------
@@ -87,21 +83,16 @@ def genus3_symmetric_quiver() -> Quiver:
 
 def genus3_extended_quiver() -> Quiver:
     """Original chart plus the twist vertex, order four, balanced in/out."""
-    base = genus3_original_quiver()
-    vertices = list(base.vertices) + ["at"]
-    arrows = [(u, v, w) for u, v, w in base.arrows()]
-    arrows += [("at", "a3", 2), ("at", "a1", 2), ("b3", "at", 2), ("d1", "at", 2)]
-    return Quiver.from_arrows(vertices, arrows)
+    return _with_vertex(
+        genus3_original_quiver(), "at", [("at", "a3", 2), ("at", "a1", 2), ("b3", "at", 2), ("d1", "at", 2)]
+    )
 
 
 def genus3_wing_quiver() -> Quiver:
     """The chart where the dual geodesic is a two-letter word: mutate the
     original at a3 then a2 and attach the twist wing at (a1, a2)."""
     q = genus3_original_quiver().mutate_matrix("a3").mutate_matrix("a2")
-    vertices = list(q.vertices) + ["at"]
-    arrows = [(u, v, w) for u, v, w in q.arrows()]
-    arrows += [("at", "a1", 4), ("a2", "at", 2)]
-    return Quiver.from_arrows(vertices, arrows)
+    return _with_vertex(q, "at", [("at", "a1", 4), ("a2", "at", 2)])
 
 
 # -- genus four (size five) ----------------------------------------------------

@@ -105,6 +105,36 @@ def test_network_dump(tmp_path):
     assert main(["geodesic", "--network", "7"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mutate", "--quiver", "SEED", "--seq", "a"],
+        ["geodesic", "--network", "4"],
+    ],
+)
+def test_json_file_matches_stdout(tmp_path, capsys, argv):
+    # one writer: --json FILE gets the same bytes as stdout without it
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps(build_surface("genus2_x7").seed.to_json()))
+    argv = [str(seed) if a == "SEED" else a for a in argv]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert main(argv + ["--json", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == stdout
+
+
+def test_evaluate_fn_that_is_a_seed(tmp_path, capsys):
+    pt = tmp_path / "p.json"
+    pt.write_text(json.dumps({"w:a": "1"}))
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps(build_surface("genus2_k33").seed.to_json()))
+    assert main(["evaluate", "--fn", str(seed), "--point", str(pt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "not a seed" in err
+
+
 def test_verify_unknown_suite():
     assert main(["verify", "nonsense"]) == 2
 

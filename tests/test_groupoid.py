@@ -241,6 +241,19 @@ def test_bracket_tensor_at_matches_entrywise_brackets():
     assert nonreal
 
 
+def test_twin_brackets_vanish_and_self_brackets_do_not():
+    # negative control for reflection_twin_commutation_n4: at the same point,
+    # {A (x) Atilde} is the zero tensor while {A (x) A} is not
+    net = SquareNetwork(4)
+    a, at = net.assemble_A()
+    rng = random.Random(3)
+    pt = {name: Fraction(rng.randint(1, 20), rng.randint(1, 20)) for name in net.table.names}
+    twin = bracket_tensor_at(a, at, net.quiver, pt)
+    assert all(x == 0 for row in twin.entries for x in row)
+    self_tensor = bracket_tensor_at(a, a, net.quiver, pt)
+    assert any(x != 0 for row in self_tensor.entries for x in row)
+
+
 def _dense_rhs(m, r, rt2):
     """r M1M2 - M1M2 r - M1 rt2 M2 + M2 rt2 M1 as dense Fraction products, with
     M1 = M (x) 1 and M2 = 1 (x) M on the doubled index (i, k) -> i n + k."""

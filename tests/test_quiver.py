@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symgroupoid.groupoid import bracket_tensor_at
 from symgroupoid.laurent import LaurentPoly, Q, RationalFn
+from symgroupoid.matrices import MatrixRF
 from symgroupoid.quiver import (
     ClusterValue,
     FrozenVertexError,
@@ -15,7 +17,6 @@ from symgroupoid.quiver import (
     Quiver,
     Seed,
     apply_sequence,
-    bracket_value_at,
     corank,
     initial_table,
     monomial_casimirs,
@@ -155,7 +156,8 @@ def test_bracket_value_at_matches_symbolic():
     y = a ** 2 - f.inverse()
     point = {name: Fraction(k + 2, 3) for k, name in enumerate(t.names)}
     sym = poisson_bracket(x, y, PATTERN).evaluate(point)
-    assert bracket_value_at(x, y, PATTERN, point) == sym
+    # the 1x1 bracket tensor of [[x]] and [[y]] is the single value {x, y}
+    assert bracket_tensor_at(MatrixRF([[x]]), MatrixRF([[y]]), PATTERN, point)[0, 0] == sym
 
 
 def test_poisson_compatibility_of_mutation():
