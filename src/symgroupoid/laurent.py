@@ -88,10 +88,13 @@ class GeneratorTable:
 
 def exact_coefficient(x) -> int | Fraction:
     """The exact rational ``x`` as a coefficient: an ``int`` when integral, else
-    a ``Fraction``; strings are parsed by ``Fraction``, and floats, bools and
-    anything else are a TypeError."""
+    a ``Fraction``.  An ``int`` or a ``Fraction`` is not rebuilt (an integral
+    ``Fraction`` gives its numerator); strings are parsed by ``Fraction``, and
+    floats, bools and anything else are a TypeError."""
     if type(x) is int:
         return x
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
         raise TypeError(f"cannot interpret {x!r} as an exact rational")
     x = Fraction(x)

@@ -11,7 +11,7 @@ than by multivariate gcd.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .gauss import GaussianRational
@@ -419,44 +419,58 @@ def _poly_bracket(p: LaurentPoly, r: LaurentPoly, b_rows: list) -> LaurentPoly:
 
     The monomial bracket {w^a, w^b} is (a·B·b)/8 · w^(a+b) with B the doubled
     exchange matrix, so the integers ``ca*cb*a·B·b`` are summed here and the
-    caller takes the 1/8 once.
+    caller takes the 1/8 once.  B·e is formed once per term e of the operand
+    with fewer terms, from the nonzero entries of each row of B; when that
+    operand is ``p``, each pair reads b·B·a, which is −a·B·b because ``Quiver``
+    keeps B skew-symmetric.
     """
-    table = p.table
+    if len(p.terms) < len(r.terms):
+        small, big, sign = p.terms, r.terms, -1
+    else:
+        small, big, sign = r.terms, p.terms, 1
+    rows = [[(j, bij) for j, bij in enumerate(row) if bij] for row in b_rows]
+    cache = []
+    for e, c in small.items():
+        col = [sum([bij * e[j] for j, bij in row]) for row in rows]
+        if any(col):
+            cache.append((e, sign * c, col))
     terms: dict = {}
-    bcache = []
-    for beta, cb in r.terms.items():
-        col = [sum(b_rows[i][j] * beta[j] for j in range(len(beta)) if beta[j]) for i in range(len(beta))]
-        bcache.append((beta, cb, col))
-    for alpha, ca in p.terms.items():
-        nz = [i for i, a in enumerate(alpha) if a]
-        for beta, cb, col in bcache:
-            q = sum(alpha[i] * col[i] for i in nz)
+    for a, ca in big.items():
+        for e, c, col in cache:
+            q = sum(map(mul, a, col))
             if q == 0:
                 continue
-            key = tuple(map(add, alpha, beta))
-            s = terms.get(key, 0) + ca * cb * q
+            key = tuple(map(add, a, e))
+            s = terms.get(key, 0) + ca * c * q
             if s:
                 terms[key] = s
             elif key in terms:
                 del terms[key]
-    return LaurentPoly(table, terms)
+    return LaurentPoly(p.table, terms)
 
 
-def poisson_bracket(f: RationalFn, g: RationalFn, quiver: Quiver) -> RationalFn:
-    """{f, g} for the log-canonical bracket {z_u, z_v} = eps_uv z_u z_v."""
+def bracket_numerator(f: RationalFn, g: RationalFn, quiver: Quiver) -> LaurentPoly:
+    """N = 8·q²s²·{f, g} for f = p/q and g = r/s, with integer coefficients
+    when f and g have them:  N = 8({p, r}qs − {p, s}qr − {q, r}ps + {q, s}pr)."""
     table = f.table
     if g.table != table:
         raise ValueError("mixed generator tables")
     b_rows = aligned_doubled(quiver, table)
     p, q = f.num, f.den
     r, s = g.num, g.den
-    num = (
-        _poly_bracket(p, r, b_rows) * q * s
+    return (
+        _poly_bracket(p, r, b_rows) * (q * s)
         - _poly_bracket(p, s, b_rows) * q * r
         - _poly_bracket(q, r, b_rows) * p * s
         + _poly_bracket(q, s, b_rows) * p * r
     )
-    return RationalFn(num.scale(Fraction(1, 8)), q * q * s * s)
+
+
+def poisson_bracket(f: RationalFn, g: RationalFn, quiver: Quiver) -> RationalFn:
+    """{f, g} for the log-canonical bracket {z_u, z_v} = eps_uv z_u z_v:
+    ``bracket_numerator`` over q²s², its 1/8 taken once."""
+    qs = f.den * g.den
+    return RationalFn(bracket_numerator(f, g, quiver).scale(Fraction(1, 8)), qs * qs)
 
 
 def gradient_at(h: RationalFn, point: Mapping[str, Fraction]) -> tuple:

@@ -1037,8 +1037,7 @@ def twist_realization(rng_seed):
     q = model.quiver
     gb = catalog_value(model, "G_B")
     g45 = catalog_value(model, "G_{4,5}")
-    half = RationalFn.constant(t, Fraction(1, 2))
-    lhs = half * gb * g45 - poisson_bracket(gb, g45, q)
+    lhs = skein_product(g45, gb, q)
     one = RationalFn.constant(t, 1)
     zat = RationalFn.generator(t, wname("at"), 2)
     wbind = {n: RationalFn.generator(t, n) for n in t.names}

@@ -18,8 +18,8 @@ from .quiver import (
     Quiver,
     Seed,
     apply_sequence,
+    bracket_numerator,
     mutate,
-    poisson_bracket,
     wname,
 )
 from . import surfaces
@@ -102,8 +102,15 @@ def cv_sum(values: Sequence[ClusterValue]) -> RationalFn:
 
 
 def skein_product(f: RationalFn, g: RationalFn, quiver: Quiver) -> RationalFn:
-    """The distinguished resolution 1/2 f g + {f, g} of a single crossing."""
-    return RationalFn.constant(f.table, Fraction(1, 2)) * f * g + poisson_bracket(f, g, quiver)
+    """The distinguished resolution 1/2 f g + {f, g} of a single crossing.
+
+    For f = p/q and g = r/s both summands are taken over q²s²: the numerator
+    4·p·r·q·s + N, with N = ``bracket_numerator(f, g)``, stays integral on
+    integral operands, and its 1/8 is taken once.
+    """
+    qs = f.den * g.den
+    num = f.num * g.num * qs.scale(4) + bracket_numerator(f, g, quiver)
+    return RationalFn(num.scale(Fraction(1, 8)), qs * qs)
 
 
 class SkeinInconsistency(ArithmeticError):
@@ -138,7 +145,7 @@ def check_split_points(u: MatrixRF, quiver: Quiver) -> None:
         for i in range(m - span):
             j = i + span
             for k in range(i + 2, j):
-                if not (skein_product(u[i, k], u[k, j], quiver) - u[i, j]).is_zero():
+                if skein_product(u[i, k], u[k, j], quiver) != u[i, j]:
                     raise SkeinInconsistency(f"entry ({i + 1},{j + 1}) depends on the split point")
 
 

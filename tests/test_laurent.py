@@ -13,6 +13,7 @@ from symgroupoid.laurent import (
     Q,
     RationalFn,
     SingularPointError,
+    exact_coefficient,
     exact_poly_div,
 )
 
@@ -395,6 +396,16 @@ def test_inexact_coefficient_is_rejected():
         LaurentPoly.one(T).scale(True)
     with pytest.raises(TypeError):
         LaurentPoly.constant(T, 0.5)
+
+
+def test_exact_coefficient_keeps_an_exact_fraction():
+    half = Fraction(1, 2)
+    assert exact_coefficient(half) is half
+    two = exact_coefficient(Fraction(4, 2))
+    assert two == 2 and type(two) is int
+    for bad in (True, 0.5, None):
+        with pytest.raises(TypeError):
+            exact_coefficient(bad)
 
 
 def _reference_product(a, b):

@@ -16,7 +16,10 @@ from symgroupoid.quiver import (
     HalfIntegerMutationError,
     Quiver,
     Seed,
+    _poly_bracket,
+    aligned_doubled,
     apply_sequence,
+    bracket_numerator,
     corank,
     initial_table,
     monomial_casimirs,
@@ -144,6 +147,97 @@ def test_jacobi_identity_on_monomials(e1, e2, e3):
 
     jac = br(x, br(y, z)) + br(y, br(z, x)) + br(z, br(x, y))
     assert jac.is_zero()
+
+
+def _monomial_bracket_sum(p, r, b_rows):
+    """8·{p, r} summed one term pair at a time: ca·cb·(a·B·b) at a + b."""
+    terms = {}
+    for a, ca in p.terms.items():
+        for b, cb in r.terms.items():
+            aBb = sum(a[i] * b_rows[i][j] * b[j] for i in range(len(a)) for j in range(len(b)))
+            key = tuple(x + y for x, y in zip(a, b))
+            terms[key] = terms.get(key, 0) + ca * cb * aBb
+    return LaurentPoly(p.table, terms)
+
+
+def _random_poly(rng, t, size):
+    terms = {}
+    while len(terms) < size:
+        exps = tuple(rng.randint(-2, 2) for _ in range(len(t)))
+        terms[exps] = rng.choice([1, -3, 7, Fraction(2, 3), Fraction(-5, 4)])
+    return LaurentPoly(t, terms)
+
+
+def test_poly_bracket_matches_pairwise_monomial_brackets():
+    # _poly_bracket forms B·e over the operand with fewer terms and reads
+    # a·B·b = −b·B·a when that is the first one: both orders, both sides smaller
+    rng = random.Random(11)
+    for q in (PATTERN, Quiver.from_arrows(["u", "v", "x"], [("u", "v", 1), ("v", "x", 3), ("x", "u", 2)])):
+        t = initial_table(q.vertices)
+        b_rows = aligned_doubled(q, t)
+        for sizes in ((2, 9), (9, 2), (1, 6), (5, 5)):
+            p, r = (_random_poly(rng, t, n) for n in sizes)
+            expected = _monomial_bracket_sum(p, r, b_rows)
+            assert not expected.is_zero()
+            assert _poly_bracket(p, r, b_rows) == expected
+            assert _poly_bracket(r, p, b_rows) == -expected
+
+
+def _bracket_by_derivatives(f, g, quiver):
+    """{f, g} = sum over i, j of b_ij·w_i·w_j/8 · df/dw_i · dg/dw_j, from
+    generic RationalFn operations."""
+    t = f.table
+    b_rows = aligned_doubled(quiver, t)
+    gens = [RationalFn.generator(t, n) for n in t.names]
+    df = [f.derivative(n) for n in t.names]
+    dg = [g.derivative(n) for n in t.names]
+    total = RationalFn.constant(t, 0)
+    for i, row in enumerate(b_rows):
+        for j, bij in enumerate(row):
+            if bij and not df[i].is_zero() and not dg[j].is_zero():
+                total = total + Fraction(bij, 8) * gens[i] * gens[j] * df[i] * dg[j]
+    return total
+
+
+def _bracket_operands(t):
+    """Pairs with a monomial, a non-monomial, and a non-unit-constant
+    denominator, on int and on Fraction coefficients."""
+    gen = {v: RationalFn.generator(t, wname(v)) for v in "fabcd"}
+    one = RationalFn.constant(t, 1)
+    x = (gen["f"] ** 2 + gen["a"]) / (one + gen["f"] * gen["a"] ** 3)
+    y = gen["a"] ** 2 - gen["f"] ** -2 + gen["b"] * gen["d"] ** -1
+    u = RationalFn(
+        LaurentPoly(t, {(1, 0, 2, 0, 0): Fraction(3, 2), (0, -1, 0, 1, 0): -5}),
+        LaurentPoly(t, {(0, 0, 0, 0, 2): 3}),
+    )
+    v = RationalFn(
+        LaurentPoly(t, {(2, 1, 0, 0, 0): Fraction(-7, 3), (0, 0, 0, 0, 1): 4}),
+        LaurentPoly(t, {(0, 0, 0, 0, 0): 2, (1, 0, 0, 1, 0): Fraction(5, 3)}),
+    )
+    return [(x, y), (y, x), (u, v), (u, y), (x, v), (y, u)]
+
+
+def test_poisson_bracket_matches_derivative_oracle():
+    t = initial_table(PATTERN.vertices)
+    for f, g in _bracket_operands(t):
+        expected = _bracket_by_derivatives(f, g, PATTERN)
+        assert not expected.is_zero()
+        assert poisson_bracket(f, g, PATTERN) == expected
+        qs = f.den * g.den
+        n = bracket_numerator(f, g, PATTERN)
+        assert RationalFn(n, qs * qs) == 8 * expected
+
+
+def test_poisson_bracket_on_chain_entries_matches_derivative_oracle():
+    from symgroupoid.teich import build_surface, chain_matrix
+
+    model = build_surface("genus2_x7")
+    u = chain_matrix(model.name, model.chains["braid"])
+    for (i, j), (k, l) in (((0, 1), (1, 2)), ((0, 2), (2, 4)), ((0, 2), (1, 3)), ((1, 4), (2, 5))):
+        f, g = u[i, j], u[k, l]
+        expected = _bracket_by_derivatives(f, g, model.quiver)
+        assert not expected.is_zero()
+        assert poisson_bracket(f, g, model.quiver) == expected
 
 
 def test_bracket_value_at_matches_symbolic():

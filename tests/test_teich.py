@@ -1,9 +1,12 @@
 """Surface charts: telescopic values, twists, skein completion, braid action."""
 
+import hashlib
+import json
+
 import pytest
 
 from symgroupoid import surfaces
-from symgroupoid.laurent import GeneratorTable, Q, RationalFn
+from symgroupoid.laurent import GeneratorTable, LaurentPoly, Q, RationalFn
 from symgroupoid.matrices import MatrixRF
 from symgroupoid.quiver import apply_sequence, mutate, poisson_bracket, wname
 from symgroupoid.suites import unit_count
@@ -109,6 +112,43 @@ def test_skein_complete_chain_and_k_independence():
     small = skein_complete(chain[:2], model.quiver)
     assert small.rows == 3
     assert small[0, 2] == skein_product(chain[0], chain[1], model.quiver)
+
+
+def _skein_by_generic_operations(f, g, quiver):
+    return RationalFn.constant(f.table, Q(1, 2)) * f * g + poisson_bracket(f, g, quiver)
+
+
+def test_skein_product_matches_generic_operations():
+    x7 = build_surface("genus2_x7")
+    u = chain_matrix(x7.name, x7.chains["braid"])
+    g3 = build_surface("genus3_extended")
+    v = chain_matrix(g3.name, g3.chains["rank"])
+    pairs = [
+        (x7, u[0, 1], u[1, 2]),
+        (x7, u[0, 2], u[2, 5]),
+        (x7, u[1, 4], u[0, 3]),
+        (g3, v[0, 2], v[2, 5]),
+        (g3, v[3, 4], v[1, 3]),
+    ]
+    t = x7.seed.frame
+    gen = {n: RationalFn.generator(t, wname(n)) for n in x7.quiver.vertices}
+    one = RationalFn.constant(t, 1)
+    # a non-monomial denominator
+    x = (gen["a"] ** 2 + gen["f"]) / (one + gen["a"] * gen["g"] ** 3)
+    y = u[0, 1] / (gen["b"] ** 2 + gen["c"] * gen["e"])
+    # Fraction coefficients over denominators whose constant is not 1
+    w = RationalFn(
+        (gen["a"] * gen["d"] ** 2).num.scale(Q(3, 2)) - gen["g"].num.scale(5),
+        (gen["f"] ** 2).num.scale(3),
+    )
+    z = RationalFn(
+        (gen["c"] ** 2 * gen["b"]).num.scale(Q(-7, 3)) + gen["e"].num,
+        LaurentPoly.constant(t, 2) + (gen["a"] * gen["f"]).num.scale(Q(5, 3)),
+    )
+    pairs += [(x7, f, g) for f, g in ((x, y), (y, x), (w, z), (z, u[0, 2]), (w, x))]
+    for model, f, g in pairs:
+        assert not poisson_bracket(f, g, model.quiver).is_zero()
+        assert skein_product(f, g, model.quiver) == _skein_by_generic_operations(f, g, model.quiver)
 
 
 def test_skein_inconsistency_detected():
@@ -248,3 +288,24 @@ def test_twisted_seed_values_in_lowest_terms():
             b.den.term_count(),
         ), v
     assert telescopic(word, sm).is_laurent()
+
+
+# sha256 of the serialized catalog values of every surface and of three chain
+# matrices, as the exact arithmetic stores them; ``geodesic --label`` prints
+# ``(num) / (den)``, so a value that stays equal but is stored differently
+# would change that output without changing any verdict
+STORED_VALUES_SHA256 = "b5b4e11a104a0e58c344b740008657426cec53fb13bed6f77298e542d03b7d47"
+
+
+def test_stored_representation_is_pinned():
+    doc = {}
+    for name in surfaces.MODEL_NAMES:
+        model = build_surface(name)
+        for label in model.catalog:
+            doc[f"{name}/{label}"] = catalog_value(model, label).to_json()
+    assert len(doc) == 51
+    for name, chain in (("genus3_extended", "rank"), ("genus4_n5", "rank"), ("genus2_x7", "braid")):
+        u = chain_matrix(name, build_surface(name).chains[chain])
+        doc[f"chain/{name}"] = [[u[i, j].to_json() for j in range(u.cols)] for i in range(u.rows)]
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == STORED_VALUES_SHA256
