@@ -43,21 +43,18 @@ def theta(x: int) -> Fraction:
 class RMatrix:
     """Trigonometric classical r-matrix on the doubled index space.
 
-    ``r[(i,k),(j,l)] = theta(j - i) delta_il delta_jk``; the partial transpose
-    in the second leg is ``rt2[(i,k),(j,l)] = theta(j - i) delta_ik delta_jl``.
-    Checked at construction: r + r^T equals the permutation operator P.
+    ``r[(i,k),(j,l)] = theta(j - i) delta_il delta_jk``.  Checked at
+    construction: r + r^T equals the permutation operator P.
     """
 
     def __init__(self, n: int):
         self.n = n
         m = n * n
         self.r = [[Q(0)] * m for _ in range(m)]
-        self.rt2 = [[Q(0)] * m for _ in range(m)]
         self.p = [[Q(0)] * m for _ in range(m)]
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 self.r[(i - 1) * n + (j - 1)][(j - 1) * n + (i - 1)] = theta(j - i)
-                self.rt2[(i - 1) * n + (i - 1)][(j - 1) * n + (j - 1)] = theta(j - i)
                 self.p[(i - 1) * n + (j - 1)][(j - 1) * n + (i - 1)] = Q(1)
         for a in range(m):
             for b in range(m):
@@ -66,8 +63,9 @@ class RMatrix:
 
 
 def reflection_rhs(mv: MatrixRF) -> MatrixRF:
-    """Right side of the reflection identity r M1M2 - M1M2 r - M1 rt2 M2 + M2 rt2 M1
-    for a matrix of field values, built entrywise: entry ((i,k),(j,l)) is
+    """Right side of the reflection identity r M1M2 - M1M2 r - M1 rt2 M2 + M2 rt2 M1,
+    rt2 the partial transpose of r in the second leg, for a matrix of field
+    values, built entrywise: entry ((i,k),(j,l)) is
     (th(k-i) - th(j-l)) m_kj m_il - th(j-k) m_ik m_jl + th(l-i) m_ki m_lj."""
     n = mv.rows
     m = mv.entries

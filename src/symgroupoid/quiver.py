@@ -414,15 +414,16 @@ def aligned_doubled(quiver: Quiver, table: GeneratorTable) -> list:
     return rows
 
 
-def _poly_bracket(p: LaurentPoly, r: LaurentPoly, b_rows: list) -> LaurentPoly:
-    """8·{p, r} for Laurent polynomials in w-generators: pairwise monomial brackets.
+def _poly_bracket(p: LaurentPoly, r: LaurentPoly, b_rows: list, unit: int = 0) -> LaurentPoly:
+    """Σ ca·cb·(unit + a·B·b)·w^(a+b) over the term pairs of p and r: 8·{p, r}
+    at ``unit`` 0, and 8·(½·p·r + {p, r}) at ``unit`` 4.
 
     The monomial bracket {w^a, w^b} is (a·B·b)/8 · w^(a+b) with B the doubled
-    exchange matrix, so the integers ``ca*cb*a·B·b`` are summed here and the
-    caller takes the 1/8 once.  B·e is formed once per term e of the operand
-    with fewer terms, from the nonzero entries of each row of B; when that
-    operand is ``p``, each pair reads b·B·a, which is −a·B·b because ``Quiver``
-    keeps B skew-symmetric.
+    exchange matrix, so integers are summed here and the caller takes the 1/8
+    once.  B·e is formed once per term e of the operand with fewer terms, from
+    the nonzero entries of each row of B; when that operand is ``p``, B·e is
+    negated, since b·B·a is −a·B·b when ``Quiver`` keeps B skew-symmetric.  The
+    unit is symmetric and is never negated.
     """
     if len(p.terms) < len(r.terms):
         small, big, sign = p.terms, r.terms, -1
@@ -431,13 +432,13 @@ def _poly_bracket(p: LaurentPoly, r: LaurentPoly, b_rows: list) -> LaurentPoly:
     rows = [[(j, bij) for j, bij in enumerate(row) if bij] for row in b_rows]
     cache = []
     for e, c in small.items():
-        col = [sum([bij * e[j] for j, bij in row]) for row in rows]
-        if any(col):
-            cache.append((e, sign * c, col))
+        col = [sign * sum([bij * e[j] for j, bij in row]) for row in rows]
+        if unit or any(col):
+            cache.append((e, c, col))
     terms: dict = {}
     for a, ca in big.items():
         for e, c, col in cache:
-            q = sum(map(mul, a, col))
+            q = unit + sum(map(mul, a, col))
             if q == 0:
                 continue
             key = tuple(map(add, a, e))
@@ -449,28 +450,24 @@ def _poly_bracket(p: LaurentPoly, r: LaurentPoly, b_rows: list) -> LaurentPoly:
     return LaurentPoly(p.table, terms)
 
 
-def bracket_numerator(f: RationalFn, g: RationalFn, quiver: Quiver) -> LaurentPoly:
-    """N = 8·q²s²·{f, g} for f = p/q and g = r/s, with integer coefficients
-    when f and g have them:  N = 8({p, r}qs − {p, s}qr − {q, r}ps + {q, s}pr)."""
-    table = f.table
-    if g.table != table:
-        raise ValueError("mixed generator tables")
-    b_rows = aligned_doubled(quiver, table)
+def poisson_bracket(f: RationalFn, g: RationalFn, quiver: Quiver) -> RationalFn:
+    """{f, g} for the log-canonical bracket {z_u, z_v} = eps_uv z_u z_v.
+
+    For f = p/q and g = r/s, 8·q²s²·{f, g} = 8({p, r}qs − {p, s}qr − {q, r}ps
+    + {q, s}pr), which has integer coefficients when f and g have them; its 1/8
+    is taken once.
+    """
     p, q = f.num, f.den
     r, s = g.num, g.den
-    return (
-        _poly_bracket(p, r, b_rows) * (q * s)
+    qs = q * s  # raises on mixed generator tables
+    b_rows = aligned_doubled(quiver, f.table)
+    num = (
+        _poly_bracket(p, r, b_rows) * qs
         - _poly_bracket(p, s, b_rows) * q * r
         - _poly_bracket(q, r, b_rows) * p * s
         + _poly_bracket(q, s, b_rows) * p * r
     )
-
-
-def poisson_bracket(f: RationalFn, g: RationalFn, quiver: Quiver) -> RationalFn:
-    """{f, g} for the log-canonical bracket {z_u, z_v} = eps_uv z_u z_v:
-    ``bracket_numerator`` over q²s², its 1/8 taken once."""
-    qs = f.den * g.den
-    return RationalFn(bracket_numerator(f, g, quiver).scale(Fraction(1, 8)), qs * qs)
+    return RationalFn(num.scale(Fraction(1, 8)), qs * qs)
 
 
 def gradient_at(h: RationalFn, point: Mapping[str, Fraction]) -> tuple:

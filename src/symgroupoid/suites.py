@@ -42,6 +42,7 @@ from .report import Check
 from . import surfaces
 from .sl2rep import (
     DEFAULT_TOL,
+    ReconstructionError,
     _dec,
     cluster_to_lengths,
     consistency_residuals,
@@ -1294,7 +1295,9 @@ def degenerate_input(rng_seed):
     g[(1, 2)] = 2.0
     try:
         reconstruct(g)
-    except Exception:
-        return True
+    except ReconstructionError as exc:
+        if exc.quantity == "G_{1,2}":
+            return True
+        return (False, f"rejected on {exc.quantity}, not on G_{{1,2}}")
     return (False, "degenerate boundary input not rejected")
 

@@ -17,8 +17,9 @@ from .quiver import (
     ClusterValue,
     Quiver,
     Seed,
+    _poly_bracket,
+    aligned_doubled,
     apply_sequence,
-    bracket_numerator,
     mutate,
     wname,
 )
@@ -104,13 +105,16 @@ def cv_sum(values: Sequence[ClusterValue]) -> RationalFn:
 def skein_product(f: RationalFn, g: RationalFn, quiver: Quiver) -> RationalFn:
     """The distinguished resolution 1/2 f g + {f, g} of a single crossing.
 
-    For f = p/q and g = r/s both summands are taken over q²s²: the numerator
-    4·p·r·q·s + N, with N = ``bracket_numerator(f, g)``, stays integral on
-    integral operands, and its 1/8 is taken once.
+    Geodesic functions are Laurent polynomials in every chart, so f and g must
+    be: 8·(½·f·g + {f, g}) is one pass over their term pairs, each weighted by
+    4 + a·B·b, and its 1/8 is taken once.  ``as_laurent`` raises
+    ``ArithmeticError`` on a denominator that is not a monomial.
     """
-    qs = f.den * g.den
-    num = f.num * g.num * qs.scale(4) + bracket_numerator(f, g, quiver)
-    return RationalFn(num.scale(Fraction(1, 8)), qs * qs)
+    p, r = f.as_laurent(), g.as_laurent()
+    if r.table != p.table:
+        raise ValueError("mixed generator tables")
+    eight = _poly_bracket(p, r, aligned_doubled(quiver, p.table), 4)
+    return RationalFn.from_poly(eight.scale(Fraction(1, 8)))
 
 
 class SkeinInconsistency(ArithmeticError):
@@ -196,10 +200,6 @@ def matrix_braid(u: MatrixRF, i: int, direction: str = "+") -> MatrixRF:
 # -- surface construction -------------------------------------------------------------
 
 
-def _seed(quiver: Quiver) -> Seed:
-    return Seed.initial(quiver)
-
-
 def _gen(seed: Seed, v: str, power: int = 1) -> RationalFn:
     return RationalFn.generator(seed.frame, wname(v), power)
 
@@ -211,11 +211,11 @@ def _z(seed: Seed, v: str) -> RationalFn:
 def build_surface(name: str) -> SurfaceModel:
     """A named surface chart with its geodesic-function catalog."""
     if name == "genus2_k33":
-        seed = _seed(surfaces.genus2_k33_quiver())
+        seed = Seed.initial(surfaces.genus2_k33_quiver())
         return SurfaceModel(name, seed, dict(surfaces.GENUS2_K33_CATALOG))
 
     if name == "genus2_original":
-        seed = _seed(surfaces.genus2_original_quiver())
+        seed = Seed.initial(surfaces.genus2_original_quiver())
         # the catalog is carried over from the neighboring chart: the mutated
         # seed expresses that chart's variables in this chart's generators
         other = mutate(seed, "f")
@@ -226,7 +226,7 @@ def build_surface(name: str) -> SurfaceModel:
         return SurfaceModel(name, seed, catalog)
 
     if name == "genus2_papillon":
-        seed = _seed(surfaces.genus2_papillon_quiver())
+        seed = Seed.initial(surfaces.genus2_papillon_quiver())
         t = seed.frame
         one = RationalFn.constant(t, 1)
         a, b, c, d, e, f = (_z(seed, v) for v in "abcdef")
@@ -257,7 +257,7 @@ def build_surface(name: str) -> SurfaceModel:
         return SurfaceModel(name, seed, catalog)
 
     if name == "genus2_x7":
-        seed = _seed(surfaces.genus2_x7_quiver())
+        seed = Seed.initial(surfaces.genus2_x7_quiver())
         t = seed.frame
         one = RationalFn.constant(t, 1)
         a, b, c, d, f, g = (_z(seed, v) for v in "abcdfg")
@@ -290,17 +290,17 @@ def build_surface(name: str) -> SurfaceModel:
         return model
 
     if name == "genus3_original":
-        seed = _seed(surfaces.genus3_original_quiver())
+        seed = Seed.initial(surfaces.genus3_original_quiver())
         catalog = {k: list(w) for k, w in surfaces.GENUS3_ORIGINAL_CATALOG.items()}
         return SurfaceModel(name, seed, catalog)
 
     if name == "genus3_symmetric":
-        seed = _seed(surfaces.genus3_symmetric_quiver())
+        seed = Seed.initial(surfaces.genus3_symmetric_quiver())
         catalog = {k: list(w) for k, w in surfaces.GENUS3_SYMMETRIC_CATALOG.items()}
         return SurfaceModel(name, seed, catalog)
 
     if name == "genus3_extended":
-        seed = _seed(surfaces.genus3_extended_quiver())
+        seed = Seed.initial(surfaces.genus3_extended_quiver())
         catalog = {k: list(w) for k, w in surfaces.GENUS3_ORIGINAL_CATALOG.items()}
         catalog["G_B"] = ["a1", "a2", "a3", "at"]
         constraint = ({v: 1 for v in seed.quiver.vertices}, -1)
@@ -323,7 +323,7 @@ def build_surface(name: str) -> SurfaceModel:
         )
 
     if name == "genus4_n5":
-        seed = _seed(surfaces.genus4_n5_quiver())
+        seed = Seed.initial(surfaces.genus4_n5_quiver())
         catalog: dict = {k: list(w) for k, w in surfaces.GENUS4_N5_CATALOG.items()}
         catalog["G_{4,5}"] = _genus4_g45(seed)
         constraint = {v: 1 for v in seed.quiver.vertices}
@@ -369,15 +369,11 @@ def catalog_value(model: SurfaceModel, label: str) -> RationalFn:
 def markov(model: SurfaceModel, form: str = "product_G") -> RationalFn:
     """The separating-curve element of a genus-two model, three equivalent ways."""
     t = model.seed.frame
-    q = model.quiver
     if form in ("product_G", "product_Gtilde"):
         p = "" if form == "product_G" else "t"
         g12 = catalog_value(model, f"G{p}_{{1,2}}")
         g23 = catalog_value(model, f"G{p}_{{2,3}}")
-        if f"G{p}_{{1,3}}" in model.catalog:
-            g13 = catalog_value(model, f"G{p}_{{1,3}}")
-        else:
-            g13 = skein_product(g12, g23, q)
+        g13 = catalog_value(model, f"G{p}_{{1,3}}")
         return g12 * g13 * g23 - g12 ** 2 - g13 ** 2 - g23 ** 2
     if form == "via_GB":
         if "G_B" not in model.catalog:

@@ -19,7 +19,6 @@ from symgroupoid.quiver import (
     _poly_bracket,
     aligned_doubled,
     apply_sequence,
-    bracket_numerator,
     corank,
     initial_table,
     monomial_casimirs,
@@ -181,6 +180,9 @@ def test_poly_bracket_matches_pairwise_monomial_brackets():
             assert not expected.is_zero()
             assert _poly_bracket(p, r, b_rows) == expected
             assert _poly_bracket(r, p, b_rows) == -expected
+            # the skein weight 4 + a·B·b: the swap negates B·e, never the unit
+            assert _poly_bracket(p, r, b_rows, 4) == (p * r).scale(4) + expected
+            assert _poly_bracket(r, p, b_rows, 4) == (r * p).scale(4) - expected
 
 
 def _bracket_by_derivatives(f, g, quiver):
@@ -223,9 +225,6 @@ def test_poisson_bracket_matches_derivative_oracle():
         expected = _bracket_by_derivatives(f, g, PATTERN)
         assert not expected.is_zero()
         assert poisson_bracket(f, g, PATTERN) == expected
-        qs = f.den * g.den
-        n = bracket_numerator(f, g, PATTERN)
-        assert RationalFn(n, qs * qs) == 8 * expected
 
 
 def test_poisson_bracket_on_chain_entries_matches_derivative_oracle():

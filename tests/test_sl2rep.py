@@ -90,6 +90,29 @@ def test_degenerate_boundary_rejected():
         reconstruct(g)
 
 
+def test_degenerate_boundary_check_passes_only_on_the_structured_error(monkeypatch):
+    # sl2_degenerate_boundary must not pass on an unrelated exception, nor on a
+    # rejection of some quantity other than the first trace
+    from symgroupoid import suites
+    from symgroupoid.report import run_suite_checks
+
+    (check,) = [c for c in suites.build_suite("sl2", 42) if c.id == "sl2_degenerate_boundary"]
+    assert check.run() is True
+
+    def crash(g):
+        raise TypeError("unrelated failure")
+
+    monkeypatch.setattr(suites, "reconstruct", crash)
+    (result,) = run_suite_checks("sl2", [check], 42).checks
+    assert (result.status, result.witness) == ("fail", "TypeError: unrelated failure")
+
+    def wrong_quantity(g):
+        raise ReconstructionError("b^2", "trace identity a c - 1 violated")
+
+    monkeypatch.setattr(suites, "reconstruct", wrong_quantity)
+    assert check.run() == (False, "rejected on b^2, not on G_{1,2}")
+
+
 def test_identity_matrices_have_zero_monodromy():
     ident = [[1.0, 0.0], [0.0, 1.0]]
     assert float(monodromy_residual([ident] * 5)) == 0.0

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from symgroupoid import surfaces
-from symgroupoid.laurent import GeneratorTable, LaurentPoly, Q, RationalFn
+from symgroupoid.laurent import GeneratorTable, Q, RationalFn
 from symgroupoid.matrices import MatrixRF
 from symgroupoid.quiver import apply_sequence, mutate, poisson_bracket, wname
 from symgroupoid.suites import unit_count
@@ -128,24 +128,26 @@ def test_skein_product_matches_generic_operations():
     ]
     t = x7.seed.frame
     gen = {n: RationalFn.generator(t, wname(n)) for n in x7.quiver.vertices}
-    one = RationalFn.constant(t, 1)
-    # a non-monomial denominator
-    x = (gen["a"] ** 2 + gen["f"]) / (one + gen["a"] * gen["g"] ** 3)
-    y = u[0, 1] / (gen["b"] ** 2 + gen["c"] * gen["e"])
-    # Fraction coefficients over denominators whose constant is not 1
+    # Fraction coefficients over a monomial denominator whose constant is not 1
     w = RationalFn(
         (gen["a"] * gen["d"] ** 2).num.scale(Q(3, 2)) - gen["g"].num.scale(5),
         (gen["f"] ** 2).num.scale(3),
     )
-    z = RationalFn(
-        (gen["c"] ** 2 * gen["b"]).num.scale(Q(-7, 3)) + gen["e"].num,
-        LaurentPoly.constant(t, 2) + (gen["a"] * gen["f"]).num.scale(Q(5, 3)),
-    )
-    pairs += [(x7, f, g) for f, g in ((x, y), (y, x), (w, z), (z, u[0, 2]), (w, x))]
+    pairs += [(x7, w, u[0, 2]), (x7, u[1, 4], w)]
     for model, f, g in pairs:
         bracket = poisson_bracket(f, g, model.quiver)
         assert not bracket.is_zero()
         assert skein_product(f, g, model.quiver) == RationalFn.constant(f.table, Q(1, 2)) * f * g + bracket
+
+
+def test_skein_product_rejects_a_non_monomial_denominator():
+    model = build_surface("genus2_x7")
+    t = model.seed.frame
+    a, g = (RationalFn.generator(t, wname(v)) for v in "ag")
+    x = (a ** 2 + g) / (RationalFn.constant(t, 1) + a * g ** 3)
+    for f, h in ((x, a), (a, x)):
+        with pytest.raises(ArithmeticError, match="not in Laurent form"):
+            skein_product(f, h, model.quiver)
 
 
 def test_skein_inconsistency_detected():
