@@ -281,18 +281,6 @@ class ClusterValue:
             {p: e // 2 for p, e in self.factors.items()},
         )
 
-    def one_plus_power(self, sign: int, known=()) -> "ClusterValue":
-        """(1 + self**sign) as a ClusterValue, its fresh factor split over ``known``."""
-        z = self if sign > 0 else self.inverse()
-        num, den = z.split()
-        # den from split() is exactly prod(p^-e) over negative-exponent factors,
-        # so dividing it back keeps the factorization bookkeeping exact.
-        out = ClusterValue(self.table)._with_factor(den + num, 1, known)
-        for p, e in z.factors.items():
-            if e < 0:
-                out = out._with_factor(p, e)
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClusterValue):
             return NotImplemented
@@ -306,6 +294,36 @@ class ClusterValue:
 
     def __repr__(self) -> str:
         return f"ClusterValue({self.as_rational().to_text()})"
+
+
+def cv_sum(values: Sequence[ClusterValue], known=()) -> ClusterValue:
+    """Exact sum of factored values over their least common factored
+    denominator, the summed numerator split over ``known`` and then over that
+    denominator's factors.  A zero sum raises ``ValueError``."""
+    table = values[0].table
+    den_exp: dict = {}
+    for v in values:
+        for p, e in v.factors.items():
+            if e < 0:
+                den_exp[p] = max(den_exp.get(p, 0), -e)
+    total = LaurentPoly.zero(table)
+    for v in values:
+        num = LaurentPoly(table, {v.mono: v.coeff})
+        for p, e in v.factors.items():
+            lift = e + den_exp.get(p, 0)
+            if lift:
+                num = num * p ** lift
+        for p, e in den_exp.items():
+            if p not in v.factors:
+                num = num * p ** e
+        total = total + num
+    # the split must never get a zero sum: exact_poly_div(0, p) is 0, never None
+    if total.is_zero():
+        raise ValueError("a seed value cannot be zero")
+    out = ClusterValue(table)._with_factor(total, 1, list(dict.fromkeys([*known, *den_exp])))
+    for p, e in den_exp.items():
+        out = out._with_factor(p, -e)
+    return out
 
 
 class Seed:
@@ -337,13 +355,12 @@ class Seed:
     def from_json(cls, data: dict) -> "Seed":
         quiver = Quiver.from_json(data)
         frame = initial_table(quiver.vertices)
-        if "values" in data:
-            values = {
-                v: ClusterValue.from_rational(RationalFn.from_json(frame, data["values"][v]))
-                for v in quiver.vertices
-            }
-        else:
-            values = {v: ClusterValue.generator_square(frame, v) for v in quiver.vertices}
+        if "values" not in data:
+            return cls.initial(quiver, frame)
+        values = {
+            v: ClusterValue.from_rational(RationalFn.from_json(frame, data["values"][v]))
+            for v in quiver.vertices
+        }
         return cls(quiver, values, frame)
 
     def __eq__(self, other) -> bool:
@@ -362,8 +379,9 @@ def mutate(seed: Seed, k: str) -> Seed:
         raise FrozenVertexError(f"vertex {k!r} is frozen")
     quiver = seed.quiver.mutate_matrix(k)
     zk = seed.values[k]
+    one = ClusterValue(seed.frame)
     known = list(dict.fromkeys(p for v in seed.quiver.vertices for p in seed.values[v].factors))
-    plus, minus = zk.one_plus_power(+1, known), zk.one_plus_power(-1, known)
+    plus, minus = cv_sum([one, zk], known), cv_sum([one, zk.inverse()], known)
     values = dict(seed.values)
     values[k] = zk.inverse()
     for v in seed.quiver.vertices:
@@ -396,32 +414,26 @@ def apply_sequence(seed: Seed, seq: Sequence) -> Seed:
 # -- log-canonical Poisson bracket ------------------------------------------
 
 
-def aligned_doubled(quiver: Quiver, table: GeneratorTable) -> list:
-    """Doubled exchange matrix re-indexed by table positions (0 for strangers)."""
-    n = len(table)
-    rows = [[0] * n for _ in range(n)]
-    pos = []
-    for v in quiver.vertices:
-        name = wname(v)
-        pos.append(table.index(name) if name in table else None)
+def exchange_rows(quiver: Quiver, table: GeneratorTable) -> list:
+    """The doubled exchange matrix in table positions, one sparse row per
+    generator: row i holds the pairs ``(j, b_ij)`` with b_ij nonzero.  A
+    generator outside the quiver gets an empty row."""
+    pos = [table.index(wname(v)) if wname(v) in table else None for v in quiver.vertices]
+    rows: list = [[] for _ in range(len(table))]
     for i, ti in enumerate(pos):
-        if ti is None:
-            continue
-        for j, tj in enumerate(pos):
-            if tj is None:
-                continue
-            rows[ti][tj] = quiver.doubled[i, j]
+        if ti is not None:
+            rows[ti] = sorted((tj, bij) for tj, bij in zip(pos, quiver.doubled.entries[i]) if bij and tj is not None)
     return rows
 
 
-def _poly_bracket(p: LaurentPoly, r: LaurentPoly, b_rows: list, unit: int = 0) -> LaurentPoly:
+def _poly_bracket(p: LaurentPoly, r: LaurentPoly, rows: list, unit: int = 0) -> LaurentPoly:
     """Σ ca·cb·(unit + a·B·b)·w^(a+b) over the term pairs of p and r: 8·{p, r}
     at ``unit`` 0, and 8·(½·p·r + {p, r}) at ``unit`` 4.
 
     The monomial bracket {w^a, w^b} is (a·B·b)/8 · w^(a+b) with B the doubled
     exchange matrix, so integers are summed here and the caller takes the 1/8
     once.  B·e is formed once per term e of the operand with fewer terms, from
-    the nonzero entries of each row of B; when that operand is ``p``, B·e is
+    the sparse ``exchange_rows`` of B; when that operand is ``p``, B·e is
     negated, since b·B·a is −a·B·b when ``Quiver`` keeps B skew-symmetric.  The
     unit is symmetric and is never negated.
     """
@@ -429,7 +441,6 @@ def _poly_bracket(p: LaurentPoly, r: LaurentPoly, b_rows: list, unit: int = 0) -
         small, big, sign = p.terms, r.terms, -1
     else:
         small, big, sign = r.terms, p.terms, 1
-    rows = [[(j, bij) for j, bij in enumerate(row) if bij] for row in b_rows]
     cache = []
     for e, c in small.items():
         col = [sign * sum([bij * e[j] for j, bij in row]) for row in rows]
@@ -460,14 +471,29 @@ def poisson_bracket(f: RationalFn, g: RationalFn, quiver: Quiver) -> RationalFn:
     p, q = f.num, f.den
     r, s = g.num, g.den
     qs = q * s  # raises on mixed generator tables
-    b_rows = aligned_doubled(quiver, f.table)
+    rows = exchange_rows(quiver, f.table)
     num = (
-        _poly_bracket(p, r, b_rows) * qs
-        - _poly_bracket(p, s, b_rows) * q * r
-        - _poly_bracket(q, r, b_rows) * p * s
-        + _poly_bracket(q, s, b_rows) * p * r
+        _poly_bracket(p, r, rows) * qs
+        - _poly_bracket(p, s, rows) * q * r
+        - _poly_bracket(q, r, rows) * p * s
+        + _poly_bracket(q, s, rows) * p * r
     )
     return RationalFn(num.scale(Fraction(1, 8)), qs * qs)
+
+
+def skein_product(f: RationalFn, g: RationalFn, quiver: Quiver) -> RationalFn:
+    """The distinguished resolution 1/2 f g + {f, g} of a single crossing.
+
+    Geodesic functions are Laurent polynomials in every chart, so f and g must
+    be: 8·(½·f·g + {f, g}) is one pass over their term pairs, each weighted by
+    4 + a·B·b, and its 1/8 is taken once.  ``as_laurent`` raises
+    ``ArithmeticError`` on a denominator that is not a monomial.
+    """
+    p, r = f.as_laurent(), g.as_laurent()
+    if r.table != p.table:
+        raise ValueError("mixed generator tables")
+    eight = _poly_bracket(p, r, exchange_rows(quiver, p.table), 4)
+    return RationalFn.from_poly(eight.scale(Fraction(1, 8)))
 
 
 def gradient_at(h: RationalFn, point: Mapping[str, Fraction]) -> tuple:
@@ -486,8 +512,8 @@ def bivector_at(quiver: Quiver, table: GeneratorTable, point: Mapping[str, Fract
     ``(j, Pi_ij)`` with Pi_ij nonzero."""
     wv = [point[name] for name in table.names]
     return [
-        [(j, pij) for j, bij in enumerate(row) if bij and (pij := Fraction(bij, 8) * wv[i] * wv[j])]
-        for i, row in enumerate(aligned_doubled(quiver, table))
+        [(j, pij) for j, bij in row if (pij := Fraction(bij, 8) * wv[i] * wv[j])]
+        for i, row in enumerate(exchange_rows(quiver, table))
     ]
 
 
@@ -518,14 +544,14 @@ def monomial_casimirs(quiver: Quiver) -> list:
     """
     basis = smith_kernel_basis(quiver.doubled)
     table = initial_table(quiver.vertices)
-    b_rows = aligned_doubled(quiver, table)
+    rows = exchange_rows(quiver, table)
     out = []
     for alpha in basis:
         exps = tuple(2 * a for a in alpha)
         mono = LaurentPoly(table, {exps: Q(1)})
         for i, v in enumerate(quiver.vertices):
             zv = LaurentPoly.generator(table, wname(v), 2)
-            if not _poly_bracket(mono, zv, b_rows).is_zero():
+            if not _poly_bracket(mono, zv, rows).is_zero():
                 raise AssertionError(f"kernel vector fails to commute with {v}")
         out.append(mono)
     return out

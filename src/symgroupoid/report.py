@@ -53,10 +53,6 @@ class SuiteReport:
     def skipped(self) -> int:
         return sum(1 for c in self.checks if c.status == "skipped")
 
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0
-
     def to_json(self) -> dict:
         return {
             "suite": self.suite,

@@ -29,7 +29,6 @@ class ReconstructionError(ValueError):
 @dataclass
 class Reconstruction:
     matrices: list  # five 2x2 matrices with Decimal entries
-    branch: tuple
 
 
 def _high_precision(fn):
@@ -44,7 +43,7 @@ def _high_precision(fn):
     return wrapped
 
 
-def _dec(x) -> Decimal:
+def to_decimal(x) -> Decimal:
     if isinstance(x, Decimal):
         return x
     if isinstance(x, Fraction):
@@ -66,13 +65,21 @@ def _mat_inv(a):
     return [[a[1][1] / det, -a[0][1] / det], [-a[1][0] / det, a[0][0] / det]]
 
 
+def _trace_residual(m4, m5, g45):
+    """|d·k + g·h − e·j − i·f − G_{4,5}| for M4 = [[d, e], [f, g]] and
+    M5 = [[h, i], [j, k]]: the trace equation left over by the solve."""
+    (d, e), (f, g) = m4
+    (h, i), (j, k) = m5
+    return abs(d * k + g * h - e * j - i * f - g45)
+
+
 def _markov_combination(g: Mapping, a: int, b: int, c: int):
     gab, gbc, gac = g[(a, b)], g[(b, c)], g[(a, c)]
     return gab * gbc * gac - gab ** 2 - gbc ** 2 - gac ** 2
 
 
 def _normalize_input(g: Mapping) -> dict:
-    return {tuple(sorted(k)): _dec(v) for k, v in g.items()}
+    return {tuple(sorted(k)): to_decimal(v) for k, v in g.items()}
 
 
 @_high_precision
@@ -106,7 +113,7 @@ def reconstruct(g: Mapping) -> Reconstruction:
     if abs(b2 - (a3 * c3 - 1)) > Decimal("1e-20") * max(Decimal(1), abs(b2)):
         raise ReconstructionError("b^2", "trace identity a c - 1 violated")
     if b2 < 0:
-        if b2 > -_dec(DEFAULT_TOL):
+        if b2 > -to_decimal(DEFAULT_TOL):
             b2 = Decimal(0)
         else:
             raise ReconstructionError("b^2", "negative square off the geometric locus")
@@ -123,7 +130,7 @@ def reconstruct(g: Mapping) -> Reconstruction:
     def roots(total, prod, name):
         d = total * total - 4 * prod
         if d < 0:
-            if d > -_dec(DEFAULT_TOL):
+            if d > -to_decimal(DEFAULT_TOL):
                 d = Decimal(0)
             else:
                 raise ReconstructionError(name, "negative discriminant off the geometric locus")
@@ -146,21 +153,16 @@ def reconstruct(g: Mapping) -> Reconstruction:
             m4 = [[d4, e4], [f4, g4]]
             m5 = [[h5, i5], [j5, k5]]
             mats = [m1, m2, m3, m4, m5]
-            r1 = abs(
-                m4[0][0] * m5[1][1] + m4[1][1] * m5[0][0]
-                - m4[0][1] * m5[1][0] - m5[0][1] * m4[1][0] - g[(4, 5)]
-            )
-            score = r1 + min(Decimal(1), monodromy_residual(mats))
+            score = _trace_residual(m4, m5, g[(4, 5)]) + min(Decimal(1), monodromy_residual(mats))
             if best is None or score < best[0]:
-                best = (score, mats, (swap_ef, swap_ij))
-    _, mats, branch = best
-    return Reconstruction(matrices=mats, branch=branch)
+                best = (score, mats)
+    return Reconstruction(matrices=best[1])
 
 
 @_high_precision
 def trace_table(matrices: Sequence) -> dict:
     """tr(M_i M_j^{-1}) for all pairs i < j."""
-    mats = [[[_dec(x) for x in row] for row in m] for m in matrices]
+    mats = [[[to_decimal(x) for x in row] for row in m] for m in matrices]
     out = {}
     for i in range(5):
         for j in range(i + 1, 5):
@@ -173,7 +175,7 @@ def trace_table(matrices: Sequence) -> dict:
 def determinant_residuals(matrices: Sequence) -> list:
     out = []
     for m in matrices:
-        mm = [[_dec(x) for x in row] for row in m]
+        mm = [[to_decimal(x) for x in row] for row in m]
         out.append(abs(mm[0][0] * mm[1][1] - mm[0][1] * mm[1][0] - 1))
     return out
 
@@ -181,7 +183,7 @@ def determinant_residuals(matrices: Sequence) -> list:
 @_high_precision
 def monodromy_residual(matrices: Sequence):
     """Deviation of the commutator composition from plus or minus identity."""
-    m1, m2, m3, m4, m5 = [[[_dec(x) for x in row] for row in m] for m in matrices]
+    m1, m2, m3, m4, m5 = [[[to_decimal(x) for x in row] for row in m] for m in matrices]
     word = _mat_mul(
         _mat_mul(_mat_mul(_mat_inv(m5), m4), _mat_mul(_mat_inv(m3), m2)),
         _mat_mul(
@@ -198,12 +200,8 @@ def monodromy_residual(matrices: Sequence):
 def consistency_residuals(g: Mapping, rec: Reconstruction) -> dict:
     """The leftover trace equation and the monodromy deviation."""
     g = _normalize_input(g)
-    m4, m5 = rec.matrices[3], rec.matrices[4]
-    d, e = _dec(m4[0][0]), _dec(m4[0][1])
-    f, gg = _dec(m4[1][0]), _dec(m4[1][1])
-    h, i = _dec(m5[0][0]), _dec(m5[0][1])
-    j, k = _dec(m5[1][0]), _dec(m5[1][1])
-    r1 = abs(d * k + gg * h - e * j - i * f - g[(4, 5)])
+    m4, m5 = ([[to_decimal(x) for x in row] for row in m] for m in rec.matrices[3:5])
+    r1 = _trace_residual(m4, m5, g[(4, 5)])
     r2 = monodromy_residual(rec.matrices)
     return {"trace_consistency": float(r1), "monodromy": float(r2)}
 

@@ -8,19 +8,18 @@ the mutation-sequence twist with its closed-form product formula.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import Sequence
 
-from .laurent import LaurentPoly, Q, RationalFn
+from .laurent import Q, RationalFn
 from .matrices import MatrixRF, is_zero_entry
 from .quiver import (
     ClusterValue,
     Quiver,
     Seed,
-    _poly_bracket,
-    aligned_doubled,
     apply_sequence,
+    cv_sum,
     mutate,
+    skein_product,
     wname,
 )
 from . import surfaces
@@ -66,55 +65,10 @@ def telescopic(word: Sequence, seed: Seed) -> RationalFn:
             terms.append(suffix * zx)
             suffix = suffix * zx * zy
             terms.append(suffix)
-    return cv_sum([t * inv_root for t in terms])
-
-
-def cv_sum(values: Sequence[ClusterValue]) -> RationalFn:
-    """Exact sum of factored values over the least common factored denominator,
-    the summed numerator split over that denominator's factors."""
-    if not values:
-        raise ValueError("empty sum")
-    table = values[0].table
-    den_exp: dict = {}
-    for v in values:
-        for p, e in v.factors.items():
-            if e < 0:
-                den_exp[p] = max(den_exp.get(p, 0), -e)
-    total = LaurentPoly.zero(table)
-    for v in values:
-        num = LaurentPoly(table, {v.mono: v.coeff})
-        for p, e in v.factors.items():
-            lift = e + den_exp.get(p, 0)
-            if lift:
-                num = num * p ** lift
-        for p, e in den_exp.items():
-            if p not in v.factors and e:
-                num = num * p ** e
-        total = total + num
-    # nothing to split over, or a zero sum, which the split must never get:
-    # exact_poly_div(0, p) is 0, never None
-    if total.is_zero() or not den_exp:
-        return RationalFn.from_poly(total)
-    den = ClusterValue(table, factors={p: -e for p, e in den_exp.items()})
-    return den._with_factor(total, 1, known=den_exp).as_rational()
+    return cv_sum([t * inv_root for t in terms]).as_rational()
 
 
 # -- skein structure --------------------------------------------------------------
-
-
-def skein_product(f: RationalFn, g: RationalFn, quiver: Quiver) -> RationalFn:
-    """The distinguished resolution 1/2 f g + {f, g} of a single crossing.
-
-    Geodesic functions are Laurent polynomials in every chart, so f and g must
-    be: 8·(½·f·g + {f, g}) is one pass over their term pairs, each weighted by
-    4 + a·B·b, and its 1/8 is taken once.  ``as_laurent`` raises
-    ``ArithmeticError`` on a denominator that is not a monomial.
-    """
-    p, r = f.as_laurent(), g.as_laurent()
-    if r.table != p.table:
-        raise ValueError("mixed generator tables")
-    eight = _poly_bracket(p, r, aligned_doubled(quiver, p.table), 4)
-    return RationalFn.from_poly(eight.scale(Fraction(1, 8)))
 
 
 class SkeinInconsistency(ArithmeticError):
@@ -477,7 +431,7 @@ def braid_twist(seed: Seed, chain: Sequence[str], mode: str = "mutation_sequence
     running = one
     for k in range(m - 1, 0, -1):
         running = running * z[k + 1]
-        eta[k] = _cv_sum(eta[k + 1], running)
+        eta[k] = cv_sum([eta[k + 1], running])
 
     prod_all = one
     for k in range(1, m + 1):
@@ -500,7 +454,3 @@ def braid_twist(seed: Seed, chain: Sequence[str], mode: str = "mutation_sequence
     values.update(new)
     return Seed(q, values, seed.frame)
 
-
-def _cv_sum(a: ClusterValue, b: ClusterValue) -> ClusterValue:
-    """Sum of two factored values, refactored over the shared denominator."""
-    return ClusterValue.from_rational(a.as_rational() + b.as_rational())

@@ -1,0 +1,22 @@
+"""Modules of the package reach one another through public names only."""
+
+import ast
+from pathlib import Path
+
+import symgroupoid
+
+PACKAGE_DIR = Path(symgroupoid.__file__).parent
+
+
+def test_no_module_imports_a_private_name():
+    offenders = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            internal = isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "symgroupoid"
+            )
+            if internal:
+                source = "." * node.level + (node.module or "")
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                offenders += [f"{path.name}: from {source} import {name}" for name in private]
+    assert not offenders, offenders

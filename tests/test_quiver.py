@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symgroupoid.groupoid import bracket_tensor_at
-from symgroupoid.laurent import LaurentPoly, Q, RationalFn
+from symgroupoid.laurent import GeneratorTable, LaurentPoly, Q, RationalFn
 from symgroupoid.matrices import MatrixRF
 from symgroupoid.quiver import (
     ClusterValue,
@@ -17,9 +17,10 @@ from symgroupoid.quiver import (
     Quiver,
     Seed,
     _poly_bracket,
-    aligned_doubled,
     apply_sequence,
     corank,
+    cv_sum,
+    exchange_rows,
     initial_table,
     monomial_casimirs,
     mutate,
@@ -148,8 +149,19 @@ def test_jacobi_identity_on_monomials(e1, e2, e3):
     assert jac.is_zero()
 
 
+def _dense_doubled(quiver, table):
+    """The doubled exchange matrix in table positions, read entry by entry
+    from ``Quiver.b``; 0 on a row or column of a generator outside the quiver."""
+    vertex = {wname(v): v for v in quiver.vertices}
+    return [
+        [quiver.b(vertex[a], vertex[b]) if a in vertex and b in vertex else 0 for b in table.names]
+        for a in table.names
+    ]
+
+
 def _monomial_bracket_sum(p, r, b_rows):
-    """8·{p, r} summed one term pair at a time: ca·cb·(a·B·b) at a + b."""
+    """8·{p, r} summed one term pair at a time: ca·cb·(a·B·b) at a + b, with
+    B the dense ``b_rows``."""
     terms = {}
     for a, ca in p.terms.items():
         for b, cb in r.terms.items():
@@ -173,23 +185,23 @@ def test_poly_bracket_matches_pairwise_monomial_brackets():
     rng = random.Random(11)
     for q in (PATTERN, Quiver.from_arrows(["u", "v", "x"], [("u", "v", 1), ("v", "x", 3), ("x", "u", 2)])):
         t = initial_table(q.vertices)
-        b_rows = aligned_doubled(q, t)
+        rows = exchange_rows(q, t)
         for sizes in ((2, 9), (9, 2), (1, 6), (5, 5)):
             p, r = (_random_poly(rng, t, n) for n in sizes)
-            expected = _monomial_bracket_sum(p, r, b_rows)
+            expected = _monomial_bracket_sum(p, r, _dense_doubled(q, t))
             assert not expected.is_zero()
-            assert _poly_bracket(p, r, b_rows) == expected
-            assert _poly_bracket(r, p, b_rows) == -expected
+            assert _poly_bracket(p, r, rows) == expected
+            assert _poly_bracket(r, p, rows) == -expected
             # the skein weight 4 + a·B·b: the swap negates B·e, never the unit
-            assert _poly_bracket(p, r, b_rows, 4) == (p * r).scale(4) + expected
-            assert _poly_bracket(r, p, b_rows, 4) == (r * p).scale(4) - expected
+            assert _poly_bracket(p, r, rows, 4) == (p * r).scale(4) + expected
+            assert _poly_bracket(r, p, rows, 4) == (r * p).scale(4) - expected
 
 
 def _bracket_by_derivatives(f, g, quiver):
     """{f, g} = sum over i, j of b_ij·w_i·w_j/8 · df/dw_i · dg/dw_j, from
     generic RationalFn operations."""
     t = f.table
-    b_rows = aligned_doubled(quiver, t)
+    b_rows = _dense_doubled(quiver, t)
     gens = [RationalFn.generator(t, n) for n in t.names]
     df = [f.derivative(n) for n in t.names]
     dg = [g.derivative(n) for n in t.names]
@@ -199,6 +211,43 @@ def _bracket_by_derivatives(f, g, quiver):
             if bij and not df[i].is_zero() and not dg[j].is_zero():
                 total = total + Fraction(bij, 8) * gens[i] * gens[j] * df[i] * dg[j]
     return total
+
+
+def test_exchange_rows_match_b_in_table_positions():
+    # a generator outside the quiver and the vertices in reverse table order
+    t = GeneratorTable(["x", *(wname(v) for v in reversed(PATTERN.vertices))])
+    rows = exchange_rows(PATTERN, t)
+    assert len(rows) == len(t) and rows[0] == []
+    for i, a in enumerate(PATTERN.vertices[::-1], 1):
+        assert all(bij for _, bij in rows[i])
+        entries = dict(rows[i])
+        assert len(entries) == len(rows[i]) and 0 not in entries
+        for j, b in enumerate(PATTERN.vertices[::-1], 1):
+            assert entries.get(j, 0) == PATTERN.b(a, b)
+
+
+def test_cv_sum_merges_known_factors_and_refuses_zero():
+    t = initial_table(["a", "b"])
+    wa, wb = (LaurentPoly.generator(t, wname(v)) for v in "ab")
+    one = LaurentPoly.one(t)
+    p, q, s = one + wa, one + wb, one + wa * wb
+    monos = [(0, 0), (1, 0), (0, 1), (1, 1)]  # the terms of p·q
+    # Σ w^m·q/s = p·q²/s: the known q divides twice and its exponent merges
+    # to 2; the rest, p, is a fresh factor
+    values = [ClusterValue(t, 1, m, {q: 1, s: -1}) for m in monos]
+    total = cv_sum(values, known=[q])
+    assert total.factors == {q: 2, p: 1, s: -1}
+    plain = sum((v.as_rational() for v in values), RationalFn.constant(t, 0))
+    assert total.as_rational() == plain
+    # Σ w^m/q = p·q/q: the denominator's q divides the numerator, and the
+    # exponents -1 and +1 merge away
+    values = [ClusterValue(t, 1, m, {q: -1}) for m in monos]
+    total = cv_sum(values)
+    assert total.factors == {p: 1}
+    assert total.as_rational() == RationalFn.from_poly(p)
+    x = ClusterValue(t, 3, (1, 0), {s: -1})
+    with pytest.raises(ValueError):
+        cv_sum([x, x * ClusterValue(t, -1)])
 
 
 def _bracket_operands(t):

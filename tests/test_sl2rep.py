@@ -9,12 +9,12 @@ import pytest
 
 from symgroupoid.sl2rep import (
     ReconstructionError,
-    _dec,
     cluster_to_lengths,
     consistency_residuals,
     determinant_residuals,
     monodromy_residual,
     reconstruct,
+    to_decimal,
     trace_table,
 )
 from symgroupoid.teich import build_surface
@@ -67,7 +67,7 @@ def test_cluster_seeded_residuals():
         assert res["monodromy"] < TOL
         tt = trace_table(rec.matrices)
         for k, v in g.items():
-            assert abs(float(tt[k] - _dec(v))) < TOL * max(1.0, abs(float(v)))
+            assert abs(float(tt[k] - to_decimal(v))) < TOL * max(1.0, abs(float(v)))
 
 
 def test_perturbed_controls_detected():

@@ -29,6 +29,15 @@ def test_reports_match_golden(suite_report):
     assert out.getvalue() == GOLDEN.read_text()
 
 
+@pytest.mark.parametrize("rng_seed", [105, 126, 133])
+def test_markov_invariance_holds_where_a_random_point_fixes_the_markov_element(rng_seed):
+    # at these seeds one random point has w_f = 1 and w_g = 1/2, where the
+    # dual twist fixes the separating element; the negative control that it
+    # moves it is symbolic, so no point can make it fail
+    (markov,) = [c for c in build_suite("braid", rng_seed) if c.id == "braid_markov_invariance"]
+    assert markov.run() is True
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         build_suite("nope", 42)
