@@ -39,6 +39,8 @@ def cmd_verify(args) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     if args.suite not in SUITE_NAMES + ("all",):
         raise UsageError(f"unknown suite {args.suite!r}; expected one of {SUITE_NAMES + ('all',)}")
+    if args.size is not None and args.suite not in ("casimirs", "all"):
+        raise UsageError(f"-n/--size applies only to the casimirs suite, not {args.suite!r}")
     if args.size is not None and args.size < 1:
         raise UsageError(f"-n/--size must be at least 1, got {args.size}")
     failed = 0

@@ -39,7 +39,7 @@ class GaussianRational:
 
     def inverse(self) -> "GaussianRational":
         n = self.re * self.re + self.im * self.im
-        if n == 0:
+        if not n:
             raise ZeroDivisionError("inverse of zero")
         return GaussianRational(self.re / n, -self.im / n)
 
@@ -72,11 +72,8 @@ class GaussianRational:
         # a real value hashes as its real part, as it compares equal to it
         return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.re or self.im)
 
     def __repr__(self):
         return f"GaussianRational({self.re}, {self.im})"

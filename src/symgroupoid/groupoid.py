@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .laurent import GeneratorTable, Q, RationalFn
-from .matrices import MatrixRF, charpoly_is_palindromic, divide_out_root, is_zero_entry, solve
+from .matrices import MatrixRF, charpoly_is_palindromic, divide_out_root, solve
 from .quiver import Quiver, bivector_at, dot, gradient_at, hamiltonian_at
 
 # random specializations tried per point before a numeric check gives up
@@ -247,10 +247,10 @@ def solve_unipotent_A(b: MatrixRF) -> dict:
     except ZeroDivisionError:
         deltas, tildes = corner_minor_ratios(b)
         for k, x in enumerate(deltas):
-            if is_zero_entry(x):
+            if not x:
                 raise InadmissibleMatrixError(f"delta_{k}") from None
         for k, x in enumerate(tildes):
-            if is_zero_entry(x):
+            if not x:
                 raise InadmissibleMatrixError(f"delta~_{k}") from None
         raise InadmissibleMatrixError("linear system for the unipotent solution") from None
     image = b * a * bt
@@ -261,13 +261,13 @@ def solve_unipotent_A(b: MatrixRF) -> dict:
     for k in range(1, n + 1):
         dk, tk = deltas[n - k], tildes[n - k]
         dk1, tk1 = deltas[n - k + 1], tildes[n - k + 1]
-        if is_zero_entry(dk) or is_zero_entry(tk1):
+        if not dk or not tk1:
             # off the stratum where the ratio formula applies; the solution
             # itself may still be fine (the identity matrix, for instance)
             ratio_ok = None
             break
         expected = sign * (tk / dk) * (dk1 / tk1)
-        if not is_zero_entry(diag[k - 1] - expected):
+        if diag[k - 1] != expected:
             ratio_ok = False
     return {"A": a, "image": image, "diag": diag, "ratio_formula_holds": ratio_ok}
 

@@ -131,7 +131,7 @@ class LaurentPoly:
     @classmethod
     def constant(cls, table: GeneratorTable, value) -> "LaurentPoly":
         c = exact_coefficient(value)
-        if c == 0:
+        if not c:
             return cls.zero(table)
         return cls(table, {(0,) * len(table): c})
 
@@ -154,8 +154,8 @@ class LaurentPoly:
 
     # -- basic structure -------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -249,7 +249,7 @@ class LaurentPoly:
 
     def scale(self, c) -> "LaurentPoly":
         c = exact_coefficient(c)
-        if c == 0:
+        if not c:
             return LaurentPoly.zero(self.table)
         return LaurentPoly(self.table, {e: k * c for e, k in self.terms.items()})
 
@@ -483,9 +483,9 @@ class RationalFn:
     def __init__(self, num: LaurentPoly, den: LaurentPoly):
         if num.table != den.table:
             raise ValueError("mixed generator tables")
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
+        if not num:
             den = LaurentPoly.one(den.table)
         else:
             joint = tuple(
@@ -521,8 +521,8 @@ class RationalFn:
 
     # -- structure ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def is_laurent(self) -> bool:
         """True when the denominator is a single monomial."""
@@ -574,7 +574,7 @@ class RationalFn:
 
     def __truediv__(self, other) -> "RationalFn":
         o = self._coerce(other)
-        if o.num.is_zero():
+        if not o:
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFn(self.num * o.den, self.den * o.num)
 
@@ -582,7 +582,7 @@ class RationalFn:
         return self._coerce(other) / self
 
     def inverse(self) -> "RationalFn":
-        if self.num.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero")
         return RationalFn(self.den, self.num)
 
@@ -609,7 +609,7 @@ class RationalFn:
 
     def evaluate(self, point: Mapping[str, object]):
         dval = self.den.evaluate(point)
-        if dval == 0:
+        if not dval:
             raise SingularPointError(self.den)
         return self.num.evaluate(point) / dval
 
@@ -658,7 +658,7 @@ class RationalFn:
             return total
 
         den = sub_poly(self.den)
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("denominator is identically zero after substitution")
         return sub_poly(self.num) / den
 
@@ -688,9 +688,9 @@ def exact_poly_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     """
     import heapq
 
-    if den.is_zero():
+    if not den:
         raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero():
+    if not num:
         return LaurentPoly.zero(num.table)
     nc = num.content_exponents()
     dc = den.content_exponents()

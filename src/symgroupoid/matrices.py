@@ -1,7 +1,7 @@
 """Dense matrices over an exact field (rational functions, rationals, ...).
 
-Entries only need ``+ - * /``, equality with ``0``/each other, and an
-``inverse`` through ``1/x`` or division.  Everything is written for the small
+Entries only need ``+ - * /``, equality with each other, a truth value that
+is false exactly at zero, and an ``inverse`` through ``1/x`` or division.  Everything is written for the small
 sizes appearing here (n <= 9), favoring exactness over asymptotics.
 """
 
@@ -9,12 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Sequence
-
-
-def is_zero_entry(x) -> bool:
-    if hasattr(x, "is_zero"):
-        return x.is_zero()
-    return x == 0
 
 
 def row_reduce(rows: list, ncols: int) -> list:
@@ -31,7 +25,7 @@ def row_reduce(rows: list, ncols: int) -> list:
         r = len(pivots)
         if r == len(rows):
             break
-        found = next((i for i in range(r, len(rows)) if not is_zero_entry(rows[i][c])), None)
+        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if found is None:
             continue
         rows[r], rows[found] = rows[found], rows[r]
@@ -39,7 +33,7 @@ def row_reduce(rows: list, ncols: int) -> list:
         pivot_row = rows[r] = [x * inv for x in rows[r]]
         for i, row in enumerate(rows):
             f = row[c]
-            if i != r and not is_zero_entry(f):
+            if i != r and f:
                 rows[i] = [x - f * y for x, y in zip(row, pivot_row)]
         pivots.append(c)
     return pivots
@@ -107,7 +101,7 @@ class MatrixRF:
                 for k in range(self.cols):
                     a = self.entries[i][k]
                     b = other.entries[k][j]
-                    if is_zero_entry(a) or is_zero_entry(b):
+                    if not a or not b:
                         continue
                     term = a * b
                     acc = term if acc is None else acc + term
@@ -147,9 +141,7 @@ class MatrixRF:
         )
 
     def is_upper_triangular(self) -> bool:
-        return all(
-            is_zero_entry(self.entries[i][j]) for i in range(self.rows) for j in range(i)
-        )
+        return not any(self.entries[i][j] for i in range(self.rows) for j in range(i))
 
     def is_unipotent_upper(self) -> bool:
         if not self.is_upper_triangular():
@@ -174,7 +166,7 @@ class MatrixRF:
                     if mask & bit:
                         continue
                     a = self.entries[i][j]
-                    if is_zero_entry(a):
+                    if not a:
                         continue
                     # parity of inversions added by placing column j at row i
                     sign = (-1) ** (bin(mask >> (j + 1)).count("1"))
@@ -243,7 +235,7 @@ class MatrixRF:
             acc = self._zero()
             for pos, j in enumerate(rest):
                 a = self.entries[i][j]
-                if is_zero_entry(a):
+                if not a:
                     continue
                 sign = (-1) ** pos
                 sub = tuple(x for x in rest if x != j)
@@ -279,6 +271,6 @@ def divide_out_root(coeffs: list, root: Fraction) -> list | None:
         acc = acc * root + c
         out.append(acc)
     remainder = out.pop()
-    if remainder != 0:
+    if remainder:
         return None
     return list(reversed(out))

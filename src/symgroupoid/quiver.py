@@ -188,7 +188,7 @@ class ClusterValue:
 
     @classmethod
     def from_rational(cls, fn: RationalFn) -> "ClusterValue":
-        if fn.is_zero():
+        if not fn:
             raise ValueError("a seed value cannot be zero")
         out = cls(fn.table)._with_factor(fn.num, 1)
         return out._with_factor(fn.den, -1)
@@ -270,9 +270,11 @@ class ClusterValue:
 
         if any(e % 2 for e in self.mono) or any(e % 2 for e in self.factors.values()):
             raise ArithmeticError("value is not a perfect square in the factored form")
+        if self.coeff < 0:
+            raise ArithmeticError("coefficient is not a perfect rational square")
         pn, pd = self.coeff.numerator, self.coeff.denominator
         rn, rd = isqrt(pn), isqrt(pd)
-        if self.coeff < 0 or rn * rn != pn or rd * rd != pd:
+        if rn * rn != pn or rd * rd != pd:
             raise ArithmeticError("coefficient is not a perfect rational square")
         return ClusterValue(
             self.table,
@@ -318,7 +320,7 @@ def cv_sum(values: Sequence[ClusterValue], known=()) -> ClusterValue:
                 num = num * p ** e
         total = total + num
     # the split must never get a zero sum: exact_poly_div(0, p) is 0, never None
-    if total.is_zero():
+    if not total:
         raise ValueError("a seed value cannot be zero")
     out = ClusterValue(table)._with_factor(total, 1, list(dict.fromkeys([*known, *den_exp])))
     for p, e in den_exp.items():
@@ -450,7 +452,7 @@ def _poly_bracket(p: LaurentPoly, r: LaurentPoly, rows: list, unit: int = 0) -> 
     for a, ca in big.items():
         for e, c, col in cache:
             q = unit + sum(map(mul, a, col))
-            if q == 0:
+            if not q:
                 continue
             key = tuple(map(add, a, e))
             s = terms.get(key, 0) + ca * c * q
@@ -500,7 +502,7 @@ def gradient_at(h: RationalFn, point: Mapping[str, Fraction]) -> tuple:
     """Exact value and gradient (in table order) of h at a nonsingular point."""
     pv, pg = h.num.value_and_gradient(point)
     qv, qg = h.den.value_and_gradient(point)
-    if qv == 0:
+    if not qv:
         raise ZeroDivisionError("singular point")
     q2 = qv * qv
     return pv / qv, [(dp * qv - pv * dq) / q2 if dp or dq else dp for dp, dq in zip(pg, qg)]
@@ -551,7 +553,7 @@ def monomial_casimirs(quiver: Quiver) -> list:
         mono = LaurentPoly(table, {exps: Q(1)})
         for i, v in enumerate(quiver.vertices):
             zv = LaurentPoly.generator(table, wname(v), 2)
-            if not _poly_bracket(mono, zv, rows).is_zero():
+            if _poly_bracket(mono, zv, rows):
                 raise AssertionError(f"kernel vector fails to commute with {v}")
         out.append(mono)
     return out

@@ -8,10 +8,11 @@ the mutation-sequence twist with its closed-form product formula.
 from __future__ import annotations
 
 import functools
+from operator import truediv
 from typing import Sequence
 
 from .laurent import Q, RationalFn
-from .matrices import MatrixRF, is_zero_entry
+from .matrices import MatrixRF
 from .quiver import (
     ClusterValue,
     Quiver,
@@ -130,13 +131,16 @@ def matrix_braid(u: MatrixRF, i: int, direction: str = "+") -> MatrixRF:
     ``"-"`` by its inverse ``[[0, -1], [1, a]]``, built from the entry
     ``a = u[i-1][i]``; the result is again unipotent upper-triangular.  The
     block differs from the identity only on lines i-1 and i, so the
-    conjugation is two column updates and two row updates.
+    conjugation is two column updates and two row updates.  Any other
+    direction is a ``ValueError``.
     """
     n = u.rows
     if not 1 <= i <= n - 1:
         raise IndexError(f"braid index {i} out of range for size {n}")
+    if direction not in ("+", "-"):
+        raise ValueError(f"unknown direction {direction!r}")
     a = u[i - 1, i]
-    if is_zero_entry(a):
+    if not a:
         raise ArithmeticError("vanishing superdiagonal entry")
     p, q = i - 1, i
     rows = [list(row) for row in u.entries]
@@ -181,8 +185,6 @@ def build_surface(name: str) -> SurfaceModel:
 
     if name == "genus2_papillon":
         seed = Seed.initial(surfaces.genus2_papillon_quiver())
-        t = seed.frame
-        one = RationalFn.constant(t, 1)
         a, b, c, d, e, f = (_z(seed, v) for v in "abcdef")
         ehat = _gen(seed, "e", 2) * (
             _gen(seed, "a") * _gen(seed, "b") * _gen(seed, "c") * _gen(seed, "d") * _gen(seed, "f")
@@ -195,25 +197,23 @@ def build_surface(name: str) -> SurfaceModel:
             "Gt_{1,2}": gt12,
             "G_{1,3}": _gen(seed, "a", -1) * ehat
             + _gen(seed, "d") * _gen(seed, "f") * gt12
-            + _gen(seed, "a") / ehat * (one + f) * (one + d),
-            "G_{2,3}": _gen(seed, "d", -1) * ehat * (one + a.inverse())
+            + _gen(seed, "a") / ehat * (1 + f) * (1 + d),
+            "G_{2,3}": _gen(seed, "d", -1) * ehat * (1 + a.inverse())
             + wf / _gen(seed, "a") * gt12
-            + _gen(seed, "d") / ehat * (one + f),
+            + _gen(seed, "d") / ehat * (1 + f),
             "Gt_{1,3}": _gen(seed, "c", -1) * ehat
             + _gen(seed, "b") * _gen(seed, "f") * g12
-            + _gen(seed, "c") / ehat * (one + f) * (one + b),
-            "Gt_{2,3}": _gen(seed, "b", -1) * ehat * (one + c.inverse())
+            + _gen(seed, "c") / ehat * (1 + f) * (1 + b),
+            "Gt_{2,3}": _gen(seed, "b", -1) * ehat * (1 + c.inverse())
             + wf / _gen(seed, "c") * g12
-            + _gen(seed, "b") / ehat * (one + f),
-            "G_B": wf.inverse() * (ehat + (one + f) / ehat),
+            + _gen(seed, "b") / ehat * (1 + f),
+            "G_B": wf.inverse() * (ehat + (1 + f) / ehat),
             "ehat": ehat,
         }
         return SurfaceModel(name, seed, catalog)
 
     if name == "genus2_x7":
         seed = Seed.initial(surfaces.genus2_x7_quiver())
-        t = seed.frame
-        one = RationalFn.constant(t, 1)
         a, b, c, d, f, g = (_z(seed, v) for v in "abcdfg")
         g12 = telescopic(["d", "a"], seed)
         gt12 = telescopic(["b", "c"], seed)
@@ -224,12 +224,12 @@ def build_surface(name: str) -> SurfaceModel:
             "G_{1,2}": g12,
             "Gt_{1,2}": gt12,
             "G_B": gb,
-            "G_{2,3}": wgd.inverse() * (one + a.inverse())
+            "G_{2,3}": wgd.inverse() * (1 + a.inverse())
             + (_gen(seed, "f") / _gen(seed, "a")) * gt12
-            + wgd * (one + f),
-            "Gt_{2,3}": wgb.inverse() * (one + c.inverse())
+            + wgd * (1 + f),
+            "Gt_{2,3}": wgb.inverse() * (1 + c.inverse())
             + (_gen(seed, "f") / _gen(seed, "c")) * g12
-            + wgb * (one + f),
+            + wgb * (1 + f),
         }
         q = seed.quiver
         catalog["G_{1,3}"] = skein_product(catalog["G_{1,2}"], catalog["G_{2,3}"], q)
@@ -300,14 +300,10 @@ def _genus4_g45(seed: Seed) -> RationalFn:
     for v in surfaces.GENUS4_G45_PREFACTOR:
         root = root * seed.values[v]
     prefactor = root.sqrt().as_rational()
-    total = RationalFn.constant(table, 0)
-    one = RationalFn.constant(table, 1)
-    for denom in surfaces.GENUS4_G45_DENOMS:
-        term = one
-        for v in denom:
-            term = term / seed.value(v)
-        total = total + term
-    return prefactor * total
+    return prefactor * sum(
+        functools.reduce(truediv, (seed.value(v) for v in denom), Q(1))
+        for denom in surfaces.GENUS4_G45_DENOMS
+    )
 
 
 def catalog_value(model: SurfaceModel, label: str) -> RationalFn:
@@ -336,8 +332,7 @@ def markov(model: SurfaceModel, form: str = "product_G") -> RationalFn:
         gt12 = catalog_value(model, "Gt_{1,2}")
         gb = catalog_value(model, "G_B")
         f = RationalFn.generator(t, wname("f"), 2)
-        four = RationalFn.constant(t, 4)
-        return f * (g12 * gt12 * gb + g12 ** 2 + gt12 ** 2 + gb ** 2 - four) - four
+        return f * (g12 * gt12 * gb + g12 ** 2 + gt12 ** 2 + gb ** 2 - 4) - 4
     raise ValueError(f"unknown form {form!r}")
 
 

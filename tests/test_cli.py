@@ -180,6 +180,14 @@ def test_verify_rejects_size_below_one(capsys):
         assert err.startswith("error: -n/--size") and err.count("\n") == 1
 
 
+def test_verify_rejects_size_for_a_suite_without_sizes(capsys):
+    # -n used to be ignored by every suite but casimirs, with exit 0
+    for suite in ("sl2", "genus4"):
+        assert main(["verify", suite, "-n", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: -n/--size") and err.count("\n") == 1
+
+
 def test_mutate_malformed_json(tmp_path, capsys):
     qfile = tmp_path / "bad.json"
     qfile.write_text("{not json")

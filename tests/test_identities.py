@@ -78,7 +78,7 @@ def test_constraint_monomials_are_central_for_catalogs():
             mono = mono * RationalFn.generator(model.seed.frame, wname(v), int(2 * e))
         for label in list(model.catalog)[:3]:
             g = catalog_value(model, label)
-            assert poisson_bracket(mono, g, model.quiver).is_zero(), (name, label)
+            assert not poisson_bracket(mono, g, model.quiver), (name, label)
 
 
 def test_symmetrizing_sequence_spec_example():

@@ -1,4 +1,5 @@
-"""Modules of the package reach one another through public names only."""
+"""Modules of the package reach one another through public names only, and
+exact values have one zero test: ``bool()``."""
 
 import ast
 from pathlib import Path
@@ -19,4 +20,23 @@ def test_no_module_imports_a_private_name():
                 source = "." * node.level + (node.module or "")
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 offenders += [f"{path.name}: from {source} import {name}" for name in private]
+    assert not offenders, offenders
+
+
+def test_no_module_has_a_second_zero_protocol():
+    # an is_zero method, an is_zero_entry helper or a hasattr probe would be
+    # a second way to ask whether an exact value vanishes
+    offenders = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, (ast.FunctionDef, ast.alias)):
+                name = node.name
+            elif isinstance(node, ast.Name):
+                name = node.id
+            else:
+                continue
+            if name in ("is_zero", "is_zero_entry", "hasattr"):
+                offenders.append(f"{path.name}:{getattr(node, 'lineno', '?')}: {name}")
     assert not offenders, offenders

@@ -29,6 +29,19 @@ def rf(p):
     return RationalFn.from_poly(p)
 
 
+def test_bool_is_false_exactly_at_zero():
+    # bool() is the one zero test of every exact value type
+    w = gen("w:x", table=W1)
+    one = LaurentPoly.one(W1)
+    assert not LaurentPoly.zero(T) and not (w - w) and not LaurentPoly.constant(W1, 0)
+    assert w and one and -one and LaurentPoly.constant(W1, Q(1, 3))
+    quotient = RationalFn(w - one, w + one)
+    assert quotient and rf(w) and not rf(w - w) and not quotient - quotient
+    assert not RationalFn(w - w, w ** 2 + one)
+    assert GaussianRational(0, 2) and GaussianRational(Q(1, 2)) and GaussianRational(0, -1)
+    assert not GaussianRational() and not GaussianRational(0, 2) - GaussianRational(0, 2)
+
+
 def test_difference_of_squares():
     w = gen("w:x", table=W1)
     one = LaurentPoly.one(W1)
@@ -250,7 +263,7 @@ def test_evaluate_commutes_with_arithmetic(a):
 @given(laurent_polys(), laurent_polys())
 @settings(max_examples=60, deadline=None)
 def test_exact_poly_div_recovers_factor(p, q):
-    if q.is_zero():
+    if not q:
         return
     assert exact_poly_div(p * q, q) == p
 
@@ -450,7 +463,7 @@ def test_coefficients_are_ints_when_integral(a, b, c, k):
     mono = LaurentPoly.monomial(T, c, {"w:a": 1, "w:c": -2})
     assert (mono ** -k).terms == {(-k, 0, 2 * k): Fraction(c) ** -k}
     results += [mono ** k, mono ** -k]
-    if not b.is_zero():
+    if b:
         quotient = exact_poly_div(product, b)
         assert quotient == a
         results.append(quotient)

@@ -136,7 +136,7 @@ def test_skein_product_matches_generic_operations():
     pairs += [(x7, w, u[0, 2]), (x7, u[1, 4], w)]
     for model, f, g in pairs:
         bracket = poisson_bracket(f, g, model.quiver)
-        assert not bracket.is_zero()
+        assert bracket
         assert skein_product(f, g, model.quiver) == RationalFn.constant(f.table, Q(1, 2)) * f * g + bracket
 
 
@@ -232,6 +232,14 @@ def test_matrix_braid_rejects_bad_index_and_zero_superdiagonal():
     assert matrix_braid(m, 1).is_unipotent_upper()
 
 
+def test_matrix_braid_rejects_unknown_direction():
+    # any direction but "+" used to act as "-"
+    u = chain_matrix("genus2_x7", build_surface("genus2_x7").chains["braid"])
+    for direction in ("x", "", "plus", None):
+        with pytest.raises(ValueError, match="unknown direction"):
+            matrix_braid(u, 1, direction)
+
+
 def test_braid_twist_modes_small():
     model = build_surface("genus2_k33")
     chain = ["d", "e", "f", "a"]
@@ -265,7 +273,7 @@ def test_genus4_model_g45():
     assert g45.is_laurent()
     assert unit_count(g45) == 16
     gb = catalog_value(model, "G_B")
-    assert poisson_bracket(gb, catalog_value(model, "G_{1,2}"), model.quiver).is_zero()
+    assert not poisson_bracket(gb, catalog_value(model, "G_{1,2}"), model.quiver)
 
 
 def test_build_surface_unknown():
