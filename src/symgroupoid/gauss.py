@@ -10,8 +10,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = _part(re)
+        self.im = _part(im)
 
     def __add__(self, other):
         o = _coerce(other)
@@ -63,7 +63,7 @@ class GaussianRational:
         return out
 
     def __eq__(self, other):
-        if not isinstance(other, (GaussianRational, int, Fraction)):
+        if isinstance(other, bool) or not isinstance(other, (GaussianRational, int, Fraction)):
             return NotImplemented
         o = _coerce(other)
         return self.re == o.re and self.im == o.im
@@ -77,6 +77,16 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self.re}, {self.im})"
+
+
+def _part(x) -> Fraction:
+    """A real or imaginary part: a Fraction as is, an int as a Fraction; a float,
+    bool or string would not be an exact rational of its own, so it is a TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"a GaussianRational part must be an int or a Fraction, got {x!r}")
 
 
 def _coerce(x) -> GaussianRational:

@@ -12,11 +12,16 @@ and ``f_t`` sit on the Moebius-glued boundary row.
 The normalized entry for sources ``i < j`` is the sum over monotone systems of
 drops (one per band, strictly moving left) of the product of swept-region face
 variables, power ``+1/2`` for faces above the path and ``-1/2`` below.
+
+Every vertical lies in ``(1/2) Z`` and within band ``t`` all of them have
+``t``'s parity in half-units, so horizontal coordinates (verticals, face
+edges and face centers) are stored as ``int`` counts of half-units;
+``to_json`` prints them as the rationals they stand for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .laurent import GeneratorTable, LaurentPoly, RationalFn
@@ -57,15 +62,18 @@ def mirror_vertex(n: int, r: int, c: int) -> tuple:
 
 @dataclass(frozen=True)
 class Face:
+    """A face of band ``band`` between two verticals, in half-units."""
+
     name: str
     band: int
     lattice: tuple
-    left: Fraction
-    right: Fraction
+    left: int
+    right: int
+    center: int = field(init=False)
 
-    @property
-    def center(self) -> Fraction:
-        return (self.left + self.right) / 2
+    def __post_init__(self):
+        # both edges are verticals of one band, so they share a parity
+        object.__setattr__(self, "center", (self.left + self.right) // 2)
 
 
 class SquareNetwork:
@@ -78,9 +86,9 @@ class SquareNetwork:
         self.verticals: dict = {}
         self.bands: dict = {}
         for t in range(1, n):
+            # half-units: t/2 - n + k and n - 2 + t/2 - g
             xs = sorted(
-                [Fraction(t, 2) - n + k for k in range(n)]
-                + [Fraction(n - 2) + Fraction(t, 2) - g for g in range(t)],
+                [t - 2 * n + 2 * k for k in range(n)] + [2 * n - 4 + t - 2 * g for g in range(t)],
                 reverse=True,
             )
             self.verticals[t] = xs
@@ -234,7 +242,7 @@ class SquareNetwork:
                         "name": f.name,
                         "band": f.band,
                         "lattice": list(f.lattice),
-                        "x": [str(f.left), str(f.right)],
+                        "x": [_half_units(f.left), _half_units(f.right)],
                     }
                 )
         regions = {}
@@ -248,10 +256,14 @@ class SquareNetwork:
         return {
             "n": self.n,
             "faces": faces,
-            "verticals": {str(t): [str(x) for x in xs] for t, xs in self.verticals.items()},
+            "verticals": {str(t): [_half_units(x) for x in xs] for t, xs in self.verticals.items()},
             "regions": regions,
             "quiver": self.quiver.to_json(),
         }
+
+
+def _half_units(x: int) -> str:
+    return str(Fraction(x, 2))
 
 
 # -- independent oracle: exhaustive DFS on the explicit planar graph ---------
@@ -260,7 +272,7 @@ class SquareNetwork:
 def enumerate_paths_dfs(net: SquareNetwork, i: int, j: int) -> list:
     """All source-i to sink-j' paths on the explicit wire graph (oracle)."""
     n = net.n
-    INF = Fraction(10 ** 6)
+    INF = 10**6
     lines: dict = {}
     for level in range(n):
         xs = set()
@@ -294,21 +306,26 @@ def enumerate_paths_dfs(net: SquareNetwork, i: int, j: int) -> list:
 
 
 def path_sum_bruteforce(net: SquareNetwork, i: int, j: int) -> RationalFn:
-    """Path sum recomputed from the DFS oracle with geometric sweep bounds."""
+    """Path sum recomputed from the DFS oracle with geometric sweep bounds: one
+    exponent vector per path, the swept faces of each band bounded by the
+    extreme drops the oracle's paths make in it."""
     all_paths = enumerate_paths_dfs(net, i, j)
     drops_per_band: dict = {}
     for path in all_paths:
         for t, x in path:
             drops_per_band.setdefault(t, set()).add(x)
-    total = RationalFn.constant(net.table, 0)
+    swept = {}
+    for t, drops in drops_per_band.items():
+        lo, hi = min(drops), max(drops)
+        swept[t] = [
+            (net.table.index(wname(f.name)), f.center) for f in net.bands[t] if lo < f.center < hi
+        ]
+    terms: dict = {}
     for path in all_paths:
-        mono = LaurentPoly.one(net.table)
+        exps = [0] * len(net.table)
         for t, x in path:
-            lo, hi = min(drops_per_band[t]), max(drops_per_band[t])
-            for f in net.bands[t]:
-                if lo < f.center < hi:
-                    g = LaurentPoly.generator(net.table, wname(f.name), 1 if f.center < x else -1)
-                    mono = mono * g
-        total = total + RationalFn.from_poly(mono)
-    return total
-
+            for gi, center in swept[t]:
+                exps[gi] += 1 if center < x else -1
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + 1
+    return RationalFn.from_poly(LaurentPoly(net.table, terms))

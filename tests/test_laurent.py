@@ -484,3 +484,21 @@ def test_gaussian_zero_is_falsy():
     assert GaussianRational(0, 1)
     assert GaussianRational(Fraction(1, 3))
     assert [x for x in (GaussianRational(2) - 2, GaussianRational(1, -1)) if x] == [GaussianRational(1, -1)]
+
+
+def test_gaussian_parts_are_exact_rationals():
+    # an int or Fraction part is taken as is; a float part would store its
+    # binary expansion (0.1 as 3602879701896397/36028797018963968)
+    third = Fraction(1, 3)
+    assert GaussianRational(third, 2).re is third
+    assert GaussianRational(2, third).im is third
+    assert (GaussianRational(2).re, GaussianRational(2).im) == (Fraction(2), Fraction(0))
+    assert type(GaussianRational(2).re) is Fraction
+    for bad in (0.1, 1.0, True, "1/3"):
+        with pytest.raises(TypeError):
+            GaussianRational(bad)
+        with pytest.raises(TypeError):
+            GaussianRational(1, bad)
+        with pytest.raises(TypeError):
+            GaussianRational(1) + bad
+    assert (GaussianRational(1) == True) is False  # noqa: E712

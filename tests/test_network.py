@@ -1,5 +1,8 @@
 """Square-network path sums against their independent path-enumeration oracle."""
 
+import hashlib
+import json
+
 import pytest
 
 from symgroupoid.laurent import Q
@@ -82,6 +85,36 @@ def test_twin_sides_commute_n3():
     a12 = net.path_sum_entry(1, 2)
     t13 = net.path_sum_entry(1, 3, "Atilde")
     assert not poisson_bracket(a12, t13, net.quiver)
+
+
+# sha256 of ``SquareNetwork(n).to_json()`` for n = 3, 4, 5 (what ``geodesic
+# --network N`` prints) and of every entry's ``to_json()`` on both sides: the
+# half-unit coordinates print as the rationals they stand for, and the path
+# sums keep their stored form
+NETWORK_STORED_SHA256 = "45a731a232b6a263abe314dd4d52248bdec3cdc0c9e003b27732472e3830a4e3"
+
+
+def test_network_stored_form_is_pinned():
+    doc = {}
+    for n in (3, 4, 5):
+        net = SquareNetwork(n)
+        doc[f"network/{n}"] = net.to_json()
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                for side in ("A", "Atilde"):
+                    doc[f"entry/{n}/{i},{j}/{side}"] = net.path_sum_entry(i, j, side).to_json()
+    assert len(doc) == 41
+    assert doc["network/4"]["verticals"]["1"][:2] == ["5/2", "-1/2"]
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == NETWORK_STORED_SHA256
+
+
+def test_face_coordinates_are_half_unit_ints():
+    net = SquareNetwork(4)
+    for t, faces in net.bands.items():
+        assert all(type(x) is int and x % 2 == t % 2 for x in net.verticals[t])
+        for f in faces:
+            assert type(f.center) is int and 2 * f.center == f.left + f.right
 
 
 def test_network_json_dump():
