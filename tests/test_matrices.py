@@ -101,7 +101,7 @@ def assert_same_charpoly(m: MatrixRF):
 
 def _random_entry(rng: random.Random, kind: str):
     def part():
-        # a third of the entries vanish, so pivots must be searched for
+        # a third of the parts vanish, so pivots must be searched for
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.67 else Fraction(0)
 
     return part() if kind == "fraction" else GaussianRational(part(), part())
