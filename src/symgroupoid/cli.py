@@ -130,7 +130,7 @@ def cmd_casimirs(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
-    if args.network:
+    if args.network is not None:
         from .network import SquareNetwork
 
         try:

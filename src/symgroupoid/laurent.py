@@ -18,8 +18,9 @@ output deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import lcm
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping
 
 from .gauss import GaussianRational
@@ -623,6 +624,16 @@ class RationalFn:
         A generator in ``square_bindings`` is bound at the squared level: its
         value replaces the generator's square, so it must appear with even
         exponents only (its square root need not exist in the ring).
+
+        One pass over Laurent polynomials, over a common denominator.  The
+        canonical form has no negative exponent, so with the binding
+        ``N_g/D_g`` of generator ``g`` and its largest exponent ``hi_g`` over
+        the terms of ``num`` and ``den``, both are multiplied by
+        ``prod D_g**hi_g``: each term ``c * prod g**e`` becomes
+        ``c * prod N_g**e * D_g**(hi_g-e)`` and the common factor cancels from
+        the ratio.  When ``N_g`` and ``D_g`` are monomials the factor is an
+        (exponent vector, coefficient) pair, with the coefficient an integer
+        after one more common scale.
         """
         square_bindings = square_bindings or {}
         missing = self.support() - set(bindings) - set(square_bindings)
@@ -632,35 +643,67 @@ class RationalFn:
         if not values:
             raise ValueError("empty bindings")
         target = values[0].table
-        cache: dict = {}
+        if any(v.table != target for v in values):
+            raise ValueError("mixed generator tables")
+        zero = (0,) * len(target)
+        one = LaurentPoly.one(target)
+        exponents = [*self.num.terms, *self.den.terms]
+        # per generator in use, its factor for each exponent it takes
+        monos: list = []  # (table position, {e: (exponent vector, int coefficient)})
+        polys: list = []  # (table position, {e: LaurentPoly})
+        for i, name in enumerate(self.table.names):
+            col = {exps[i] for exps in exponents}
+            if col == {0}:
+                continue
+            if name in square_bindings:
+                odd = sorted(e for e in col if e % 2)
+                if odd:
+                    raise ArithmeticError(
+                        f"generator {name} appears with odd exponent {odd[0]}; no square root available"
+                    )
+                value, step = square_bindings[name], 2
+            else:
+                value, step = bindings[name], 1
+            hi = max(col) // step
+            num, den = value.num, value.den
+            if num.is_monomial() and den.is_monomial():
+                ((nvec, nc),), ((dvec, dc),) = num.terms.items(), den.terms.items()
+                nc, dc = Fraction(nc), Fraction(dc)
+                # nc**a * dc**b with a + b = hi, scaled by (nc, dc denominators)**hi
+                p, q = nc.numerator * dc.denominator, dc.numerator * nc.denominator
+                table = {}
+                for e in col:
+                    a, b = e // step, hi - e // step
+                    vec = tuple(a * x + b * y for x, y in zip(nvec, dvec))
+                    table[e] = (vec if any(vec) else zero, p ** a * q ** b)
+                monos.append((i, table))
+            else:
+                polys.append((i, {e: num ** (e // step) * den ** (hi - e // step) for e in col}))
+        products: dict = {}  # exponents of the non-monomial bindings -> product of their factors
 
-        def power(name: str, e: int) -> RationalFn:
-            key = (name, e)
-            if key not in cache:
-                if name in square_bindings:
-                    if e % 2:
-                        raise ArithmeticError(
-                            f"generator {name} appears with odd exponent {e}; no square root available"
-                        )
-                    cache[key] = square_bindings[name] ** (e // 2)
-                else:
-                    cache[key] = bindings[name] ** e
-            return cache[key]
-
-        def sub_poly(p: LaurentPoly) -> RationalFn:
-            total = RationalFn.constant(target, 0)
+        def sub(p: LaurentPoly) -> LaurentPoly:
+            acc: dict = {}
             for exps, c in p.terms.items():
-                term = RationalFn.constant(target, c)
-                for name, e in zip(p.table.names, exps):
-                    if e != 0:
-                        term = term * power(name, e)
-                total = total + term
-            return total
+                vec = zero
+                for i, table in monos:
+                    fvec, fc = table[exps[i]]
+                    if fvec is not zero:
+                        vec = tuple(map(add, vec, fvec))
+                    c *= fc
+                key = tuple(exps[i] for i, _ in polys)
+                prod = products.get(key)
+                if prod is None:
+                    factors = [table[e] for (_, table), e in zip(polys, key)]
+                    prod = products[key] = reduce(mul, factors) if factors else one
+                for pexps, pc in prod.terms.items():
+                    k = tuple(map(add, vec, pexps))
+                    acc[k] = acc.get(k, 0) + c * pc
+            return LaurentPoly(target, acc)
 
-        den = sub_poly(self.den)
+        den = sub(self.den)
         if not den:
             raise ZeroDivisionError("denominator is identically zero after substitution")
-        return sub_poly(self.num) / den
+        return RationalFn(sub(self.num), den)
 
     # -- serialization ------------------------------------------------------------
 

@@ -97,12 +97,16 @@ def test_evaluate_serialized_function(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
-def test_network_dump(tmp_path):
+def test_network_dump(tmp_path, capsys):
     out = tmp_path / "net.json"
     assert main(["geodesic", "--network", "4", "--json", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["n"] == 4
     assert main(["geodesic", "--network", "7"]) == 2
+    # size 0 is a given size, not a missing option
+    capsys.readouterr()
+    assert main(["geodesic", "--network", "0"]) == 2
+    assert "unsupported size 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

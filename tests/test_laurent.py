@@ -1,5 +1,6 @@
 """Core exact-arithmetic checks: Laurent polynomials and rational functions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,85 @@ def test_unbound_generator_raises():
     w = gen("w:x", table=W1)
     with pytest.raises(KeyError):
         rf(w).substitute({})
+
+
+U = GeneratorTable(["w:x", "w:y"])
+
+
+def _random_poly(rng, table, n_terms, lo, hi, positive):
+    terms = {}
+    while len(terms) < n_terms:
+        exps = tuple(rng.randint(lo, hi) for _ in table)
+        c = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        terms[exps] = c if positive or rng.random() < 0.5 else -c
+    return LaurentPoly(table, terms)
+
+
+def _random_binding(rng, kind):
+    # positive coefficients: positive at a positive point, so no pole
+    if kind == "monomial":
+        return rf(_random_poly(rng, U, 1, -2, 2, True))
+    if kind == "laurent":
+        return RationalFn(_random_poly(rng, U, 3, -2, 2, True), _random_poly(rng, U, 1, -2, 2, True))
+    return RationalFn(_random_poly(rng, U, 2, -1, 2, True), _random_poly(rng, U, 2, -1, 2, True))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_substitute_matches_composed_evaluation(seed):
+    # oracle: f(b)(pt) == f(b(pt)); f has negative exponents and a positive
+    # denominator, monomial when seed % 4 == 0 and with up to three terms else
+    rng = random.Random(seed)
+    kinds = ("monomial", "laurent", "general")
+    num = _random_poly(rng, T, rng.randint(1, 4), -3, 3, False)
+    den = _random_poly(rng, T, 1 if seed % 4 == 0 else rng.randint(2, 3), -2, 2, True)
+    square = seed % 3 == 0
+    if square:
+        # w:c enters with even exponents only and is bound at the squared level
+        num = LaurentPoly(T, {(a, b, 2 * c): k for (a, b, c), k in num.terms.items()})
+        den = LaurentPoly(T, {(a, b, 2 * c): k for (a, b, c), k in den.terms.items()})
+    f = RationalFn(num, den)
+    bind = {name: _random_binding(rng, kinds[(seed + j) % 3]) for j, name in enumerate(T.names)}
+    pt = {name: Fraction(rng.randint(1, 7), rng.randint(1, 5)) for name in U.names}
+    composed = {name: b.evaluate(pt) for name, b in bind.items()}
+    if square:
+        root = bind.pop("w:c")
+        image = f.substitute(bind, {"w:c": root * root})
+    else:
+        image = f.substitute(bind)
+    assert image.table == U
+    assert image.evaluate(pt) == f.evaluate(composed)
+
+
+def test_substitute_zero_binding():
+    wa, wb = gen("w:a"), gen("w:b")
+    x = RationalFn.generator(U, "w:x")
+    zero = RationalFn.constant(U, 0)
+    # only positive powers of w:a: its zero value is a value
+    f = RationalFn(wa ** 2 + wb, wa + LaurentPoly.one(T))
+    assert f.substitute({"w:a": zero, "w:b": x}) == x
+    # a negative power of w:a has a pole at zero
+    with pytest.raises(ZeroDivisionError):
+        rf(gen("w:a", -2) + wb).substitute({"w:a": zero, "w:b": x})
+    with pytest.raises(ZeroDivisionError):
+        RationalFn(gen("w:a", -1) + wb, wb + LaurentPoly.one(T)).substitute({"w:a": zero, "w:b": x})
+
+
+def test_substitute_odd_square_bound_exponent_in_the_denominator():
+    wa, wb = gen("w:a"), gen("w:b")
+    f = RationalFn(wb, wa ** 3 + LaurentPoly.one(T))
+    with pytest.raises(ArithmeticError):
+        f.substitute({"w:b": rf(wb)}, {"w:a": rf(wa) + 1})
+
+
+@pytest.mark.parametrize("kind", ["monomial", "non-monomial"])
+def test_substitute_rejects_a_binding_over_another_table(kind):
+    f = rf(gen("w:a") + gen("w:b", -1))
+    other = GeneratorTable(["w:x", "w:y", "w:z"])
+    foreign = RationalFn.generator(other, "w:z", 2)
+    if kind == "non-monomial":
+        foreign = foreign + 1
+    with pytest.raises(ValueError):
+        f.substitute({"w:a": RationalFn.generator(U, "w:x"), "w:b": foreign})
 
 
 def test_partial_derivatives():
