@@ -14,7 +14,7 @@ from .laurent import (
     RationalFn,
     SingularPointError,
 )
-from .intlinalg import IntMatrix, rank_bareiss, smith_kernel_basis
+from .intlinalg import IntMatrix, kernel_basis, rank_bareiss
 from .matrices import MatrixRF
 from .quiver import (
     ClusterValue,

@@ -116,12 +116,7 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_casimirs(args) -> int:
-    if args.quiver:
-        quiver = _load_seed(args.quiver).quiver
-    elif args.surface:
-        quiver = _surface(args.surface).quiver
-    else:
-        raise UsageError("casimirs needs --quiver FILE or --surface NAME")
+    quiver = _load_seed(args.quiver).quiver if args.quiver is not None else _surface(args.surface).quiver
     basis = monomial_casimirs(quiver)
     print(f"corank {corank(quiver)}; kernel basis:")
     for mono in basis:
@@ -226,8 +221,9 @@ def make_parser() -> _Parser:
     p.set_defaults(handler=cmd_mutate)
 
     p = sub.add_parser("casimirs", help="print the Casimir monomial basis of a quiver")
-    p.add_argument("--quiver", metavar="FILE")
-    p.add_argument("--surface", metavar="NAME")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--quiver", metavar="FILE")
+    source.add_argument("--surface", metavar="NAME")
     p.set_defaults(handler=cmd_casimirs)
 
     p = sub.add_parser("geodesic", help="print a surface-model geodesic function")

@@ -52,11 +52,13 @@ class GaussianRational:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = GaussianRational(1)
+        if k == 0:
+            return GaussianRational(1)
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             k >>= 1
             if k:
                 base = base * base

@@ -291,11 +291,10 @@ def leaf_diagnostics(a: MatrixRF) -> dict:
     expected_power = n - 4 if n % 2 == 0 else n - 2
     reduced = coeffs
     power = 0
-    while True:
-        nxt = divide_out_root(reduced, Fraction(-1))
-        if nxt is None:
+    for _ in range(len(coeffs) - 1):
+        reduced = divide_out_root(reduced, Fraction(-1))
+        if reduced is None:
             break
-        reduced = nxt
         power += 1
     out = {
         "rank_sym": rank,

@@ -1,8 +1,8 @@
-"""Exact integer matrices: Smith reduction, kernel lattices, fraction-free rank."""
+"""Exact integer matrices: one fraction-free (Bareiss) elimination gives the
+rank and, with a Hermite normal form modulo its last pivot, the kernel lattice."""
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
 
 
@@ -49,11 +49,12 @@ class IntMatrix:
         return f"IntMatrix({self.entries!r})"
 
 
-def rank_bareiss(m: IntMatrix) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
+def _bareiss_echelon(m: IntMatrix) -> tuple:
+    """Forward fraction-free (Bareiss) elimination: the nonzero echelon rows and
+    their pivot columns.  Every entry is a minor of M, so none outgrows them."""
     a = [row[:] for row in m.entries]
     rows, cols = m.rows, m.cols
-    rank = 0
+    pivots = []
     prev = 1
     r = 0
     for c in range(cols):
@@ -70,96 +71,68 @@ def rank_bareiss(m: IntMatrix) -> int:
                 a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
             a[i][c] = 0
         prev = a[r][c]
+        pivots.append(c)
         r += 1
-        rank += 1
         if r == rows:
             break
-    return rank
+    return a[:r], pivots
 
 
-def _vec_content(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-        if g == 1:
-            return 1
-    return g
+def rank_bareiss(m: IntMatrix) -> int:
+    """Rank over the rationals: the number of Bareiss pivots."""
+    return len(_bareiss_echelon(m)[1])
 
 
-def smith_kernel_basis(m: IntMatrix) -> list:
-    """Basis of the integer kernel lattice {v : M v = 0}, primitive vectors.
+def kernel_basis(m: IntMatrix) -> list:
+    """Basis of the integer kernel lattice {x in Z^cols : M x = 0}, in Hermite
+    normal form on the free columns (so it depends only on the lattice).
 
-    Row/column reduction to Smith-like diagonal form while tracking the right
-    multiplier V (column operations), so that kernel vectors of the diagonal
-    form pull back to kernel vectors of M.
+    With r pivot columns P, k free columns F and last pivot d, back-substitution
+    gives an integer r x k matrix N with d x_P = -N x_F; its divisions are exact
+    by Cramer's rule.  The lattice is {c in Z^k : N c = 0 mod |d|}: the rows with
+    pivots in the last k coordinates of a Hermite normal form, taken modulo |d|
+    so that every entry stays in [0, |d|), of the vectors (N e_f, e_f) and
+    |d| Z^(r+k) (Domich-Kannan-Trotter; Cohen, GTM 138, 2.4).  Each c gives the
+    kernel vector x_F = c, x_P = -N c / d.
     """
-    a = [row[:] for row in m.entries]
-    rows, cols = m.rows, m.cols
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def col_addmul(dst: int, src: int, k: int):
-        for i in range(rows):
-            a[i][dst] += k * a[i][src]
-        for i in range(cols):
-            v[i][dst] += k * v[i][src]
-
-    def col_swap(c1: int, c2: int):
-        for i in range(rows):
-            a[i][c1], a[i][c2] = a[i][c2], a[i][c1]
-        for i in range(cols):
-            v[i][c1], v[i][c2] = v[i][c2], v[i][c1]
-
-    def row_addmul(dst: int, src: int, k: int):
-        for j in range(cols):
-            a[dst][j] += k * a[src][j]
-
-    def row_swap(r1: int, r2: int):
-        a[r1], a[r2] = a[r2], a[r1]
-
-    t = 0
-    while t < min(rows, cols):
-        # locate a pivot of minimal absolute value in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(a[i][j])
-                if x and (best is None or x < best):
-                    best = x
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        row_swap(t, pi)
-        col_swap(t, pj)
-        # clear the pivot row and column
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_addmul(i, t, -q)
-                    if a[i][t]:
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_addmul(j, t, -q)
-                    if a[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        t += 1
-
+    u, pivots = _bareiss_echelon(m)
+    r = len(pivots)
+    free = sorted(set(range(m.cols)) - set(pivots))
+    d = u[-1][pivots[-1]] if u else 1
+    modulus, n = abs(d), r + len(free)
+    gens = []
+    for s, f in enumerate(free):
+        y = [0] * r
+        for i in range(r - 1, -1, -1):
+            row = u[i]
+            y[i] = (d * row[f] - sum(row[pivots[j]] * y[j] for j in range(i + 1, r))) // row[pivots[i]]
+        gens.append(y + [int(t == s) for t in range(len(free))])
+    # active rows keep their entries from coordinate i on; the rest are zero
+    rows = [[x % modulus for x in g] for g in gens]
+    lattice = []
+    for i in range(n):
+        h = [modulus] + [0] * (n - i - 1)
+        rest = []
+        for q in rows:
+            # Euclid on the entries at i: h becomes the pivot row, q leaves with 0 there
+            while q[0]:
+                t = h[0] // q[0]
+                h, q = q, [h[0] - t * q[0]] + [(a - t * b) % modulus for a, b in zip(h[1:], q[1:])]
+            if any(q):
+                rest.append(q[1:])
+        rows = rest
+        if i >= r:
+            lattice.append([0] * (i - r) + h)
+    for t, pivot_row in enumerate(lattice):
+        for s in range(t):
+            mult = lattice[s][t] // pivot_row[t]
+            lattice[s] = [a - mult * b for a, b in zip(lattice[s], pivot_row)]
     basis = []
-    for j in range(cols):
-        if all(a[i][j] == 0 for i in range(rows)):
-            vec = [v[i][j] for i in range(cols)]
-            g = _vec_content(vec)
-            if g > 1:
-                vec = [x // g for x in vec]
-            basis.append(vec)
+    for c in lattice:
+        x = [0] * m.cols
+        for f, cf in zip(free, c):
+            x[f] = cf
+        for i, p in enumerate(pivots):
+            x[p] = -sum(g[i] * cf for g, cf in zip(gens, c)) // d
+        basis.append(x)
     return basis
-

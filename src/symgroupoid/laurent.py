@@ -266,22 +266,22 @@ class LaurentPoly:
                 raise ArithmeticError("negative power of a non-monomial")
             ((exps, coeff),) = self.terms.items()
             return LaurentPoly(self.table, {tuple(k * e for e in exps): Fraction(coeff) ** k})
-        result = LaurentPoly.one(self.table)
+        if k == 0:
+            return LaurentPoly.one(self.table)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
         return result
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentPoly)
-            and self.table == other.table
-            and self.terms == other.terms
-        )
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self.table == other.table and self.terms == other.terms
 
     def __hash__(self) -> int:
         if self._hash is None:

@@ -15,7 +15,7 @@ from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .gauss import GaussianRational
-from .intlinalg import IntMatrix, rank_bareiss, smith_kernel_basis
+from .intlinalg import IntMatrix, kernel_basis, rank_bareiss
 from .laurent import GeneratorTable, LaurentPoly, Q, RationalFn, exact_coefficient, exact_int, exact_poly_div
 
 
@@ -544,7 +544,7 @@ def monomial_casimirs(quiver: Quiver) -> list:
     i.e. w-exponents 2*alpha.  Every basis element is checked to bracket to
     zero with every cluster variable (a kernel identity, asserted exactly).
     """
-    basis = smith_kernel_basis(quiver.doubled)
+    basis = kernel_basis(quiver.doubled)
     table = initial_table(quiver.vertices)
     rows = exchange_rows(quiver, table)
     out = []

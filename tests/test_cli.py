@@ -37,6 +37,32 @@ def test_casimirs_contains_x7_monomial(capsys):
     assert "w:e^4" in out and "w:a^2" in out and "w:g^2" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["casimirs"], ["casimirs", "--quiver", "SEED", "--surface", "genus2_x7"]],
+)
+def test_casimirs_needs_exactly_one_source(tmp_path, capsys, argv):
+    # --surface used to be ignored silently next to --quiver
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps(build_surface("genus2_k33").seed.to_json()))
+    assert main([str(seed) if a == "SEED" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_casimirs_of_square_quiver_12(tmp_path, capsys):
+    from symgroupoid.quiver import Seed
+    from symgroupoid.squares import square_quiver
+
+    seed = tmp_path / "square12.json"
+    seed.write_text(json.dumps(Seed.initial(square_quiver(12)).to_json()))
+    assert main(["casimirs", "--quiver", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("corank 13; kernel basis:")
+    assert out.count("\n") == 14
+
+
 def test_mutate_echo_and_seq(tmp_path, capsys):
     model = build_surface("genus2_x7")
     qfile = tmp_path / "x7.json"

@@ -1,5 +1,5 @@
-"""Modules of the package reach one another through public names only, and
-exact values have one zero test: ``bool()``."""
+"""Modules of the package reach one another through public names only,
+exact values have one zero test: ``bool()``, and no loop runs unbounded."""
 
 import ast
 from pathlib import Path
@@ -39,4 +39,14 @@ def test_no_module_has_a_second_zero_protocol():
                 continue
             if name in ("is_zero", "is_zero_entry", "hasattr"):
                 offenders.append(f"{path.name}:{getattr(node, 'lineno', '?')}: {name}")
+    assert not offenders, offenders
+
+
+def test_no_module_has_a_while_true_loop():
+    # every loop is bounded by its condition or by a for over a known range
+    offenders = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.While) and isinstance(node.test, ast.Constant) and node.test.value:
+                offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders

@@ -259,6 +259,40 @@ def test_negative_monomial_power():
         (m + LaurentPoly.one(T)) ** -1
 
 
+def test_positive_powers_start_from_the_base(monkeypatch):
+    # powers used to start from one, so p ** k made one product too many
+    p = gen("w:a") + gen("w:b", -1)
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    for k, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2)):
+        calls.clear()
+        power = p ** k
+        assert len(calls) == products, k
+        expected = LaurentPoly.one(T)
+        for _ in range(k):
+            expected = mul(expected, p)
+        assert power == expected
+    g = GaussianRational(Q(1, 2), 3)
+    assert g ** 0 == 1 and g ** 1 == g and g ** 3 == g * g * g and g ** -2 == 1 / (g * g)
+
+
+def test_equality_with_a_rational_function_is_symmetric():
+    # LaurentPoly.__eq__ used to answer False for a RationalFn, so p == rf(p)
+    # was False while rf(p) == p was True
+    p = gen("w:a") + LaurentPoly.one(T)
+    assert p == rf(p) and rf(p) == p
+    assert not p != rf(p) and not rf(p) != p
+    assert p != rf(p + p) and rf(p + p) != p
+    assert not p == rf(p + p) and not rf(p + p) == p
+    assert p != 0 and not p == 0
+
+
 def test_rationalfn_normalization_invariants():
     w = gen("w:x", table=W1)
     one = LaurentPoly.one(W1)

@@ -77,3 +77,16 @@ def test_zero_quiver_all_singletons():
     q = Quiver(["x", "y", "z"], IntMatrix.zero(3, 3))
     assert corank(q) == 3
     assert len(monomial_casimirs(q)) == 3
+
+
+def test_empty_quiver_has_no_casimirs():
+    from symgroupoid.intlinalg import IntMatrix
+
+    q = Quiver([], IntMatrix([]))
+    assert corank(q) == 0
+    assert monomial_casimirs(q) == []
+
+
+def test_square_quiver_12_casimir_basis():
+    # 169 vertices: the lattice reduction used to hang here
+    assert len(monomial_casimirs(square_quiver(12))) == 13
