@@ -14,7 +14,7 @@ import json
 import sys
 
 from .laurent import RationalFn, SingularPointError, exact_rational
-from .quiver import Seed, apply_sequence, corank, monomial_casimirs
+from .quiver import Seed, apply_sequence, monomial_casimirs
 from .report import all_report, run_suite_checks, write_report
 from .suites import SUITE_NAMES, build_suite, casimir_checks, unit_count
 from .teich import build_surface, catalog_value
@@ -118,7 +118,7 @@ def cmd_mutate(args) -> int:
 def cmd_casimirs(args) -> int:
     quiver = _load_seed(args.quiver).quiver if args.quiver is not None else _surface(args.surface).quiver
     basis = monomial_casimirs(quiver)
-    print(f"corank {corank(quiver)}; kernel basis:")
+    print(f"corank {len(basis)}; kernel basis:")
     for mono in basis:
         print(" ", mono.to_text())
     return 0

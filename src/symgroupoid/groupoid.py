@@ -12,10 +12,19 @@ from typing import Sequence
 
 from .laurent import GeneratorTable, Q, RationalFn
 from .matrices import MatrixRF, charpoly_is_palindromic, divide_out_root, solve
-from .quiver import Quiver, bivector_at, dot, gradient_at, hamiltonian_at
+from .gauss import GaussianRational
+from .quiver import Quiver, bivector_at, dot, gradient_at, hamiltonian_at, integer_vectors, is_real_point
 
 # random specializations tried per point before a numeric check gives up
 NUMERIC_ATTEMPTS = 100
+
+# the one zero entry shared by the pointwise tensors below
+_ZERO = Fraction(0)
+
+
+def _over(x: int, den: int) -> Fraction:
+    """x/den, a new Fraction only when x is nonzero."""
+    return Fraction(x, den) if x else _ZERO
 
 
 def antidiagonal_sign_matrix(n: int) -> list:
@@ -64,41 +73,97 @@ class RMatrix:
 
 def reflection_rhs(mv: MatrixRF) -> MatrixRF:
     """Right side of the reflection identity r M1M2 - M1M2 r - M1 rt2 M2 + M2 rt2 M1,
-    rt2 the partial transpose of r in the second leg, for a matrix of field
+    rt2 the partial transpose of r in the second leg, for a matrix of exact
     values, built entrywise: entry ((i,k),(j,l)) is
-    (th(k-i) - th(j-l)) m_kj m_il - th(j-k) m_ik m_jl + th(l-i) m_ki m_lj."""
+    (th(k-i) - th(j-l)) m_kj m_il - th(j-k) m_ik m_jl + th(l-i) m_ki m_lj.
+
+    With the matrix written as M/d (d the lcm of all denominators) and th in
+    half-units, every entry is B(M, M)/(2d²) for the integer bilinear form
+    ``_reflection_form``.  A matrix with GaussianRational entries, M = R + iI,
+    gives B(R, R) - B(I, I) + i(B(R, I) + B(I, R)) over the same 2d², and
+    GaussianRational entries; a matrix of ints and Fractions gives Fractions."""
     n = mv.rows
-    m = mv.entries
+    real = not any(isinstance(x, GaussianRational) for row in mv.entries for x in row)
+    ints, d = integer_vectors(mv.entries, not real)
+    den = 2 * d * d
+    if real:
+        return MatrixRF([[Fraction(x, den) if x else _ZERO for x in row] for row in _reflection_form(ints, ints)])
+    re, im = [row[:n] for row in ints], [row[n:] for row in ints]
     return MatrixRF(
         [
-            [
-                (theta(k - i) - theta(j - l)) * m[k][j] * m[i][l]
-                - theta(j - k) * m[i][k] * m[j][l]
-                + theta(l - i) * m[k][i] * m[l][j]
-                for j in range(n)
-                for l in range(n)
-            ]
-            for i in range(n)
-            for k in range(n)
+            [GaussianRational(_over(a - b, den), _over(c + e, den)) for a, b, c, e in zip(*rows)]
+            for rows in zip(
+                _reflection_form(re, re), _reflection_form(im, im), _reflection_form(re, im), _reflection_form(im, re)
+            )
         ]
     )
+
+
+def _reflection_form(x: list, y: list) -> list:
+    """The integer form B(X, Y) behind ``reflection_rhs``: entry ((i,k),(j,l)) is
+    (t(k-i) - t(j-l)) x_kj y_il - t(j-k) x_ik y_jl + t(l-i) x_ki y_lj with
+    t = 2·th, the ints 2, 1 and 0; rows in the doubled index order."""
+    n = len(x)
+    # half[a][b] = t(a - b); t(l - i) = 2 - t(i - l)
+    half = [[(a > b) + (a >= b) for b in range(n)] for a in range(n)]
+    cols = [list(col) for col in zip(*y)]
+    out = []
+    for i in range(n):
+        yi, xi = y[i], x[i]
+        tli = [2 - t for t in half[i]]
+        for k in range(n):
+            xk, tki = x[k], half[k][i]
+            xik, xki = xi[k], xk[i]
+            row = []
+            for j in range(n):
+                xkj, tjk_xik, yj = xk[j], half[j][k] * xik, y[j]
+                row += [
+                    (tki - tjl) * xkj * yil - tjk_xik * yjl + til * xki * ylj
+                    for tjl, yil, yjl, til, ylj in zip(half[j], yi, yj, tli, cols[j])
+                ]
+            out.append(row)
+    return out
 
 
 def bracket_tensor_at(m1: MatrixRF, m2: MatrixRF, quiver: Quiver, point) -> MatrixRF:
     """{M1 tensor, M2} exactly evaluated at a point: entry ((i,k),(j,l)) is
     {m1[i][j], m2[k][l]}, the gradient of m1[i][j] dotted with the bivector
-    contracted once with the gradient of m2[k][l]."""
+    contracted once with the gradient of m2[k][l].
+
+    The gradients of each matrix are integer vectors over one scale d_1 (d_2),
+    and ``bivector_at`` gives integer rows over its scale, so every entry is an
+    integer over scale·d_1·d_2.  At a point that is not real the vectors are
+    stacked; the dot of F = U + iV with H is then U·H_re - V·H_im +
+    i(U·H_im + V·H_re), and the entries are GaussianRationals."""
     n = m1.rows
-    pi = bivector_at(quiver, m1[0, 0].table, point)
+    table = m1[0, 0].table
+    real = is_real_point(table, point)
+    pi, scale = bivector_at(quiver, table, point)
 
-    def gradients(m: MatrixRF) -> list:
-        return [[gradient_at(m[i, j], point)[1] for j in range(n)] for i in range(n)]
+    def gradients(m: MatrixRF) -> tuple:
+        return integer_vectors([gradient_at(m[i, j], point)[1] for i in range(n) for j in range(n)], not real)
 
-    g1 = gradients(m1)
-    h2 = [[hamiltonian_at(pi, g) for g in row] for row in (g1 if m2 is m1 else gradients(m2))]
-    return MatrixRF(
-        [[dot(g1[i][j], h2[k][l]) for j in range(n) for l in range(n)] for i in range(n) for k in range(n)]
-    )
+    g1, d1 = gradients(m1)
+    g2, d2 = (g1, d1) if m2 is m1 else gradients(m2)
+    h2 = [hamiltonian_at(pi, g) for g in g2]
+    den = scale * d1 * d2
+    blocks = [(range(i * n, i * n + n), range(k * n, k * n + n)) for i in range(n) for k in range(n)]
+    if real:
+        return MatrixRF(
+            [
+                [Fraction(x, den) if (x := dot(g1[a], h2[b])) else _ZERO for a in rows for b in cols]
+                for rows, cols in blocks
+            ]
+        )
+    # F = U + iV stacked: its dot with H is (U, -V)·H + i (V, U)·H
+    size = len(table)
+    covectors = [(f[:size] + [-x for x in f[size:]], f[size:] + f[:size]) for f in g1]
+
+    def entry(a: int, b: int) -> GaussianRational:
+        re, im = covectors[a]
+        return GaussianRational(_over(dot(re, h2[b]), den), _over(dot(im, h2[b]), den))
+
+    return MatrixRF([[entry(a, b) for a in rows for b in cols] for rows, cols in blocks])
 
 
 # -- generic transport matrices and the compatibility identities ---------------

@@ -11,6 +11,7 @@ than by multivariate gcd.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
@@ -508,26 +509,67 @@ def gradient_at(h: RationalFn, point: Mapping[str, Fraction]) -> tuple:
     return pv / qv, [(dp * qv - pv * dq) / q2 if dp or dq else dp for dp, dq in zip(pg, qg)]
 
 
-def bivector_at(quiver: Quiver, table: GeneratorTable, point: Mapping[str, Fraction]) -> list:
-    """The Poisson bivector at a point: {f, g} = sum over i != j of Pi_ij f_i g_j
-    with Pi_ij = b_ij w_i w_j / 8, in table order.  Row i holds the pairs
-    ``(j, Pi_ij)`` with Pi_ij nonzero."""
-    wv = [point[name] for name in table.names]
-    return [
-        [(j, pij) for j, bij in row if (pij := Fraction(bij, 8) * wv[i] * wv[j])]
-        for i, row in enumerate(exchange_rows(quiver, table))
-    ]
+def integer_vectors(vectors: Sequence[Sequence], stacked: bool = False) -> tuple:
+    """Exact vectors as integer vectors over one scale: ``(ints, d)`` with d
+    the least positive integer that makes d·x integral for every entry x, and
+    ``ints[k]`` the vector d·vectors[k].
+
+    Without ``stacked`` the entries must be ints or Fractions.  With it they
+    may be GaussianRationals too, and ``ints[k]`` holds the real parts of
+    d·vectors[k] followed by their imaginary parts: the stacked form the
+    pointwise helpers below take at a point that is not real."""
+    if stacked:
+        vectors = [
+            [x.re if isinstance(x, GaussianRational) else x for x in v]
+            + [x.im if isinstance(x, GaussianRational) else 0 for x in v]
+            for v in vectors
+        ]
+    d = lcm(*(x.denominator for v in vectors for x in v))
+    return [[x.numerator * (d // x.denominator) for x in v] for v in vectors], d
+
+
+def is_real_point(table: GeneratorTable, point: Mapping[str, object]) -> bool:
+    """Whether no coordinate of the point is a GaussianRational: the helpers
+    below then work on real integer vectors, and on stacked ones otherwise."""
+    return not any(isinstance(point[name], GaussianRational) for name in table.names)
+
+
+def bivector_at(quiver: Quiver, table: GeneratorTable, point: Mapping[str, object]) -> tuple:
+    """The Poisson bivector at a point in integers over one scale: ``(rows,
+    scale)`` with {f, g} = Σ P_ij f_i g_j / scale over i != j, in table order.
+
+    With the coordinates written as w = W/d (d the lcm of their denominators),
+    P_ij = b_ij·W_i·W_j and scale = 8·d², so Pi_ij = b_ij w_i w_j / 8 and the
+    1/8 is taken once.  Row i holds the pairs ``(j, P_ij)`` with P_ij nonzero.
+    At a point that is not real, W = U + iV and P are complex, and the rows
+    are those of the real block form [[Re P, -Im P], [Im P, Re P]], which
+    acts on stacked vectors (real parts, then imaginary parts)."""
+    real = is_real_point(table, point)
+    (w,), d = integer_vectors([[point[name] for name in table.names]], not real)
+    brows = exchange_rows(quiver, table)
+    if real:
+        return [[(j, p) for j, bij in row if (p := bij * w[i] * w[j])] for i, row in enumerate(brows)], 8 * d * d
+    n = len(brows)
+    u, v = w[:n], w[n:]
+    top, bottom = [], []
+    for i, row in enumerate(brows):
+        re = [(j, bij * (u[i] * u[j] - v[i] * v[j])) for j, bij in row]
+        im = [(j, bij * (u[i] * v[j] + v[i] * u[j])) for j, bij in row]
+        top.append([(j, p) for j, p in re if p] + [(n + j, -p) for j, p in im if p])
+        bottom.append([(j, p) for j, p in im if p] + [(n + j, p) for j, p in re if p])
+    return top + bottom, 8 * d * d
 
 
 def hamiltonian_at(pi: list, gg: list) -> list:
-    """Pi contracted with the gradient of g: entry i is {w_i, g} at the point,
-    so that {f, g} is ``dot(f's gradient, hamiltonian_at(pi, gg))``."""
-    return [sum([pij * gg[j] for j, pij in row if gg[j]], Q(0)) for row in pi]
+    """The integer rows of ``bivector_at`` contracted with an integer gradient
+    vector G = d_g·(gradient of g): entry i is scale·d_g·{w_i, g}, so that
+    scale·d_f·d_g·{f, g} is ``dot(F, hamiltonian_at(pi, G))``."""
+    return [sum([p * gg[j] for j, p in row]) for row in pi]
 
 
-def dot(u: list, v: list) -> Fraction | GaussianRational:
-    """Exact dot product of two vectors, skipping zero entries."""
-    return sum([x * y for x, y in zip(u, v) if x and y], Q(0))
+def dot(u: list, v: list) -> int:
+    """Dot product of two integer vectors."""
+    return sum(map(mul, u, v))
 
 
 # -- Casimir lattice ----------------------------------------------------------

@@ -33,6 +33,7 @@ from .quiver import (
     dot,
     gradient_at,
     hamiltonian_at,
+    integer_vectors,
     monomial_is_casimir,
     mutate,
     poisson_bracket,
@@ -696,13 +697,16 @@ def twist_identities(rng_seed):
         pt = _positive_point(t, rng, 1, 25)
         y2v, y2g = gradient_at(y2, pt)
         xv, xg = gradient_at(x, pt)
-        y2h = hamiltonian_at(bivector_at(q, t, pt), y2g)
-        br = -dot(xg, y2h)  # {y2, x} = -{x, y2}
+        # the gradients as integer vectors over one scale d
+        (y2g, xg, t2g, tt2g), d = integer_vectors([y2g, xg, gradient_at(t2, pt)[1], gradient_at(tt2, pt)[1]])
+        pi, scale = bivector_at(q, t, pt)
+        y2h = hamiltonian_at(pi, y2g)
+        br = Fraction(-dot(xg, y2h), scale * d * d)  # {y2, x} = -{x, y2}
         if br * br != 4 * y2v * (xv ** 2 - 4) * (y2v - 4):
             return (False, f"squared twist identity fails at rep {rep}")
-        if dot(gradient_at(t2, pt)[1], y2h):
+        if dot(t2g, y2h):
             return (False, f"first squared twist fails to commute at rep {rep}")
-        if dot(gradient_at(tt2, pt)[1], y2h):
+        if dot(tt2g, y2h):
             return (False, f"second squared twist fails to commute at rep {rep}")
     if poisson_bracket(x, g12, q):
         return (False, "shifted separating element does not commute with the chart geodesic")

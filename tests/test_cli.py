@@ -5,6 +5,7 @@ import json
 import pytest
 
 from symgroupoid.cli import main
+from symgroupoid import surfaces
 from symgroupoid.teich import build_surface
 
 
@@ -61,6 +62,28 @@ def test_casimirs_of_square_quiver_12(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("corank 13; kernel basis:")
     assert out.count("\n") == 14
+
+
+def test_casimirs_makes_one_elimination(tmp_path, capsys, monkeypatch):
+    # the header's corank is the length of the kernel basis: the command used
+    # to run the Bareiss pass a second time through corank(quiver)
+    from symgroupoid import intlinalg
+    from symgroupoid.quiver import Seed, corank
+    from symgroupoid.squares import square_quiver
+
+    calls = []
+    echelon = intlinalg._bareiss_echelon
+    monkeypatch.setattr(intlinalg, "_bareiss_echelon", lambda m: calls.append(m) or echelon(m))
+    seed = tmp_path / "square12.json"
+    seed.write_text(json.dumps(Seed.initial(square_quiver(12)).to_json()))
+    runs = [(["casimirs", "--quiver", str(seed)], square_quiver(12))]
+    runs += [(["casimirs", "--surface", name], build_surface(name).quiver) for name in surfaces.MODEL_NAMES]
+    for argv, quiver in runs:
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == 1, argv
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == f"corank {corank(quiver)}; kernel basis:", argv
 
 
 def test_mutate_echo_and_seq(tmp_path, capsys):

@@ -18,13 +18,16 @@ from symgroupoid.groupoid import (
     leaf_diagnostics,
     reflection_rhs,
     solve_unipotent_A,
+    theta,
 )
+from symgroupoid.intlinalg import IntMatrix
 from symgroupoid.laurent import GeneratorTable, RationalFn
 from symgroupoid.matrices import MatrixRF, charpoly_is_palindromic
 from symgroupoid.network import SquareNetwork
-from symgroupoid.quiver import poisson_bracket
+from symgroupoid.quiver import Quiver, exchange_rows, gradient_at, poisson_bracket
 from symgroupoid.report import run_suite_checks
 from symgroupoid.suites import build_suite
+from symgroupoid.teich import matrix_braid
 
 T0 = GeneratorTable([])
 
@@ -307,3 +310,167 @@ def test_integer_matrix_stays_exact():
     values = [x for row in inv.entries for x in row] + m.charpoly()
     assert not any(isinstance(x, float) for x in values)
     assert MatrixRF([[1, 5], [0, 1]]).is_unipotent_upper()
+
+
+# -- reference oracles for the pointwise reflection identity -------------------
+
+
+def reference_reflection_rhs(m) -> list:
+    """Reference: the right side entrywise in field arithmetic, with theta as
+    the Fractions 1, 1/2 and 0 (the formula ``reflection_rhs`` computes in
+    integers over one scale)."""
+    n = len(m)
+    return [
+        [
+            (theta(k - i) - theta(j - l)) * m[k][j] * m[i][l]
+            - theta(j - k) * m[i][k] * m[j][l]
+            + theta(l - i) * m[k][i] * m[l][j]
+            for j in range(n)
+            for l in range(n)
+        ]
+        for i in range(n)
+        for k in range(n)
+    ]
+
+
+def reference_bracket_tensor(m1, m2, quiver, point) -> list:
+    """Reference: {M1 tensor, M2} with the bivector Pi_ij = b_ij w_i w_j / 8 and
+    every contraction in field arithmetic (what ``bracket_tensor_at`` computes
+    in integers over one scale)."""
+    n = m1.rows
+    table = m1[0, 0].table
+    wv = [point[name] for name in table.names]
+    rows = exchange_rows(quiver, table)
+    pi = [[(j, Fraction(bij, 8) * wv[i] * wv[j]) for j, bij in row] for i, row in enumerate(rows)]
+
+    def gradients(m):
+        return [[gradient_at(m[i, j], point)[1] for j in range(n)] for i in range(n)]
+
+    def field_sum(values):
+        return sum(values, Fraction(0))
+
+    g1 = gradients(m1)
+    g2 = g1 if m2 is m1 else gradients(m2)
+    h2 = [[[field_sum(p * g[j] for j, p in row) for row in pi] for g in grow] for grow in g2]
+    return [
+        [field_sum(x * y for x, y in zip(g1[i][j], h2[k][l])) for j in range(n) for l in range(n)]
+        for i in range(n)
+        for k in range(n)
+    ]
+
+
+def _random_field_matrix(rng, n, offset, gaussian=False):
+    """A seeded matrix whose entries run through zero, a nonzero int and a
+    nonzero Fraction in turn, starting at ``offset``; with ``gaussian``, every
+    nonzero entry gets a nonzero imaginary part.  Entries are set after
+    construction, so ints stay ints."""
+
+    def entry(kind):
+        if kind == 0:
+            return 0
+        x = rng.choice([-1, 1]) * rng.randint(1, 9)
+        if kind == 2:
+            x = Fraction(x, rng.randint(2, 7))
+        return GaussianRational(x, Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5))) if gaussian else x
+
+    m = MatrixRF([[0] * n for _ in range(n)])
+    for i in range(n):
+        for j in range(n):
+            m[i, j] = entry((offset + i * n + j) % 3)
+    return m
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_reflection_rhs_matches_reference_on_random_matrices(n):
+    rng = random.Random(700 + n)
+    for offset in range(4):
+        m = _random_field_matrix(rng, n, offset)
+        got = reflection_rhs(m).entries
+        assert got == reference_reflection_rhs(m.entries)
+        assert all(type(x) is Fraction for row in got for x in row)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_reflection_rhs_matches_reference_on_gaussian_matrices(n):
+    rng = random.Random(800 + n)
+    nonreal = 0
+    # offsets that start at a nonzero entry, so even a 1x1 matrix is non-real
+    for offset in (1, 2, 4):
+        m = _random_field_matrix(rng, n, offset, gaussian=True)
+        got = reflection_rhs(m).entries
+        assert got == reference_reflection_rhs(m.entries)
+        assert all(type(x) is GaussianRational for row in got for x in row)
+        nonreal += sum(bool(x.im) for row in got for x in row)
+    # a 1x1 right side is th(0)(m m - m m + m m) - th(0) m m = 0
+    assert nonreal or n == 1
+
+
+def test_pointwise_tensors_of_the_zero_matrix():
+    for n in (1, 3):
+        rhs = reflection_rhs(MatrixRF([[0] * n for _ in range(n)])).entries
+        assert rhs == reference_reflection_rhs([[Fraction(0)] * n for _ in range(n)])
+        assert all(type(x) is Fraction and x == 0 for row in rhs for x in row)
+    # constant entries have zero gradients, so their bracket tensor vanishes
+    model = suites.build_surface("genus2_x7")
+    t = model.seed.frame
+    zero = MatrixRF([[RationalFn.constant(t, 0)] * 2 for _ in range(2)])
+    pt = suites._positive_point(t, random.Random(1), 1, 9)
+    tensor = bracket_tensor_at(zero, zero, model.quiver, pt).entries
+    assert all(type(x) is Fraction and x == 0 for row in tensor for x in row)
+
+
+def _genus2_chain_pair():
+    model = suites.build_surface("genus2_x7")
+    u = suites.chain_matrix(model.name, model.chains["braid"])
+    return model, u, matrix_braid(u, 3)
+
+
+def _real_and_nonreal_points(table, seed):
+    real = suites._positive_point(table, random.Random(seed), 1, 9)
+    first = table.names[0]
+    return real, dict(real, **{first: GaussianRational(real[first], Fraction(1, 2))})
+
+
+def test_genus2_chain_tensors_match_the_references():
+    # the 6x6 braid chain matrix and its dual twist, at a real and a non-real
+    # point, with M1 is M2 and M1 is not M2
+    model, u, tw = _genus2_chain_pair()
+    real, nonreal = _real_and_nonreal_points(model.seed.frame, 11)
+    for pt, kind in ((real, Fraction), (nonreal, GaussianRational)):
+        for m1, m2 in ((u, u), (u, tw)):
+            tensor = bracket_tensor_at(m1, m2, model.quiver, pt).entries
+            assert tensor == reference_bracket_tensor(m1, m2, model.quiver, pt)
+            assert all(type(x) is kind for row in tensor for x in row)
+        mv = u.evaluate(pt)
+        rhs = reflection_rhs(mv).entries
+        assert rhs == reference_reflection_rhs(mv.entries)
+        assert all(type(x) is kind for row in rhs for x in row)
+        assert bracket_tensor_at(u, u, model.quiver, pt).entries == rhs
+    assert any(x.im for row in reflection_rhs(u.evaluate(nonreal)).entries for x in row)
+
+
+def test_reversed_arrow_breaks_the_genus2_reflection_identity():
+    # negative control: reversing the weight-4 arrow a -> d of genus2_x7
+    # changes 68 brackets of chain entries, and the identity then fails on
+    # exactly those, in both orders: 136 of the 1296 entries
+    model, u, _ = _genus2_chain_pair()
+    q = model.quiver
+    assert q.b("a", "d") == 4
+    doubled = [list(row) for row in q.doubled.entries]
+    ia, id_ = q.index("a"), q.index("d")
+    doubled[ia][id_], doubled[id_][ia] = -4, 4
+    reversed_q = Quiver(q.vertices, IntMatrix(doubled), q.frozen)
+    pt = suites._positive_point(model.seed.frame, random.Random(13), 1, 9)
+    rhs = reflection_rhs(u.evaluate(pt)).entries
+    true_tensor = bracket_tensor_at(u, u, q, pt).entries
+    wrong_tensor = bracket_tensor_at(u, u, reversed_q, pt).entries
+    assert true_tensor == rhs
+    cells = [(r, c) for r in range(36) for c in range(36)]
+    failing = {(r, c) for r, c in cells if wrong_tensor[r][c] != rhs[r][c]}
+    changed = {(r, c) for r, c in cells if wrong_tensor[r][c] != true_tensor[r][c]}
+    assert len(failing) == 136
+    assert failing == changed
+    # entry ((i,k),(j,l)) is {u_ij, u_kl}, so each changed bracket shows twice
+    swap = {(r % 6 * 6 + r // 6, c % 6 * 6 + c // 6) for r, c in failing}
+    assert swap == failing
+    assert wrong_tensor == reference_bracket_tensor(u, u, reversed_q, pt)
