@@ -128,7 +128,20 @@ def _reflection_form(x: list, y: list) -> list:
 def bracket_tensor_at(m1: MatrixRF, m2: MatrixRF, quiver: Quiver, point) -> MatrixRF:
     """{M1 tensor, M2} exactly evaluated at a point: entry ((i,k),(j,l)) is
     {m1[i][j], m2[k][l]}, the gradient of m1[i][j] dotted with the bivector
-    contracted once with the gradient of m2[k][l].
+    contracted once with the gradient of m2[k][l]."""
+    return _tensor_and_values(m1, m2, quiver, point)[0]
+
+
+def reflection_sides_at(m: MatrixRF, quiver: Quiver, point) -> tuple:
+    """Both sides of the reflection identity at a point, ``({M tensor, M},
+    reflection_rhs(M))``, the entries of M evaluated once with their gradients."""
+    tensor, values = _tensor_and_values(m, m, quiver, point)
+    return tensor, reflection_rhs(MatrixRF(values))
+
+
+def _tensor_and_values(m1: MatrixRF, m2: MatrixRF, quiver: Quiver, point) -> tuple:
+    """``bracket_tensor_at`` and the rows of values of M1, from one
+    ``gradient_at`` pass per entry.
 
     The gradients of each matrix are integer vectors over one scale d_1 (d_2),
     and ``bivector_at`` gives integer rows over its scale, so every entry is an
@@ -140,21 +153,22 @@ def bracket_tensor_at(m1: MatrixRF, m2: MatrixRF, quiver: Quiver, point) -> Matr
     real = is_real_point(table, point)
     pi, scale = bivector_at(quiver, table, point)
 
-    def gradients(m: MatrixRF) -> tuple:
-        return integer_vectors([gradient_at(m[i, j], point)[1] for i in range(n) for j in range(n)], not real)
+    def entries_at(m: MatrixRF) -> list:
+        return [gradient_at(m[i, j], point) for i in range(n) for j in range(n)]
 
-    g1, d1 = gradients(m1)
-    g2, d2 = (g1, d1) if m2 is m1 else gradients(m2)
+    at1 = entries_at(m1)
+    values = [[v for v, _ in at1[i * n : i * n + n]] for i in range(n)]
+    g1, d1 = integer_vectors([g for _, g in at1], not real)
+    g2, d2 = (g1, d1) if m2 is m1 else integer_vectors([g for _, g in entries_at(m2)], not real)
     h2 = [hamiltonian_at(pi, g) for g in g2]
     den = scale * d1 * d2
     blocks = [(range(i * n, i * n + n), range(k * n, k * n + n)) for i in range(n) for k in range(n)]
     if real:
-        return MatrixRF(
-            [
-                [Fraction(x, den) if (x := dot(g1[a], h2[b])) else _ZERO for a in rows for b in cols]
-                for rows, cols in blocks
-            ]
-        )
+        tensor = [
+            [Fraction(x, den) if (x := dot(g1[a], h2[b])) else _ZERO for a in rows for b in cols]
+            for rows, cols in blocks
+        ]
+        return MatrixRF(tensor), values
     # F = U + iV stacked: its dot with H is (U, -V)·H + i (V, U)·H
     size = len(table)
     covectors = [(f[:size] + [-x for x in f[size:]], f[size:] + f[:size]) for f in g1]
@@ -163,7 +177,7 @@ def bracket_tensor_at(m1: MatrixRF, m2: MatrixRF, quiver: Quiver, point) -> Matr
         re, im = covectors[a]
         return GaussianRational(_over(dot(re, h2[b]), den), _over(dot(im, h2[b]), den))
 
-    return MatrixRF([[entry(a, b) for a in rows for b in cols] for rows, cols in blocks])
+    return MatrixRF([[entry(a, b) for a in rows for b in cols] for rows, cols in blocks]), values
 
 
 # -- generic transport matrices and the compatibility identities ---------------

@@ -509,6 +509,78 @@ def gradient_at(h: RationalFn, point: Mapping[str, Fraction]) -> tuple:
     return pv / qv, [(dp * qv - pv * dq) / q2 if dp or dq else dp for dp, dq in zip(pg, qg)]
 
 
+def _is_scalar(x) -> bool:
+    return isinstance(x, (int, Fraction))
+
+
+class Jet:
+    """An exact value and its gradient (in table order) at one point: forward
+    mode.  Closed under +, -, *, / and integer powers by the sum, product and
+    quotient rules; an int or Fraction operand, on either side, is a constant
+    with zero gradient.  ``Jet.at`` takes a leaf from ``gradient_at``."""
+
+    __slots__ = ("value", "grad")
+
+    def __init__(self, value, grad: list):
+        self.value = value
+        self.grad = grad
+
+    @classmethod
+    def at(cls, h: RationalFn, point: Mapping[str, object]) -> "Jet":
+        return cls(*gradient_at(h, point))
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.value + other.value, list(map(add, self.grad, other.grad)))
+        if _is_scalar(other):
+            return Jet(self.value + other, self.grad)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.value, [-g for g in self.grad])
+
+    def __sub__(self, other):
+        return self + -other if isinstance(other, Jet) or _is_scalar(other) else NotImplemented
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, Jet):
+            a, b = self.value, other.value
+            return Jet(a * b, [a * dg + b * df for df, dg in zip(self.grad, other.grad)])
+        if _is_scalar(other):
+            return Jet(self.value * other, [other * g for g in self.grad])
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Jet):
+            b = other.value
+            q = self.value / b
+            return Jet(q, [(df - q * dg) / b for df, dg in zip(self.grad, other.grad)])
+        if _is_scalar(other):
+            return Jet(self.value / other, [g / other for g in self.grad])
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if not _is_scalar(other):
+            return NotImplemented
+        b = self.value
+        q = other / b
+        return Jet(q, [-q * dg / b for dg in self.grad])
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        v = self.value
+        slope = k * v ** (k - 1) if k else 0
+        return Jet(v ** k, [slope * g for g in self.grad])
+
+
 def integer_vectors(vectors: Sequence[Sequence], stacked: bool = False) -> tuple:
     """Exact vectors as integer vectors over one scale: ``(ints, d)`` with d
     the least positive integer that makes d·x integral for every entry x, and

@@ -17,7 +17,7 @@ from .groupoid import (
     antidiagonal_S,
     bracket_tensor_at,
     leaf_diagnostics,
-    reflection_rhs,
+    reflection_sides_at,
     solve_unipotent_A,
     transport_groupoid,
 )
@@ -25,13 +25,13 @@ from .laurent import GeneratorTable, Q, RationalFn
 from .matrices import MatrixRF
 from .network import SquareNetwork, enumerate_paths_dfs, path_sum_bruteforce
 from .quiver import (
+    Jet,
     Quiver,
     Seed,
     apply_sequence,
     bivector_at,
     corank,
     dot,
-    gradient_at,
     hamiltonian_at,
     integer_vectors,
     monomial_is_casimir,
@@ -536,7 +536,8 @@ def reflection_equation_n3(rng_seed):
     for rep in range(5):
         pt = _positive_point(net.table, rng, 1, 30)
         for m in (a, at):
-            if bracket_tensor_at(m, m, net.quiver, pt) != reflection_rhs(m.evaluate(pt)):
+            lhs, rhs = reflection_sides_at(m, net.quiver, pt)
+            if lhs != rhs:
                 return (False, f"rep {rep}: reflection identity fails")
     return True
 
@@ -554,8 +555,7 @@ def reflection_equation_n4_points(rng_seed):
     for rep in range(2):
         pt = _positive_point(net.table, rng, 1, 12)
         for m in (a, at):
-            lhs = bracket_tensor_at(m, m, net.quiver, pt)
-            rhs = reflection_rhs(m.evaluate(pt))
+            lhs, rhs = reflection_sides_at(m, net.quiver, pt)
             for i in range(n):
                 for j in range(n):
                     for k in range(n):
@@ -677,38 +677,46 @@ def catalog_chart_consistency(rng_seed):
     return True
 
 
+def twist_leaves(model) -> tuple:
+    """The six leaf geodesic functions of the genus-2 twist identities: the
+    separating element m, G_{1,2}, G~_{1,2}, the dual G_B, G_{2,3} and G~_{2,3}."""
+    labels = ("G_{1,2}", "Gt_{1,2}", "G_B", "G_{2,3}", "Gt_{2,3}")
+    return (markov(model, "product_G"),) + tuple(catalog_value(model, lbl) for lbl in labels)
+
+
+def twist_quantities(m, g12, gt12, gb, g23, gt23) -> tuple:
+    """x = m + 2, y², t² and t~² from the six leaves of ``twist_leaves``; the
+    check evaluates them on jets at a point."""
+    x = m + 2
+    y2 = (m * gb - 2 * g12 * gt12) ** 2 / ((m + g12 ** 2) * (m + gt12 ** 2))
+    t2 = -4 + g23 ** 2 * (g12 ** 2 - 4) / (m + g12 ** 2)
+    tt2 = -4 + gt23 ** 2 * (gt12 ** 2 - 4) / (m + gt12 ** 2)
+    return x, y2, t2, tt2
+
+
 @check("genus2", "genus2_twist_identities", "squared dual-twist bracket identity and twist commutations at ten points")
 def twist_identities(rng_seed):
     model = build_surface("genus2_x7")
     t = model.seed.frame
     q = model.quiver
-    m = markov(model, "product_G")
-    g12 = catalog_value(model, "G_{1,2}")
-    gt12 = catalog_value(model, "Gt_{1,2}")
-    gb = catalog_value(model, "G_B")
-    g23 = catalog_value(model, "G_{2,3}")
-    gt23 = catalog_value(model, "Gt_{2,3}")
-    x = m + 2
-    y2 = (m * gb - 2 * g12 * gt12) ** 2 / ((m + g12 ** 2) * (m + gt12 ** 2))
-    t2 = -4 + g23 ** 2 * (g12 ** 2 - 4) / (m + g12 ** 2)
-    tt2 = -4 + gt23 ** 2 * (gt12 ** 2 - 4) / (m + gt12 ** 2)
+    leaves = twist_leaves(model)
     rng = random.Random(rng_seed)
     for rep in range(10):
         pt = _positive_point(t, rng, 1, 25)
-        y2v, y2g = gradient_at(y2, pt)
-        xv, xg = gradient_at(x, pt)
+        x, y2, t2, tt2 = twist_quantities(*(Jet.at(h, pt) for h in leaves))
         # the gradients as integer vectors over one scale d
-        (y2g, xg, t2g, tt2g), d = integer_vectors([y2g, xg, gradient_at(t2, pt)[1], gradient_at(tt2, pt)[1]])
+        (y2g, xg, t2g, tt2g), d = integer_vectors([y2.grad, x.grad, t2.grad, tt2.grad])
         pi, scale = bivector_at(q, t, pt)
         y2h = hamiltonian_at(pi, y2g)
         br = Fraction(-dot(xg, y2h), scale * d * d)  # {y2, x} = -{x, y2}
-        if br * br != 4 * y2v * (xv ** 2 - 4) * (y2v - 4):
+        if br * br != 4 * y2.value * (x.value ** 2 - 4) * (y2.value - 4):
             return (False, f"squared twist identity fails at rep {rep}")
         if dot(t2g, y2h):
             return (False, f"first squared twist fails to commute at rep {rep}")
         if dot(tt2g, y2h):
             return (False, f"second squared twist fails to commute at rep {rep}")
-    if poisson_bracket(x, g12, q):
+    m, g12 = leaves[:2]
+    if poisson_bracket(m + 2, g12, q):
         return (False, "shifted separating element does not commute with the chart geodesic")
     return True
 
@@ -1231,7 +1239,8 @@ def twist_preserves_brackets(rng_seed):
     pt = _positive_point(model.seed.frame, rng, 1, 9)
 
     def theta_form(m):
-        return bracket_tensor_at(m, m, q, pt) == reflection_rhs(m.evaluate(pt))
+        lhs, rhs = reflection_sides_at(m, q, pt)
+        return lhs == rhs
 
     if not theta_form(u):
         return (False, "chain matrix fails the reflection identity")

@@ -1,5 +1,6 @@
 """Groupoid compatibility identities, the unipotent solver, leaf diagnostics."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from symgroupoid.groupoid import (
     groupoid_matrices,
     leaf_diagnostics,
     reflection_rhs,
+    reflection_sides_at,
     solve_unipotent_A,
     theta,
 )
@@ -447,6 +449,23 @@ def test_genus2_chain_tensors_match_the_references():
         assert all(type(x) is kind for row in rhs for x in row)
         assert bracket_tensor_at(u, u, model.quiver, pt).entries == rhs
     assert any(x.im for row in reflection_rhs(u.evaluate(nonreal)).entries for x in row)
+
+
+def test_reflection_sides_match_the_tensor_and_the_evaluated_right_side():
+    # both sides from one gradient pass equal the separate tensor and the
+    # right side of the separately evaluated matrix, at a real and a non-real
+    # point, for a matrix that satisfies the identity and one that does not
+    model, u, tw = _genus2_chain_pair()
+    real, nonreal = _real_and_nonreal_points(model.seed.frame, 17)
+    reversed_u = MatrixRF([list(reversed(row)) for row in u.entries])
+    for pt in (real, nonreal):
+        for m in (u, tw, reversed_u):
+            lhs, rhs = reflection_sides_at(m, model.quiver, pt)
+            assert lhs.entries == bracket_tensor_at(m, m, model.quiver, pt).entries
+            assert rhs.entries == reflection_rhs(m.evaluate(pt)).entries
+        assert operator.eq(*reflection_sides_at(u, model.quiver, pt))
+        lhs, rhs = reflection_sides_at(reversed_u, model.quiver, pt)
+        assert lhs != rhs
 
 
 def test_reversed_arrow_breaks_the_genus2_reflection_identity():

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from symgroupoid.groupoid import bracket_tensor_at
 from symgroupoid.laurent import GeneratorTable, LaurentPoly, Q, RationalFn
 from symgroupoid.matrices import MatrixRF
+from symgroupoid.gauss import GaussianRational
 from symgroupoid.quiver import (
     ClusterValue,
     FrozenVertexError,
     HalfIntegerMutationError,
+    Jet,
     Quiver,
     Seed,
     _poly_bracket,
@@ -21,6 +23,7 @@ from symgroupoid.quiver import (
     corank,
     cv_sum,
     exchange_rows,
+    gradient_at,
     initial_table,
     monomial_casimirs,
     mutate,
@@ -309,6 +312,73 @@ def test_bracket_value_at_matches_symbolic():
     sym = poisson_bracket(x, y, PATTERN).evaluate(point)
     # the 1x1 bracket tensor of [[x]] and [[y]] is the single value {x, y}
     assert bracket_tensor_at(MatrixRF([[x]]), MatrixRF([[y]]), PATTERN, point)[0, 0] == sym
+
+
+def _genus2_twist_forms():
+    """The genus2_x7 twist leaves and the symbolic x, y², t², t~² over them:
+    the oracle for the jets that ``genus2_twist_identities`` evaluates."""
+    from symgroupoid.suites import twist_leaves
+    from symgroupoid.teich import build_surface
+
+    model = build_surface("genus2_x7")
+    leaves = twist_leaves(model)
+    m, g12, gt12, gb, g23, gt23 = leaves
+    x = m + 2
+    y2 = (m * gb - 2 * g12 * gt12) ** 2 / ((m + g12 ** 2) * (m + gt12 ** 2))
+    t2 = -4 + g23 ** 2 * (g12 ** 2 - 4) / (m + g12 ** 2)
+    tt2 = -4 + gt23 ** 2 * (gt12 ** 2 - 4) / (m + gt12 ** 2)
+    return model, leaves, (x, y2, t2, tt2)
+
+
+def test_twist_jets_match_gradients_of_the_symbolic_forms():
+    from symgroupoid.suites import _positive_point, twist_quantities
+
+    model, leaves, forms = _genus2_twist_forms()
+    assert len(forms[1].num.terms) > 1000  # y² is large expanded; its leaves are not
+    assert all(len(h.num.terms) <= 43 and len(h.den.terms) <= 43 for h in leaves)
+    rng = random.Random(5)
+    for _ in range(4):
+        pt = _positive_point(model.seed.frame, rng, 1, 25)
+        jets = twist_quantities(*(Jet.at(h, pt) for h in leaves))
+        for jet, form in zip(jets, forms):
+            assert (jet.value, jet.grad) == gradient_at(form, pt)
+
+
+def test_jet_arithmetic_matches_gradient_at_at_a_non_real_point():
+    # every operation, an int or a Fraction on either side, a negative power
+    from symgroupoid.suites import _positive_point
+    from symgroupoid.teich import build_surface, catalog_value
+
+    model = build_surface("genus2_x7")
+    t = model.seed.frame
+    f, g = catalog_value(model, "G_{1,2}"), catalog_value(model, "G_{2,3}")
+    pt = _positive_point(t, random.Random(3), 1, 9)
+    # both leaves depend on w:a, which goes off the real line
+    pt["w:a"] = GaussianRational(pt["w:a"], Fraction(-2, 3))
+
+    def expression(f, g):
+        return (
+            (2 - f) * g / (3 + f ** 2)
+            - 5 / g
+            + f * 2
+            - g / 7
+            + Fraction(1, 3) * (-f) ** 3
+            + g ** -2
+            + (f + Fraction(1, 2)) / f
+            + (g - 1) ** 0
+        )
+
+    jf, jg = Jet.at(f, pt), Jet.at(g, pt)
+    assert any(isinstance(x, GaussianRational) and x.im for x in jf.grad)
+    jet = expression(jf, jg)
+    value, grad = gradient_at(expression(f, g), pt)
+    assert isinstance(jet.value, GaussianRational) and jet.value.im
+    assert jet.value == value
+    assert jet.grad == grad
+    with pytest.raises(TypeError):
+        jf + 1.5
+    with pytest.raises(TypeError):
+        jf ** Fraction(1, 2)
 
 
 def test_poisson_compatibility_of_mutation():

@@ -2,13 +2,17 @@
 
 import importlib.util
 import io
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from symgroupoid.quiver import Jet, bivector_at, dot, hamiltonian_at, integer_vectors
 from symgroupoid.report import all_report, write_report
-from symgroupoid.suites import SUITE_NAMES, build_suite, check
+from symgroupoid.suites import SUITE_NAMES, _positive_point, build_suite, check, twist_leaves, twist_quantities
+from symgroupoid.teich import build_surface
 
 # written by `symgroupoid verify all --rng 42 --json`; the report must stay
 # byte-identical, so a change to any verdict, witness, claim or check id shows here
@@ -36,6 +40,28 @@ def test_markov_invariance_holds_where_a_random_point_fixes_the_markov_element(r
     # moves it is symbolic, so no point can make it fail
     (markov,) = [c for c in build_suite("braid", rng_seed) if c.id == "braid_markov_invariance"]
     assert markov.run() is True
+
+
+def _squared_twist_identity_holds(x, y2, model, pt):
+    """{y², x}² = 4y²(x² - 4)(y² - 4) at pt for jets x and y², contracted as
+    ``genus2_twist_identities`` contracts them."""
+    (y2g, xg), d = integer_vectors([y2.grad, x.grad])
+    pi, scale = bivector_at(model.quiver, model.seed.frame, pt)
+    br = Fraction(-dot(xg, hamiltonian_at(pi, y2g)), scale * d * d)
+    return br * br == 4 * y2.value * (x.value ** 2 - 4) * (y2.value - 4)
+
+
+def test_squared_twist_identity_fails_without_the_outer_square():
+    # negative control: y² = N²/(PQ) passes at the check's first point at rng
+    # 42, and N/(PQ), the outer square dropped, fails there
+    model = build_surface("genus2_x7")
+    pt = _positive_point(model.seed.frame, random.Random(42), 1, 25)
+    m, g12, gt12, gb, g23, gt23 = (Jet.at(h, pt) for h in twist_leaves(model))
+    x, y2 = twist_quantities(m, g12, gt12, gb, g23, gt23)[:2]
+    n, p, q = m * gb - 2 * g12 * gt12, m + g12 ** 2, m + gt12 ** 2
+    assert y2.value == (n ** 2 / (p * q)).value
+    assert _squared_twist_identity_holds(x, y2, model, pt)
+    assert not _squared_twist_identity_holds(x, n / (p * q), model, pt)
 
 
 def test_unknown_suite_rejected():
