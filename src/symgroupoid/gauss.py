@@ -15,6 +15,8 @@ class GaussianRational:
 
     def __add__(self, other):
         o = _coerce(other)
+        if o is None:
+            return NotImplemented
         return GaussianRational(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
@@ -24,13 +26,18 @@ class GaussianRational:
 
     def __sub__(self, other):
         o = _coerce(other)
+        if o is None:
+            return NotImplemented
         return GaussianRational(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        o = _coerce(other)
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
         o = _coerce(other)
+        if o is None:
+            return NotImplemented
         return GaussianRational(
             self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
         )
@@ -44,10 +51,12 @@ class GaussianRational:
         return GaussianRational(self.re / n, -self.im / n)
 
     def __truediv__(self, other):
-        return self * _coerce(other).inverse()
+        o = _coerce(other)
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
+        o = _coerce(other)
+        return NotImplemented if o is None else o * self.inverse()
 
     def __pow__(self, k: int):
         if k < 0:
@@ -65,9 +74,9 @@ class GaussianRational:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, bool) or not isinstance(other, (GaussianRational, int, Fraction)):
-            return NotImplemented
         o = _coerce(other)
+        if o is None:
+            return NotImplemented
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
@@ -91,9 +100,12 @@ def _part(x) -> Fraction:
     raise TypeError(f"a GaussianRational part must be an int or a Fraction, got {x!r}")
 
 
-def _coerce(x) -> GaussianRational:
+def _coerce(x) -> GaussianRational | None:
+    """An int or Fraction (not a bool) as a GaussianRational; None for any
+    other operand, so that the operators return NotImplemented and Python
+    tries the operand's reflected method."""
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return GaussianRational(x)
-    raise TypeError(f"cannot mix GaussianRational with {type(x).__name__}")
+    return None

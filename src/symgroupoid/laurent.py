@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import lcm
-from operator import add, mul
-from typing import Iterable, Mapping
+from math import gcd, lcm
+from operator import add, attrgetter, mul
+from typing import Iterable, Mapping, Sequence
 
 from .gauss import GaussianRational
 
@@ -310,126 +310,13 @@ class LaurentPoly:
     def value_and_gradient(self, point: Mapping[str, object]) -> tuple:
         """Exact value and every partial derivative (in table order) at a point,
         from one pass over the terms in integers."""
-        return self._rational_pass(point, gradient=True)
-
-    def _rational_pass(self, point: Mapping[str, object], gradient: bool):
-        """Value (and partials) at a point of ints, Fractions and GaussianRationals.
-
-        With a nonzero real coordinate ``w_i = a/b`` (a GaussianRational with
-        imaginary part 0 counts as its real part) and the exponent box
-        ``[lo, hi]`` of ``w_i`` over the terms,
-        ``w_i**e = a**(e-lo) * b**(hi-e) * a**lo / b**hi``: one integer table per
-        generator makes every term an integer, up to one scale shared by all
-        terms, once the coefficients are over their lcm.  Forward mode needs no
-        further table, since the partial in ``w_i`` of a term is
-        ``e_i * term / w_i``: its integer sum is the exponent-weighted sum of the
-        terms, and its scale is the value's times ``b/a``.
-
-        A coordinate that is zero or off the real line gets no table: the
-        integer terms (and their exponent-weighted sums) are summed per
-        exponent vector over those coordinates, and each sum is multiplied by
-        the scale and its monomial; the partial in such a coordinate ``v`` takes
-        ``e * v**(e-1)`` in place of ``v**e``.  So the value is a
-        GaussianRational exactly when the terms use a non-real coordinate, and
-        a zero coordinate under a negative exponent is a ZeroDivisionError.
-
-        Returns ``(value, partials)``, the partials None unless asked for.
-        """
-        names = self.table.names
-        terms = self.terms
-        if not terms:
-            return Q(0), [Q(0)] * len(names) if gradient else None
-        lcd = lcm(*(c.denominator for c in terms.values()))
-        num, den = 1, lcd
-        coords = []  # (table index, a, b) for every nonzero real generator the terms use
-        tables = []  # (table index, lo, powers) where the exponent varies
-        bucketed = []  # (table index, value) for the zero and non-real ones
-        for i, column in enumerate(zip(*terms)):
-            lo, hi = min(column), max(column)
-            if lo == hi == 0:
-                continue
-            if names[i] not in point:
-                raise KeyError(f"no value for generator {names[i]!r}")
-            v = point[names[i]]
-            if isinstance(v, GaussianRational):
-                if v.im:
-                    bucketed.append((i, v))
-                    continue
-                v = v.re
-            elif not isinstance(v, (int, Fraction)):
-                raise TypeError(f"{names[i]} = {v!r} is not an exact (Gaussian) rational")
-            a, b = v.numerator, v.denominator
-            if a == 0:
-                if lo < 0:
-                    raise ZeroDivisionError(f"{names[i]} = 0 under a negative exponent")
-                bucketed.append((i, v))
-                continue
-            if lo > 0:
-                num *= a ** lo
-            else:
-                den *= a ** -lo
-            if hi > 0:
-                den *= b ** hi
-            else:
-                num *= b ** -hi
-            if lo != hi:
-                apow, bpow = [1], [1]
-                for _ in range(hi - lo):
-                    apow.append(apow[-1] * a)
-                    bpow.append(bpow[-1] * b)
-                tables.append((i, lo, [x * y for x, y in zip(apow, reversed(bpow))]))
-            coords.append((i, a, b))
-        # (slot in a bucket's sums, table index) for each partial asked for
-        weighted = [(k, i) for k, (i, _, _) in enumerate(coords, 1)] if gradient else []
-        width = 1 + len(weighted)
-        # per exponent vector over the bucketed coordinates: the integer sum of
-        # the terms, then their exponent-weighted sums in the slots of
-        # ``weighted``; with no coordinate bucketed there is one bucket
-        sums = [0] * width
-        buckets: dict = {} if bucketed else {(): sums}
-        for exps, c in terms.items():
-            t = c.numerator * (lcd // c.denominator)
-            for i, lo, powers in tables:
-                t *= powers[exps[i] - lo]
-            if bucketed:
-                key = tuple([exps[i] for i, _ in bucketed])
-                sums = buckets.get(key) or buckets.setdefault(key, [0] * width)
-            sums[0] += t
-            if weighted:
-                for k, i in weighted:
-                    e = exps[i]
-                    if e:
-                        sums[k] += e * t
-        value = Q(0)
-        zero = Q(0)  # also marks a partial with no contribution yet
-        grads = [zero] * len(names) if gradient else None
-        for key, (total, *weighted_sums) in buckets.items():
-            factors = [v ** e for (_, v), e in zip(bucketed, key)] if bucketed else ()
-            x = Fraction(total * num, den)
-            for f in factors:
-                x = x * f
-            value = value + x
-            if not gradient:
-                continue
-            for s, (i, a, b) in zip(weighted_sums, coords):
-                if s:
-                    y = Fraction(s * num * b, den * a)
-                    for f in factors:
-                        y = y * f
-                    g = grads[i]
-                    grads[i] = y if g is zero else g + y
-            for j, ((i, v), e) in enumerate(zip(bucketed, key)):
-                if e:
-                    y = Fraction(total * num * e, den) * v ** (e - 1)
-                    for f in factors[:j] + factors[j + 1 :]:
-                        y = y * f
-                    g = grads[i]
-                    grads[i] = y if g is zero else g + y
-        return value, grads
+        num, den, ((re, im, gaussian, grads),) = point_pass([self], point, gradient=True)
+        return _over(re, im, gaussian, num, den), grads
 
     def evaluate(self, point: Mapping[str, object]):
         """Exact value at a point of ints, Fractions and GaussianRationals."""
-        return self._rational_pass(point, gradient=False)[0]
+        num, den, ((re, im, gaussian, _),) = point_pass([self], point)
+        return _over(re, im, gaussian, num, den)
 
     # -- serialization -----------------------------------------------------
 
@@ -470,12 +357,18 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_text()})"
 
 
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
 class RationalFn:
     """Ratio of two Laurent polynomials in canonical form.
 
     Normalization: the denominator's componentwise-lowest exponent vector is
-    shifted to zero (monomial content moved into the numerator) and its
-    graded-lex leading coefficient is positive.  Full multivariate gcd is not
+    shifted to zero (monomial content moved into the numerator), its rational
+    content is divided out of both sides (its coefficients are then coprime
+    integers, so a constant is over 1) and its graded-lex leading coefficient
+    is positive.  Full multivariate gcd is not
     taken; equality is decided by cross-multiplication, which needs none.
     """
 
@@ -496,6 +389,14 @@ class RationalFn:
                 neg = tuple(-e for e in joint)
                 num = num.shift(neg)
                 den = den.shift(neg)
+            coeffs = den.terms.values()
+            # a product of denominators with content 1 has content 1 (Gauss's
+            # lemma), so most denominators pass here, the monomial 1 fastest
+            if len(coeffs) > 1 or 1 not in coeffs:
+                g, d = gcd(*map(_numerator, coeffs)), lcm(*map(_denominator, coeffs))
+                if g != 1 or d != 1:
+                    num = num.scale(Fraction(d, g))
+                    den = den.scale(Fraction(d, g))
         if den.leading_coefficient() < 0:
             num = -num
             den = -den
@@ -721,6 +622,217 @@ class RationalFn:
 
     def __repr__(self) -> str:
         return f"RationalFn({self.to_text()})"
+
+
+def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradient: bool = False) -> tuple:
+    """Values (and partials) of polynomials over one table at one point of ints,
+    Fractions and GaussianRationals, from one pass over their terms in integers.
+
+    With a nonzero real coordinate ``w_i = a/b`` (a GaussianRational with
+    imaginary part 0 counts as its real part) and the exponent box
+    ``[lo, hi]`` of ``w_i`` over the terms of all the polynomials,
+    ``w_i**e = a**(e-lo) * b**(hi-e) * a**lo / b**hi``: one integer table per
+    generator, shared by every polynomial, makes every term an integer, up to
+    one scale shared by all terms, once the coefficients are over their lcm.
+    A coordinate on the imaginary axis, ``w_i = i*a/b``, takes the table of
+    ``a/b``; then ``i**e``, with e summed over such coordinates and taken mod
+    4, picks the sign of a term and whether it goes to the real or the
+    imaginary sum.  Forward mode needs no further table, since the partial in
+    ``w_i`` of a term is ``e_i * term / w_i``: its integer sum is the
+    exponent-weighted sum of the terms, and its scale is the value's times
+    ``b/a`` (times ``-i`` on the imaginary axis).
+
+    A coordinate that is zero or has both parts nonzero gets no table: the
+    integer terms (and their exponent-weighted sums) are summed per exponent
+    vector over those coordinates, and each sum is multiplied by its
+    monomial; the partial in such a coordinate ``v`` takes ``e * v**(e-1)``
+    in place of ``v**e``.  A zero coordinate under a negative exponent is a
+    ZeroDivisionError.
+
+    Returns ``(num, den, rows)``, one row ``(re, im, gaussian, partials)`` per
+    polynomial: its value is ``(re + i*im) * num/den``, with ``re`` and ``im``
+    ints unless the polynomial uses a bucketed coordinate, and it is a
+    GaussianRational exactly when ``gaussian``, that is, when its terms use a
+    coordinate off the real line.  The partials (exact values, in table order)
+    are None unless asked for.
+    """
+    if not polys:
+        return 1, 1, []
+    table = polys[0].table
+    single = len(polys) == 1
+    if not single and any(p.table != table for p in polys):
+        raise ValueError("mixed generator tables")
+    names = table.names
+    zero = Q(0)  # also marks a partial with no contribution yet
+    # per polynomial, the (lo, hi) of each generator over its terms
+    boxes = [_box(p.terms) for p in polys if p.terms]
+    if len(boxes) == 1:
+        spans = boxes[0]
+    else:
+        spans = [(min(lo for lo, _ in s), max(hi for _, hi in s)) for s in zip(*boxes)]
+    lcd = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    num, den = 1, lcd
+    coords = {}  # table index -> (a, b, imaginary) for every tabled coordinate in use
+    tables = []  # (table index, lo, powers) where the exponent varies
+    imaginary_axis = set()  # table indices of the tabled coordinates w = i*a/b
+    bucketed = {}  # table index -> value, for the zero coordinates and those with both parts nonzero
+    for i, (lo, hi) in enumerate(spans):
+        if lo == hi == 0:
+            continue
+        if names[i] not in point:
+            raise KeyError(f"no value for generator {names[i]!r}")
+        v = point[names[i]]
+        imaginary = False
+        if isinstance(v, GaussianRational):
+            if v.im and v.re:
+                bucketed[i] = v
+                continue
+            imaginary = bool(v.im)
+            v = v.im if imaginary else v.re
+        elif not isinstance(v, (int, Fraction)):
+            raise TypeError(f"{names[i]} = {v!r} is not an exact (Gaussian) rational")
+        a, b = v.numerator, v.denominator
+        if a == 0:
+            if lo < 0:
+                raise ZeroDivisionError(f"{names[i]} = 0 under a negative exponent")
+            bucketed[i] = v
+            continue
+        if lo > 0:
+            num *= a ** lo
+        else:
+            den *= a ** -lo
+        if hi > 0:
+            den *= b ** hi
+        else:
+            num *= b ** -hi
+        if lo != hi:
+            apow, bpow = [1], [1]
+            for _ in range(hi - lo):
+                apow.append(apow[-1] * a)
+                bpow.append(bpow[-1] * b)
+            tables.append((i, lo, [x * y for x, y in zip(apow, reversed(bpow))]))
+        coords[i] = (a, b, imaginary)
+        if imaginary:
+            imaginary_axis.add(i)
+    boxes = iter(boxes)
+    rows = []
+    for p in polys:
+        if not p.terms:
+            rows.append((0, 0, False, [zero] * len(names) if gradient else None))
+            continue
+        box = next(boxes)
+        # a tabled generator whose exponent is constant here is one factor
+        factor, own = 1, tables
+        if not single:
+            own = []
+            for i, lo, powers in tables:
+                plo, phi = box[i]
+                if plo == phi:
+                    factor *= powers[plo - lo]
+                else:
+                    own.append((i, lo, powers))
+        phased, pbucketed, weighted, gaussian = (), (), (), False
+        if imaginary_axis or bucketed:
+            phased = [i for i in imaginary_axis if box[i] != (0, 0)]
+            pbucketed = [(i, v) for i, v in bucketed.items() if box[i] != (0, 0)]
+            gaussian = bool(phased) or any(isinstance(v, GaussianRational) for _, v in pbucketed)
+        if gradient:
+            # (slot in a bucket's sums, table index) for each partial asked for
+            weighted = list(enumerate([i for i in coords if box[i] != (0, 0)], 1))
+        width = 1 + len(weighted)
+        # per exponent vector over the bucketed coordinates: the integer sum of
+        # the terms, then their exponent-weighted sums in the slots of
+        # ``weighted``; real parts in the first ``width`` slots, imaginary
+        # parts in the next; with no coordinate bucketed there is one bucket
+        sums = [0] * (2 * width)
+        buckets: dict = {} if pbucketed else {(): sums}
+        for exps, c in p.terms.items():
+            t = c.numerator * (lcd // c.denominator)
+            for i, lo, powers in own:
+                t *= powers[exps[i] - lo]
+            off = 0
+            if phased:
+                quarter = sum([exps[i] for i in phased])
+                if quarter & 2:
+                    t = -t
+                if quarter & 1:
+                    off = width
+            if pbucketed:
+                key = tuple([exps[i] for i, _ in pbucketed])
+                sums = buckets.get(key) or buckets.setdefault(key, [0] * (2 * width))
+            sums[off] += t
+            for k, i in weighted:
+                e = exps[i]
+                if e:
+                    sums[off + k] += e * t
+        re = im = 0
+        grads = [zero] * len(names) if gradient else None
+        for key, sums in buckets.items():
+            total, total_im = sums[0] * factor, sums[width] * factor
+            if not pbucketed:
+                re, im = total, total_im
+            else:
+                factors = [v ** e for (_, v), e in zip(pbucketed, key)]
+                x = reduce(mul, factors, GaussianRational(total, total_im) if gaussian else total)
+                re, im = (re + x.re, im + x.im) if gaussian else (re + x, 0)
+            if not gradient:
+                continue
+            for k, i in weighted:
+                s, s_im = sums[k], sums[width + k]
+                if s or s_im:
+                    a, b, imaginary = coords[i]
+                    if imaginary:
+                        s, s_im = s_im, -s
+                    y = _over(s * factor, s_im * factor, gaussian, num * b, den * a)
+                    if pbucketed:
+                        y = reduce(mul, factors, y)
+                    g = grads[i]
+                    grads[i] = y if g is zero else g + y
+            for j, ((i, v), e) in enumerate(zip(pbucketed, key)):
+                if e:
+                    y = _over(total, total_im, gaussian, num * e, den) * v ** (e - 1)
+                    y = reduce(mul, factors[:j] + factors[j + 1 :], y)
+                    g = grads[i]
+                    grads[i] = y if g is zero else g + y
+        rows.append((re, im, gaussian, grads))
+    return num, den, rows
+
+
+def _box(terms: Mapping[tuple, object]) -> list:
+    """The (lo, hi) of each exponent over a nonempty set of terms."""
+    if len(terms) == 1:
+        return [(e, e) for e in next(iter(terms))]
+    return list(zip(map(min, *terms), map(max, *terms)))
+
+
+def _over(re, im, gaussian: bool, num: int, den: int):
+    """``(re + i*im) * num/den``: a GaussianRational when ``gaussian``, else a
+    Fraction (``im`` is then 0)."""
+    if gaussian:
+        return GaussianRational(Fraction(re * num, den), Fraction(im * num, den))
+    return Fraction(re * num, den)
+
+
+def evaluate_rational_fns(fns: Sequence[RationalFn], point: Mapping[str, object]) -> list:
+    """``[f.evaluate(point) for f in fns]`` (same values, same types) from one
+    ``point_pass`` over every numerator and denominator.  The pass's shared
+    scale cancels in each ratio, so each value is one Fraction or one
+    GaussianRational; a zero denominator is a SingularPointError."""
+    _, _, rows = point_pass([p for f in fns for p in (f.num, f.den)], point)
+    out = []
+    for k, f in enumerate(fns):
+        nre, nim, ngauss, _ = rows[2 * k]
+        dre, dim, dgauss, _ = rows[2 * k + 1]
+        if not (ngauss or dgauss):
+            if not dre:
+                raise SingularPointError(f.den)
+            out.append(Fraction(nre, dre))
+            continue
+        norm = dre * dre + dim * dim
+        if not norm:
+            raise SingularPointError(f.den)
+        out.append(GaussianRational(Fraction(nre * dre + nim * dim, norm), Fraction(nim * dre - nre * dim, norm)))
+    return out
 
 
 def exact_poly_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:

@@ -8,7 +8,12 @@ sizes appearing here (n <= 9), favoring exactness over asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
+
+from .gauss import GaussianRational
+from .intlinalg import IntMatrix, rank_bareiss
+from .laurent import evaluate_rational_fns
 
 
 def row_reduce(rows: list, ncols: int) -> list:
@@ -192,7 +197,20 @@ class MatrixRF:
         return MatrixRF([row[n:] for row in rows])
 
     def rank(self) -> int:
-        return len(row_reduce(list(self.entries), self.cols))
+        """Rank over the entries' field.  Numeric entries (ints, Fractions and
+        GaussianRationals) go to the fraction-free ``rank_bareiss`` once each
+        row is cleared of denominators: R + iI has half the rank of the real
+        block form [[R, -I], [I, R]].  Other entries go to ``row_reduce``."""
+        rows = self.entries
+        numeric = (int, Fraction, GaussianRational)
+        if not all(isinstance(x, numeric) for row in rows for x in row):
+            return len(row_reduce(list(rows), self.cols))
+        if not any(isinstance(x, GaussianRational) for row in rows for x in row):
+            return rank_bareiss(_integer_rows(rows))
+        re = [[x.re if isinstance(x, GaussianRational) else x for x in row] for row in rows]
+        im = [[x.im if isinstance(x, GaussianRational) else 0 for x in row] for row in rows]
+        block = [r + [-y for y in i] for r, i in zip(re, im)] + [i + r for r, i in zip(re, im)]
+        return rank_bareiss(_integer_rows(block)) // 2
 
     def charpoly(self) -> list:
         """Coefficients [c0 .. cn] of det(lambda I - M), c_n = 1.
@@ -283,10 +301,22 @@ class MatrixRF:
         return self._zero() if out is None else out
 
     def evaluate(self, point) -> "MatrixRF":
-        return self.map(lambda f: f.evaluate(point))
+        """Every (rational function) entry at a point, as its ``evaluate`` gives
+        it, from one shared pass over all numerators and denominators."""
+        values = iter(evaluate_rational_fns([f for row in self.entries for f in row], point))
+        return MatrixRF([[next(values) for _ in row] for row in self.entries])
 
     def __repr__(self) -> str:
         return f"MatrixRF({self.rows}x{self.cols})"
+
+
+def _integer_rows(rows: list) -> IntMatrix:
+    """Each row of ints and Fractions times the lcm of its denominators."""
+    out = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (d // x.denominator) for x in row])
+    return IntMatrix(out)
 
 
 def charpoly_is_palindromic(coeffs: list) -> bool:

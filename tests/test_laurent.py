@@ -310,6 +310,22 @@ def test_rationalfn_normalization_invariants():
     assert joint == (0,)
 
 
+def test_denominator_content_is_divided_out():
+    # 6x / 4x keeps no integer content: constants end over 1, so repeated
+    # division of constant rational functions does not grow their integers
+    w = gen("w:x", table=W1)
+    one = LaurentPoly.one(W1)
+    f = RationalFn(w.scale(6), w.scale(4))
+    assert f.num == LaurentPoly.constant(W1, Q(3, 2)) and f.den == one
+    g = RationalFn(w + one, (w ** 2).scale(Q(-4, 3)) + w.scale(Q(2, 9)))
+    assert g.den == (w ** 2).scale(6) - w and g.num == (w + one).scale(Q(-9, 2))
+    assert g == RationalFn(w + one, one) / RationalFn((w ** 2).scale(Q(-4, 3)) + w.scale(Q(2, 9)), one)
+    c = RationalFn.constant(W1, Q(5, 7))
+    for _ in range(6):
+        c = c / RationalFn.constant(W1, Q(7, 5)) * RationalFn.constant(W1, Q(7, 5))
+    assert c.num == LaurentPoly.constant(W1, Q(5, 7)) and c.den == one
+
+
 def test_text_and_json_round_trip():
     p = (
         LaurentPoly.monomial(T, Fraction(3, 7), {"w:a": 2, "w:c": -5})
@@ -500,6 +516,34 @@ def test_gaussian_hash_agrees_with_equality_on_real_values():
     assert len({GaussianRational(2), Fraction(2), 2}) == 1
     assert len({GaussianRational(Fraction(1, 3)), Fraction(1, 3)}) == 1
     assert len({GaussianRational(2, 1), GaussianRational(2)}) == 2
+
+
+class _Reflected:
+    """An operand that only the reflected operators know."""
+
+    def __radd__(self, other):
+        return ("radd", other)
+
+    def __rsub__(self, other):
+        return ("rsub", other)
+
+    def __rmul__(self, other):
+        return ("rmul", other)
+
+    def __rtruediv__(self, other):
+        return ("rtruediv", other)
+
+
+def test_gaussian_arithmetic_defers_to_a_foreign_operand():
+    z = GaussianRational(1, 2)
+    x = _Reflected()
+    assert z + x == ("radd", z) and z * x == ("rmul", z)
+    assert z - x == ("rsub", z) and z / x == ("rtruediv", z)
+    # with no reflected method either, the mix is still a TypeError
+    for bad in (1.5, "1", True):
+        for op in (lambda a, b: a + b, lambda a, b: b - a, lambda a, b: a * b, lambda a, b: b / a):
+            with pytest.raises(TypeError):
+                op(z, bad)
 
 
 def test_gaussian_equality_with_a_foreign_operand_is_false():

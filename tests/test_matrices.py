@@ -1,5 +1,6 @@
-"""The one exact row reduction behind inverse, rank and solve, and the
-characteristic polynomial against a Faddeev-LeVerrier reference."""
+"""The one exact row reduction behind inverse, rank and solve, the
+characteristic polynomial against a Faddeev-LeVerrier reference, evaluation
+against per-entry evaluation, and numeric ranks against the row reduction."""
 
 import random
 from fractions import Fraction
@@ -8,10 +9,11 @@ from operator import add
 
 import pytest
 
+from symgroupoid import laurent
 from symgroupoid.gauss import GaussianRational
-from symgroupoid.laurent import GeneratorTable, RationalFn
-from symgroupoid.matrices import MatrixRF, solve
-from symgroupoid.suites import _casimir_point
+from symgroupoid.laurent import GeneratorTable, LaurentPoly, RationalFn, SingularPointError
+from symgroupoid.matrices import MatrixRF, row_reduce, solve
+from symgroupoid.suites import _casimir_point, _positive_point
 from symgroupoid.teich import build_surface, chain_matrix
 
 T = GeneratorTable(["w:x"])
@@ -142,3 +144,140 @@ def test_charpoly_of_the_genus3_rank_matrix_at_casimir_minus_one():
     assert {type(x) for row in core.entries for x in row} == {Fraction, GaussianRational}
     for m in (upt, core):
         assert_same_charpoly(m)
+
+
+# -- evaluation: one shared pass, the values of per-entry evaluation -----------
+
+
+def assert_evaluates_like_its_entries(u: MatrixRF, point: dict):
+    got = u.evaluate(point)
+    for i in range(u.rows):
+        for j in range(u.cols):
+            want = u[i, j].evaluate(point)
+            assert got[i, j] == want and type(got[i, j]) is type(want), (i, j)
+
+
+@pytest.mark.parametrize("casimir", [-1, 1])
+def test_evaluate_matches_entries_on_the_genus3_rank_chain(casimir):
+    model = build_surface("genus3_extended")
+    u = chain_matrix(model.name, model.chains["rank"])
+    rng = random.Random(11)
+    for _ in range(3):
+        assert_evaluates_like_its_entries(u, _casimir_point(model.seed.frame, rng, casimir))
+
+
+def test_evaluate_matches_entries_on_the_genus2_braid_chain():
+    model = build_surface("genus2_x7")
+    u = chain_matrix(model.name, model.chains["braid"])
+    rng = random.Random(12)
+    for _ in range(3):
+        assert_evaluates_like_its_entries(u, _positive_point(model.seed.frame, rng))
+
+
+G3 = GeneratorTable(["w:a", "w:b", "w:c"])
+
+
+def _random_poly(rng: random.Random, lo: int) -> LaurentPoly:
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        exps = tuple(rng.randint(lo, 2) for _ in G3.names)
+        terms[exps] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return LaurentPoly(G3, terms)
+
+
+def _random_rf_matrix(rng: random.Random, point: dict, rows: int, cols: int, lo: int) -> MatrixRF:
+    """Random rational functions with a denominator that is nonzero at ``point``."""
+    entries = []
+    for _ in range(rows):
+        row = []
+        while len(row) < cols:
+            den = _random_poly(rng, lo)
+            if den and den.evaluate(point):
+                row.append(RationalFn(_random_poly(rng, lo), den))
+        entries.append(row)
+    return MatrixRF(entries)
+
+
+@pytest.mark.parametrize(
+    "point, lo",
+    [
+        # a zero coordinate (nonnegative exponents only) beside an imaginary one
+        ({"w:a": Fraction(0), "w:b": GaussianRational(0, Fraction(-3, 2)), "w:c": Fraction(5, 3)}, 0),
+        # a coordinate with both parts nonzero, an imaginary one and a real one
+        ({"w:a": GaussianRational(Fraction(2, 3), -1), "w:b": GaussianRational(0, 2), "w:c": Fraction(-4, 5)}, -2),
+        # a real point, a real part given as a GaussianRational
+        ({"w:a": Fraction(7, 2), "w:b": GaussianRational(Fraction(-1, 3)), "w:c": 3}, -2),
+    ],
+)
+def test_evaluate_matches_entries_on_random_matrices(point, lo):
+    rng = random.Random(13 + lo)
+    for rows, cols in ((1, 1), (3, 4), (5, 5)):
+        assert_evaluates_like_its_entries(_random_rf_matrix(rng, point, rows, cols, lo), point)
+
+
+def test_evaluate_raises_for_a_missing_generator_and_a_zero_denominator():
+    x, y = (RationalFn.generator(G3, name) for name in ("w:a", "w:b"))
+    one = RationalFn.constant(G3, 1)
+    u = MatrixRF([[x, one], [one, x / (y - one)]])
+    with pytest.raises(KeyError):
+        u.evaluate({"w:a": Fraction(2)})
+    with pytest.raises(SingularPointError):
+        u.evaluate({"w:a": Fraction(2), "w:b": Fraction(1)})
+    with pytest.raises(SingularPointError):
+        u.evaluate({"w:a": Fraction(2), "w:b": GaussianRational(1)})
+    assert u.evaluate({"w:a": Fraction(2), "w:b": Fraction(3)}) == MatrixRF([[2, 1], [1, 1]])
+
+
+def test_evaluate_makes_one_point_pass(monkeypatch):
+    # one pass over all numerators and denominators: the per-entry evaluation
+    # made two passes per entry
+    model = build_surface("genus3_extended")
+    u = chain_matrix(model.name, model.chains["rank"])
+    calls = []
+    point_pass = laurent.point_pass
+    monkeypatch.setattr(laurent, "point_pass", lambda polys, *args, **kw: calls.append(polys) or point_pass(polys, *args, **kw))
+    u.evaluate(_casimir_point(model.seed.frame, random.Random(3), -1))
+    assert len(calls) == 1 and len(calls[0]) == 2 * u.rows * u.cols
+
+
+# -- numeric rank: fraction-free elimination against row_reduce ----------------
+
+
+def _reference_rank(m: MatrixRF) -> int:
+    return len(row_reduce(list(m.entries), m.cols))
+
+
+def _low_rank(rng: random.Random, kind: str, rows: int, cols: int, rank: int) -> MatrixRF:
+    """A rows x cols product of random rows x rank and rank x cols factors."""
+    if not rank:
+        return MatrixRF([[Fraction(0)] * cols for _ in range(rows)])
+    left = [[_random_entry(rng, kind) for _ in range(rank)] for _ in range(rows)]
+    right = [[_random_entry(rng, kind) for _ in range(cols)] for _ in range(rank)]
+    return MatrixRF(left) * MatrixRF(right)
+
+
+@pytest.mark.parametrize("kind", ["fraction", "gaussian"])
+def test_numeric_rank_matches_row_reduce(kind):
+    rng = random.Random(20 + len(kind))
+    for _ in range(40):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        for m in (
+            MatrixRF([[_random_entry(rng, kind) for _ in range(cols)] for _ in range(rows)]),
+            _low_rank(rng, kind, rows, cols, rng.randint(0, min(rows, cols))),
+        ):
+            assert m.rank() == _reference_rank(m)
+
+
+def test_numeric_rank_edge_cases():
+    i = GaussianRational(0, 1)
+    # complex rank 1: the second row is i times the first; the real parts
+    # alone, [[1, 0], [0, -1]], have rank 2
+    m = MatrixRF([[GaussianRational(1), i], [i, GaussianRational(-1)]])
+    assert m.rank() == 1 == _reference_rank(m)
+    assert MatrixRF([[1, 0], [0, -1]]).rank() == 2
+    for zero in (Fraction(0), GaussianRational(0)):
+        m = MatrixRF([[zero] * 3 for _ in range(2)])
+        assert m.rank() == 0 == _reference_rank(m)
+    m = MatrixRF([[], [], []])
+    assert (m.rows, m.cols) == (3, 0) and m.rank() == 0 == _reference_rank(m)
+    assert MatrixRF([]).rank() == 0
