@@ -10,15 +10,15 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .laurent import GeneratorTable, Q, RationalFn
+from .laurent import GeneratorTable, Q, RationalFn, evaluate_rational_fns
 from .matrices import MatrixRF, charpoly_is_palindromic, divide_out_root, solve
 from .gauss import GaussianRational
-from .quiver import Quiver, bivector_at, dot, gradient_at, hamiltonian_at, integer_vectors, is_real_point
+from .quiver import Quiver, brackets_at, integer_vectors
 
 # random specializations tried per point before a numeric check gives up
 NUMERIC_ATTEMPTS = 100
 
-# the one zero entry shared by the pointwise tensors below
+# the one zero entry shared by the entries of ``reflection_rhs``
 _ZERO = Fraction(0)
 
 
@@ -127,8 +127,8 @@ def _reflection_form(x: list, y: list) -> list:
 
 def bracket_tensor_at(m1: MatrixRF, m2: MatrixRF, quiver: Quiver, point) -> MatrixRF:
     """{M1 tensor, M2} exactly evaluated at a point: entry ((i,k),(j,l)) is
-    {m1[i][j], m2[k][l]}, the gradient of m1[i][j] dotted with the bivector
-    contracted once with the gradient of m2[k][l]."""
+    {m1[i][j], m2[k][l]}, by ``quiver.brackets_at`` on the Euler gradients of
+    the entries."""
     return _tensor_and_values(m1, m2, quiver, point)[0]
 
 
@@ -141,43 +141,18 @@ def reflection_sides_at(m: MatrixRF, quiver: Quiver, point) -> tuple:
 
 def _tensor_and_values(m1: MatrixRF, m2: MatrixRF, quiver: Quiver, point) -> tuple:
     """``bracket_tensor_at`` and the rows of values of M1, from one
-    ``gradient_at`` pass per entry.
-
-    The gradients of each matrix are integer vectors over one scale d_1 (d_2),
-    and ``bivector_at`` gives integer rows over its scale, so every entry is an
-    integer over scale·d_1·d_2.  At a point that is not real the vectors are
-    stacked; the dot of F = U + iV with H is then U·H_re - V·H_im +
-    i(U·H_im + V·H_re), and the entries are GaussianRationals."""
+    ``evaluate_rational_fns`` pass per matrix (one in all when M1 is M2)."""
     n = m1.rows
-    table = m1[0, 0].table
-    real = is_real_point(table, point)
-    pi, scale = bivector_at(quiver, table, point)
 
-    def entries_at(m: MatrixRF) -> list:
-        return [gradient_at(m[i, j], point) for i in range(n) for j in range(n)]
+    def at(m: MatrixRF) -> list:
+        return evaluate_rational_fns([x for row in m.entries for x in row], point, gradient=True)
 
-    at1 = entries_at(m1)
-    values = [[v for v, _ in at1[i * n : i * n + n]] for i in range(n)]
-    g1, d1 = integer_vectors([g for _, g in at1], not real)
-    g2, d2 = (g1, d1) if m2 is m1 else integer_vectors([g for _, g in entries_at(m2)], not real)
-    h2 = [hamiltonian_at(pi, g) for g in g2]
-    den = scale * d1 * d2
-    blocks = [(range(i * n, i * n + n), range(k * n, k * n + n)) for i in range(n) for k in range(n)]
-    if real:
-        tensor = [
-            [Fraction(x, den) if (x := dot(g1[a], h2[b])) else _ZERO for a in rows for b in cols]
-            for rows, cols in blocks
-        ]
-        return MatrixRF(tensor), values
-    # F = U + iV stacked: its dot with H is (U, -V)·H + i (V, U)·H
-    size = len(table)
-    covectors = [(f[:size] + [-x for x in f[size:]], f[size:] + f[:size]) for f in g1]
-
-    def entry(a: int, b: int) -> GaussianRational:
-        re, im = covectors[a]
-        return GaussianRational(_over(dot(re, h2[b]), den), _over(dot(im, h2[b]), den))
-
-    return MatrixRF([[entry(a, b) for a in rows for b in cols] for rows, cols in blocks]), values
+    at1 = at(m1)
+    g1 = [g for _, g in at1]
+    g2 = g1 if m2 is m1 else [g for _, g in at(m2)]
+    brackets = brackets_at(quiver, m1[0, 0].table, g1, g2)
+    tensor = [[brackets[i * n + j][k * n + l] for j in range(n) for l in range(n)] for i in range(n) for k in range(n)]
+    return MatrixRF(tensor), [[v for v, _ in at1[i * n : i * n + n]] for i in range(n)]
 
 
 # -- generic transport matrices and the compatibility identities ---------------

@@ -307,16 +307,12 @@ class LaurentPoly:
                 del terms[key]
         return LaurentPoly(self.table, terms)
 
-    def value_and_gradient(self, point: Mapping[str, object]) -> tuple:
-        """Exact value and every partial derivative (in table order) at a point,
-        from one pass over the terms in integers."""
-        num, den, ((re, im, gaussian, grads),) = point_pass([self], point, gradient=True)
-        return _over(re, im, gaussian, num, den), grads
-
     def evaluate(self, point: Mapping[str, object]):
         """Exact value at a point of ints, Fractions and GaussianRationals."""
         num, den, ((re, im, gaussian, _),) = point_pass([self], point)
-        return _over(re, im, gaussian, num, den)
+        if gaussian:
+            return GaussianRational(Fraction(re * num, den), Fraction(im * num, den))
+        return Fraction(re * num, den)
 
     # -- serialization -----------------------------------------------------
 
@@ -510,10 +506,7 @@ class RationalFn:
         return RationalFn(num, self.den * self.den)
 
     def evaluate(self, point: Mapping[str, object]):
-        dval = self.den.evaluate(point)
-        if not dval:
-            raise SingularPointError(self.den)
-        return self.num.evaluate(point) / dval
+        return evaluate_rational_fns([self], point)[0]
 
     def substitute(
         self,
@@ -625,8 +618,9 @@ class RationalFn:
 
 
 def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradient: bool = False) -> tuple:
-    """Values (and partials) of polynomials over one table at one point of ints,
-    Fractions and GaussianRationals, from one pass over their terms in integers.
+    """Values (and Euler partials) of polynomials over one table at one point
+    of ints, Fractions and GaussianRationals, from one pass over their terms in
+    integers.
 
     With a nonzero real coordinate ``w_i = a/b`` (a GaussianRational with
     imaginary part 0 counts as its real part) and the exponent box
@@ -637,24 +631,24 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
     A coordinate on the imaginary axis, ``w_i = i*a/b``, takes the table of
     ``a/b``; then ``i**e``, with e summed over such coordinates and taken mod
     4, picks the sign of a term and whether it goes to the real or the
-    imaginary sum.  Forward mode needs no further table, since the partial in
-    ``w_i`` of a term is ``e_i * term / w_i``: its integer sum is the
-    exponent-weighted sum of the terms, and its scale is the value's times
-    ``b/a`` (times ``-i`` on the imaginary axis).
+    imaginary sum.  The Euler partial ``w_i * dp/dw_i`` of a term is ``e_i``
+    times the term, so each partial is the exponent-weighted sum of the same
+    terms, over the value's own scale.
 
     A coordinate that is zero or has both parts nonzero gets no table: the
     integer terms (and their exponent-weighted sums) are summed per exponent
     vector over those coordinates, and each sum is multiplied by its
-    monomial; the partial in such a coordinate ``v`` takes ``e * v**(e-1)``
-    in place of ``v**e``.  A zero coordinate under a negative exponent is a
+    monomial; the Euler partial in such a coordinate is ``e`` times the
+    bucket's value.  A zero coordinate under a negative exponent is a
     ZeroDivisionError.
 
     Returns ``(num, den, rows)``, one row ``(re, im, gaussian, partials)`` per
     polynomial: its value is ``(re + i*im) * num/den``, with ``re`` and ``im``
     ints unless the polynomial uses a bucketed coordinate, and it is a
     GaussianRational exactly when ``gaussian``, that is, when its terms use a
-    coordinate off the real line.  The partials (exact values, in table order)
-    are None unless asked for.
+    coordinate off the real line.  With ``gradient``, ``partials`` is the pair
+    of lists ``(re_i, im_i)`` in table order, the Euler partial in ``w_i``
+    being ``(re_i + i*im_i) * num/den``; otherwise it is None.
     """
     if not polys:
         return 1, 1, []
@@ -663,7 +657,6 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
     if not single and any(p.table != table for p in polys):
         raise ValueError("mixed generator tables")
     names = table.names
-    zero = Q(0)  # also marks a partial with no contribution yet
     # per polynomial, the (lo, hi) of each generator over its terms
     boxes = [_box(p.terms) for p in polys if p.terms]
     if len(boxes) == 1:
@@ -672,7 +665,7 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
         spans = [(min(lo for lo, _ in s), max(hi for _, hi in s)) for s in zip(*boxes)]
     lcd = lcm(*(c.denominator for p in polys for c in p.terms.values()))
     num, den = 1, lcd
-    coords = {}  # table index -> (a, b, imaginary) for every tabled coordinate in use
+    tabled = []  # table indices of the tabled coordinates in use
     tables = []  # (table index, lo, powers) where the exponent varies
     imaginary_axis = set()  # table indices of the tabled coordinates w = i*a/b
     bucketed = {}  # table index -> value, for the zero coordinates and those with both parts nonzero
@@ -711,14 +704,14 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
                 apow.append(apow[-1] * a)
                 bpow.append(bpow[-1] * b)
             tables.append((i, lo, [x * y for x, y in zip(apow, reversed(bpow))]))
-        coords[i] = (a, b, imaginary)
+        tabled.append(i)
         if imaginary:
             imaginary_axis.add(i)
     boxes = iter(boxes)
     rows = []
     for p in polys:
         if not p.terms:
-            rows.append((0, 0, False, [zero] * len(names) if gradient else None))
+            rows.append((0, 0, False, ([0] * len(names), [0] * len(names)) if gradient else None))
             continue
         box = next(boxes)
         # a tabled generator whose exponent is constant here is one factor
@@ -738,7 +731,7 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
             gaussian = bool(phased) or any(isinstance(v, GaussianRational) for _, v in pbucketed)
         if gradient:
             # (slot in a bucket's sums, table index) for each partial asked for
-            weighted = list(enumerate([i for i in coords if box[i] != (0, 0)], 1))
+            weighted = list(enumerate([i for i in tabled if box[i] != (0, 0)], 1))
         width = 1 + len(weighted)
         # per exponent vector over the bucketed coordinates: the integer sum of
         # the terms, then their exponent-weighted sums in the slots of
@@ -766,35 +759,27 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
                 if e:
                     sums[off + k] += e * t
         re = im = 0
-        grads = [zero] * len(names) if gradient else None
+        if gradient:
+            dre, dim = [0] * len(names), [0] * len(names)
         for key, sums in buckets.items():
-            total, total_im = sums[0] * factor, sums[width] * factor
-            if not pbucketed:
-                re, im = total, total_im
-            else:
-                factors = [v ** e for (_, v), e in zip(pbucketed, key)]
-                x = reduce(mul, factors, GaussianRational(total, total_im) if gaussian else total)
-                re, im = (re + x.re, im + x.im) if gaussian else (re + x, 0)
+            # the slots times the bucket's monomial (and the constant factor),
+            # as (real, imaginary) parts over the shared scale
+            mono = reduce(mul, [v ** e for (_, v), e in zip(pbucketed, key)], factor)
+            mr, mi = (mono.re, mono.im) if isinstance(mono, GaussianRational) else (mono, 0)
+            x, y = sums[0] * mr - sums[width] * mi, sums[0] * mi + sums[width] * mr
+            re, im = re + x, im + y
             if not gradient:
                 continue
             for k, i in weighted:
                 s, s_im = sums[k], sums[width + k]
                 if s or s_im:
-                    a, b, imaginary = coords[i]
-                    if imaginary:
-                        s, s_im = s_im, -s
-                    y = _over(s * factor, s_im * factor, gaussian, num * b, den * a)
-                    if pbucketed:
-                        y = reduce(mul, factors, y)
-                    g = grads[i]
-                    grads[i] = y if g is zero else g + y
-            for j, ((i, v), e) in enumerate(zip(pbucketed, key)):
+                    dre[i] += s * mr - s_im * mi
+                    dim[i] += s * mi + s_im * mr
+            for (i, _), e in zip(pbucketed, key):
                 if e:
-                    y = _over(total, total_im, gaussian, num * e, den) * v ** (e - 1)
-                    y = reduce(mul, factors[:j] + factors[j + 1 :], y)
-                    g = grads[i]
-                    grads[i] = y if g is zero else g + y
-        rows.append((re, im, gaussian, grads))
+                    dre[i] += e * x
+                    dim[i] += e * y
+        rows.append((re, im, gaussian, (dre, dim) if gradient else None))
     return num, den, rows
 
 
@@ -805,33 +790,44 @@ def _box(terms: Mapping[tuple, object]) -> list:
     return list(zip(map(min, *terms), map(max, *terms)))
 
 
-def _over(re, im, gaussian: bool, num: int, den: int):
-    """``(re + i*im) * num/den``: a GaussianRational when ``gaussian``, else a
-    Fraction (``im`` is then 0)."""
-    if gaussian:
-        return GaussianRational(Fraction(re * num, den), Fraction(im * num, den))
-    return Fraction(re * num, den)
+def evaluate_rational_fns(fns: Sequence[RationalFn], point: Mapping[str, object], gradient: bool = False) -> list:
+    """The values of rational functions at a point, from one ``point_pass``
+    over every numerator and denominator; with ``gradient``, one pair
+    ``(value, euler_gradient)`` per function.
 
-
-def evaluate_rational_fns(fns: Sequence[RationalFn], point: Mapping[str, object]) -> list:
-    """``[f.evaluate(point) for f in fns]`` (same values, same types) from one
-    ``point_pass`` over every numerator and denominator.  The pass's shared
-    scale cancels in each ratio, so each value is one Fraction or one
-    GaussianRational; a zero denominator is a SingularPointError."""
-    _, _, rows = point_pass([p for f in fns for p in (f.num, f.den)], point)
+    The pass's shared scale cancels in each ratio N/D, and in each Euler
+    partial ``(E·N·D - N·E·D)/D²`` of the quotient rule (E·N the numerator's
+    Euler partial), so every value and partial is one Fraction, or one
+    GaussianRational when N or D uses a coordinate off the real line.  A zero
+    denominator is a SingularPointError."""
+    _, _, rows = point_pass([p for f in fns for p in (f.num, f.den)], point, gradient)
     out = []
     for k, f in enumerate(fns):
-        nre, nim, ngauss, _ = rows[2 * k]
-        dre, dim, dgauss, _ = rows[2 * k + 1]
+        nre, nim, ngauss, npart = rows[2 * k]
+        dre, dim, dgauss, dpart = rows[2 * k + 1]
         if not (ngauss or dgauss):
             if not dre:
                 raise SingularPointError(f.den)
-            out.append(Fraction(nre, dre))
+            value = Fraction(nre, dre)
+            if gradient:
+                d2 = dre * dre
+                value = value, [Fraction(a * dre - nre * b, d2) for a, b in zip(npart[0], dpart[0])]
+            out.append(value)
             continue
         norm = dre * dre + dim * dim
         if not norm:
             raise SingularPointError(f.den)
-        out.append(GaussianRational(Fraction(nre * dre + nim * dim, norm), Fraction(nim * dre - nre * dim, norm)))
+        value = GaussianRational(Fraction(nre * dre + nim * dim, norm), Fraction(nim * dre - nre * dim, norm))
+        if gradient:
+            # (E·N·D - N·E·D)/D² = X·conj(D)²/|D|⁴, conj(D)² = c + i·s
+            c, s, norm2 = dre * dre - dim * dim, -2 * dre * dim, norm * norm
+            grad = []
+            for ar, ai, br, bi in zip(*npart, *dpart):
+                xr = ar * dre - ai * dim - (nre * br - nim * bi)
+                xi = ar * dim + ai * dre - (nre * bi + nim * br)
+                grad.append(GaussianRational(Fraction(xr * c - xi * s, norm2), Fraction(xr * s + xi * c, norm2)))
+            value = value, grad
+        out.append(value)
     return out
 
 

@@ -11,13 +11,23 @@ than by multivariate gcd.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .gauss import GaussianRational
 from .intlinalg import IntMatrix, kernel_basis, rank_bareiss
-from .laurent import GeneratorTable, LaurentPoly, Q, RationalFn, exact_coefficient, exact_int, exact_poly_div
+from .laurent import (
+    GeneratorTable,
+    LaurentPoly,
+    Q,
+    RationalFn,
+    evaluate_rational_fns,
+    exact_coefficient,
+    exact_int,
+    exact_poly_div,
+)
 
 
 def wname(vertex: str) -> str:
@@ -499,25 +509,16 @@ def skein_product(f: RationalFn, g: RationalFn, quiver: Quiver) -> RationalFn:
     return RationalFn.from_poly(eight.scale(Fraction(1, 8)))
 
 
-def gradient_at(h: RationalFn, point: Mapping[str, Fraction]) -> tuple:
-    """Exact value and gradient (in table order) of h at a nonsingular point."""
-    pv, pg = h.num.value_and_gradient(point)
-    qv, qg = h.den.value_and_gradient(point)
-    if not qv:
-        raise ZeroDivisionError("singular point")
-    q2 = qv * qv
-    return pv / qv, [(dp * qv - pv * dq) / q2 if dp or dq else dp for dp, dq in zip(pg, qg)]
-
-
 def _is_scalar(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
 class Jet:
-    """An exact value and its gradient (in table order) at one point: forward
-    mode.  Closed under +, -, *, / and integer powers by the sum, product and
-    quotient rules; an int or Fraction operand, on either side, is a constant
-    with zero gradient.  ``Jet.at`` takes a leaf from ``gradient_at``."""
+    """An exact value and its Euler gradient (w_i·∂/∂w_i, in table order) at
+    one point: forward mode.  Closed under +, -, *, / and integer powers by
+    the sum, product and quotient rules, which hold for any derivation; an int
+    or Fraction operand, on either side, is a constant with zero gradient.
+    ``Jet.at`` takes a leaf from ``laurent.evaluate_rational_fns``."""
 
     __slots__ = ("value", "grad")
 
@@ -527,7 +528,7 @@ class Jet:
 
     @classmethod
     def at(cls, h: RationalFn, point: Mapping[str, object]) -> "Jet":
-        return cls(*gradient_at(h, point))
+        return cls(*evaluate_rational_fns([h], point, gradient=True)[0])
 
     def __add__(self, other):
         if isinstance(other, Jet):
@@ -588,8 +589,7 @@ def integer_vectors(vectors: Sequence[Sequence], stacked: bool = False) -> tuple
 
     Without ``stacked`` the entries must be ints or Fractions.  With it they
     may be GaussianRationals too, and ``ints[k]`` holds the real parts of
-    d·vectors[k] followed by their imaginary parts: the stacked form the
-    pointwise helpers below take at a point that is not real."""
+    d·vectors[k] followed by their imaginary parts."""
     if stacked:
         vectors = [
             [x.re if isinstance(x, GaussianRational) else x for x in v]
@@ -600,48 +600,38 @@ def integer_vectors(vectors: Sequence[Sequence], stacked: bool = False) -> tuple
     return [[x.numerator * (d // x.denominator) for x in v] for v in vectors], d
 
 
-def is_real_point(table: GeneratorTable, point: Mapping[str, object]) -> bool:
-    """Whether no coordinate of the point is a GaussianRational: the helpers
-    below then work on real integer vectors, and on stacked ones otherwise."""
-    return not any(isinstance(point[name], GaussianRational) for name in table.names)
+def brackets_at(quiver: Quiver, table: GeneratorTable, left: Sequence[Sequence], right: Sequence[Sequence]) -> list:
+    """The brackets at one point of functions given by their Euler gradients
+    (``laurent.evaluate_rational_fns``): row a holds {f_a, g_b} for every b,
+    with ``left[a]`` the gradient of f_a and ``right[b]`` that of g_b.
 
+    The bracket is log-canonical, so {f, g} = (1/8)·Σ b_ij·F_i·G_j with B the
+    doubled exchange matrix (``exchange_rows``) and F_i = w_i·∂f/∂w_i.  Each
+    side is put over one integer scale, B·G is formed once per right
+    gradient, and each bracket is one integer dot product over 8·d_F·d_G.
+    When a gradient has a GaussianRational entry the vectors are stacked
+    (real parts, then imaginary parts) and every bracket is a
+    GaussianRational; otherwise it is a Fraction."""
+    stacked = any(isinstance(x, GaussianRational) for v in chain(left, right) for x in v)
+    ls, d1 = integer_vectors(left, stacked)
+    rs, d2 = (ls, d1) if right is left else integer_vectors(right, stacked)
+    rows, n = exchange_rows(quiver, table), len(table)
+    # B·G, for a stacked G = X + iY the stacked (B·X, B·Y)
+    halves = (0, n) if stacked else (0,)
+    hs = [[sum([b * g[off + j] for j, b in row]) for off in halves for row in rows] for g in rs]
+    den, zero = 8 * d1 * d2, Fraction(0)
 
-def bivector_at(quiver: Quiver, table: GeneratorTable, point: Mapping[str, object]) -> tuple:
-    """The Poisson bivector at a point in integers over one scale: ``(rows,
-    scale)`` with {f, g} = Σ P_ij f_i g_j / scale over i != j, in table order.
+    def over(x: int) -> Fraction:
+        return Fraction(x, den) if x else zero
 
-    With the coordinates written as w = W/d (d the lcm of their denominators),
-    P_ij = b_ij·W_i·W_j and scale = 8·d², so Pi_ij = b_ij w_i w_j / 8 and the
-    1/8 is taken once.  Row i holds the pairs ``(j, P_ij)`` with P_ij nonzero.
-    At a point that is not real, W = U + iV and P are complex, and the rows
-    are those of the real block form [[Re P, -Im P], [Im P, Re P]], which
-    acts on stacked vectors (real parts, then imaginary parts)."""
-    real = is_real_point(table, point)
-    (w,), d = integer_vectors([[point[name] for name in table.names]], not real)
-    brows = exchange_rows(quiver, table)
-    if real:
-        return [[(j, p) for j, bij in row if (p := bij * w[i] * w[j])] for i, row in enumerate(brows)], 8 * d * d
-    n = len(brows)
-    u, v = w[:n], w[n:]
-    top, bottom = [], []
-    for i, row in enumerate(brows):
-        re = [(j, bij * (u[i] * u[j] - v[i] * v[j])) for j, bij in row]
-        im = [(j, bij * (u[i] * v[j] + v[i] * u[j])) for j, bij in row]
-        top.append([(j, p) for j, p in re if p] + [(n + j, -p) for j, p in im if p])
-        bottom.append([(j, p) for j, p in im if p] + [(n + j, p) for j, p in re if p])
-    return top + bottom, 8 * d * d
-
-
-def hamiltonian_at(pi: list, gg: list) -> list:
-    """The integer rows of ``bivector_at`` contracted with an integer gradient
-    vector G = d_g·(gradient of g): entry i is scale·d_g·{w_i, g}, so that
-    scale·d_f·d_g·{f, g} is ``dot(F, hamiltonian_at(pi, G))``."""
-    return [sum([p * gg[j] for j, p in row]) for row in pi]
-
-
-def dot(u: list, v: list) -> int:
-    """Dot product of two integer vectors."""
-    return sum(map(mul, u, v))
+    if not stacked:
+        return [[over(sum(map(mul, f, h))) for h in hs] for f in ls]
+    out = []
+    for f in ls:
+        # F = U + iV stacked: F·B·G is (U, -V)·H + i (V, U)·H
+        re, im = f[:n] + [-x for x in f[n:]], f[n:] + f[:n]
+        out.append([GaussianRational(over(sum(map(mul, re, h))), over(sum(map(mul, im, h)))) for h in hs])
+    return out
 
 
 # -- Casimir lattice ----------------------------------------------------------

@@ -16,6 +16,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .laurent import evaluate_rational_fns
+
 DEFAULT_TOL = 1e-9
 PRECISION = 60
 
@@ -224,8 +226,6 @@ def cluster_to_lengths(model, point: Mapping[str, Fraction]) -> dict:
     if prod != value:
         raise ValueError("point violates the unit-Casimir constraint")
     u = chain_matrix(model.name, model.chains["braid"])
-    out = {}
-    for i in range(5):
-        for j in range(i + 1, 5):
-            out[(i + 1, j + 1)] = u[i, j].evaluate(point)
-    return out
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    values = evaluate_rational_fns([u[i, j] for i, j in pairs], point)
+    return {(i + 1, j + 1): v for (i, j), v in zip(pairs, values)}

@@ -21,7 +21,7 @@ from .groupoid import (
     solve_unipotent_A,
     transport_groupoid,
 )
-from .laurent import GeneratorTable, Q, RationalFn
+from .laurent import GeneratorTable, Q, RationalFn, evaluate_rational_fns
 from .matrices import MatrixRF
 from .network import SquareNetwork, enumerate_paths_dfs, path_sum_bruteforce
 from .quiver import (
@@ -29,11 +29,8 @@ from .quiver import (
     Quiver,
     Seed,
     apply_sequence,
-    bivector_at,
+    brackets_at,
     corank,
-    dot,
-    hamiltonian_at,
-    integer_vectors,
     monomial_is_casimir,
     mutate,
     poisson_bracket,
@@ -301,11 +298,10 @@ def pfaffian_vs_pencil(rng_seed):
     u = chain_matrix(model.name, ("G_{1,2}", "G_{2,3}", "G_{3,4}"))
     rng = random.Random(rng_seed + 4)
     pt = _positive_point(model.seed.frame, rng, 1, 9)
-    signed = MatrixRF(
-        [[((-1) ** (i + j)) * u[i, j].evaluate(pt) if j >= i else Q(0) for j in range(4)] for i in range(4)]
-    )
-    for i in range(4):
-        signed[i, i] = Q(1)
+    upper = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    signed = MatrixRF.identity(4, Q(1), Q(0))
+    for (i, j), value in zip(upper, evaluate_rational_fns([u[i, j] for i, j in upper], pt)):
+        signed[i, j] = ((-1) ** (i + j)) * value
     g = lambda i, j: signed[i - 1, j - 1]
     msum = g(1, 3) * g(2, 4) - g(1, 2) * g(3, 4) - g(2, 3) * g(1, 4)
     skew = signed - signed.transpose()
@@ -704,16 +700,12 @@ def twist_identities(rng_seed):
     for rep in range(10):
         pt = _positive_point(t, rng, 1, 25)
         x, y2, t2, tt2 = twist_quantities(*(Jet.at(h, pt) for h in leaves))
-        # the gradients as integer vectors over one scale d
-        (y2g, xg, t2g, tt2g), d = integer_vectors([y2.grad, x.grad, t2.grad, tt2.grad])
-        pi, scale = bivector_at(q, t, pt)
-        y2h = hamiltonian_at(pi, y2g)
-        br = Fraction(-dot(xg, y2h), scale * d * d)  # {y2, x} = -{x, y2}
+        ((br, t2br, tt2br),) = brackets_at(q, t, [y2.grad], [x.grad, t2.grad, tt2.grad])
         if br * br != 4 * y2.value * (x.value ** 2 - 4) * (y2.value - 4):
             return (False, f"squared twist identity fails at rep {rep}")
-        if dot(t2g, y2h):
+        if t2br:
             return (False, f"first squared twist fails to commute at rep {rep}")
-        if dot(tt2g, y2h):
+        if tt2br:
             return (False, f"second squared twist fails to commute at rep {rep}")
     m, g12 = leaves[:2]
     if poisson_bracket(m + 2, g12, q):

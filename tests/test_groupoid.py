@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from symgroupoid import groupoid, suites
+from symgroupoid import groupoid, laurent, suites
 from symgroupoid.gauss import GaussianRational
 from symgroupoid.groupoid import (
     InadmissibleMatrixError,
@@ -26,7 +26,7 @@ from symgroupoid.intlinalg import IntMatrix
 from symgroupoid.laurent import GeneratorTable, RationalFn
 from symgroupoid.matrices import MatrixRF, charpoly_is_palindromic
 from symgroupoid.network import SquareNetwork
-from symgroupoid.quiver import Quiver, exchange_rows, gradient_at, poisson_bracket
+from symgroupoid.quiver import Quiver, exchange_rows, poisson_bracket
 from symgroupoid.report import run_suite_checks
 from symgroupoid.suites import build_suite
 from symgroupoid.teich import matrix_braid
@@ -335,10 +335,19 @@ def reference_reflection_rhs(m) -> list:
     ]
 
 
+def reference_partials(h, point) -> list:
+    """Reference: the partials dh/dw_i at a point, by the quotient rule in field
+    arithmetic over the values of ``LaurentPoly.derivative`` of the numerator
+    and the denominator."""
+    p, q = h.num, h.den
+    pv, qv = p.evaluate(point), q.evaluate(point)
+    return [(p.derivative(n).evaluate(point) * qv - pv * q.derivative(n).evaluate(point)) / (qv * qv) for n in h.table.names]
+
+
 def reference_bracket_tensor(m1, m2, quiver, point) -> list:
-    """Reference: {M1 tensor, M2} with the bivector Pi_ij = b_ij w_i w_j / 8 and
-    every contraction in field arithmetic (what ``bracket_tensor_at`` computes
-    in integers over one scale)."""
+    """Reference: {M1 tensor, M2} with the true partials, the bivector
+    Pi_ij = b_ij w_i w_j / 8 and every contraction in field arithmetic (what
+    ``bracket_tensor_at`` computes from Euler gradients in integers)."""
     n = m1.rows
     table = m1[0, 0].table
     wv = [point[name] for name in table.names]
@@ -346,7 +355,7 @@ def reference_bracket_tensor(m1, m2, quiver, point) -> list:
     pi = [[(j, Fraction(bij, 8) * wv[i] * wv[j]) for j, bij in row] for i, row in enumerate(rows)]
 
     def gradients(m):
-        return [[gradient_at(m[i, j], point)[1] for j in range(n)] for i in range(n)]
+        return [[reference_partials(m[i, j], point) for j in range(n)] for i in range(n)]
 
     def field_sum(values):
         return sum(values, Fraction(0))
@@ -466,6 +475,21 @@ def test_reflection_sides_match_the_tensor_and_the_evaluated_right_side():
         assert operator.eq(*reflection_sides_at(u, model.quiver, pt))
         lhs, rhs = reflection_sides_at(reversed_u, model.quiver, pt)
         assert lhs != rhs
+
+
+def test_pointwise_tensors_make_one_point_pass_per_matrix(monkeypatch):
+    # the entries of a matrix, numerators and denominators, share one pass; the
+    # per-entry gradients made two passes per entry
+    model, u, tw = _genus2_chain_pair()
+    pt = suites._positive_point(model.seed.frame, random.Random(19), 1, 9)
+    calls = []
+    original = laurent.point_pass
+    monkeypatch.setattr(laurent, "point_pass", lambda polys, *a, **kw: calls.append(polys) or original(polys, *a, **kw))
+    reflection_sides_at(u, model.quiver, pt)
+    assert [len(polys) for polys in calls] == [2 * u.rows * u.cols]
+    calls.clear()
+    bracket_tensor_at(u, tw, model.quiver, pt)
+    assert [len(polys) for polys in calls] == [2 * u.rows * u.cols] * 2
 
 
 def test_reversed_arrow_breaks_the_genus2_reflection_identity():

@@ -1,5 +1,6 @@
 """Modules of the package reach one another through public names only,
-exact values have one zero test: ``bool()``, and no loop runs unbounded."""
+exact values have one zero test: ``bool()``, points are evaluated through
+``laurent`` alone, and no loop runs unbounded."""
 
 import ast
 from pathlib import Path
@@ -49,4 +50,24 @@ def test_no_module_has_a_while_true_loop():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.While) and isinstance(node.test, ast.Constant) and node.test.value:
                 offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
+
+
+def test_only_laurent_calls_point_pass():
+    # one evaluation entry: other modules go through LaurentPoly.evaluate or
+    # laurent.evaluate_rational_fns, never the integer pass itself
+    offenders = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        if path.name == "laurent.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            else:
+                continue
+            if name == "point_pass":
+                offenders.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert not offenders, offenders

@@ -14,8 +14,10 @@ from symgroupoid.laurent import (
     Q,
     RationalFn,
     SingularPointError,
+    evaluate_rational_fns,
     exact_coefficient,
     exact_poly_div,
+    point_pass,
 )
 
 T = GeneratorTable(["w:a", "w:b", "w:c"])
@@ -426,20 +428,33 @@ coordinates = st.one_of(
 )
 
 
+def _pass_values(p, point):
+    """The value and Euler gradient of p at a point, read off one point_pass."""
+    num, den, ((re, im, gaussian, (dre, dim)),) = point_pass([p], point, gradient=True)
+
+    def at(x, y):
+        if gaussian:
+            return GaussianRational(Fraction(x * num, den), Fraction(y * num, den))
+        return Fraction(x * num, den)
+
+    return at(re, im), [at(x, y) for x, y in zip(dre, dim)]
+
+
 @given(laurent_polys(), st.lists(coordinates, min_size=3, max_size=3))
 @settings(max_examples=150, deadline=None)
-def test_value_and_gradient_matches_fraction_reference(p, coords):
+def test_euler_gradient_matches_fraction_reference(p, coords):
+    # the Euler partial w_i * dp/dw_i against w_i times the derivative's value
     point = dict(zip(T.names, coords))
     try:
         expected = (
             _reference_value(p, point),
-            [_reference_value(p.derivative(n), point) for n in T.names],
+            [point[n] * _reference_value(p.derivative(n), point) for n in T.names],
         )
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
-            p.value_and_gradient(point)
+            point_pass([p], point, gradient=True)
         return
-    assert p.value_and_gradient(point) == expected
+    assert _pass_values(p, point) == expected
     assert p.evaluate(point) == expected[0]
 
 
@@ -471,16 +486,16 @@ def test_evaluate_matches_gaussian_reference(p, coords):
     point = dict(zip(T.names, coords))
     try:
         expected = _gaussian_reference(p, point)
-        expected_grads = [_gaussian_reference(p.derivative(n), point) for n in T.names]
+        expected_grads = [point[n] * _gaussian_reference(p.derivative(n), point) for n in T.names]
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
             p.evaluate(point)
         with pytest.raises(ZeroDivisionError):
-            p.value_and_gradient(point)
+            point_pass([p], point, gradient=True)
         return
     value = p.evaluate(point)
     assert value == expected
-    value_too, grads = p.value_and_gradient(point)
+    value_too, grads = _pass_values(p, point)
     assert value_too == expected and grads == expected_grads
     # a Gaussian value only where the terms use a coordinate off the real line
     nonreal = {
@@ -490,25 +505,62 @@ def test_evaluate_matches_gaussian_reference(p, coords):
     assert isinstance(value_too, GaussianRational) == bool(nonreal)
 
 
-def test_value_and_gradient_at_a_gaussian_point():
+def test_euler_gradient_at_a_gaussian_point():
     p = LaurentPoly.monomial(T, Fraction(3, 2), {"w:a": 2, "w:b": -1}) + gen("w:c")
     i = GaussianRational(0, 1)
     point = {"w:a": i, "w:b": GaussianRational(2), "w:c": GaussianRational(1, 1)}
-    value, grads = p.value_and_gradient(point)
+    value, grads = _pass_values(p, point)
     assert value == _gaussian_reference(p, point)
-    assert grads == [_gaussian_reference(p.derivative(n), point) for n in T.names]
+    assert grads == [point[n] * _gaussian_reference(p.derivative(n), point) for n in T.names]
+
+
+@given(laurent_polys(), laurent_polys(), st.lists(gaussian_coordinates, min_size=3, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_rational_euler_gradient_matches_derivative_oracle(p, q, coords):
+    # the quotient rule over one shared pass, against w_i times the derivative
+    # values of num and den combined in field arithmetic
+    if not q:
+        return
+    f = RationalFn(p, q)
+    point = dict(zip(T.names, coords))
+    nv, dv = _gaussian_reference(f.num, point), _gaussian_reference(f.den, point)
+    if not dv:
+        with pytest.raises(SingularPointError):
+            evaluate_rational_fns([f], point, gradient=True)
+        return
+    dn = [point[n] * _gaussian_reference(f.num.derivative(n), point) for n in T.names]
+    dd = [point[n] * _gaussian_reference(f.den.derivative(n), point) for n in T.names]
+    ((value, grads),) = evaluate_rational_fns([f], point, gradient=True)
+    assert value == nv / dv == f.evaluate(point)
+    assert grads == [(a * dv - nv * b) / (dv * dv) for a, b in zip(dn, dd)]
+    # a Fraction value has Fraction partials, a Gaussian one Gaussian partials
+    assert type(value) is type(f.evaluate(point))
+    assert all(type(g) is type(value) for g in grads)
 
 
 def test_zero_coordinate_under_negative_exponent_raises():
     p = LaurentPoly.monomial(T, Fraction(1), {"w:a": -1}) + gen("w:b")
     point = {"w:a": Q(0), "w:b": Q(2), "w:c": Q(3)}
     with pytest.raises(ZeroDivisionError):
-        p.value_and_gradient(point)
+        point_pass([p], point, gradient=True)
     with pytest.raises(ZeroDivisionError):
         p.evaluate(point)
-    # a zero coordinate under nonnegative exponents is an ordinary point
-    q = gen("w:a") * gen("w:b") + gen("w:a", 2)
-    assert q.value_and_gradient(point) == (Q(0), [Q(2), Q(0), Q(0)])
+    # a zero coordinate under nonnegative exponents is an ordinary point; its
+    # own Euler partial w_a * dq/dw_a is zero there
+    q = gen("w:a") * gen("w:b") + gen("w:a", 2) + gen("w:b") * gen("w:c")
+    assert _pass_values(q, point) == (Q(6), [Q(0), Q(6), Q(6)])
+
+
+def test_rational_evaluate_makes_one_point_pass(monkeypatch):
+    # numerator and denominator share one pass; it used to be one each
+    from symgroupoid import laurent
+
+    calls = []
+    original = laurent.point_pass
+    monkeypatch.setattr(laurent, "point_pass", lambda polys, *a, **kw: calls.append(polys) or original(polys, *a, **kw))
+    f = RationalFn(gen("w:a") + gen("w:b", 2), gen("w:c") + LaurentPoly.one(T))
+    assert f.evaluate({"w:a": Q(1), "w:b": Q(1, 2), "w:c": Q(3)}) == Q(5, 16)
+    assert calls == [[f.num, f.den]]
 
 
 def test_gaussian_hash_agrees_with_equality_on_real_values():

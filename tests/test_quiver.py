@@ -22,8 +22,8 @@ from symgroupoid.quiver import (
     apply_sequence,
     corank,
     cv_sum,
+    brackets_at,
     exchange_rows,
-    gradient_at,
     initial_table,
     monomial_casimirs,
     mutate,
@@ -314,6 +314,19 @@ def test_bracket_value_at_matches_symbolic():
     assert bracket_tensor_at(MatrixRF([[x]]), MatrixRF([[y]]), PATTERN, point)[0, 0] == sym
 
 
+def test_brackets_at_on_generators_is_the_log_canonical_matrix():
+    # the Euler gradient of w_j is w_j·e_j, so {w_i, w_j} = b_ij·w_i·w_j/8,
+    # at a real point and at one with a coordinate off the real line
+    t = initial_table(PATTERN.vertices)
+    real = {name: Fraction(k + 2, k + 1) for k, name in enumerate(t.names)}
+    for point in (real, dict(real, **{t.names[0]: GaussianRational(1, 2)})):
+        w = [point[name] for name in t.names]
+        grads = [[w[i] if i == j else 0 for i in range(len(t))] for j in range(len(t))]
+        expected = [[Fraction(PATTERN.doubled[i, j], 8) * w[i] * w[j] for j in range(len(t))] for i in range(len(t))]
+        assert brackets_at(PATTERN, t, grads, grads) == expected
+        assert brackets_at(PATTERN, t, grads[:2], grads[3:]) == [row[3:] for row in expected[:2]]
+
+
 def _genus2_twist_forms():
     """The genus2_x7 twist leaves and the symbolic x, y², t², t~² over them:
     the oracle for the jets that ``genus2_twist_identities`` evaluates."""
@@ -330,6 +343,18 @@ def _genus2_twist_forms():
     return model, leaves, (x, y2, t2, tt2)
 
 
+def _euler_gradient(h, point):
+    """Oracle for a jet: the value of h and w_i·∂h/∂w_i at a point, by the
+    quotient rule in field arithmetic over the values of ``LaurentPoly.derivative``
+    of its numerator and denominator."""
+    p, q = h.num, h.den
+    pv, qv = p.evaluate(point), q.evaluate(point)
+    return pv / qv, [
+        point[n] * (p.derivative(n).evaluate(point) * qv - pv * q.derivative(n).evaluate(point)) / (qv * qv)
+        for n in h.table.names
+    ]
+
+
 def test_twist_jets_match_gradients_of_the_symbolic_forms():
     from symgroupoid.suites import _positive_point, twist_quantities
 
@@ -341,10 +366,10 @@ def test_twist_jets_match_gradients_of_the_symbolic_forms():
         pt = _positive_point(model.seed.frame, rng, 1, 25)
         jets = twist_quantities(*(Jet.at(h, pt) for h in leaves))
         for jet, form in zip(jets, forms):
-            assert (jet.value, jet.grad) == gradient_at(form, pt)
+            assert (jet.value, jet.grad) == _euler_gradient(form, pt)
 
 
-def test_jet_arithmetic_matches_gradient_at_at_a_non_real_point():
+def test_jet_arithmetic_matches_the_derivative_oracle_at_a_non_real_point():
     # every operation, an int or a Fraction on either side, a negative power
     from symgroupoid.suites import _positive_point
     from symgroupoid.teich import build_surface, catalog_value
@@ -371,7 +396,7 @@ def test_jet_arithmetic_matches_gradient_at_at_a_non_real_point():
     jf, jg = Jet.at(f, pt), Jet.at(g, pt)
     assert any(isinstance(x, GaussianRational) and x.im for x in jf.grad)
     jet = expression(jf, jg)
-    value, grad = gradient_at(expression(f, g), pt)
+    value, grad = _euler_gradient(expression(f, g), pt)
     assert isinstance(jet.value, GaussianRational) and jet.value.im
     assert jet.value == value
     assert jet.grad == grad

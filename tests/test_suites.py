@@ -4,12 +4,11 @@ import importlib.util
 import io
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from symgroupoid.quiver import Jet, bivector_at, dot, hamiltonian_at, integer_vectors
+from symgroupoid.quiver import Jet, brackets_at
 from symgroupoid.report import all_report, write_report
 from symgroupoid.suites import SUITE_NAMES, _positive_point, build_suite, check, twist_leaves, twist_quantities
 from symgroupoid.teich import build_surface
@@ -45,9 +44,7 @@ def test_markov_invariance_holds_where_a_random_point_fixes_the_markov_element(r
 def _squared_twist_identity_holds(x, y2, model, pt):
     """{y², x}² = 4y²(x² - 4)(y² - 4) at pt for jets x and y², contracted as
     ``genus2_twist_identities`` contracts them."""
-    (y2g, xg), d = integer_vectors([y2.grad, x.grad])
-    pi, scale = bivector_at(model.quiver, model.seed.frame, pt)
-    br = Fraction(-dot(xg, hamiltonian_at(pi, y2g)), scale * d * d)
+    ((br,),) = brackets_at(model.quiver, model.seed.frame, [y2.grad], [x.grad])
     return br * br == 4 * y2.value * (x.value ** 2 - 4) * (y2.value - 4)
 
 
