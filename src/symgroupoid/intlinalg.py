@@ -1,18 +1,22 @@
-"""Exact integer matrices: one fraction-free (Bareiss) elimination gives the
-rank and, with a Hermite normal form modulo its last pivot, the kernel lattice."""
+"""Exact integer matrices.  One fraction-free (Bareiss) elimination gives the
+rank, the determinant (its last pivot, signed by its row swaps), the solutions
+of a linear system (back-substitution over the last pivot) and, with a Hermite
+normal form modulo the last pivot, the kernel lattice."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 
 class IntMatrix:
-    """Dense matrix of arbitrary-precision integers."""
+    """Dense matrix of arbitrary-precision integers.  An entry is an ``int`` or
+    an integral ``Fraction``; anything else is a ``TypeError``, never truncated."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[int]]):
-        self.entries = [[int(x) for x in row] for row in entries]
+        self.entries = [[x if type(x) is int else _exact_int(x) for x in row] for row in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
         if any(len(row) != self.cols for row in self.entries):
@@ -28,7 +32,7 @@ class IntMatrix:
 
     def __setitem__(self, ij, value):
         i, j = ij
-        self.entries[i][j] = int(value)
+        self.entries[i][j] = _exact_int(value)
 
     def is_skew_symmetric(self) -> bool:
         if self.rows != self.cols:
@@ -49,13 +53,25 @@ class IntMatrix:
         return f"IntMatrix({self.entries!r})"
 
 
+def _exact_int(x) -> int:
+    """An ``int`` (not a bool) or an integral ``Fraction`` as an int."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise TypeError(f"an IntMatrix entry must be an int or an integral Fraction, got {x!r}")
+
+
 def _bareiss_echelon(m: IntMatrix) -> tuple:
-    """Forward fraction-free (Bareiss) elimination: the nonzero echelon rows and
-    their pivot columns.  Every entry is a minor of M, so none outgrows them."""
+    """Forward fraction-free (Bareiss) elimination: the nonzero echelon rows,
+    their pivot columns and the sign of the row swaps.  Every entry is a minor
+    of M, so none outgrows them; the last pivot is the minor on the pivot
+    columns of the leading rows (the swapped rows in their new order)."""
     a = [row[:] for row in m.entries]
     rows, cols = m.rows, m.cols
     pivots = []
     prev = 1
+    sign = 1
     r = 0
     for c in range(cols):
         pivot = None
@@ -65,7 +81,9 @@ def _bareiss_echelon(m: IntMatrix) -> tuple:
                 break
         if pivot is None:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
         for i in range(r + 1, rows):
             for j in range(c + 1, cols):
                 a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
@@ -75,12 +93,63 @@ def _bareiss_echelon(m: IntMatrix) -> tuple:
         r += 1
         if r == rows:
             break
-    return a[:r], pivots
+    return a[:r], pivots, sign
 
 
 def rank_bareiss(m: IntMatrix) -> int:
     """Rank over the rationals: the number of Bareiss pivots."""
     return len(_bareiss_echelon(m)[1])
+
+
+def det_bareiss(m: IntMatrix) -> int:
+    """Determinant of a square matrix: the last Bareiss pivot, with the sign
+    of the row swaps; 0 when a column has no pivot."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    u, pivots, sign = _bareiss_echelon(m)
+    if len(pivots) < m.cols:
+        return 0
+    return sign * u[-1][-1] if u else 1
+
+
+def _back_substitute(u: list, pivots: list, f: int) -> list:
+    """y with d x_P = y for the echelon rows ``u`` (pivot columns ``pivots``,
+    last pivot d) and right-hand side column f: x solves U_P x = U_f.  Every
+    division is exact, since d x is an integer vector by Cramer's rule."""
+    d = u[-1][pivots[-1]]
+    r = len(pivots)
+    y = [0] * r
+    for i in range(r - 1, -1, -1):
+        row = u[i]
+        y[i] = (d * row[f] - sum(row[pivots[j]] * y[j] for j in range(i + 1, r))) // row[pivots[i]]
+    return y
+
+
+def solve_bareiss(m: IntMatrix, unknowns: int, allow_underdetermined: bool = False) -> tuple:
+    """Solutions of A X = B for M = [A | B], A its first ``unknowns`` columns.
+
+    Returns (d, xs): for each column of B, the integer vector d x of length
+    ``unknowns`` whose quotient by d is the solution x, with free unknowns
+    zero (those of the reduced row echelon form, whose pivot columns are the
+    Bareiss ones).  Raises ``ZeroDivisionError`` when a column of B is not in
+    the span of A's (a pivot in B: inconsistent) and, unless
+    ``allow_underdetermined``, when A has fewer pivots than unknowns.
+    """
+    u, pivots, _ = _bareiss_echelon(m)
+    if pivots and pivots[-1] >= unknowns:
+        raise ZeroDivisionError("inconsistent linear system")
+    if len(pivots) < unknowns and not allow_underdetermined:
+        raise ZeroDivisionError("singular linear system")
+    if not pivots:
+        return 1, [[0] * unknowns for _ in range(unknowns, m.cols)]
+    d = u[-1][pivots[-1]]
+    xs = []
+    for f in range(unknowns, m.cols):
+        x = [0] * unknowns
+        for p, y in zip(pivots, _back_substitute(u, pivots, f)):
+            x[p] = y
+        xs.append(x)
+    return d, xs
 
 
 def kernel_basis(m: IntMatrix) -> list:
@@ -95,17 +164,14 @@ def kernel_basis(m: IntMatrix) -> list:
     |d| Z^(r+k) (Domich-Kannan-Trotter; Cohen, GTM 138, 2.4).  Each c gives the
     kernel vector x_F = c, x_P = -N c / d.
     """
-    u, pivots = _bareiss_echelon(m)
+    u, pivots, _ = _bareiss_echelon(m)
     r = len(pivots)
     free = sorted(set(range(m.cols)) - set(pivots))
     d = u[-1][pivots[-1]] if u else 1
     modulus, n = abs(d), r + len(free)
     gens = []
     for s, f in enumerate(free):
-        y = [0] * r
-        for i in range(r - 1, -1, -1):
-            row = u[i]
-            y[i] = (d * row[f] - sum(row[pivots[j]] * y[j] for j in range(i + 1, r))) // row[pivots[i]]
+        y = _back_substitute(u, pivots, f) if u else []
         gens.append(y + [int(t == s) for t in range(len(free))])
     # active rows keep their entries from coordinate i on; the rest are zero
     rows = [[x % modulus for x in g] for g in gens]

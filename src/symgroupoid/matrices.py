@@ -3,16 +3,26 @@
 Entries only need ``+ - * /``, equality with each other, a truth value that
 is false exactly at zero, and an ``inverse`` through ``1/x`` or division.  Everything is written for the small
 sizes appearing here (n <= 9), favoring exactness over asymptotics.
+
+Numeric matrices (``int``, ``Fraction`` and ``GaussianRational`` entries) do
+their product, ``solve``, ``inverse``, ``rank`` and (without Gaussian entries)
+``det`` in integers.  Each row is cleared of denominators (each column, for a
+product's right factor); a product is integer dot products, and the rest is
+``intlinalg``'s one Bareiss elimination, on the real block form of a Gaussian
+matrix R + iI.  The only ``Fraction`` or ``GaussianRational`` built is each
+output entry.  Other entries take the field path: ``row_reduce`` and the
+subset-DP determinant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+from operator import mul
 from typing import Callable, Sequence
 
 from .gauss import GaussianRational
-from .intlinalg import IntMatrix, rank_bareiss
+from .intlinalg import IntMatrix, det_bareiss, rank_bareiss, solve_bareiss
 from .laurent import evaluate_rational_fns
 
 
@@ -50,9 +60,13 @@ def solve(mat: Sequence[Sequence], vec: Sequence, allow_underdetermined: bool = 
     Raises ``ZeroDivisionError`` on an inconsistent system (a pivot in the
     augmented column) and, unless ``allow_underdetermined``, on one without a
     pivot in every unknown's column; with it, free unknowns are zero.
+    Numeric systems are solved in integers (``_numeric_solve``).
     """
     n = len(mat[0]) if mat else 0
     rows = [list(row) + [v] for row, v in zip(mat, vec)]
+    kind = _numeric_kind(rows) if n else None
+    if kind:
+        return _numeric_solve(rows, n, kind, allow_underdetermined)[0]
     pivots = row_reduce(rows, n + 1)
     if pivots and pivots[-1] == n:
         raise ZeroDivisionError("inconsistent linear system")
@@ -98,6 +112,12 @@ class MatrixRF:
     def __mul__(self, other: "MatrixRF") -> "MatrixRF":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
+        if self.rows and self.cols and other.cols:
+            kind = _numeric_kind(self.entries + other.entries)
+            if kind == "rational":
+                return MatrixRF(_rational_product(self.entries, other.entries))
+            if kind == "gaussian":
+                return MatrixRF(_gaussian_product(self.entries, other.entries))
         out = []
         for i in range(self.rows):
             row = []
@@ -155,41 +175,32 @@ class MatrixRF:
         return all(self.entries[i][i] == one for i in range(self.rows))
 
     def det(self):
-        """Determinant by subset dynamic programming (division-free)."""
+        """Determinant: of ``int`` and ``Fraction`` entries, the Bareiss
+        determinant of the rows cleared of denominators over the product of
+        their scales; of other entries, by subset dynamic programming
+        (division-free)."""
         n = self.rows
         if n != self.cols:
             raise ValueError("determinant of a non-square matrix")
         if n == 0:
             raise ValueError("empty matrix")
-        # state: chosen column subset for the first r rows
-        prev = {0: None}  # subset mask -> accumulated value (None = multiplicative 1 seed)
-        for i in range(n):
-            nxt: dict = {}
-            for mask, acc in prev.items():
-                for j in range(n):
-                    bit = 1 << j
-                    if mask & bit:
-                        continue
-                    a = self.entries[i][j]
-                    if not a:
-                        continue
-                    # parity of inversions added by placing column j at row i
-                    sign = (-1) ** (bin(mask >> (j + 1)).count("1"))
-                    term = a if acc is None else acc * a
-                    if sign < 0:
-                        term = self._zero() - term
-                    key = mask | bit
-                    nxt[key] = term if key not in nxt else nxt[key] + term
-            prev = nxt
-        full = (1 << n) - 1
-        if full not in prev:
-            return self._zero()
-        return prev[full]
+        if _numeric_kind(self.entries) == "rational":
+            scales, rows = _cleared(self.entries)
+            return Fraction(det_bareiss(IntMatrix(rows)), prod(scales))
+        return _subset_det(self.entries, self._zero())
 
     def inverse(self) -> "MatrixRF":
         n = self.rows
         if n != self.cols:
             raise ValueError("inverse of a non-square matrix")
+        kind = _numeric_kind(self.entries)
+        if kind:
+            rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.entries)]
+            try:
+                columns = _numeric_solve(rows, n, kind)
+            except ZeroDivisionError:
+                raise ZeroDivisionError("singular matrix") from None
+            return MatrixRF([list(row) for row in zip(*columns)])
         zero, one = self._zero(), self._one()
         rows = [row + [one if i == j else zero for j in range(n)] for i, row in enumerate(self.entries)]
         if len(row_reduce(rows, n)) < n:
@@ -199,18 +210,15 @@ class MatrixRF:
     def rank(self) -> int:
         """Rank over the entries' field.  Numeric entries (ints, Fractions and
         GaussianRationals) go to the fraction-free ``rank_bareiss`` once each
-        row is cleared of denominators: R + iI has half the rank of the real
-        block form [[R, -I], [I, R]].  Other entries go to ``row_reduce``."""
+        row is cleared of denominators: R + iI has half the rank of its real
+        block form.  Other entries go to ``row_reduce``."""
         rows = self.entries
-        numeric = (int, Fraction, GaussianRational)
-        if not all(isinstance(x, numeric) for row in rows for x in row):
-            return len(row_reduce(list(rows), self.cols))
-        if not any(isinstance(x, GaussianRational) for row in rows for x in row):
+        kind = _numeric_kind(rows)
+        if kind == "rational":
             return rank_bareiss(_integer_rows(rows))
-        re = [[x.re if isinstance(x, GaussianRational) else x for x in row] for row in rows]
-        im = [[x.im if isinstance(x, GaussianRational) else 0 for x in row] for row in rows]
-        block = [r + [-y for y in i] for r, i in zip(re, im)] + [i + r for r, i in zip(re, im)]
-        return rank_bareiss(_integer_rows(block)) // 2
+        if kind == "gaussian":
+            return rank_bareiss(_real_block(rows, self.cols)) // 2
+        return len(row_reduce(list(rows), self.cols))
 
     def charpoly(self) -> list:
         """Coefficients [c0 .. cn] of det(lambda I - M), c_n = 1.
@@ -310,13 +318,158 @@ class MatrixRF:
         return f"MatrixRF({self.rows}x{self.cols})"
 
 
-def _integer_rows(rows: list) -> IntMatrix:
-    """Each row of ints and Fractions times the lcm of its denominators."""
-    out = []
+def _subset_det(rows: list, zero):
+    """Determinant by subset dynamic programming (division-free), for any
+    entries with ``+ - *``; ``zero`` is the entries' zero."""
+    n = len(rows)
+    # state: chosen column subset for the first r rows
+    prev = {0: None}  # subset mask -> accumulated value (None = multiplicative 1 seed)
+    for i in range(n):
+        nxt: dict = {}
+        for mask, acc in prev.items():
+            for j in range(n):
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                a = rows[i][j]
+                if not a:
+                    continue
+                # parity of inversions added by placing column j at row i
+                sign = (-1) ** (bin(mask >> (j + 1)).count("1"))
+                term = a if acc is None else acc * a
+                if sign < 0:
+                    term = zero - term
+                key = mask | bit
+                nxt[key] = term if key not in nxt else nxt[key] + term
+        prev = nxt
+    full = (1 << n) - 1
+    if full not in prev:
+        return zero
+    return prev[full]
+
+
+_RATIONAL = {int, Fraction}
+_NUMERIC = {int, Fraction, GaussianRational}
+
+
+def _numeric_kind(rows: list) -> str | None:
+    """"rational" when every entry is an int or a Fraction, "gaussian" when
+    GaussianRationals join them, None for any other entry or for no entry."""
+    types = {type(x) for row in rows for x in row}
+    if not types or not types <= _NUMERIC:
+        return None
+    return "rational" if types <= _RATIONAL else "gaussian"
+
+
+def _cleared(rows: list) -> tuple:
+    """Each row of ints and Fractions times the lcm of its denominators: the
+    scales and the integer rows."""
+    scales, out = [], []
     for row in rows:
         d = lcm(*(x.denominator for x in row))
+        scales.append(d)
         out.append([x.numerator * (d // x.denominator) for x in row])
+    return scales, out
+
+
+def _integer_rows(rows: list) -> IntMatrix:
+    return IntMatrix(_cleared(rows)[1])
+
+
+def _parts(rows: list) -> tuple:
+    """The real and the imaginary parts of numeric rows, as rows of ints and Fractions."""
+    re = [[x.re if type(x) is GaussianRational else x for x in row] for row in rows]
+    im = [[x.im if type(x) is GaussianRational else 0 for x in row] for row in rows]
+    return re, im
+
+
+def _real_block(rows: list, unknowns: int) -> IntMatrix:
+    """The real form of numeric rows R + iI, each row cleared of the
+    denominators of both parts: it gives the rows of its real and of its
+    imaginary part.  Each of the first ``unknowns`` columns j (an unknown
+    x_j = u_j + i v_j) becomes the column pair (R_j over I_j, -I_j over R_j),
+    so the pivot columns come in pairs, those of the complex pivot columns,
+    and free unknowns zero here are free unknowns zero there; each later
+    column stays one column, R_j over I_j."""
+    n = len(rows[0])
+    re, im = _parts(rows)
+    out = []
+    for row in _cleared([r + i for r, i in zip(re, im)])[1]:
+        r, i = row[:n], row[n:]
+        top, bottom = [], []
+        for j in range(unknowns):
+            top += [r[j], -i[j]]
+            bottom += [i[j], r[j]]
+        out.append(top + r[unknowns:])
+        out.append(bottom + i[unknowns:])
     return IntMatrix(out)
+
+
+def _complex(re: Fraction, im: Fraction):
+    return GaussianRational(re, im) if im else re
+
+
+def _numeric_solve(rows: list, unknowns: int, kind: str, allow_underdetermined: bool = False) -> list:
+    """The solutions of A X = B for the numeric augmented rows [A | B], one
+    list per column of B: ``intlinalg.solve_bareiss`` on the rows cleared of
+    denominators (on their real block form when ``kind`` is "gaussian", an
+    entry being a GaussianRational when its imaginary part is nonzero)."""
+    if kind == "rational":
+        d, xs = solve_bareiss(_integer_rows(rows), unknowns, allow_underdetermined)
+        return [[Fraction(y, d) for y in x] for x in xs]
+    d, xs = solve_bareiss(_real_block(rows, unknowns), 2 * unknowns, allow_underdetermined)
+    return [[_complex(Fraction(u, d), Fraction(v, d)) for u, v in zip(x[::2], x[1::2])] for x in xs]
+
+
+def _rational_product(a: list, b: list) -> list:
+    """A B for int and Fraction entries: integer dot products of the rows of
+    A and the columns of B cleared of denominators, one Fraction per entry."""
+    row_scales, rows = _cleared(a)
+    col_scales, cols = _cleared([list(col) for col in zip(*b)])
+    return [
+        [Fraction(sum(map(mul, row, col)), s * t) for col, t in zip(cols, col_scales)]
+        for row, s in zip(rows, row_scales)
+    ]
+
+
+def _gaussian_product(a: list, b: list) -> list:
+    """A B for numeric entries with GaussianRationals among them, from the
+    four integer products of the real and imaginary parts.  Each entry has
+    the type the entrywise sum of products gives it: a GaussianRational when
+    a nonzero term has a GaussianRational factor, and when no term is
+    nonzero, the type of A's first entry."""
+    n = len(a[0])
+    a_re, a_im = _parts(a)
+    b_re, b_im = _parts([list(col) for col in zip(*b)])
+    row_scales, rows = _cleared([r + i for r, i in zip(a_re, a_im)])
+    col_scales, cols = _cleared([r + i for r, i in zip(b_re, b_im)])
+    a_nz, a_g = _masks(a)
+    b_nz, b_g = _masks(zip(*b))
+    empty_gaussian = type(a[0][0]) is GaussianRational
+    out = []
+    for row, s, nz, g in zip(rows, row_scales, a_nz, a_g):
+        r_re, r_im = row[:n], row[n:]
+        out_row = []
+        for col, t, c_nz, c_g in zip(cols, col_scales, b_nz, b_g):
+            c_re, c_im = col[:n], col[n:]
+            re = Fraction(sum(map(mul, r_re, c_re)) - sum(map(mul, r_im, c_im)), s * t)
+            if g & c_nz or nz & c_g or (not nz & c_nz and empty_gaussian):
+                im = Fraction(sum(map(mul, r_re, c_im)) + sum(map(mul, r_im, c_re)), s * t)
+                out_row.append(GaussianRational(re, im))
+            else:
+                out_row.append(re)
+        out.append(out_row)
+    return out
+
+
+def _masks(rows) -> tuple:
+    """Per row, the bit masks of its nonzero entries and of its nonzero
+    GaussianRationals."""
+    nz, g = [], []
+    for row in rows:
+        nz.append(sum(1 << k for k, x in enumerate(row) if x))
+        g.append(sum(1 << k for k, x in enumerate(row) if x and type(x) is GaussianRational))
+    return nz, g
 
 
 def charpoly_is_palindromic(coeffs: list) -> bool:

@@ -7,6 +7,7 @@ the mutation-sequence twist with its closed-form product formula.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from operator import truediv
 from typing import Sequence
@@ -167,7 +168,22 @@ def _z(seed: Seed, v: str) -> RationalFn:
 
 
 def build_surface(name: str) -> SurfaceModel:
-    """A named surface chart with its geodesic-function catalog."""
+    """A named surface chart with its geodesic-function catalog, built once
+    per process.  Each call gets its own ``catalog`` (with its own word
+    lists), ``chains`` and Casimir exponent map; the seed and the catalog's
+    rational functions are shared and never written to."""
+    model = _build_surface(name)
+    constraint = model.casimir_constraint
+    return dataclasses.replace(
+        model,
+        catalog={k: list(w) if isinstance(w, list) else w for k, w in model.catalog.items()},
+        chains=dict(model.chains),
+        casimir_constraint=constraint and (dict(constraint[0]), constraint[1]),
+    )
+
+
+@functools.cache
+def _build_surface(name: str) -> SurfaceModel:
     if name == "genus2_k33":
         seed = Seed.initial(surfaces.genus2_k33_quiver())
         return SurfaceModel(name, seed, dict(surfaces.GENUS2_K33_CATALOG))

@@ -1,16 +1,21 @@
-"""Integer kernel lattices and fraction-free rank."""
+"""Integer kernel lattices, and the fraction-free rank, determinant and
+solutions against field references."""
 
 import random
 from fractions import Fraction
-from itertools import product
-from math import gcd, lcm
+from itertools import permutations, product
+from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symgroupoid.intlinalg import (
     IntMatrix,
+    det_bareiss,
     kernel_basis,
     rank_bareiss,
+    solve_bareiss,
 )
 from symgroupoid.matrices import row_reduce, solve
 from symgroupoid.squares import amalgamated_quiver, square_quiver, transport_quiver
@@ -153,3 +158,114 @@ def test_kernel_basis_of_zero_and_empty_matrices():
     assert kernel_basis(IntMatrix.zero(2, 3)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert kernel_basis(IntMatrix([])) == []
     assert rank_bareiss(IntMatrix([])) == 0
+
+
+# -- exact entries only ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 2.7, 2.0, True, "3", None])
+def test_int_matrix_rejects_inexact_entries(bad):
+    # int(x) used to truncate: IntMatrix([[Fraction(1, 2), 2.7]]) was [[0, 2]]
+    with pytest.raises(TypeError):
+        IntMatrix([[1, bad]])
+    m = IntMatrix.zero(1, 2)
+    with pytest.raises(TypeError):
+        m[0, 1] = bad
+    assert m == IntMatrix([[0, 0]])
+
+
+def test_int_matrix_takes_ints_and_integral_fractions():
+    m = IntMatrix([[Fraction(6, 3), -4]])
+    m[0, 1] = Fraction(-10, 2)
+    assert m.entries == [[2, -5]]
+    assert all(type(x) is int for x in m.entries[0])
+
+
+# -- determinant and solutions against field references --------------------------
+
+small_ints = st.integers(-6, 6)
+
+
+@st.composite
+def int_matrices(draw, rows=None, cols=None):
+    """A rows x cols integer matrix, low rank about half the time (a product
+    of random factors through a narrower middle)."""
+    rows = rows or draw(st.integers(1, 8))
+    cols = cols or draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        return [[draw(small_ints) for _ in range(cols)] for _ in range(rows)]
+    k = draw(st.integers(0, min(rows, cols)))
+    if not k:
+        return [[0] * cols for _ in range(rows)]
+    left = [[draw(small_ints) for _ in range(k)] for _ in range(rows)]
+    right = [[draw(small_ints) for _ in range(cols)] for _ in range(k)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+def leibniz_det(rows: list) -> int:
+    """Reference: the sum over permutations, each signed by its inversions."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+@given(st.integers(1, 5).flatmap(lambda n: int_matrices(n, n)), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_det_bareiss_matches_leibniz_and_row_swaps(rows, rng):
+    d = det_bareiss(IntMatrix(rows))
+    assert d == leibniz_det(rows)
+    # a permutation of the rows multiplies the determinant by its sign
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+    assert det_bareiss(IntMatrix([rows[i] for i in perm])) == (-1) ** inversions * d
+
+
+def test_det_bareiss_edge_cases():
+    assert det_bareiss(IntMatrix([[0, 1], [1, 0]])) == -1
+    assert det_bareiss(IntMatrix.zero(3, 3)) == 0
+    assert det_bareiss(IntMatrix([[1, 2], [2, 4]])) == 0
+    assert det_bareiss(IntMatrix([])) == 1
+    with pytest.raises(ValueError):
+        det_bareiss(IntMatrix([[1, 2]]))
+
+
+def reference_solutions(rows: list, unknowns: int):
+    """Oracle: Gauss-Jordan over Fractions on [A | B]; the pivot columns and,
+    per column of B, the solution with free unknowns zero."""
+    reduced = [[Fraction(x) for x in row] for row in rows]
+    pivots = row_reduce(reduced, len(rows[0]))
+    columns = []
+    for f in range(unknowns, len(rows[0])):
+        x = [Fraction(0)] * unknowns
+        for row, p in zip(reduced, pivots):
+            if p < unknowns:
+                x[p] = row[f]
+        columns.append(x)
+    return pivots, columns
+
+
+@given(int_matrices(), st.integers(1, 3), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_solve_bareiss_matches_gauss_jordan(rows, rhs, allow_underdetermined):
+    unknowns = len(rows[0])
+    rng = random.Random(len(rows) * 31 + unknowns)
+    aug = [row + [rng.randint(-5, 5) for _ in range(rhs)] for row in rows]
+    if rng.random() < 0.5:
+        # right-hand sides in the column span: a consistent system
+        aug = [row[:unknowns] + [sum(row[:unknowns]) * (k + 1) for k in range(rhs)] for row in rows]
+    pivots, expected = reference_solutions(aug, unknowns)
+    m = IntMatrix(aug)
+    if pivots and pivots[-1] >= unknowns:
+        with pytest.raises(ZeroDivisionError, match="inconsistent linear system"):
+            solve_bareiss(m, unknowns, allow_underdetermined)
+    elif len(pivots) < unknowns and not allow_underdetermined:
+        with pytest.raises(ZeroDivisionError, match="singular linear system"):
+            solve_bareiss(m, unknowns, allow_underdetermined)
+    else:
+        d, xs = solve_bareiss(m, unknowns, allow_underdetermined)
+        assert all(type(y) is int for x in xs for y in x)
+        assert [[Fraction(y, d) for y in x] for x in xs] == expected

@@ -1,18 +1,22 @@
 """The one exact row reduction behind inverse, rank and solve, the
 characteristic polynomial against a Faddeev-LeVerrier reference, evaluation
-against per-entry evaluation, and numeric ranks against the row reduction."""
+against per-entry evaluation, and numeric ranks, products, solutions,
+inverses and determinants against the field path."""
 
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import permutations
 from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symgroupoid import laurent
+from symgroupoid import laurent, matrices
 from symgroupoid.gauss import GaussianRational
 from symgroupoid.laurent import GeneratorTable, LaurentPoly, RationalFn, SingularPointError
-from symgroupoid.matrices import MatrixRF, row_reduce, solve
+from symgroupoid.matrices import MatrixRF, _subset_det, row_reduce, solve
 from symgroupoid.suites import _casimir_point, _positive_point
 from symgroupoid.teich import build_surface, chain_matrix
 
@@ -281,3 +285,235 @@ def test_numeric_rank_edge_cases():
     m = MatrixRF([[], [], []])
     assert (m.rows, m.cols) == (3, 0) and m.rank() == 0 == _reference_rank(m)
     assert MatrixRF([]).rank() == 0
+
+
+# -- numeric product, solve, inverse and det in integers against the field path --
+
+
+def entrywise_product(a: MatrixRF, b: MatrixRF) -> list:
+    """Reference: each entry the field sum of its nonzero products, or A's
+    zero when there is none (values and types of the field path)."""
+    zero = a[0, 0] - a[0, 0]
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            terms = [a[i, k] * b[k, j] for k in range(a.cols) if a[i, k] and b[k, j]]
+            row.append(reduce(add, terms) if terms else zero)
+        out.append(row)
+    return out
+
+
+def reference_solve(mat: list, vec: list, allow_underdetermined: bool = False) -> list:
+    """Reference: Gauss-Jordan on the augmented rows by ``row_reduce``."""
+    n = len(mat[0])
+    rows = [list(row) + [v] for row, v in zip(mat, vec)]
+    pivots = row_reduce(rows, n + 1)
+    if pivots and pivots[-1] == n:
+        raise ZeroDivisionError("inconsistent linear system")
+    if len(pivots) < n and not allow_underdetermined:
+        raise ZeroDivisionError("singular linear system")
+    sol = [Fraction(0)] * n
+    for row, c in zip(rows, pivots):
+        sol[c] = row[n]
+    return sol
+
+
+def reference_inverse(m: MatrixRF) -> list:
+    n = m.rows
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.entries)]
+    if len(row_reduce(rows, n)) < n:
+        raise ZeroDivisionError("singular matrix")
+    return [row[n:] for row in rows]
+
+
+def assert_numeric_entries(values: list, expected: list):
+    """Equal values, each a GaussianRational exactly when it is not real."""
+    assert values == expected
+    for x in values:
+        assert type(x) is (GaussianRational if isinstance(x, GaussianRational) and x.im else Fraction), x
+
+
+@st.composite
+def numeric_entries(draw, kind: str):
+    def part():
+        # about a third of the parts vanish, so pivots must be searched for
+        return draw(st.sampled_from([Fraction(0), Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))]))
+
+    if kind == "gaussian" and draw(st.integers(0, 3)):
+        return GaussianRational(part(), part())
+    return part()
+
+
+@st.composite
+def numeric_matrices(draw, kind: str, rows=None, cols=None):
+    """A rows x cols matrix (sizes 1-8) of Fractions, or of GaussianRationals
+    and Fractions mixed; about half are products through a narrower middle,
+    so singular and low-rank matrices are common."""
+    rows = rows or draw(st.integers(1, 8))
+    cols = cols or draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        return MatrixRF([[draw(numeric_entries(kind)) for _ in range(cols)] for _ in range(rows)])
+    k = draw(st.integers(0, min(rows, cols)))
+    if not k:
+        return MatrixRF([[Fraction(0)] * cols for _ in range(rows)])
+    left = MatrixRF([[draw(numeric_entries(kind)) for _ in range(k)] for _ in range(rows)])
+    right = MatrixRF([[draw(numeric_entries(kind)) for _ in range(cols)] for _ in range(k)])
+    return MatrixRF(entrywise_product(left, right))
+
+
+KINDS = ["fraction", "gaussian"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_numeric_product_matches_the_entrywise_product(kind, data):
+    a = data.draw(numeric_matrices(kind))
+    b = data.draw(numeric_matrices(kind, rows=a.cols))
+    got = (a * b).entries
+    expected = entrywise_product(a, b)
+    assert got == expected
+    assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in expected]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("allow_underdetermined", [False, True])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_numeric_solve_matches_row_reduce(kind, allow_underdetermined, data):
+    m = data.draw(numeric_matrices(kind))
+    if data.draw(st.booleans()):
+        vec = [data.draw(numeric_entries(kind)) for _ in range(m.rows)]
+    else:
+        # a right-hand side in the column span: a consistent system
+        x = MatrixRF([[data.draw(numeric_entries(kind))] for _ in range(m.cols)])
+        vec = [row[0] for row in entrywise_product(m, x)]
+    try:
+        expected = reference_solve(m.entries, vec, allow_underdetermined)
+    except ZeroDivisionError as exc:
+        with pytest.raises(ZeroDivisionError, match=f"^{exc}$"):
+            solve(m.entries, vec, allow_underdetermined)
+        return
+    assert_numeric_entries(solve(m.entries, vec, allow_underdetermined), expected)
+
+
+def test_numeric_solve_error_messages_and_free_unknowns():
+    i = GaussianRational(0, 1)
+    for one in (Fraction(1), GaussianRational(1)):
+        # x + y = 1 and 2x + 2y = 3: inconsistent, also when underdetermined
+        with pytest.raises(ZeroDivisionError, match="^inconsistent linear system$"):
+            solve([[one, one], [2 * one, 2 * one]], [one, 3 * one], allow_underdetermined=True)
+        # x + y = 1 twice: consistent but singular
+        with pytest.raises(ZeroDivisionError, match="^singular linear system$"):
+            solve([[one, one], [one, one]], [one, one])
+    # x0 + i x1 = 2 and x2 = i: x1 is free, so zero, as in row_reduce
+    mat = [[GaussianRational(1), i, Fraction(0)], [Fraction(0), Fraction(0), Fraction(1)]]
+    assert solve(mat, [Fraction(2), i], allow_underdetermined=True) == [2, 0, i]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_numeric_inverse_matches_row_reduce(kind, data):
+    n = data.draw(st.integers(1, 8))
+    m = data.draw(numeric_matrices(kind, rows=n, cols=n))
+    try:
+        expected = reference_inverse(m)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match="^singular matrix$"):
+            m.inverse()
+        return
+    inv = m.inverse()
+    for row, want in zip(inv.entries, expected):
+        assert_numeric_entries(row, want)
+    assert m * inv == MatrixRF.identity(n, Fraction(1), Fraction(0))
+
+
+def test_numeric_inverse_of_singular_matrices_raises():
+    i = GaussianRational(0, 1)
+    for entries in ([[Fraction(0)]], [[1, 2], [2, 4]], [[GaussianRational(1), i], [i, GaussianRational(-1)]]):
+        with pytest.raises(ZeroDivisionError, match="^singular matrix$"):
+            MatrixRF(entries).inverse()
+
+
+def _sign(perm) -> int:
+    return (-1) ** sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_numeric_det_matches_the_subset_dp(data):
+    n = data.draw(st.integers(1, 8))
+    m = data.draw(numeric_matrices("fraction", rows=n, cols=n))
+    d = m.det()
+    assert type(d) is Fraction and d == _subset_det(m.entries, Fraction(0))
+    assert (d == 0) == (m.rank() < n)
+    perm = data.draw(st.permutations(range(n)))
+    assert MatrixRF([m.entries[i] for i in perm]).det() == _sign(perm) * d
+
+
+def test_numeric_det_of_singular_and_permuted_matrices():
+    assert MatrixRF([[1, 2], [2, 4]]).det() == 0
+    assert MatrixRF([[Fraction(0)] * 3 for _ in range(3)]).det() == 0
+    rows = [[Fraction(1, 2), 3, 0], [0, Fraction(-2, 3), 1], [5, 0, Fraction(1, 4)]]
+    base = MatrixRF(rows).det()
+    assert base == _subset_det(MatrixRF(rows).entries, Fraction(0)) != 0
+    for perm in permutations(range(3)):
+        assert MatrixRF([rows[i] for i in perm]).det() == _sign(perm) * base
+
+
+def _numeric_operations():
+    """Numeric product, solve, inverse and det on Fraction entries, and
+    product, solve and inverse with GaussianRational entries."""
+    rng = random.Random(7)
+    i = GaussianRational(0, 1)
+    frac = MatrixRF([[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)] for _ in range(4)])
+    gauss = MatrixRF([[frac[r, c] + (i * frac[c, r] if (r + c) % 2 else 0) for c in range(4)] for r in range(4)])
+    vec = [Fraction(k + 1, 3) for k in range(4)]
+    assert frac.det() and gauss.rank() == 4
+    return [
+        lambda: frac * frac,
+        lambda: solve(frac.entries, vec),
+        frac.inverse,
+        frac.det,
+        lambda: gauss * frac,
+        lambda: gauss * gauss,
+        lambda: solve(gauss.entries, vec),
+        gauss.inverse,
+    ]
+
+
+def test_numeric_solve_and_inverse_never_call_row_reduce(monkeypatch):
+    operations = _numeric_operations()
+
+    def refuse(*args):
+        raise AssertionError("row_reduce called on numeric entries")
+
+    monkeypatch.setattr(matrices, "row_reduce", refuse)
+    for op in operations:
+        op()
+    with pytest.raises(ZeroDivisionError, match="^singular matrix$"):
+        MatrixRF([[1, 2], [2, 4]]).inverse()
+
+
+FRACTION_ARITHMETIC = [
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__mod__", "__pow__", "__neg__",
+]
+
+
+def test_numeric_operations_do_no_fraction_arithmetic(monkeypatch):
+    # every Fraction or GaussianRational they build is an output entry, from
+    # integer numerators and denominators
+    operations = _numeric_operations()
+    expected = [op() for op in operations]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in a numeric matrix operation")
+
+    with monkeypatch.context() as patch:
+        for name in FRACTION_ARITHMETIC:
+            patch.setattr(Fraction, name, refuse)
+        got = [op() for op in operations]
+    assert got == expected

@@ -1,7 +1,10 @@
 """Lattice quiver family: vertex counts, coranks, and the published Casimirs."""
 
+from fractions import Fraction
+
 import pytest
 
+from symgroupoid.intlinalg import IntMatrix
 from symgroupoid.quiver import Quiver, corank, monomial_casimirs, monomial_is_casimir
 from symgroupoid.squares import (
     amalgamate_monomial,
@@ -90,3 +93,23 @@ def test_empty_quiver_has_no_casimirs():
 def test_square_quiver_12_casimir_basis():
     # 169 vertices: the lattice reduction used to hang here
     assert len(monomial_casimirs(square_quiver(12))) == 13
+
+
+def test_monomial_is_casimir_multiplies_in_integers(monkeypatch):
+    # the exponents are scaled by the lcm of their denominators, so the
+    # exchange matrix only ever multiplies ints
+    vectors = []
+    mul_vector = IntMatrix.mul_vector
+
+    def spy(self, v):
+        vectors.append(list(v))
+        return mul_vector(self, v)
+
+    monkeypatch.setattr(IntMatrix, "mul_vector", spy)
+    q = transport_quiver(3)
+    halved = {v: Fraction(e, 2) for v, e in det_b_exponents(3).items()}
+    assert monomial_is_casimir(q, halved)
+    assert monomial_is_casimir(q, {v: int(e) for v, e in det_b_exponents(3).items()})
+    assert not monomial_is_casimir(q, {q.vertices[0]: Fraction(1, 3)})
+    assert len(vectors) == 3
+    assert all(type(x) is int for v in vectors for x in v)

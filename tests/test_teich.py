@@ -316,3 +316,21 @@ def test_stored_representation_is_pinned():
         doc[f"chain/{name}"] = [[u[i, j].to_json() for j in range(u.cols)] for i in range(u.rows)]
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digest == STORED_VALUES_SHA256
+
+
+def test_build_surface_is_built_once_and_callers_own_their_catalogs():
+    first = build_surface("genus2_x7")
+    second = build_surface("genus2_x7")
+    assert first.seed is second.seed
+    assert first.catalog["G_B"] is second.catalog["G_B"]
+    # mutating a returned catalog, chain or Casimir map leaks into no later call
+    first.catalog["G_B"] = first.catalog.pop("G_{1,2}")
+    first.chains["braid"] = ()
+    first.casimir_constraint[0]["e"] = 0
+    words = build_surface("genus3_original")
+    words.catalog["G_{1,2}"].append("a1")
+    third = build_surface("genus2_x7")
+    assert "G_{1,2}" in third.catalog and third.catalog["G_B"] is second.catalog["G_B"]
+    assert third.chains["braid"] == second.chains["braid"] != ()
+    assert third.casimir_constraint[0]["e"] == 2
+    assert build_surface("genus3_original").catalog["G_{1,2}"] == surfaces.GENUS3_ORIGINAL_CATALOG["G_{1,2}"]
