@@ -183,22 +183,23 @@ def test_int_matrix_takes_ints_and_integral_fractions():
 
 # -- determinant and solutions against field references --------------------------
 
-small_ints = st.integers(-6, 6)
-
-
 @st.composite
 def int_matrices(draw, rows=None, cols=None):
-    """A rows x cols integer matrix, low rank about half the time (a product
-    of random factors through a narrower middle)."""
+    """A rows x cols matrix of small integers from a drawn seed; given a drawn
+    rank, the product of random rows x rank and rank x cols factors."""
     rows = rows or draw(st.integers(1, 8))
     cols = cols or draw(st.integers(1, 8))
-    if draw(st.booleans()):
-        return [[draw(small_ints) for _ in range(cols)] for _ in range(rows)]
-    k = draw(st.integers(0, min(rows, cols)))
-    if not k:
+    rank = draw(st.none() | st.integers(0, min(rows, cols)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def random_rows(r: int, c: int) -> list:
+        return [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)]
+
+    if rank is None:
+        return random_rows(rows, cols)
+    if not rank:
         return [[0] * cols for _ in range(rows)]
-    left = [[draw(small_ints) for _ in range(k)] for _ in range(rows)]
-    right = [[draw(small_ints) for _ in range(cols)] for _ in range(k)]
+    left, right = random_rows(rows, rank), random_rows(rank, cols)
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
 
 
@@ -248,15 +249,15 @@ def reference_solutions(rows: list, unknowns: int):
     return pivots, columns
 
 
-@given(int_matrices(), st.integers(1, 3), st.booleans())
+@given(int_matrices(), st.integers(1, 3), st.booleans(), st.booleans(), st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
-def test_solve_bareiss_matches_gauss_jordan(rows, rhs, allow_underdetermined):
+def test_solve_bareiss_matches_gauss_jordan(rows, rhs, consistent, allow_underdetermined, rng):
     unknowns = len(rows[0])
-    rng = random.Random(len(rows) * 31 + unknowns)
-    aug = [row + [rng.randint(-5, 5) for _ in range(rhs)] for row in rows]
-    if rng.random() < 0.5:
-        # right-hand sides in the column span: a consistent system
-        aug = [row[:unknowns] + [sum(row[:unknowns]) * (k + 1) for k in range(rhs)] for row in rows]
+    if consistent:
+        # right-hand sides in the column span
+        aug = [row + [sum(row) * (k + 1) for k in range(rhs)] for row in rows]
+    else:
+        aug = [row + [rng.randint(-5, 5) for _ in range(rhs)] for row in rows]
     pivots, expected = reference_solutions(aug, unknowns)
     m = IntMatrix(aug)
     if pivots and pivots[-1] >= unknowns:
