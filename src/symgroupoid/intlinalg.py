@@ -6,6 +6,7 @@ normal form modulo the last pivot, the kernel lattice."""
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import neg
 from typing import Sequence
 
 
@@ -37,11 +38,7 @@ class IntMatrix:
     def is_skew_symmetric(self) -> bool:
         if self.rows != self.cols:
             return False
-        return all(
-            self.entries[i][j] == -self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(i, self.cols)
-        )
+        return all(row == list(map(neg, col)) for row, col in zip(self.entries, zip(*self.entries)))
 
     def mul_vector(self, v: Sequence[int]) -> list:
         return [sum(self.entries[i][j] * v[j] for j in range(self.cols)) for i in range(self.rows)]

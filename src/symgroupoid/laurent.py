@@ -7,8 +7,10 @@ of the generators and no radicals ever appear.
 
 A coefficient is a plain ``int`` when it is integral and a
 :class:`fractions.Fraction` with denominator > 1 otherwise, never a float or a
-bool; the constructor's coercion keeps that invariant, and every division or
-negative power of a coefficient goes through ``Fraction``.  Exponent vectors
+bool; the constructor's coercion establishes that invariant for outside
+input, the kernel's arithmetic keeps it for its own results (see
+``LaurentPoly._of``), and every division or negative power of a coefficient
+goes through ``Fraction``.  Exponent vectors
 are tuples of ints indexed by a :class:`GeneratorTable`.  Terms are kept in a
 dict with no zero coefficients; the canonical term order is graded
 lexicographic on the exponent vector, which makes term counts and serialized
@@ -19,8 +21,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from math import gcd, lcm
-from operator import add, attrgetter, mul
+from operator import add, attrgetter, le, mul, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 from .gauss import GaussianRational
@@ -108,7 +111,17 @@ def grlex_key(exps: tuple) -> tuple:
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: map exponent vector -> nonzero exact coefficient."""
+    """Sparse Laurent polynomial: map exponent vector -> nonzero exact coefficient.
+
+    Invariant of ``terms``: every key is a tuple of ints of the table's length,
+    and every coefficient is a nonzero ``int``, or a ``Fraction`` with
+    denominator > 1.  The public constructor establishes it for any input.
+    The trusted constructor ``_of`` only turns integral ``Fraction``s into
+    ints; it may be called by the arithmetic of this module and by
+    ``quiver._poly_bracket`` and ``quiver.skein_product``, on a term dict
+    they have just built, with tuple keys of the table's length and nonzero
+    ``int``/``Fraction`` coefficients, and no longer touch.
+    """
 
     __slots__ = ("table", "terms", "_hash")
 
@@ -122,6 +135,21 @@ class LaurentPoly:
                     clean[tuple(exps)] = c
         self.terms = clean
         self._hash = None
+
+    @classmethod
+    def _of(cls, table: GeneratorTable, terms: dict) -> "LaurentPoly":
+        """The polynomial on a term dict the kernel built (see the class
+        docstring), which it takes over without a copy; an integral
+        ``Fraction`` coefficient becomes an int."""
+        if Fraction in map(type, terms.values()):
+            for exps, c in terms.items():
+                if type(c) is Fraction and c.denominator == 1:
+                    terms[exps] = c.numerator
+        p = object.__new__(cls)
+        p.table = table
+        p.terms = terms
+        p._hash = None
+        return p
 
     # -- constructors ----------------------------------------------------
 
@@ -171,20 +199,15 @@ class LaurentPoly:
         """Coefficient of the graded-lex-largest term (0 for the zero polynomial)."""
         if not self.terms:
             return 0
-        exps = max(self.terms, key=grlex_key)
-        return self.terms[exps]
+        return self.terms[_grlex_max(self.terms)]
 
     def content_exponents(self) -> tuple:
         """Componentwise minimum of all exponent vectors (zero vector if empty)."""
         if not self.terms:
             return (0,) * len(self.table)
-        its = iter(self.terms)
-        lo = list(next(its))
-        for exps in its:
-            for i, e in enumerate(exps):
-                if e < lo[i]:
-                    lo[i] = e
-        return tuple(lo)
+        if len(self.terms) == 1:
+            return next(iter(self.terms))
+        return tuple(map(min, *self.terms))
 
     def support(self) -> set:
         """Names of generators appearing with a nonzero exponent."""
@@ -211,10 +234,10 @@ class LaurentPoly:
                 terms[exps] = s
             elif exps in terms:
                 del terms[exps]
-        return LaurentPoly(self.table, terms)
+        return LaurentPoly._of(self.table, terms)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.table, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._of(self.table, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
@@ -225,7 +248,7 @@ class LaurentPoly:
                 terms[exps] = s
             elif exps in terms:
                 del terms[exps]
-        return LaurentPoly(self.table, terms)
+        return LaurentPoly._of(self.table, terms)
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -235,6 +258,10 @@ class LaurentPoly:
             big, small = self.terms, other.terms
         else:
             big, small = other.terms, self.terms
+        if len(small) == 1:
+            # a monomial shifts and scales: the keys stay distinct, no sum cancels
+            ((e2, c2),) = small.items()
+            return LaurentPoly._of(self.table, {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in big.items()})
         terms: dict = {}
         for e2, c2 in small.items():
             for e1, c1 in big.items():
@@ -244,7 +271,7 @@ class LaurentPoly:
                     terms[key] = s
                 elif key in terms:
                     del terms[key]
-        return LaurentPoly(self.table, terms)
+        return LaurentPoly._of(self.table, terms)
 
     __rmul__ = __mul__
 
@@ -252,11 +279,13 @@ class LaurentPoly:
         c = exact_coefficient(c)
         if not c:
             return LaurentPoly.zero(self.table)
-        return LaurentPoly(self.table, {e: k * c for e, k in self.terms.items()})
+        return LaurentPoly._of(self.table, {e: k * c for e, k in self.terms.items()})
 
     def shift(self, exps: tuple) -> "LaurentPoly":
         """Multiply by the monomial with exponent vector ``exps``."""
-        return LaurentPoly(self.table, {tuple(map(add, e, exps)): c for e, c in self.terms.items()})
+        if len(exps) != len(self.table):
+            raise ValueError("shift vector length differs from the table's")
+        return LaurentPoly._of(self.table, {tuple(map(add, e, exps)): c for e, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if not isinstance(k, int):
@@ -305,7 +334,7 @@ class LaurentPoly:
                 terms[key] = s
             elif key in terms:
                 del terms[key]
-        return LaurentPoly(self.table, terms)
+        return LaurentPoly._of(self.table, terms)
 
     def evaluate(self, point: Mapping[str, object]):
         """Exact value at a point of ints, Fractions and GaussianRationals."""
@@ -790,6 +819,14 @@ def _box(terms: Mapping[tuple, object]) -> list:
     return list(zip(map(min, *terms), map(max, *terms)))
 
 
+def _grlex_max(terms: Mapping[tuple, object]) -> tuple:
+    """The graded-lex-largest exponent vector of a nonempty set of terms (the
+    ``grlex_key`` max): the largest vector among those of the top degree."""
+    degrees = list(map(sum, terms))
+    top = max(degrees)
+    return max(compress(terms, map(top.__eq__, degrees)))
+
+
 def evaluate_rational_fns(fns: Sequence[RationalFn], point: Mapping[str, object], gradient: bool = False) -> list:
     """The values of rational functions at a point, from one ``point_pass``
     over every numerator and denominator; with ``gradient``, one pair
@@ -834,8 +871,13 @@ def evaluate_rational_fns(fns: Sequence[RationalFn], point: Mapping[str, object]
 def exact_poly_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     """Exact Laurent division ``num / den`` or None when it does not divide.
 
-    Both are shifted to ordinary polynomials and divided by the graded-lex
-    leading-term algorithm on a mutable term dict with a lazy max-heap.
+    The graded-lex leading-term algorithm on a mutable term dict with a lazy
+    max-heap, on the Laurent operands as they are: a common shift of the
+    terms changes no graded-lex comparison.  Degrees in each generator add
+    under multiplication, so an exact quotient lies in the box
+    ``min(num) - min(den) <= e <= max(num) - max(den)``, componentwise;
+    leading terms fall strictly in graded-lex order, which bounds the loop by
+    the box's size, and a quotient exponent outside the box ends it.
     """
     import heapq
 
@@ -843,32 +885,28 @@ def exact_poly_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
         raise ZeroDivisionError("division by zero polynomial")
     if not num:
         return LaurentPoly.zero(num.table)
-    nc = num.content_exponents()
-    dc = den.content_exponents()
-    n = num.shift(tuple(-e for e in nc))
-    d = den.shift(tuple(-e for e in dc))
-    lead = max(d.terms, key=grlex_key)
-    lead_c = d.terms[lead]
-    d_rest = [(e, c) for e, c in d.terms.items() if e != lead]
+    lows, tops = [], []
+    for (nlo, nhi), (dlo, dhi) in zip(_box(num.terms), _box(den.terms)):
+        lows.append(nlo - dlo)
+        tops.append(nhi - dhi)
+    lead = _grlex_max(den.terms)
+    lead_c = den.terms[lead]
+    d_rest = [(e, c) for e, c in den.terms.items() if e != lead]
     quo: dict = {}
-    rem = dict(n.terms)
+    rem = dict(num.terms)
 
     def negkey(exps):
-        return (-sum(exps), tuple(-x for x in exps))
+        return (-sum(exps), tuple(map(neg, exps)))
 
-    # degrees in each generator add under multiplication, so an exact
-    # quotient lies in the box 0 <= e_i <= deg_i(n) - deg_i(d); leading terms
-    # fall strictly in grlex order, which bounds the loop by the box's size
-    top = tuple(a - b for a, b in zip(map(max, zip(*n.terms)), map(max, zip(*d.terms))))
     heap = [negkey(e) for e in rem]
     heapq.heapify(heap)
     while heap:
         nk = heapq.heappop(heap)
-        rlead = tuple(-x for x in nk[1])
+        rlead = tuple(map(neg, nk[1]))
         if rlead not in rem:
             continue  # stale heap entry
-        qexps = tuple(a - b for a, b in zip(rlead, lead))
-        if any(e < 0 or e > t for e, t in zip(qexps, top)):
+        qexps = tuple(map(sub, rlead, lead))
+        if not (all(map(le, lows, qexps)) and all(map(le, qexps, tops))):
             return None
         qc = exact_coefficient(Fraction(rem.pop(rlead), lead_c))
         quo[qexps] = qc
@@ -883,5 +921,4 @@ def exact_poly_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
                 del rem[key]
     if rem:
         return None
-    shift_back = tuple(a - b for a, b in zip(nc, dc))
-    return LaurentPoly(num.table, quo).shift(shift_back)
+    return LaurentPoly._of(num.table, quo)

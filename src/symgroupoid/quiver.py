@@ -68,7 +68,7 @@ class Quiver:
         """Build from (source, target, doubled_weight) triples; weights add up."""
         vertices = tuple(vertices)
         pos = {v: i for i, v in enumerate(vertices)}
-        m = IntMatrix.zero(len(vertices), len(vertices))
+        m = [[0] * len(vertices) for _ in vertices]
         for arrow in arrows:
             if len(arrow) == 2:
                 src, dst = arrow
@@ -78,9 +78,9 @@ class Quiver:
             if src == dst:
                 raise ValueError(f"arrow {src} -> {dst} is a self-loop")
             i, j = pos[src], pos[dst]
-            m[i, j] += weight
-            m[j, i] -= weight
-        return cls(vertices, m, frozen)
+            m[i][j] += weight
+            m[j][i] -= weight
+        return cls(vertices, IntMatrix(m), frozen)
 
     def index(self, vertex: str) -> int:
         try:
@@ -97,47 +97,42 @@ class Quiver:
     def arrows(self) -> list:
         """Positive-weight arrow triples (src, dst, doubled_weight)."""
         out = []
-        for i, u in enumerate(self.vertices):
-            for j, v in enumerate(self.vertices):
-                w = self.doubled[i, j]
-                if w > 0:
-                    out.append((u, v, w))
+        for u, row in zip(self.vertices, self.doubled.entries):
+            out += [(u, v, w) for v, w in zip(self.vertices, row) if w > 0]
         return out
 
     def mutate_matrix(self, k: str) -> "Quiver":
         """Exchange-matrix mutation at ``k`` (value bookkeeping lives in Seed)."""
         ki = self.index(k)
-        n = len(self.vertices)
-        row = self.doubled.entries[ki]
-        if any(x % 2 for x in row):
+        pivot = self.doubled.entries[ki]
+        if any(x % 2 for x in pivot):
             raise HalfIntegerMutationError(
                 f"vertex {k!r} has half-integer exchange entries; its mutation is not Laurent"
             )
-        new = IntMatrix.zero(n, n)
-        old = self.doubled
-        for i in range(n):
-            for j in range(n):
-                if i == ki or j == ki:
-                    new[i, j] = -old[i, j]
-                else:
-                    gain4 = abs(old[i, ki]) * old[ki, j] + old[i, ki] * abs(old[ki, j])
-                    if gain4 % 4:
-                        raise HalfIntegerMutationError(
-                            f"mutation at {k!r} leaves the half-integer lattice"
-                        )
-                    new[i, j] = old[i, j] + gain4 // 4
-        return Quiver(self.vertices, new, self.frozen)
+        # b' = b + (|b_ik|·b_kj + b_ik·|b_kj|)/4 off row and column k, -b on
+        # them; b_ik = -b_ki is even too, so every gain is a multiple of 4
+        new = []
+        for i, row in enumerate(self.doubled.entries):
+            bik = row[ki]
+            if i == ki:
+                row = [-x for x in row]
+            elif bik:
+                a = abs(bik)
+                row = [x + (a * y + bik * abs(y)) // 4 for x, y in zip(row, pivot)]
+                row[ki] = -bik
+            else:
+                row = row[:]
+            new.append(row)
+        return Quiver(self.vertices, IntMatrix(new), self.frozen)
 
     def swap(self, u: str, v: str) -> "Quiver":
         """Relabel two vertices (rows/columns exchanged); a frozen vertex stays
         frozen under its new label."""
-        order = list(self.vertices)
+        perm = list(range(len(self.vertices)))
         iu, iv = self.index(u), self.index(v)
-        order[iu], order[iv] = order[iv], order[iu]
-        m = IntMatrix.zero(len(order), len(order))
-        for i, a in enumerate(order):
-            for j, b in enumerate(order):
-                m[i, j] = self.b(a, b)
+        perm[iu], perm[iv] = iv, iu
+        old = self.doubled.entries
+        m = IntMatrix([[old[a][b] for b in perm] for a in perm])
         relabel = {u: v, v: u}
         return Quiver(self.vertices, m, {relabel.get(w, w) for w in self.frozen})
 
@@ -471,7 +466,7 @@ def _poly_bracket(p: LaurentPoly, r: LaurentPoly, rows: list, unit: int = 0) -> 
                 terms[key] = s
             elif key in terms:
                 del terms[key]
-    return LaurentPoly(p.table, terms)
+    return LaurentPoly._of(p.table, terms)
 
 
 def poisson_bracket(f: RationalFn, g: RationalFn, quiver: Quiver) -> RationalFn:
@@ -499,14 +494,18 @@ def skein_product(f: RationalFn, g: RationalFn, quiver: Quiver) -> RationalFn:
 
     Geodesic functions are Laurent polynomials in every chart, so f and g must
     be: 8·(½·f·g + {f, g}) is one pass over their term pairs, each weighted by
-    4 + a·B·b, and its 1/8 is taken once.  ``as_laurent`` raises
+    4 + a·B·b, and its 1/8 is taken once, by a shift of three bits when every
+    coefficient is an int divisible by 8.  ``as_laurent`` raises
     ``ArithmeticError`` on a denominator that is not a monomial.
     """
     p, r = f.as_laurent(), g.as_laurent()
     if r.table != p.table:
         raise ValueError("mixed generator tables")
     eight = _poly_bracket(p, r, exchange_rows(quiver, p.table), 4)
-    return RationalFn.from_poly(eight.scale(Fraction(1, 8)))
+    coeffs = eight.terms.values()
+    if Fraction in map(type, coeffs) or any(map((7).__and__, coeffs)):
+        return RationalFn.from_poly(eight.scale(Fraction(1, 8)))
+    return RationalFn.from_poly(LaurentPoly._of(p.table, {e: c >> 3 for e, c in eight.terms.items()}))
 
 
 def _is_scalar(x) -> bool:

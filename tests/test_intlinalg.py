@@ -41,6 +41,15 @@ def test_nonsingular_skew_has_empty_kernel():
     assert rank_bareiss(m) == 2
 
 
+def test_is_skew_symmetric():
+    assert IntMatrix([[0, 2, -1], [-2, 0, 4], [1, -4, 0]]).is_skew_symmetric()
+    assert IntMatrix([]).is_skew_symmetric() and IntMatrix([[0]]).is_skew_symmetric()
+    assert not IntMatrix([[0, 2], [2, 0]]).is_skew_symmetric()
+    assert not IntMatrix([[1, 2], [-2, 0]]).is_skew_symmetric()
+    assert not IntMatrix([[0, 2, 1], [-2, 0, 3]]).is_skew_symmetric()
+    assert not IntMatrix([[0, 2, -1], [-2, 0, 4], [1, -3, 0]]).is_skew_symmetric()
+
+
 def test_small_examples():
     assert kernel_basis(IntMatrix([[2, 4], [6, 8]])) == []
     basis = kernel_basis(IntMatrix([[1, 2], [2, 4]]))

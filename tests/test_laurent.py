@@ -19,6 +19,7 @@ from symgroupoid.laurent import (
     exact_poly_div,
     point_pass,
 )
+from symgroupoid.quiver import Quiver, _poly_bracket, exchange_rows, poisson_bracket, skein_product
 
 T = GeneratorTable(["w:a", "w:b", "w:c"])
 W1 = GeneratorTable(["w:x"])
@@ -400,6 +401,42 @@ def test_exact_poly_div_recovers_factor(p, q):
     assert exact_poly_div(p * q, q) == p
 
 
+def test_exact_poly_div_with_negative_exponents_throughout():
+    # divisor, dividend and quotient all have negative exponents in every
+    # generator they use: the division runs on them as they are
+    p = gen("w:a", -2) * gen("w:b", -1) + LaurentPoly.monomial(T, Q(3, 2), {"w:c": -3}) + gen("w:a", -1)
+    q = gen("w:a", -1) - LaurentPoly.monomial(T, 2, {"w:b": -2, "w:c": -1})
+    assert all(e < 0 for exps in q.terms for e in exps if e)
+    assert exact_poly_div(p * q, q) == p
+    assert exact_poly_div(p * q, p) == q
+    assert exact_poly_div(p * q, q * gen("w:b", -3)) == p * gen("w:b", 3)
+
+
+def test_exact_poly_div_refuses_a_monomial_below_the_quotient_box():
+    # the added monomial lies below every term of the product; the quotient
+    # exponent it asks for is below min(n) - min(d), so the division stops there
+    w = gen("w:x", table=W1)
+    one = LaurentPoly.one(W1)
+    p, q = w + one, w ** 2 - w + one
+    low = LaurentPoly.generator(W1, "w:x", -5)
+    assert exact_poly_div(p * q + low, q) is None
+    assert exact_poly_div(p * q + low.scale(Q(1, 3)), q) is None
+    u = gen("w:a", -1) + gen("w:b", 2)
+    v = gen("w:c") - gen("w:a", -2)
+    assert exact_poly_div(u * v + gen("w:a", -4) * gen("w:c", -1), v) is None
+
+
+@given(laurent_polys(), laurent_polys(), st.tuples(*[st.integers(min_value=-6, max_value=6)] * 3), small_fractions)
+@settings(max_examples=150, deadline=None)
+def test_exact_poly_div_of_a_perturbed_product(p, q, exps, c):
+    # never a false quotient: None, or a quotient that multiplies back
+    if not q:
+        return
+    n = p * q + LaurentPoly(T, {exps: c})
+    quotient = exact_poly_div(n, q)
+    assert quotient is None or quotient * q == n
+
+
 def test_equal_rational_functions_are_not_two_set_members():
     x = rf(gen("w:a")) + rf(LaurentPoly.one(T))
     a, b = x / x, RationalFn.constant(T, 1)
@@ -612,6 +649,14 @@ def _all_coefficients_exact(p):
     return all(_exact_coefficient_ok(c) for c in p.terms.values())
 
 
+def _well_formed(p):
+    """Every key a tuple of table length, every coefficient nonzero and exact."""
+    n = len(p.table)
+    return all(type(e) is tuple and len(e) == n for e in p.terms) and all(
+        c and _exact_coefficient_ok(c) for c in p.terms.values()
+    )
+
+
 def test_inexact_coefficient_is_rejected():
     with pytest.raises(TypeError):
         LaurentPoly.constant(T, True)
@@ -619,6 +664,14 @@ def test_inexact_coefficient_is_rejected():
         LaurentPoly.one(T).scale(True)
     with pytest.raises(TypeError):
         LaurentPoly.constant(T, 0.5)
+
+
+def test_shift_takes_a_vector_of_the_table_length():
+    p = gen("w:a") + gen("w:c", -1)
+    assert p.shift((1, 0, 2)).terms == {(2, 0, 2): 1, (1, 0, 1): 1}
+    for bad in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            p.shift(bad)
 
 
 def test_exact_coefficient_keeps_an_exact_fraction():
@@ -666,19 +719,77 @@ def integer_half_third_polys(draw):
 )
 @settings(max_examples=150, deadline=None)
 def test_coefficients_are_ints_when_integral(a, b, c, k):
-    assert _all_coefficients_exact(a) and _all_coefficients_exact(b)
+    assert _well_formed(a) and _well_formed(b)
     product = a * b
     assert product.terms == _reference_product(a, b)
-    results = [a + b, a - b, product, a.scale(c), a.shift((1, -2, 0)), a.derivative("w:b")]
+    results = [a + b, a - b, -a, a + a, a - a, product, a.scale(c), a.shift((1, -2, 0)), a.derivative("w:b")]
     mono = LaurentPoly.monomial(T, c, {"w:a": 1, "w:c": -2})
     assert (mono ** -k).terms == {(-k, 0, 2 * k): Fraction(c) ** -k}
+    # a one-term operand on either side
+    for x, y in ((mono, b), (b, mono)):
+        assert (x * y).terms == _reference_product(x, y)
+        results.append(x * y)
     results += [mono ** k, mono ** -k]
+    rows = exchange_rows(CHAIN, T)
+    results += [_poly_bracket(a, b, rows), _poly_bracket(a, b, rows, 4), _poly_bracket(mono, b, rows, 4)]
     if b:
         quotient = exact_poly_div(product, b)
         assert quotient == a
         results.append(quotient)
     for p in results:
-        assert _all_coefficients_exact(p), p.terms
+        assert _well_formed(p), p.terms
+
+
+# a quiver on the generators of T, with a half-weight arrow
+CHAIN = Quiver.from_arrows(["a", "b", "c"], [("a", "b", 2), ("b", "c", 1), ("c", "a", 4)])
+
+
+def test_one_term_products_are_well_formed():
+    # (1/2 w_a) * (2 w_b + 4) has integral coefficients, which are ints
+    half = LaurentPoly.monomial(T, Q(1, 2), {"w:a": 1})
+    p = LaurentPoly.monomial(T, 2, {"w:b": 1}) + LaurentPoly.constant(T, 4)
+    for product in (half * p, p * half):
+        assert product.terms == {(1, 1, 0): 1, (1, 0, 0): 2}
+        assert all(type(c) is int for c in product.terms.values())
+    third = LaurentPoly.monomial(T, Q(2, 3), {"w:c": -1})
+    assert (third * p).terms == {(0, 1, -1): Q(4, 3), (0, 0, -1): Q(8, 3)}
+    assert (third * LaurentPoly.monomial(T, Q(3, 2), {"w:c": 1})).terms == {(0, 0, 0): 1}
+    assert (half * LaurentPoly.zero(T)).terms == {} and (LaurentPoly.zero(T) * half).terms == {}
+    assert (-(half * p)).terms == {(1, 1, 0): -1, (1, 0, 0): -2}
+
+
+def test_poly_bracket_results_are_well_formed():
+    rows = exchange_rows(CHAIN, T)
+    wa, wb = gen("w:a"), gen("w:b")
+    half = LaurentPoly.monomial(T, Q(1, 2), {"w:c": 1})
+    # 8·{w_a, w_b} = b_ab = 2 and 8·(½ + {w_a, w_b})·w_a·w_b = (4 + 2)·w_a·w_b
+    assert _poly_bracket(wa, wb, rows).terms == {(1, 1, 0): 2}
+    assert _poly_bracket(wa, wb, rows, 4).terms == {(1, 1, 0): 6}
+    # b_cb = -1: 8·{½ w_c, 2 w_b} is -1, an int
+    assert _poly_bracket(half, wb.scale(2), rows).terms == {(0, 1, 1): -1}
+    assert type(_poly_bracket(half, wb.scale(2), rows).terms[(0, 1, 1)]) is int
+    # a pair with a·B·b = -unit cancels: 4 + a·B·b = 0 for w_b^2 and w_a
+    assert not _poly_bracket(wb * wb, wa, rows, 4)
+    for p, r in ((wa + half, wb - half), (wa * wb + wb, half)):
+        for unit in (0, 4):
+            assert _well_formed(_poly_bracket(p, r, rows, unit))
+
+
+def test_skein_product_halves_in_integers_or_keeps_fractions():
+    w = {v: RationalFn.generator(T, f"w:{v}") for v in "abc"}
+    # 8·(½·w_a·w_b + {w_a, w_b}) = 6·w_a·w_b is not divisible by 8
+    s = skein_product(w["a"], w["b"], CHAIN)
+    assert s.num.terms == {(1, 1, 0): Q(3, 4)} and s.den == LaurentPoly.one(T)
+    # 8·(½·2w_a·2w_b + {2w_a, 2w_b}) = 24·w_a·w_b is: its coefficients are ints
+    s = skein_product(w["a"] * 2, w["b"] * 2, CHAIN)
+    assert s.num.terms == {(1, 1, 0): 3} and type(s.num.terms[(1, 1, 0)]) is int
+    # b_ca = 4 gives 8·w_c·w_a, an int after the 1/8; b_ba = -2 gives 2·2·w_b·w_a
+    s = skein_product(w["c"] + w["b"] * 2, w["a"], CHAIN)
+    assert s.num.terms == {(1, 0, 1): 1, (1, 1, 0): Q(1, 2)}
+    for f, g in ((w["c"] + w["b"] * 2, w["a"] * 4), (w["a"] * Q(1, 3), w["c"] * 3)):
+        s = skein_product(f, g, CHAIN)
+        assert _well_formed(s.num)
+        assert s == f * g * Q(1, 2) + poisson_bracket(f, g, CHAIN)
 
 
 def test_negative_power_of_an_integer_monomial_is_exact():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symgroupoid.groupoid import bracket_tensor_at
+from symgroupoid.intlinalg import IntMatrix
 from symgroupoid.laurent import GeneratorTable, LaurentPoly, Q, RationalFn
 from symgroupoid.matrices import MatrixRF
 from symgroupoid.gauss import GaussianRational
@@ -69,6 +70,75 @@ def test_mutation_matrix_rule():
     assert m.b("z", "y") == 2
     assert m.b("x", "z") == 2
     assert q.mutate_matrix("y").mutate_matrix("y") == q
+
+
+def _entrywise_mutation(b, k):
+    """The doubled exchange matrix mutated at k, entry by entry, or None where
+    an entry of row k is odd or a new entry is not an integer."""
+    if any(x % 2 for x in b[k]):
+        return None
+    n = len(b)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if k in (i, j):
+                out[i][j] = -b[i][j]
+                continue
+            gain4 = abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])
+            if gain4 % 4:
+                return None
+            out[i][j] = b[i][j] + gain4 // 4
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mutation_matches_the_entrywise_rule_on_random_matrices(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    names = [f"v{i}" for i in range(n)]
+    # even entries, then a few odd ones on half of the matrices
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = rng.choice([0, 0, 2, -2, 4, -4, 6])
+            b[i][j], b[j][i] = x, -x
+    if seed % 2:
+        for _ in range(rng.randint(1, 2)):
+            i, j = rng.sample(range(n), 2)
+            b[i][j] += 1
+            b[j][i] -= 1
+    q = Quiver(names, IntMatrix(b))
+    raised = []
+    for k, name in enumerate(names):
+        expected = _entrywise_mutation(b, k)
+        try:
+            m = q.mutate_matrix(name)
+        except HalfIntegerMutationError:
+            raised.append(k)
+            assert expected is None
+            continue
+        assert expected is not None and m.doubled.entries == expected
+        assert m.vertices == q.vertices and m.mutate_matrix(name) == q
+    assert bool(raised) == bool(seed % 2)
+    assert q.doubled.entries == b  # the quiver mutated is left as it was
+
+
+def test_swap_and_from_arrows_match_entrywise_reads():
+    rng = random.Random(5)
+    names = ["p", "q", "r", "s", "t"]
+    arrows = [(u, v, rng.choice([1, 2, 4])) for u in names for v in names if u < v and rng.random() < 0.6]
+    arrows += [("s", "p", 2), ("p", "s", 1)]  # weights add up
+    quiver = Quiver.from_arrows(names, arrows, frozen={"r"})
+    expected = {(u, v): 0 for u in names for v in names}
+    for u, v, w in arrows:
+        expected[u, v] += w
+        expected[v, u] -= w
+    assert all(quiver.b(u, v) == x for (u, v), x in expected.items())
+    assert all(type(x) is int for row in quiver.doubled.entries for x in row)
+    swapped = quiver.swap("p", "r")
+    label = {"p": "r", "r": "p"}
+    assert all(swapped.b(label.get(u, u), label.get(v, v)) == x for (u, v), x in expected.items())
+    assert swapped.frozen == {"p"} and swapped.swap("p", "r") == quiver
 
 
 def test_frozen_vertex_rejected():
