@@ -877,7 +877,8 @@ def exact_poly_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     under multiplication, so an exact quotient lies in the box
     ``min(num) - min(den) <= e <= max(num) - max(den)``, componentwise;
     leading terms fall strictly in graded-lex order, which bounds the loop by
-    the box's size, and a quotient exponent outside the box ends it.
+    the box's size, and a quotient exponent outside the box ends it.  An
+    empty box ends the division before the heap is built.
     """
     import heapq
 
@@ -889,6 +890,8 @@ def exact_poly_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     for (nlo, nhi), (dlo, dhi) in zip(_box(num.terms), _box(den.terms)):
         lows.append(nlo - dlo)
         tops.append(nhi - dhi)
+    if not all(map(le, lows, tops)):
+        return None  # the box is empty: no quotient has a term in it
     lead = _grlex_max(den.terms)
     lead_c = den.terms[lead]
     d_rest = [(e, c) for e, c in den.terms.items() if e != lead]

@@ -43,7 +43,12 @@ class HalfIntegerMutationError(ArithmeticError):
 
 
 class Quiver:
-    """Named vertices plus a skew-symmetric doubled exchange matrix."""
+    """Named vertices plus a skew-symmetric doubled exchange matrix.
+
+    A quiver is never written after construction: mutation and relabeling
+    build a new one.  So it keeps what ``exchange_rows`` derives from it, one
+    entry per generator table.
+    """
 
     def __init__(self, vertices: Sequence[str], doubled: IntMatrix, frozen: Iterable[str] = ()):
         self.vertices = tuple(vertices)
@@ -57,6 +62,7 @@ class Quiver:
         if unknown:
             raise ValueError(f"frozen names not among vertices: {sorted(unknown)}")
         self._pos = {v: i for i, v in enumerate(self.vertices)}
+        self._rows: dict = {}
 
     @classmethod
     def from_arrows(
@@ -176,15 +182,20 @@ def initial_table(vertices: Sequence[str]) -> GeneratorTable:
 
 
 class ClusterValue:
-    """Product form  coeff * w^mono * prod(factor_i^exp_i)  of a seed value."""
+    """Product form  coeff * w^mono * prod(factor_i^exp_i)  of a seed value.
 
-    __slots__ = ("table", "coeff", "mono", "factors")
+    A value is never written after construction: every operation builds a new
+    one.  So ``as_rational`` keeps the expanded ``RationalFn`` it builds.
+    """
+
+    __slots__ = ("table", "coeff", "mono", "factors", "_rational")
 
     def __init__(self, table: GeneratorTable, coeff=1, mono: tuple | None = None, factors=None):
         self.table = table
         self.coeff = exact_coefficient(coeff)
         self.mono = tuple(mono) if mono is not None else (0,) * len(table)
         self.factors: dict = dict(factors) if factors else {}
+        self._rational: RationalFn | None = None
 
     @classmethod
     def generator_square(cls, table: GeneratorTable, vertex: str) -> "ClusterValue":
@@ -267,8 +278,9 @@ class ClusterValue:
         return num, den
 
     def as_rational(self) -> RationalFn:
-        num, den = self.split()
-        return RationalFn(num, den)
+        if self._rational is None:
+            self._rational = RationalFn(*self.split())
+        return self._rational
 
     def sqrt(self) -> "ClusterValue":
         """Exact square root of a perfect-square product form."""
@@ -335,12 +347,18 @@ def cv_sum(values: Sequence[ClusterValue], known=()) -> ClusterValue:
 
 
 class Seed:
-    """A quiver together with values for its vertices over the initial frame."""
+    """A quiver together with values for its vertices over the initial frame.
+
+    A seed is never written after construction: mutation and relabeling build
+    a new one.  So ``word_values`` keeps the value of each telescopic word that
+    ``teich.telescopic`` evaluates on it, keyed by the word as a tuple.
+    """
 
     def __init__(self, quiver: Quiver, values: Mapping[str, ClusterValue], frame: GeneratorTable):
         self.quiver = quiver
         self.values = dict(values)
         self.frame = frame
+        self.word_values: dict = {}
         missing = set(quiver.vertices) - set(self.values)
         if missing:
             raise ValueError(f"vertices without values: {sorted(missing)}")
@@ -422,19 +440,23 @@ def apply_sequence(seed: Seed, seq: Sequence) -> Seed:
 # -- log-canonical Poisson bracket ------------------------------------------
 
 
-def exchange_rows(quiver: Quiver, table: GeneratorTable) -> list:
+def exchange_rows(quiver: Quiver, table: GeneratorTable) -> tuple:
     """The doubled exchange matrix in table positions, one sparse row per
     generator: row i holds the pairs ``(j, b_ij)`` with b_ij nonzero.  A
-    generator outside the quiver gets an empty row."""
-    pos = [table.index(wname(v)) if wname(v) in table else None for v in quiver.vertices]
-    rows: list = [[] for _ in range(len(table))]
-    for i, ti in enumerate(pos):
-        if ti is not None:
-            rows[ti] = sorted((tj, bij) for tj, bij in zip(pos, quiver.doubled.entries[i]) if bij and tj is not None)
+    generator outside the quiver gets an empty row.  The rows are built once
+    per quiver and table, and are tuples, so no caller can change them."""
+    rows = quiver._rows.get(table)
+    if rows is None:
+        pos = [table.index(wname(v)) if wname(v) in table else None for v in quiver.vertices]
+        built: list = [()] * len(table)
+        for ti, entries in zip(pos, quiver.doubled.entries):
+            if ti is not None:
+                built[ti] = tuple(sorted((tj, bij) for tj, bij in zip(pos, entries) if bij and tj is not None))
+        rows = quiver._rows[table] = tuple(built)
     return rows
 
 
-def _poly_bracket(p: LaurentPoly, r: LaurentPoly, rows: list, unit: int = 0) -> LaurentPoly:
+def _poly_bracket(p: LaurentPoly, r: LaurentPoly, rows: Sequence, unit: int = 0) -> LaurentPoly:
     """Σ ca·cb·(unit + a·B·b)·w^(a+b) over the term pairs of p and r: 8·{p, r}
     at ``unit`` 0, and 8·(½·p·r + {p, r}) at ``unit`` 4.
 

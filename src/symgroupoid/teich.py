@@ -41,7 +41,17 @@ def telescopic(word: Sequence, seed: Seed) -> RationalFn:
 
     Everything is assembled from suffix products in factored form, so the
     denominators stay exactly the product of the letters (no gcd needed).
+    The value is kept in ``seed.word_values``, keyed by the word as a tuple
+    with each group a tuple; a word that raises is not kept.
     """
+    key = tuple(item if isinstance(item, str) else tuple(item) for item in word)
+    value = seed.word_values.get(key)
+    if value is None:
+        value = seed.word_values[key] = _telescopic(key, seed)
+    return value
+
+
+def _telescopic(word: tuple, seed: Seed) -> RationalFn:
     table = seed.frame
     product = ClusterValue(table)
     for item in word:
@@ -145,14 +155,19 @@ def matrix_braid(u: MatrixRF, i: int, direction: str = "+") -> MatrixRF:
         raise ArithmeticError("vanishing superdiagonal entry")
     p, q = i - 1, i
     rows = [list(row) for row in u.entries]
+    # a pair of zero entries maps to a pair of zeros, so it keeps its objects
     if direction == "+":
         for row in rows:
-            row[p], row[q] = row[p] * a - row[q], row[p]
-        rows[p], rows[q] = [a * x - y for x, y in zip(rows[p], rows[q])], rows[p]
+            x, y = row[p], row[q]
+            if x or y:
+                row[p], row[q] = x * a - y, x
+        rows[p], rows[q] = [a * x - y if x or y else x for x, y in zip(rows[p], rows[q])], rows[p]
     else:
         for row in rows:
-            row[p], row[q] = row[q], row[q] * a - row[p]
-        rows[p], rows[q] = rows[q], [a * y - x for x, y in zip(rows[p], rows[q])]
+            x, y = row[p], row[q]
+            if x or y:
+                row[p], row[q] = y, y * a - x
+        rows[p], rows[q] = rows[q], [a * y - x if x or y else x for x, y in zip(rows[p], rows[q])]
     return MatrixRF(rows)
 
 

@@ -1,6 +1,7 @@
 """Command-line front-end: schemas, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +130,16 @@ def test_verify_casimirs_deterministic(tmp_path, capsys):
     report = json.loads(out1.read_text())
     assert report["summary"]["fail"] == 0
     assert all("claim" in c for c in report["checks"])
+
+
+def test_verify_all_twice_in_one_process_matches_the_golden_report(tmp_path):
+    # seeds, quivers and cluster values keep what they derive; the second run
+    # starts from those kept values and must write the same bytes
+    golden = (Path(__file__).parent / "golden" / "verify_all_rng42.json").read_bytes()
+    for run in ("first", "second"):
+        out = tmp_path / f"{run}.json"
+        assert main(["verify", "all", "--rng", "42", "--json", str(out)]) == 0
+        assert out.read_bytes() == golden, run
 
 
 def test_evaluate_serialized_function(tmp_path, capsys):

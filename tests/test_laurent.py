@@ -14,6 +14,7 @@ from symgroupoid.laurent import (
     Q,
     RationalFn,
     SingularPointError,
+    _box,
     evaluate_rational_fns,
     exact_coefficient,
     exact_poly_div,
@@ -424,6 +425,28 @@ def test_exact_poly_div_refuses_a_monomial_below_the_quotient_box():
     u = gen("w:a", -1) + gen("w:b", 2)
     v = gen("w:c") - gen("w:a", -2)
     assert exact_poly_div(u * v + gen("w:a", -4) * gen("w:c", -1), v) is None
+
+
+def test_exact_poly_div_refuses_an_empty_quotient_box():
+    # the divisor spans more degrees of some generator than the dividend, so
+    # no quotient fits between min(n) - min(d) and max(n) - max(d)
+    one = LaurentPoly.one(T)
+    assert exact_poly_div(gen("w:a", 2) + gen("w:b"), gen("w:a", 3) + one) is None
+    assert exact_poly_div(gen("w:c", -1) + gen("w:a"), gen("w:c", -2) + gen("w:c")) is None
+    p = gen("w:a", 4) * gen("w:b", -3) + gen("w:c", 2) + one
+    assert exact_poly_div(p, gen("w:b", 2) - gen("w:b", -2)) is None
+    # the box of the dividend itself is never empty
+    assert exact_poly_div(p, p) == one
+
+
+@given(laurent_polys(), laurent_polys())
+@settings(max_examples=60, deadline=None)
+def test_degree_boxes_add_under_multiplication(p, q):
+    # per generator, the lowest and highest degrees of a product are the sums
+    # of its factors', so an exact quotient's box is never empty
+    if not (p and q):
+        return
+    assert _box((p * q).terms) == [(a + c, b + d) for (a, b), (c, d) in zip(_box(p.terms), _box(q.terms))]
 
 
 @given(laurent_polys(), laurent_polys(), st.tuples(*[st.integers(min_value=-6, max_value=6)] * 3), small_fractions)

@@ -290,13 +290,41 @@ def test_exchange_rows_match_b_in_table_positions():
     # a generator outside the quiver and the vertices in reverse table order
     t = GeneratorTable(["x", *(wname(v) for v in reversed(PATTERN.vertices))])
     rows = exchange_rows(PATTERN, t)
-    assert len(rows) == len(t) and rows[0] == []
+    assert len(rows) == len(t) and rows[0] == ()
     for i, a in enumerate(PATTERN.vertices[::-1], 1):
         assert all(bij for _, bij in rows[i])
         entries = dict(rows[i])
         assert len(entries) == len(rows[i]) and 0 not in entries
         for j, b in enumerate(PATTERN.vertices[::-1], 1):
             assert entries.get(j, 0) == PATTERN.b(a, b)
+
+
+def test_exchange_rows_are_kept_per_table_and_cannot_change():
+    t = initial_table(PATTERN.vertices)
+    rows = exchange_rows(PATTERN, t)
+    assert exchange_rows(PATTERN, t) is rows
+    assert exchange_rows(PATTERN, GeneratorTable(t.names)) is rows
+    # another table gets its own rows: every position moves up by one
+    wide = exchange_rows(PATTERN, GeneratorTable(["x", *t.names]))
+    assert wide != rows
+    assert wide == ((), *(tuple((j + 1, b) for j, b in row) for row in rows))
+    # a mutated quiver is a new quiver, with rows of its own
+    assert exchange_rows(PATTERN.mutate_matrix("f"), t) != rows
+    assert all(isinstance(row, tuple) for row in rows) and rows[0]
+    with pytest.raises(TypeError):
+        rows[0] = ()
+    with pytest.raises(TypeError):
+        rows[0][0] = (0, 0)
+
+
+def test_seed_value_is_built_once_per_value():
+    seed = mutate(mutate(Seed.initial(PATTERN), "f"), "a")
+    for v in PATTERN.vertices:
+        first = seed.value(v)
+        assert seed.value(v) is first
+        fresh = RationalFn(*seed.values[v].split())
+        assert first == fresh
+        assert (first.num, first.den) == (fresh.num, fresh.den)
 
 
 def test_sqrt_of_a_negative_coefficient_is_an_arithmetic_error():

@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from symgroupoid import surfaces
 from symgroupoid.laurent import GeneratorTable, Q, RationalFn
 from symgroupoid.matrices import MatrixRF
-from symgroupoid.quiver import apply_sequence, mutate, poisson_bracket, wname
+from symgroupoid.quiver import Seed, apply_sequence, mutate, poisson_bracket, wname
 from symgroupoid.suites import unit_count
 from symgroupoid.teich import (
     SkeinInconsistency,
@@ -44,9 +45,31 @@ def test_telescopic_single_letter_at_one():
 
 
 def test_telescopic_unbound_name():
+    # an error is not kept: the word raises on every call
     model = build_surface("genus2_k33")
-    with pytest.raises(KeyError):
-        telescopic(["nope"], model.seed)
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            telescopic(["nope"], model.seed)
+    assert ("nope",) not in model.seed.word_values
+
+
+def test_telescopic_keeps_each_word_on_its_seed():
+    seed = build_surface("genus3_extended").seed
+    word = ["a1", ("a2", "a3"), "at"]
+    val = telescopic(word, seed)
+    assert telescopic(("a1", ["a2", "a3"], "at"), seed) is val
+    assert telescopic(tuple(word), seed) == val
+    assert ("a1", ("a2", "a3"), "at") in seed.word_values
+    k33 = build_surface("genus2_k33").seed
+    flat = ["d", "e", "f", "a"]
+    before = telescopic(flat, k33)
+    # a mutated seed is a new seed with entries of its own
+    mutated = mutate(k33, "f")
+    after = telescopic(flat, mutated)
+    assert mutated.word_values is not k33.word_values
+    assert after != before and telescopic(flat, k33) is before
+    fresh = Seed(mutated.quiver, mutated.values, mutated.frame)
+    assert not fresh.word_values and telescopic(flat, fresh) == after
 
 
 def test_grouped_slot_semantics():
@@ -209,14 +232,43 @@ def _generic_unipotent(n):
     )
 
 
+def _fraction_matrix(n, rng):
+    """A dense n x n Fraction matrix, neither triangular nor with a zero entry."""
+    return MatrixRF([[Q(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)])
+
+
+def _with_zeros_on_lines(m, i, shift):
+    """A copy of ``m`` with entries of lines i-1 and i set to zero: per line
+    crossing them, both entries, the first, the second or none, in turn from
+    ``shift``.  The entry (i-1, i) is kept."""
+    rows = [list(row) for row in m.entries]
+    p, q = i - 1, i
+    for k in range(m.rows):
+        for pair, turn in ((((k, p), (k, q)), k + shift), (((p, k), (q, k)), k + shift + 2)):
+            for a, b in (pair, pair[:1], pair[1:], ())[turn % 4]:
+                rows[a][b] = Q(0)
+    rows[p][q] = m[p, q]
+    return MatrixRF(rows)
+
+
 def test_matrix_braid_matches_dense_conjugation():
     model = build_surface("genus2_x7")
     u = chain_matrix(model.name, model.chains["braid"])
     pt = {name: Q(k + 2, k + 1) for k, name in enumerate(model.seed.frame.names)}
-    for m in (u.evaluate(pt), _generic_unipotent(4)):
+    rng = random.Random(30)
+    dense = _fraction_matrix(5, rng)
+    for m in (u.evaluate(pt), _generic_unipotent(4), dense):
         for i in range(1, m.rows):
             for direction in ("+", "-"):
                 assert matrix_braid(m, i, direction) == _dense_braid(m, i, direction)
+    for m in (dense, u.evaluate(pt)):
+        for i in range(1, m.rows):
+            for shift in range(4):
+                z = _with_zeros_on_lines(m, i, shift)
+                lines = [(z[k, i - 1], z[k, i]) for k in range(m.rows)] + list(zip(z.entries[i - 1], z.entries[i]))
+                assert any(not x and not y for x, y in lines)
+                for direction in ("+", "-"):
+                    assert matrix_braid(z, i, direction) == _dense_braid(z, i, direction)
 
 
 def test_matrix_braid_rejects_bad_index_and_zero_superdiagonal():
