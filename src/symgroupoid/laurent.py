@@ -390,11 +390,14 @@ class RationalFn:
     """Ratio of two Laurent polynomials in canonical form.
 
     Normalization: the denominator's componentwise-lowest exponent vector is
-    shifted to zero (monomial content moved into the numerator), its rational
-    content is divided out of both sides (its coefficients are then coprime
-    integers, so a constant is over 1) and its graded-lex leading coefficient
-    is positive.  Full multivariate gcd is not
-    taken; equality is decided by cross-multiplication, which needs none.
+    shifted to zero (monomial content moved into the numerator, which may then
+    carry negative exponents), its rational content is divided out of both
+    sides (its coefficients are then coprime integers, so a constant is over 1)
+    and its graded-lex leading coefficient is positive.  A value with a
+    monomial denominator, a Laurent polynomial, is therefore stored as
+    ``(its Laurent polynomial, 1)``.  Full multivariate gcd is not taken;
+    equality of values with different denominators is decided by
+    cross-multiplication, which needs none.
     """
 
     __slots__ = ("num", "den")
@@ -407,11 +410,9 @@ class RationalFn:
         if not num:
             den = LaurentPoly.one(den.table)
         else:
-            joint = tuple(
-                min(a, b) for a, b in zip(num.content_exponents(), den.content_exponents())
-            )
-            if any(joint):
-                neg = tuple(-e for e in joint)
+            low = den.content_exponents()
+            if any(low):
+                neg = tuple(-e for e in low)
                 num = num.shift(neg)
                 den = den.shift(neg)
             coeffs = den.terms.values()
@@ -456,11 +457,11 @@ class RationalFn:
         return self.den.is_monomial()
 
     def as_laurent(self) -> LaurentPoly:
-        """The value as a Laurent polynomial (monomial denominator required)."""
+        """The value as a Laurent polynomial (monomial denominator required):
+        the numerator, since a monomial denominator is normalized to 1."""
         if not self.is_laurent():
             raise ArithmeticError("not in Laurent form: denominator is not a monomial")
-        ((exps, coeff),) = self.den.terms.items()
-        return self.num.shift(tuple(-e for e in exps)).scale(Q(1) / coeff)
+        return self.num
 
     def support(self) -> set:
         return self.num.support() | self.den.support()
@@ -522,6 +523,8 @@ class RationalFn:
         if not isinstance(other, (RationalFn, LaurentPoly, int, Fraction)):
             return NotImplemented
         o = self._coerce(other)
+        if self.den == o.den:
+            return self.num == o.num
         return self.num * o.den == o.num * self.den
 
     # equal values need not share a canonical (num, den) without a gcd, so no
@@ -548,15 +551,15 @@ class RationalFn:
         value replaces the generator's square, so it must appear with even
         exponents only (its square root need not exist in the ring).
 
-        One pass over Laurent polynomials, over a common denominator.  The
-        canonical form has no negative exponent, so with the binding
-        ``N_g/D_g`` of generator ``g`` and its largest exponent ``hi_g`` over
-        the terms of ``num`` and ``den``, both are multiplied by
-        ``prod D_g**hi_g``: each term ``c * prod g**e`` becomes
-        ``c * prod N_g**e * D_g**(hi_g-e)`` and the common factor cancels from
-        the ratio.  When ``N_g`` and ``D_g`` are monomials the factor is an
-        (exponent vector, coefficient) pair, with the coefficient an integer
-        after one more common scale.
+        One pass over Laurent polynomials, over a common denominator.  With
+        the binding ``N_g/D_g`` of generator ``g`` and its lowest and largest
+        exponents ``lo_g`` and ``hi_g`` over the terms of ``num`` and ``den``
+        (``lo_g <= 0``, since the denominator has content zero), both are
+        multiplied by ``prod N_g**-lo_g * D_g**hi_g``: each term
+        ``c * prod g**e`` becomes ``c * prod N_g**(e-lo_g) * D_g**(hi_g-e)``
+        and the common factor cancels from the ratio.  When ``N_g`` and
+        ``D_g`` are monomials the factor is an (exponent vector, coefficient)
+        pair, with the coefficient an integer after one more common scale.
         """
         square_bindings = square_bindings or {}
         missing = self.support() - set(bindings) - set(square_bindings)
@@ -587,21 +590,21 @@ class RationalFn:
                 value, step = square_bindings[name], 2
             else:
                 value, step = bindings[name], 1
-            hi = max(col) // step
+            lo, hi = min(col) // step, max(col) // step
             num, den = value.num, value.den
             if num.is_monomial() and den.is_monomial():
                 ((nvec, nc),), ((dvec, dc),) = num.terms.items(), den.terms.items()
                 nc, dc = Fraction(nc), Fraction(dc)
-                # nc**a * dc**b with a + b = hi, scaled by (nc, dc denominators)**hi
+                # nc**a * dc**b with a + b = hi - lo, scaled by (nc, dc denominators)**(hi - lo)
                 p, q = nc.numerator * dc.denominator, dc.numerator * nc.denominator
                 table = {}
                 for e in col:
-                    a, b = e // step, hi - e // step
+                    a, b = e // step - lo, hi - e // step
                     vec = tuple(a * x + b * y for x, y in zip(nvec, dvec))
                     table[e] = (vec if any(vec) else zero, p ** a * q ** b)
                 monos.append((i, table))
             else:
-                polys.append((i, {e: num ** (e // step) * den ** (hi - e // step) for e in col}))
+                polys.append((i, {e: num ** (e // step - lo) * den ** (hi - e // step) for e in col}))
         products: dict = {}  # exponents of the non-monomial bindings -> product of their factors
 
         def sub(p: LaurentPoly) -> LaurentPoly:
@@ -638,7 +641,7 @@ class RationalFn:
         return cls(LaurentPoly.from_json(table, data["num"]), LaurentPoly.from_json(table, data["den"]))
 
     def to_text(self) -> str:
-        if self.den == LaurentPoly.one(self.table):
+        if self.is_laurent():
             return self.num.to_text()
         return f"({self.num.to_text()}) / ({self.den.to_text()})"
 
@@ -827,6 +830,15 @@ def _grlex_max(terms: Mapping[tuple, object]) -> tuple:
     return max(compress(terms, map(top.__eq__, degrees)))
 
 
+def _cleared(f: RationalFn) -> tuple:
+    """``(num, den)`` of ``f`` times the monomial that clears the numerator's
+    negative exponents: the same value, as a ratio of polynomials."""
+    clear = tuple(max(0, -e) for e in f.num.content_exponents())
+    if not any(clear):
+        return f.num, f.den
+    return f.num.shift(clear), f.den.shift(clear)
+
+
 def evaluate_rational_fns(fns: Sequence[RationalFn], point: Mapping[str, object], gradient: bool = False) -> list:
     """The values of rational functions at a point, from one ``point_pass``
     over every numerator and denominator; with ``gradient``, one pair
@@ -835,16 +847,26 @@ def evaluate_rational_fns(fns: Sequence[RationalFn], point: Mapping[str, object]
     The pass's shared scale cancels in each ratio N/D, and in each Euler
     partial ``(E·N·D - N·E·D)/D²`` of the quotient rule (E·N the numerator's
     Euler partial), so every value and partial is one Fraction, or one
-    GaussianRational when N or D uses a coordinate off the real line.  A zero
-    denominator is a SingularPointError."""
-    _, _, rows = point_pass([p for f in fns for p in (f.num, f.den)], point, gradient)
+    GaussianRational when N or D uses a coordinate off the real line.
+
+    A zero denominator is a SingularPointError, and so is a zero coordinate
+    under a negative exponent of a numerator.  The error names the stored
+    denominator times the monomial that clears the numerator's negative
+    exponents, which vanishes at the point."""
+    try:
+        _, _, rows = point_pass([p for f in fns for p in (f.num, f.den)], point, gradient)
+    except ZeroDivisionError:
+        # a denominator has content zero, so a numerator put a zero coordinate
+        # under a negative exponent; the cleared pairs have the same values,
+        # and that function's cleared denominator vanishes at the point
+        _, _, rows = point_pass([p for f in fns for p in _cleared(f)], point, gradient)
     out = []
     for k, f in enumerate(fns):
         nre, nim, ngauss, npart = rows[2 * k]
         dre, dim, dgauss, dpart = rows[2 * k + 1]
         if not (ngauss or dgauss):
             if not dre:
-                raise SingularPointError(f.den)
+                raise SingularPointError(_cleared(f)[1])
             value = Fraction(nre, dre)
             if gradient:
                 d2 = dre * dre
@@ -853,7 +875,7 @@ def evaluate_rational_fns(fns: Sequence[RationalFn], point: Mapping[str, object]
             continue
         norm = dre * dre + dim * dim
         if not norm:
-            raise SingularPointError(f.den)
+            raise SingularPointError(_cleared(f)[1])
         value = GaussianRational(Fraction(nre * dre + nim * dim, norm), Fraction(nim * dre - nre * dim, norm))
         if gradient:
             # (E·N·D - N·E·D)/D² = X·conj(D)²/|D|⁴, conj(D)² = c + i·s

@@ -751,7 +751,6 @@ def extended_mutation(rng_seed):
     "involutivity and bracket compatibility of mutations on the seven-vertex chart",
 )
 def mutation_properties(rng_seed):
-    rng = random.Random(rng_seed + 5)
     model = build_surface("genus2_x7")
     seed = model.seed
     for v in model.quiver.vertices:

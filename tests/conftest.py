@@ -27,3 +27,18 @@ def suite_report():
 def check_results(suite_report):
     """``check_results(name)``: the suite's results keyed by check id."""
     return lambda name: {c.id: c for c in suite_report(name).checks}
+
+
+@pytest.fixture(scope="session")
+def joint_content_json():
+    """``joint_content_json(f)``: ``f.to_json()`` in the stored form of the
+    earlier normalization, which shifted num and den by their joint monomial
+    content instead of the denominator's alone; the rational content and the
+    sign rule are the same under both."""
+
+    def old_form(f) -> dict:
+        joint = tuple(map(min, f.num.content_exponents(), f.den.content_exponents()))
+        back = tuple(-e for e in joint)
+        return {"num": f.num.shift(back).to_json(), "den": f.den.shift(back).to_json()}
+
+    return old_form

@@ -142,6 +142,18 @@ def test_verify_all_twice_in_one_process_matches_the_golden_report(tmp_path):
         assert out.read_bytes() == golden, run
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_all_at_other_seeds_matches_the_golden_claims(tmp_path, seed):
+    # the report holds each check's id, claim and status and the seed, so
+    # every seed gives the golden report with its own rng_seed fields
+    golden = (Path(__file__).parent / "golden" / "verify_all_rng42.json").read_bytes()
+    field = b'"rng_seed": 42'
+    assert golden.count(field) == 1 + len(json.loads(golden)["suites"])
+    out = tmp_path / "report.json"
+    assert main(["verify", "all", "--rng", str(seed), "--json", str(out)]) == 0
+    assert out.read_bytes() == golden.replace(field, b'"rng_seed": %d' % seed)
+
+
 def test_evaluate_serialized_function(tmp_path, capsys):
     model = build_surface("genus2_x7")
     from symgroupoid.teich import catalog_value
@@ -284,6 +296,27 @@ def test_evaluate_zero_denominator_point(tmp_path, capsys):
         assert main(["evaluate", "--point", str(pt), "--surface", "genus2_x7", "--label", "G_B"]) == 2, value
         err = capsys.readouterr().err
         assert "exact rationals" in err and err.count("\n") == 1, value
+
+
+def test_evaluate_at_a_pole_on_a_zero_coordinate(tmp_path, capsys):
+    # 1/x is stored as x^-1 over 1, so at x = 0 the evaluation pass meets a
+    # zero coordinate under a negative exponent; that is a singular point
+    # naming the denominator x, never a ZeroDivisionError traceback
+    pt = tmp_path / "p.json"
+    pt.write_text(json.dumps({"x": "0"}))
+    ff = tmp_path / "fn.json"
+    one = [{"coeff": "1", "exps": {}}]
+    for fn in (
+        {"num": one, "den": [{"coeff": "1", "exps": {"x": 1}}]},
+        {"num": [{"coeff": "1", "exps": {"x": -1}}], "den": one},
+    ):
+        ff.write_text(json.dumps(fn))
+        assert main(["evaluate", "--point", str(pt), "--fn", str(ff)]) == 1, fn
+        assert capsys.readouterr().err == "singular point: denominator 1 * x vanishes\n", fn
+    # a catalog value, a Laurent polynomial, at a zero coordinate of its chart
+    pt.write_text(json.dumps({f"w:{v}": "0" if v == "f" else "1" for v in "abcdefg"}))
+    assert main(["evaluate", "--point", str(pt), "--surface", "genus2_x7", "--label", "G_B"]) == 1
+    assert capsys.readouterr().err == "singular point: denominator 1 * w:f * w:g vanishes\n"
 
 
 def test_evaluate_point_not_an_object(tmp_path, capsys):

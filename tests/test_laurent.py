@@ -70,14 +70,17 @@ def test_three_term_sum_common_denominator():
     e = RationalFn.generator(t, "w:e", 2)
     one = RationalFn.constant(t, 1)
     f = one + one / d + one / (d * e)
+    # a Laurent value is stored as its Laurent polynomial over 1
     expected_num = (
-        LaurentPoly.monomial(t, 1, {"w:d": 2, "w:e": 2})
-        + LaurentPoly.monomial(t, 1, {"w:e": 2})
-        + LaurentPoly.one(t)
+        LaurentPoly.one(t)
+        + LaurentPoly.monomial(t, 1, {"w:d": -2})
+        + LaurentPoly.monomial(t, 1, {"w:d": -2, "w:e": -2})
     )
     assert f.num == expected_num
-    assert f.den == LaurentPoly.monomial(t, 1, {"w:d": 2, "w:e": 2})
+    assert f.den == LaurentPoly.one(t)
+    assert f.den.content_exponents() == (0, 0)
     assert f.num.term_count() == 3
+    assert f.as_laurent() is f.num
 
 
 def test_division_by_zero_raises():
@@ -250,6 +253,40 @@ def test_evaluate_at_singular_point():
     assert err.value.denominator == w - LaurentPoly.one(W1)
 
 
+def test_evaluate_rational_fns_over_several_functions():
+    a, b, c = (rf(gen(n)) for n in T.names)
+    one = RationalFn.constant(T, 1)
+    fns = [a + one / b, (a + one) / (b * c), a / (b + c), one / (a - one), b * b / c]
+    # stored forms: the Laurent values over 1, with negative exponents
+    assert [f.is_laurent() for f in fns] == [True, True, False, False, True]
+    assert fns[1].num == (gen("w:a") + LaurentPoly.one(T)) * gen("w:b", -1) * gen("w:c", -1)
+    point = {"w:a": Q(3, 2), "w:b": Q(-2), "w:c": Q(5, 7)}
+    expected = [Q(3, 2) + Q(-1, 2), Q(5, 2) / Q(-10, 7), Q(3, 2) / Q(-9, 7), Q(2), Q(4) / Q(5, 7)]
+    assert evaluate_rational_fns(fns, point) == expected
+    assert [f.evaluate(point) for f in fns] == expected
+    pairs = evaluate_rational_fns(fns, point, gradient=True)
+    assert [v for v, _ in pairs] == expected
+    for f, (_, grads) in zip(fns, pairs):
+        assert grads == [point[n] * f.derivative(n).evaluate(point) for n in T.names]
+    # the first function without a value names its denominator: a stored one,
+    # or, at a zero coordinate under a numerator's negative exponent, the
+    # stored one times the monomial that clears those exponents
+    at_pole = {"w:a": Q(1), "w:b": Q(0), "w:c": GaussianRational(0, 2)}
+    for order, named in (
+        ([0, 3, 1], gen("w:b")),
+        ([3, 0, 1], gen("w:a") - LaurentPoly.one(T)),
+        ([4, 1], gen("w:b") * gen("w:c")),
+        ([2, 0], gen("w:b")),
+    ):
+        for gradient in (False, True):
+            with pytest.raises(SingularPointError) as err:
+                evaluate_rational_fns([fns[k] for k in order], at_pole, gradient)
+            assert err.value.denominator == named, order
+    # off the poles, values at a zero coordinate are exact
+    zero_b = {"w:a": Q(2), "w:b": Q(0), "w:c": Q(3)}
+    assert evaluate_rational_fns([fns[2], fns[4], fns[3]], zero_b) == [Q(2, 3), Q(0), Q(1)]
+
+
 def test_w_over_w_at_seven():
     w = gen("w:x", table=W1)
     f = rf(w) / rf(w)
@@ -301,17 +338,14 @@ def test_rationalfn_normalization_invariants():
     w = gen("w:x", table=W1)
     one = LaurentPoly.one(W1)
     f = RationalFn(w + one, (w ** 3).scale(-2))
-    # no common monomial content and positive denominator leading coefficient
-    joint = tuple(
-        min(a, b) for a, b in zip(f.num.content_exponents(), f.den.content_exponents())
-    )
-    assert joint == (0,)
+    # the denominator has no monomial content and a positive leading
+    # coefficient; a monomial denominator becomes 1, its content in the numerator
+    assert f.den.content_exponents() == (0,)
     assert f.den.leading_coefficient() > 0
+    assert f.den == one and f.num == (w + one).shift((-3,)).scale(Q(-1, 2))
     g = RationalFn(w ** 2 - one, w ** 5 - w ** 3)
-    joint = tuple(
-        min(a, b) for a, b in zip(g.num.content_exponents(), g.den.content_exponents())
-    )
-    assert joint == (0,)
+    assert g.den.content_exponents() == (0,)
+    assert g.den == w ** 2 - one and g.num == (w ** 2 - one).shift((-3,))
 
 
 def test_denominator_content_is_divided_out():
@@ -322,7 +356,8 @@ def test_denominator_content_is_divided_out():
     f = RationalFn(w.scale(6), w.scale(4))
     assert f.num == LaurentPoly.constant(W1, Q(3, 2)) and f.den == one
     g = RationalFn(w + one, (w ** 2).scale(Q(-4, 3)) + w.scale(Q(2, 9)))
-    assert g.den == (w ** 2).scale(6) - w and g.num == (w + one).scale(Q(-9, 2))
+    assert g.den == w.scale(6) - one and g.num == (w + one).shift((-1,)).scale(Q(-9, 2))
+    assert g.den.content_exponents() == (0,)
     assert g == RationalFn(w + one, one) / RationalFn((w ** 2).scale(Q(-4, 3)) + w.scale(Q(2, 9)), one)
     c = RationalFn.constant(W1, Q(5, 7))
     for _ in range(6):
@@ -400,6 +435,78 @@ def test_exact_poly_div_recovers_factor(p, q):
     if not q:
         return
     assert exact_poly_div(p * q, q) == p
+
+
+@given(laurent_polys(), laurent_polys(), st.tuples(*[st.integers(min_value=-4, max_value=4)] * 3), small_fractions)
+@settings(max_examples=100, deadline=None)
+def test_normal_form_ignores_a_common_monomial(p, q, exps, c):
+    # the stored pair depends on the ratio up to a common monomial: only the
+    # denominator's monomial content is shifted away, and its rational content
+    if not (q and c):
+        return
+    m = LaurentPoly(T, {exps: c})
+    f, g = RationalFn(p, q), RationalFn(p * m, q * m)
+    assert (g.num, g.den) == (f.num, f.den)
+    assert f.den.content_exponents() == (0, 0, 0) and f.den.leading_coefficient() > 0
+
+
+@given(laurent_polys(), st.tuples(*[st.integers(min_value=-4, max_value=4)] * 3), small_fractions)
+@settings(max_examples=100, deadline=None)
+def test_a_monomial_denominator_is_stored_as_one(p, exps, c):
+    if not c:
+        return
+    q = LaurentPoly(T, {exps: c})
+    f = RationalFn(p, q)
+    assert f.den == LaurentPoly.one(T) and f.num == p * q ** -1
+    assert f.is_laurent() and f.as_laurent() is f.num
+
+
+@st.composite
+def u_values(draw):
+    """A nonzero rational function on U: a ratio of small Laurent polynomials."""
+    parts = []
+    for _ in range(2):
+        terms = {}
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            exps = tuple(draw(st.integers(min_value=-1, max_value=1)) for _ in range(2))
+            terms[exps] = draw(small_fractions.filter(bool))
+        part = LaurentPoly(U, terms)
+        parts.append(part if part else LaurentPoly.one(U))
+    return RationalFn(*parts)
+
+
+positive_fractions = st.fractions(min_value=Q(1, 4), max_value=4, max_denominator=5).filter(bool)
+
+
+@given(
+    laurent_polys(),
+    laurent_polys(),
+    st.lists(u_values(), min_size=3, max_size=3),
+    st.tuples(positive_fractions, positive_fractions),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_substitute_agrees_with_evaluation_at_the_substituted_point(p, q, values, at, square):
+    # numerators carry negative exponents; w:c is bound at the squared level
+    # (to the square of its value, so its value is a root) when ``square``
+    if not q:
+        return
+    if square:
+        p, q = (LaurentPoly(T, {(a, b, 2 * e): k for (a, b, e), k in x.terms.items()}) for x in (p, q))
+    f = RationalFn(p, q)
+    point = dict(zip(U.names, at))
+    try:
+        image_point = dict(zip(T.names, evaluate_rational_fns(values, point)))
+        if not all(image_point.values()):
+            return
+        expected = f.evaluate(image_point)
+    except SingularPointError:
+        return
+    plain = dict(zip(T.names, values))
+    squares = {}
+    if square:
+        squares["w:c"] = plain.pop("w:c") ** 2
+    assert f.substitute(plain, squares).evaluate(point) == expected
 
 
 def test_exact_poly_div_with_negative_exponents_throughout():
@@ -583,13 +690,19 @@ def test_rational_euler_gradient_matches_derivative_oracle(p, q, coords):
         return
     f = RationalFn(p, q)
     point = dict(zip(T.names, coords))
-    nv, dv = _gaussian_reference(f.num, point), _gaussian_reference(f.den, point)
+    # num and den times the monomial w^s that clears num's negative exponents:
+    # the same value with no negative exponent, so a pole on a zero coordinate
+    # shows as a vanishing denominator
+    clear = tuple(max(0, -e) for e in f.num.content_exponents())
+    num, den = f.num.shift(clear), f.den.shift(clear)
+    nv, dv = _gaussian_reference(num, point), _gaussian_reference(den, point)
     if not dv:
-        with pytest.raises(SingularPointError):
+        with pytest.raises(SingularPointError) as err:
             evaluate_rational_fns([f], point, gradient=True)
+        assert err.value.denominator == den
         return
-    dn = [point[n] * _gaussian_reference(f.num.derivative(n), point) for n in T.names]
-    dd = [point[n] * _gaussian_reference(f.den.derivative(n), point) for n in T.names]
+    dn = [point[n] * _gaussian_reference(num.derivative(n), point) for n in T.names]
+    dd = [point[n] * _gaussian_reference(den.derivative(n), point) for n in T.names]
     ((value, grads),) = evaluate_rational_fns([f], point, gradient=True)
     assert value == nv / dv == f.evaluate(point)
     assert grads == [(a * dv - nv * b) / (dv * dv) for a, b in zip(dn, dd)]

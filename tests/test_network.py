@@ -90,23 +90,29 @@ def test_twin_sides_commute_n3():
 # sha256 of ``SquareNetwork(n).to_json()`` for n = 3, 4, 5 (what ``geodesic
 # --network N`` prints) and of every entry's ``to_json()`` on both sides: the
 # half-unit coordinates print as the rationals they stand for, and the path
-# sums keep their stored form
-NETWORK_STORED_SHA256 = "45a731a232b6a263abe314dd4d52248bdec3cdc0c9e003b27732472e3830a4e3"
+# sums keep their stored form.  The second digest has every entry in the form
+# the earlier joint-content normalization stored
+NETWORK_STORED_SHA256 = "afa83885484d2a9511ee49365f604811bb5435240c958908bcf3f2fe0abeaa02"
+JOINT_CONTENT_NETWORK_STORED_SHA256 = "45a731a232b6a263abe314dd4d52248bdec3cdc0c9e003b27732472e3830a4e3"
 
 
-def test_network_stored_form_is_pinned():
-    doc = {}
-    for n in (3, 4, 5):
-        net = SquareNetwork(n)
-        doc[f"network/{n}"] = net.to_json()
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                for side in ("A", "Atilde"):
-                    doc[f"entry/{n}/{i},{j}/{side}"] = net.path_sum_entry(i, j, side).to_json()
-    assert len(doc) == 41
-    assert doc["network/4"]["verticals"]["1"][:2] == ["5/2", "-1/2"]
-    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == NETWORK_STORED_SHA256
+def test_network_stored_form_is_pinned(joint_content_json):
+    for serialize, pinned in (
+        (lambda f: f.to_json(), NETWORK_STORED_SHA256),
+        (joint_content_json, JOINT_CONTENT_NETWORK_STORED_SHA256),
+    ):
+        doc = {}
+        for n in (3, 4, 5):
+            net = SquareNetwork(n)
+            doc[f"network/{n}"] = net.to_json()
+            for i in range(1, n):
+                for j in range(i + 1, n + 1):
+                    for side in ("A", "Atilde"):
+                        doc[f"entry/{n}/{i},{j}/{side}"] = serialize(net.path_sum_entry(i, j, side))
+        assert len(doc) == 41
+        assert doc["network/4"]["verticals"]["1"][:2] == ["5/2", "-1/2"]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == pinned
 
 
 def test_face_coordinates_are_half_unit_ints():

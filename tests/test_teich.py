@@ -351,23 +351,36 @@ def test_twisted_seed_values_in_lowest_terms():
 
 # sha256 of the serialized catalog values of every surface and of three chain
 # matrices, as the exact arithmetic stores them; ``geodesic --label`` prints
-# ``(num) / (den)``, so a value that stays equal but is stored differently
-# would change that output without changing any verdict
-STORED_VALUES_SHA256 = "b5b4e11a104a0e58c344b740008657426cec53fb13bed6f77298e542d03b7d47"
+# the stored form (a Laurent value as one Laurent polynomial), so a value that
+# stays equal but is stored differently would change that output without
+# changing any verdict.  The second digest is of the same values in the form
+# the earlier joint-content normalization stored: both rules keep the values
+# and their rational content alike
+STORED_VALUES_SHA256 = "d33bd9087d4012dcd78b16f4cdba114149bed19c4c1d022b999679735272eef5"
+JOINT_CONTENT_STORED_VALUES_SHA256 = "b5b4e11a104a0e58c344b740008657426cec53fb13bed6f77298e542d03b7d47"
 
 
-def test_stored_representation_is_pinned():
-    doc = {}
+def test_stored_representation_is_pinned(joint_content_json):
+    values = {}
     for name in surfaces.MODEL_NAMES:
         model = build_surface(name)
         for label in model.catalog:
-            doc[f"{name}/{label}"] = catalog_value(model, label).to_json()
-    assert len(doc) == 51
+            values[f"{name}/{label}"] = catalog_value(model, label)
+    assert len(values) == 51
+    assert all(f.den.content_exponents() == (0,) * len(f.table) for f in values.values())
     for name, chain in (("genus3_extended", "rank"), ("genus4_n5", "rank"), ("genus2_x7", "braid")):
         u = chain_matrix(name, build_surface(name).chains[chain])
-        doc[f"chain/{name}"] = [[u[i, j].to_json() for j in range(u.cols)] for i in range(u.rows)]
-    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == STORED_VALUES_SHA256
+        values[f"chain/{name}"] = [[u[i, j] for j in range(u.cols)] for i in range(u.rows)]
+    for serialize, pinned in (
+        (lambda f: f.to_json(), STORED_VALUES_SHA256),
+        (joint_content_json, JOINT_CONTENT_STORED_VALUES_SHA256),
+    ):
+        doc = {
+            k: [[serialize(f) for f in row] for row in v] if isinstance(v, list) else serialize(v)
+            for k, v in values.items()
+        }
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == pinned
 
 
 def test_build_surface_is_built_once_and_callers_own_their_catalogs():
