@@ -243,6 +243,11 @@ def make_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # exact values are read and written in full, whatever their number of
+    # digits (Python 3.11 and 3.10.7 on cap int <-> str conversion)
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift is not None:
+        lift(0)
     try:
         args = make_parser().parse_args(argv)
         return args.handler(args)

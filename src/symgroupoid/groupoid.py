@@ -12,7 +12,6 @@ from typing import Sequence
 
 from .laurent import GeneratorTable, Q, RationalFn, evaluate_rational_fns
 from .matrices import MatrixRF, charpoly_is_palindromic, divide_out_root, solve
-from .gauss import GaussianRational
 from .quiver import Quiver, brackets_at, integer_vectors
 
 # random specializations tried per point before a numeric check gives up
@@ -20,11 +19,6 @@ NUMERIC_ATTEMPTS = 100
 
 # the one zero entry shared by the entries of ``reflection_rhs``
 _ZERO = Fraction(0)
-
-
-def _over(x: int, den: int) -> Fraction:
-    """x/den, a new Fraction only when x is nonzero."""
-    return Fraction(x, den) if x else _ZERO
 
 
 def antidiagonal_sign_matrix(n: int) -> list:
@@ -45,8 +39,16 @@ def antidiagonal_S(n: int, table: GeneratorTable | None = None) -> MatrixRF:
     )
 
 
+def twice_theta(x: int) -> int:
+    """2·θ(x) for the step θ of the trigonometric r-matrix: the ints 2, 1 and 0
+    for x > 0, x = 0 and x < 0.  The one definition of θ: ``theta`` (so
+    ``RMatrix``) and ``_reflection_form`` both read it."""
+    return (x > 0) + (x >= 0)
+
+
 def theta(x: int) -> Fraction:
-    return Q(1) if x > 0 else (Q(1, 2) if x == 0 else Q(0))
+    """θ(x) as a Fraction: 1, 1/2 or 0."""
+    return Q(twice_theta(x), 2)
 
 
 class RMatrix:
@@ -73,53 +75,38 @@ class RMatrix:
 
 def reflection_rhs(mv: MatrixRF) -> MatrixRF:
     """Right side of the reflection identity r M1M2 - M1M2 r - M1 rt2 M2 + M2 rt2 M1,
-    rt2 the partial transpose of r in the second leg, for a matrix of exact
-    values, built entrywise: entry ((i,k),(j,l)) is
+    rt2 the partial transpose of r in the second leg, for a matrix of ints and
+    Fractions, built entrywise: entry ((i,k),(j,l)) is
     (th(k-i) - th(j-l)) m_kj m_il - th(j-k) m_ik m_jl + th(l-i) m_ki m_lj.
 
     With the matrix written as M/d (d the lcm of all denominators) and th in
-    half-units, every entry is B(M, M)/(2d²) for the integer bilinear form
-    ``_reflection_form``.  A matrix with GaussianRational entries, M = R + iI,
-    gives B(R, R) - B(I, I) + i(B(R, I) + B(I, R)) over the same 2d², and
-    GaussianRational entries; a matrix of ints and Fractions gives Fractions."""
-    n = mv.rows
-    real = not any(isinstance(x, GaussianRational) for row in mv.entries for x in row)
-    ints, d = integer_vectors(mv.entries, not real)
+    half-units, every entry is a Fraction, ``_reflection_form``(M)/(2d²)."""
+    ints, d = integer_vectors(mv.entries)
     den = 2 * d * d
-    if real:
-        return MatrixRF([[Fraction(x, den) if x else _ZERO for x in row] for row in _reflection_form(ints, ints)])
-    re, im = [row[:n] for row in ints], [row[n:] for row in ints]
-    return MatrixRF(
-        [
-            [GaussianRational(_over(a - b, den), _over(c + e, den)) for a, b, c, e in zip(*rows)]
-            for rows in zip(
-                _reflection_form(re, re), _reflection_form(im, im), _reflection_form(re, im), _reflection_form(im, re)
-            )
-        ]
-    )
+    return MatrixRF([[Fraction(x, den) if x else _ZERO for x in row] for row in _reflection_form(ints)])
 
 
-def _reflection_form(x: list, y: list) -> list:
-    """The integer form B(X, Y) behind ``reflection_rhs``: entry ((i,k),(j,l)) is
-    (t(k-i) - t(j-l)) x_kj y_il - t(j-k) x_ik y_jl + t(l-i) x_ki y_lj with
-    t = 2·th, the ints 2, 1 and 0; rows in the doubled index order."""
-    n = len(x)
-    # half[a][b] = t(a - b); t(l - i) = 2 - t(i - l)
-    half = [[(a > b) + (a >= b) for b in range(n)] for a in range(n)]
-    cols = [list(col) for col in zip(*y)]
+def _reflection_form(m: list) -> list:
+    """The integer form behind ``reflection_rhs``: entry ((i,k),(j,l)) is
+    (t(k-i) - t(j-l)) m_kj m_il - t(j-k) m_ik m_jl + t(l-i) m_ki m_lj with
+    t = ``twice_theta``; rows in the doubled index order."""
+    n = len(m)
+    # half[a][b] = t(a - b)
+    half = [[twice_theta(a - b) for b in range(n)] for a in range(n)]
+    cols = [list(col) for col in zip(*m)]
     out = []
     for i in range(n):
-        yi, xi = y[i], x[i]
-        tli = [2 - t for t in half[i]]
+        mi = m[i]
+        tli = [row[i] for row in half]
         for k in range(n):
-            xk, tki = x[k], half[k][i]
-            xik, xki = xi[k], xk[i]
+            mk, tki = m[k], half[k][i]
+            mik, mki = mi[k], mk[i]
             row = []
             for j in range(n):
-                xkj, tjk_xik, yj = xk[j], half[j][k] * xik, y[j]
+                mkj, tjk_mik, mj = mk[j], half[j][k] * mik, m[j]
                 row += [
-                    (tki - tjl) * xkj * yil - tjk_xik * yjl + til * xki * ylj
-                    for tjl, yil, yjl, til, ylj in zip(half[j], yi, yj, tli, cols[j])
+                    (tki - tjl) * mkj * mil - tjk_mik * mjl + til * mki * mlj
+                    for tjl, mil, mjl, til, mlj in zip(half[j], mi, mj, tli, cols[j])
                 ]
             out.append(row)
     return out

@@ -337,7 +337,7 @@ class LaurentPoly:
         return LaurentPoly._of(self.table, terms)
 
     def evaluate(self, point: Mapping[str, object]):
-        """Exact value at a point of ints, Fractions and GaussianRationals."""
+        """Exact value at a point (see ``point_pass`` for the coordinates it takes)."""
         num, den, ((re, im, gaussian, _),) = point_pass([self], point)
         if gaussian:
             return GaussianRational(Fraction(re * num, den), Fraction(im * num, den))
@@ -650,37 +650,33 @@ class RationalFn:
 
 
 def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradient: bool = False) -> tuple:
-    """Values (and Euler partials) of polynomials over one table at one point
-    of ints, Fractions and GaussianRationals, from one pass over their terms in
-    integers.
+    """Values (and Euler partials) of polynomials over one table at one point,
+    from one pass over their terms in integers.
 
-    With a nonzero real coordinate ``w_i = a/b`` (a GaussianRational with
-    imaginary part 0 counts as its real part) and the exponent box
-    ``[lo, hi]`` of ``w_i`` over the terms of all the polynomials,
-    ``w_i**e = a**(e-lo) * b**(hi-e) * a**lo / b**hi``: one integer table per
-    generator, shared by every polynomial, makes every term an integer, up to
-    one scale shared by all terms, once the coefficients are over their lcm.
-    A coordinate on the imaginary axis, ``w_i = i*a/b``, takes the table of
-    ``a/b``; then ``i**e``, with e summed over such coordinates and taken mod
-    4, picks the sign of a term and whether it goes to the real or the
-    imaginary sum.  The Euler partial ``w_i * dp/dw_i`` of a term is ``e_i``
-    times the term, so each partial is the exponent-weighted sum of the same
-    terms, over the value's own scale.
-
-    A coordinate that is zero or has both parts nonzero gets no table: the
-    integer terms (and their exponent-weighted sums) are summed per exponent
-    vector over those coordinates, and each sum is multiplied by its
-    monomial; the Euler partial in such a coordinate is ``e`` times the
-    bucket's value.  A zero coordinate under a negative exponent is a
-    ZeroDivisionError.
+    A coordinate is real (an int, a Fraction, or a GaussianRational with
+    imaginary part 0) or on the imaginary axis (a GaussianRational with real
+    part 0); one with both parts nonzero is a TypeError.  With ``w_i = a/b``,
+    or ``w_i = i*a/b`` on the imaginary axis, and ``lo`` and ``hi`` the
+    lowest and highest exponent of ``w_i`` over the terms of all the
+    polynomials, ``(a/b)**e = a**(e-lo) * b**(hi-e) * a**lo / b**hi``: one
+    integer table per generator, shared by every polynomial, makes every term
+    an integer, up to one scale shared by all terms, once the coefficients
+    are over their lcm.  A table holds the exponents that occur, so its size
+    follows them and not the span ``hi - lo``.  A zero coordinate takes the
+    table of ``a = 0`` with ``lo`` raised to 0, which keeps the scale
+    nonzero; under a negative exponent it is a ZeroDivisionError.  On the
+    imaginary axis, ``i**e``, with e summed over such coordinates and taken
+    mod 4, picks the sign of a term and whether it goes to the real or the
+    imaginary sum.
 
     Returns ``(num, den, rows)``, one row ``(re, im, gaussian, partials)`` per
     polynomial: its value is ``(re + i*im) * num/den``, with ``re`` and ``im``
-    ints unless the polynomial uses a bucketed coordinate, and it is a
-    GaussianRational exactly when ``gaussian``, that is, when its terms use a
-    coordinate off the real line.  With ``gradient``, ``partials`` is the pair
-    of lists ``(re_i, im_i)`` in table order, the Euler partial in ``w_i``
-    being ``(re_i + i*im_i) * num/den``; otherwise it is None.
+    ints, and it is a GaussianRational exactly when ``gaussian``, that is,
+    when its terms use a coordinate on the imaginary axis.  With
+    ``gradient``, every coordinate in use must be real (else a TypeError),
+    and ``partials`` is a list of ints in table order, the Euler partial
+    ``w_i * dp/dw_i`` being ``partials[i] * num/den``: the exponent-weighted
+    sum of the same terms.  Otherwise it is None.
     """
     if not polys:
         return 1, 1, []
@@ -689,39 +685,36 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
     if not single and any(p.table != table for p in polys):
         raise ValueError("mixed generator tables")
     names = table.names
-    # per polynomial, the (lo, hi) of each generator over its terms
-    boxes = [_box(p.terms) for p in polys if p.terms]
-    if len(boxes) == 1:
-        spans = boxes[0]
-    else:
-        spans = [(min(lo for lo, _ in s), max(hi for _, hi in s)) for s in zip(*boxes)]
+    # per polynomial, the exponents each generator takes over its terms
+    cols = [_columns(p.terms) for p in polys if p.terms]
+    present = cols[0] if len(cols) == 1 else [set().union(*s) for s in zip(*cols)]
     lcd = lcm(*(c.denominator for p in polys for c in p.terms.values()))
     num, den = 1, lcd
-    tabled = []  # table indices of the tabled coordinates in use
-    tables = []  # (table index, lo, powers) where the exponent varies
-    imaginary_axis = set()  # table indices of the tabled coordinates w = i*a/b
-    bucketed = {}  # table index -> value, for the zero coordinates and those with both parts nonzero
-    for i, (lo, hi) in enumerate(spans):
-        if lo == hi == 0:
+    tabled = []  # table indices of the coordinates in use
+    tables = []  # (table index, {e: power}) where the exponent varies
+    imaginary_axis = set()  # table indices of the coordinates w = i*a/b
+    for i, col in enumerate(present):
+        if not any(col):
             continue
         if names[i] not in point:
             raise KeyError(f"no value for generator {names[i]!r}")
         v = point[names[i]]
-        imaginary = False
         if isinstance(v, GaussianRational):
-            if v.im and v.re:
-                bucketed[i] = v
-                continue
-            imaginary = bool(v.im)
-            v = v.im if imaginary else v.re
+            if v.re and v.im:
+                raise TypeError(f"{names[i]} = {v!r} is neither real nor on the imaginary axis")
+            if v.im:
+                if gradient:
+                    raise TypeError(f"Euler gradients are taken at real points, not at {names[i]} = {v!r}")
+                imaginary_axis.add(i)
+            v = v.im or v.re
         elif not isinstance(v, (int, Fraction)):
             raise TypeError(f"{names[i]} = {v!r} is not an exact (Gaussian) rational")
         a, b = v.numerator, v.denominator
-        if a == 0:
+        lo, hi = min(col), max(col)
+        if not a:
             if lo < 0:
                 raise ZeroDivisionError(f"{names[i]} = 0 under a negative exponent")
-            bucketed[i] = v
-            continue
+            lo = 0
         if lo > 0:
             num *= a ** lo
         else:
@@ -731,88 +724,74 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
         else:
             num *= b ** -hi
         if lo != hi:
-            apow, bpow = [1], [1]
-            for _ in range(hi - lo):
-                apow.append(apow[-1] * a)
-                bpow.append(bpow[-1] * b)
-            tables.append((i, lo, [x * y for x, y in zip(apow, reversed(bpow))]))
+            tables.append((i, _power_table(col, a, b, lo)))
         tabled.append(i)
-        if imaginary:
-            imaginary_axis.add(i)
-    boxes = iter(boxes)
+    cols = iter(cols)
     rows = []
     for p in polys:
         if not p.terms:
-            rows.append((0, 0, False, ([0] * len(names), [0] * len(names)) if gradient else None))
+            rows.append((0, 0, False, [0] * len(names) if gradient else None))
             continue
-        box = next(boxes)
+        col = next(cols)
         # a tabled generator whose exponent is constant here is one factor
         factor, own = 1, tables
         if not single:
             own = []
-            for i, lo, powers in tables:
-                plo, phi = box[i]
-                if plo == phi:
-                    factor *= powers[plo - lo]
+            for i, powers in tables:
+                if len(col[i]) == 1:
+                    (e,) = col[i]
+                    factor *= powers[e]
                 else:
-                    own.append((i, lo, powers))
-        phased, pbucketed, weighted, gaussian = (), (), (), False
-        if imaginary_axis or bucketed:
-            phased = [i for i in imaginary_axis if box[i] != (0, 0)]
-            pbucketed = [(i, v) for i, v in bucketed.items() if box[i] != (0, 0)]
-            gaussian = bool(phased) or any(isinstance(v, GaussianRational) for _, v in pbucketed)
-        if gradient:
-            # (slot in a bucket's sums, table index) for each partial asked for
-            weighted = list(enumerate([i for i in tabled if box[i] != (0, 0)], 1))
-        width = 1 + len(weighted)
-        # per exponent vector over the bucketed coordinates: the integer sum of
-        # the terms, then their exponent-weighted sums in the slots of
-        # ``weighted``; real parts in the first ``width`` slots, imaginary
-        # parts in the next; with no coordinate bucketed there is one bucket
-        sums = [0] * (2 * width)
-        buckets: dict = {} if pbucketed else {(): sums}
+                    own.append((i, powers))
+        phased = [i for i in imaginary_axis if any(col[i])]
+        # (slot in ``sums``, table index) for each partial asked for
+        weighted = list(enumerate([i for i in tabled if any(col[i])])) if gradient else ()
+        re = im = 0
+        sums = [0] * len(weighted)
         for exps, c in p.terms.items():
             t = c.numerator * (lcd // c.denominator)
-            for i, lo, powers in own:
-                t *= powers[exps[i] - lo]
-            off = 0
+            for i, powers in own:
+                t *= powers[exps[i]]
             if phased:
                 quarter = sum([exps[i] for i in phased])
                 if quarter & 2:
                     t = -t
                 if quarter & 1:
-                    off = width
-            if pbucketed:
-                key = tuple([exps[i] for i, _ in pbucketed])
-                sums = buckets.get(key) or buckets.setdefault(key, [0] * (2 * width))
-            sums[off] += t
+                    im += t
+                    continue
+            re += t
             for k, i in weighted:
                 e = exps[i]
                 if e:
-                    sums[off + k] += e * t
-        re = im = 0
+                    sums[k] += e * t
+        partials = None
         if gradient:
-            dre, dim = [0] * len(names), [0] * len(names)
-        for key, sums in buckets.items():
-            # the slots times the bucket's monomial (and the constant factor),
-            # as (real, imaginary) parts over the shared scale
-            mono = reduce(mul, [v ** e for (_, v), e in zip(pbucketed, key)], factor)
-            mr, mi = (mono.re, mono.im) if isinstance(mono, GaussianRational) else (mono, 0)
-            x, y = sums[0] * mr - sums[width] * mi, sums[0] * mi + sums[width] * mr
-            re, im = re + x, im + y
-            if not gradient:
-                continue
+            partials = [0] * len(names)
             for k, i in weighted:
-                s, s_im = sums[k], sums[width + k]
-                if s or s_im:
-                    dre[i] += s * mr - s_im * mi
-                    dim[i] += s * mi + s_im * mr
-            for (i, _), e in zip(pbucketed, key):
-                if e:
-                    dre[i] += e * x
-                    dim[i] += e * y
-        rows.append((re, im, gaussian, (dre, dim) if gradient else None))
+                partials[i] = sums[k] * factor
+        rows.append((re * factor, im * factor, bool(phased), partials))
     return num, den, rows
+
+
+def _columns(terms: Mapping[tuple, object]) -> list:
+    """The set of exponents each generator takes over a nonempty set of terms."""
+    if len(terms) == 1:
+        return [{e} for e in next(iter(terms))]
+    return list(map(set, zip(*terms)))
+
+
+def _power_table(exponents: set, a: int, b: int, lo: int) -> dict:
+    """``{e: a**(e-lo) * b**(hi-e)}`` for the exponents e, all at least lo,
+    with hi the largest: in ascending order, each power of a from the one
+    before, and each power of b from the one after."""
+    es = sorted(exponents)
+    steps = list(map(sub, es[1:], es))
+    apow, bpow = [a ** (es[0] - lo)], [1]
+    for s in steps:
+        apow.append(apow[-1] * a ** s)
+    for s in reversed(steps):
+        bpow.append(bpow[-1] * b ** s)
+    return dict(zip(es, map(mul, apow, reversed(bpow))))
 
 
 def _box(terms: Mapping[tuple, object]) -> list:
@@ -842,12 +821,12 @@ def _cleared(f: RationalFn) -> tuple:
 def evaluate_rational_fns(fns: Sequence[RationalFn], point: Mapping[str, object], gradient: bool = False) -> list:
     """The values of rational functions at a point, from one ``point_pass``
     over every numerator and denominator; with ``gradient``, one pair
-    ``(value, euler_gradient)`` per function.
+    ``(value, euler_gradient)`` per function, at a real point only.
 
     The pass's shared scale cancels in each ratio N/D, and in each Euler
     partial ``(E·N·D - N·E·D)/D²`` of the quotient rule (E·N the numerator's
-    Euler partial), so every value and partial is one Fraction, or one
-    GaussianRational when N or D uses a coordinate off the real line.
+    Euler partial), so every value and partial is one Fraction, or the value
+    one GaussianRational when N or D uses a coordinate on the imaginary axis.
 
     A zero denominator is a SingularPointError, and so is a zero coordinate
     under a negative exponent of a numerator.  The error names the stored
@@ -864,28 +843,18 @@ def evaluate_rational_fns(fns: Sequence[RationalFn], point: Mapping[str, object]
     for k, f in enumerate(fns):
         nre, nim, ngauss, npart = rows[2 * k]
         dre, dim, dgauss, dpart = rows[2 * k + 1]
-        if not (ngauss or dgauss):
-            if not dre:
+        if ngauss or dgauss:
+            norm = dre * dre + dim * dim
+            if not norm:
                 raise SingularPointError(_cleared(f)[1])
-            value = Fraction(nre, dre)
-            if gradient:
-                d2 = dre * dre
-                value = value, [Fraction(a * dre - nre * b, d2) for a, b in zip(npart[0], dpart[0])]
-            out.append(value)
+            out.append(GaussianRational(Fraction(nre * dre + nim * dim, norm), Fraction(nim * dre - nre * dim, norm)))
             continue
-        norm = dre * dre + dim * dim
-        if not norm:
+        if not dre:
             raise SingularPointError(_cleared(f)[1])
-        value = GaussianRational(Fraction(nre * dre + nim * dim, norm), Fraction(nim * dre - nre * dim, norm))
+        value = Fraction(nre, dre)
         if gradient:
-            # (E·N·D - N·E·D)/D² = X·conj(D)²/|D|⁴, conj(D)² = c + i·s
-            c, s, norm2 = dre * dre - dim * dim, -2 * dre * dim, norm * norm
-            grad = []
-            for ar, ai, br, bi in zip(*npart, *dpart):
-                xr = ar * dre - ai * dim - (nre * br - nim * bi)
-                xi = ar * dim + ai * dre - (nre * bi + nim * br)
-                grad.append(GaussianRational(Fraction(xr * c - xi * s, norm2), Fraction(xr * s + xi * c, norm2)))
-            value = value, grad
+            d2 = dre * dre
+            value = value, [Fraction(a * dre - nre * b, d2) for a, b in zip(npart, dpart)]
         out.append(value)
     return out
 

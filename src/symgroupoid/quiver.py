@@ -11,12 +11,10 @@ than by multivariate gcd.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
-from .gauss import GaussianRational
 from .intlinalg import IntMatrix, kernel_basis, rank_bareiss
 from .laurent import (
     GeneratorTable,
@@ -603,56 +601,34 @@ class Jet:
         return Jet(v ** k, [slope * g for g in self.grad])
 
 
-def integer_vectors(vectors: Sequence[Sequence], stacked: bool = False) -> tuple:
-    """Exact vectors as integer vectors over one scale: ``(ints, d)`` with d
-    the least positive integer that makes d·x integral for every entry x, and
-    ``ints[k]`` the vector d·vectors[k].
-
-    Without ``stacked`` the entries must be ints or Fractions.  With it they
-    may be GaussianRationals too, and ``ints[k]`` holds the real parts of
-    d·vectors[k] followed by their imaginary parts."""
-    if stacked:
-        vectors = [
-            [x.re if isinstance(x, GaussianRational) else x for x in v]
-            + [x.im if isinstance(x, GaussianRational) else 0 for x in v]
-            for v in vectors
-        ]
+def integer_vectors(vectors: Sequence[Sequence]) -> tuple:
+    """Vectors of ints and Fractions as integer vectors over one scale:
+    ``(ints, d)`` with d the least positive integer that makes d·x integral
+    for every entry x, and ``ints[k]`` the vector d·vectors[k]."""
     d = lcm(*(x.denominator for v in vectors for x in v))
     return [[x.numerator * (d // x.denominator) for x in v] for v in vectors], d
 
 
 def brackets_at(quiver: Quiver, table: GeneratorTable, left: Sequence[Sequence], right: Sequence[Sequence]) -> list:
-    """The brackets at one point of functions given by their Euler gradients
-    (``laurent.evaluate_rational_fns``): row a holds {f_a, g_b} for every b,
-    with ``left[a]`` the gradient of f_a and ``right[b]`` that of g_b.
+    """The brackets at one real point of functions given by their Euler
+    gradients (``laurent.evaluate_rational_fns``): row a holds {f_a, g_b} for
+    every b, with ``left[a]`` the gradient of f_a and ``right[b]`` that of g_b.
 
     The bracket is log-canonical, so {f, g} = (1/8)·Σ b_ij·F_i·G_j with B the
     doubled exchange matrix (``exchange_rows``) and F_i = w_i·∂f/∂w_i.  Each
     side is put over one integer scale, B·G is formed once per right
-    gradient, and each bracket is one integer dot product over 8·d_F·d_G.
-    When a gradient has a GaussianRational entry the vectors are stacked
-    (real parts, then imaginary parts) and every bracket is a
-    GaussianRational; otherwise it is a Fraction."""
-    stacked = any(isinstance(x, GaussianRational) for v in chain(left, right) for x in v)
-    ls, d1 = integer_vectors(left, stacked)
-    rs, d2 = (ls, d1) if right is left else integer_vectors(right, stacked)
-    rows, n = exchange_rows(quiver, table), len(table)
-    # B·G, for a stacked G = X + iY the stacked (B·X, B·Y)
-    halves = (0, n) if stacked else (0,)
-    hs = [[sum([b * g[off + j] for j, b in row]) for off in halves for row in rows] for g in rs]
+    gradient, and each bracket is one integer dot product over 8·d_F·d_G,
+    a Fraction."""
+    ls, d1 = integer_vectors(left)
+    rs, d2 = (ls, d1) if right is left else integer_vectors(right)
+    rows = exchange_rows(quiver, table)
+    hs = [[sum([b * g[j] for j, b in row]) for row in rows] for g in rs]
     den, zero = 8 * d1 * d2, Fraction(0)
 
     def over(x: int) -> Fraction:
         return Fraction(x, den) if x else zero
 
-    if not stacked:
-        return [[over(sum(map(mul, f, h))) for h in hs] for f in ls]
-    out = []
-    for f in ls:
-        # F = U + iV stacked: F·B·G is (U, -V)·H + i (V, U)·H
-        re, im = f[:n] + [-x for x in f[n:]], f[n:] + f[:n]
-        out.append([GaussianRational(over(sum(map(mul, re, h))), over(sum(map(mul, im, h)))) for h in hs])
-    return out
+    return [[over(sum(map(mul, f, h))) for h in hs] for f in ls]
 
 
 # -- Casimir lattice ----------------------------------------------------------

@@ -12,7 +12,7 @@ import functools
 from operator import truediv
 from typing import Sequence
 
-from .laurent import Q, RationalFn
+from .laurent import LaurentPoly, Q, RationalFn
 from .matrices import MatrixRF
 from .quiver import (
     ClusterValue,
@@ -378,19 +378,10 @@ def eliminate_constraint(model: SurfaceModel, f: RationalFn, solve_for: str) -> 
     if e0 != 1:
         raise ValueError("eliminated variable must appear in power one")
     table = f.table
-    # z_solve = prod z_v^-e  ->  w_solve = prod w_v^-e (positive branch)
-    root = ClusterValue(table)
-    for v, e in exps.items():
-        if v == solve_for:
-            continue
-        mono = [0] * len(table)
-        mono[table.index(wname(v))] = -int(2 * e)
-        root = root * ClusterValue(table, Q(1), tuple(mono))
-    w_value = root.sqrt().as_rational()
-    bindings = {}
-    for name in table.names:
-        bindings[name] = RationalFn.generator(table, name)
-    bindings[wname(solve_for)] = w_value
+    # z_solve = prod z_v^-e, so w_solve = prod w_v^-e (positive branch): a monomial
+    root = LaurentPoly.monomial(table, 1, {wname(v): -e for v, e in exps.items() if v != solve_for})
+    bindings = {name: RationalFn.generator(table, name) for name in table.names}
+    bindings[wname(solve_for)] = RationalFn.from_poly(root)
     return f.substitute(bindings)
 
 

@@ -1,6 +1,8 @@
 """Command-line front-end: schemas, exit codes, determinism."""
 
 import json
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -430,3 +432,42 @@ def test_mutate_misread_quiver_exits_two(tmp_path, capsys):
         assert main(["mutate", "--quiver", str(qfile)]) == 2, bad
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, bad
+
+
+@pytest.fixture
+def default_int_digits():
+    """The interpreter's default cap on int <-> str conversion for the test,
+    and the cap it had after it: ``main`` lifts it for the whole process."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        pytest.skip("this Python does not cap int <-> str conversion")
+    saved = get()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_evaluate_writes_a_big_exact_value_in_full(tmp_path, capsys, default_int_digits):
+    # 1 + w^10000 at 3/2 has 4771 digits; printing it ended in "ValueError:
+    # Exceeds the limit (4300 digits)", a traceback and exit 1
+    ff, pt = tmp_path / "fn.json", tmp_path / "p.json"
+    one = {"coeff": "1/1", "exps": {}}
+    ff.write_text(json.dumps({"num": [one, {"coeff": "1/1", "exps": {"w:x": 10000}}], "den": [one]}))
+    pt.write_text(json.dumps({"w:x": "3/2"}))
+    assert main(["evaluate", "--point", str(pt), "--fn", str(ff)]) == 0
+    value = 1 + Fraction(3, 2) ** 10000
+    assert capsys.readouterr().out == f"{value.numerator}/{value.denominator}\n"
+
+
+def test_big_integer_literals_are_read_in_full(tmp_path, capsys, default_int_digits):
+    # a 5000-digit integer literal ended json.load in a ValueError traceback,
+    # for a point and for a quiver alike
+    big = "7" * 5000
+    ff, pt, qfile = tmp_path / "fn.json", tmp_path / "p.json", tmp_path / "q.json"
+    ff.write_text(json.dumps({"num": [{"coeff": "1/1", "exps": {"w:x": 1}}], "den": [{"coeff": "1/1", "exps": {}}]}))
+    pt.write_text('{"w:x": ' + big + "}")
+    assert main(["evaluate", "--point", str(pt), "--fn", str(ff)]) == 0
+    assert capsys.readouterr().out == big + "\n"
+    qfile.write_text('{"vertices": ["a", "b"], "doubled_exchange": [["a", "b", ' + big + "]]}")
+    assert main(["mutate", "--quiver", str(qfile)]) == 0
+    assert json.loads(capsys.readouterr().out)["doubled_exchange"] == [["a", "b", int(big)]]

@@ -224,12 +224,8 @@ def test_bracket_tensor_at_matches_entrywise_brackets():
     net = SquareNetwork(3)
     a, at = net.assemble_A()
     rng = random.Random(5)
-    real = {name: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for name in net.table.names}
-    # one non-real coordinate puts the contraction on GaussianRational values
-    first = net.table.names[0]
-    gaussian = dict(real, **{first: GaussianRational(real[first], Fraction(1, 2))})
+    pt = {name: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for name in net.table.names}
     n = a.rows
-    nonreal = 0
     for m1, m2 in ((a, a), (a, at)):
         symbolic = {
             (i, j, k, l): poisson_bracket(m1[i, j], m2[k, l], net.quiver)
@@ -238,12 +234,9 @@ def test_bracket_tensor_at_matches_entrywise_brackets():
             for k in range(n)
             for l in range(n)
         }
-        for pt in (real, gaussian):
-            tensor = bracket_tensor_at(m1, m2, net.quiver, pt)
-            for (i, j, k, l), br in symbolic.items():
-                assert tensor[i * n + k, j * n + l] == br.evaluate(pt)
-            nonreal += sum(isinstance(x, GaussianRational) and x.im != 0 for row in tensor.entries for x in row)
-    assert nonreal
+        tensor = bracket_tensor_at(m1, m2, net.quiver, pt)
+        for (i, j, k, l), br in symbolic.items():
+            assert tensor[i * n + k, j * n + l] == br.evaluate(pt)
 
 
 def test_twin_brackets_vanish_and_self_brackets_do_not():
@@ -300,6 +293,20 @@ def test_reflection_identity_fails_with_transposed_r_matrix():
     rt = [list(col) for col in zip(*ref.r)]
     assert lhs == _dense_rhs(mv, ref.r, _partial_transpose_2(ref.r, 3))
     assert lhs != _dense_rhs(mv, rt, _partial_transpose_2(rt, 3))
+
+
+def test_theta_has_one_definition(monkeypatch):
+    # RMatrix and reflection_rhs both read twice_theta; the right side once
+    # built its own half-unit table, so a θ mutant reached RMatrix alone
+    m = MatrixRF([[1, 2, 0], [3, Fraction(1, 2), Fraction(7, 2)], [4, -5, 1]])
+    before_r, before_rhs = RMatrix(3).r, reflection_rhs(m).entries
+    monkeypatch.setattr(groupoid, "twice_theta", lambda x: (x < 0) + (x <= 0))
+    after = RMatrix(3)
+    assert after.r != before_r
+    assert reflection_rhs(m).entries != before_rhs
+    # and they still agree with each other: the right side is the dense
+    # product of the patched r
+    assert reflection_rhs(m).entries == _dense_rhs(m.entries, after.r, _partial_transpose_2(after.r, 3))
 
 
 def test_integer_matrix_stays_exact():
@@ -403,14 +410,20 @@ def test_reflection_rhs_matches_reference_on_random_matrices(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_reflection_rhs_matches_reference_on_gaussian_matrices(n):
+    # the right side is a quadratic form Q with rational coefficients, so at
+    # M = R + iI it is Q(R) - Q(I) + i(Q(R + I) - Q(R) - Q(I)): the form on
+    # real matrices gives the right side of a Gaussian one
     rng = random.Random(800 + n)
     nonreal = 0
     # offsets that start at a nonzero entry, so even a 1x1 matrix is non-real
     for offset in (1, 2, 4):
         m = _random_field_matrix(rng, n, offset, gaussian=True)
-        got = reflection_rhs(m).entries
+        re = [[x.re if isinstance(x, GaussianRational) else x for x in row] for row in m.entries]
+        im = [[x.im if isinstance(x, GaussianRational) else 0 for x in row] for row in m.entries]
+        both = [[x + y for x, y in zip(*rows)] for rows in zip(re, im)]
+        q_re, q_im, q_both = (reflection_rhs(MatrixRF(x)).entries for x in (re, im, both))
+        got = [[GaussianRational(a - b, c - a - b) for a, b, c in zip(*rows)] for rows in zip(q_re, q_im, q_both)]
         assert got == reference_reflection_rhs(m.entries)
-        assert all(type(x) is GaussianRational for row in got for x in row)
         nonreal += sum(bool(x.im) for row in got for x in row)
     # a 1x1 right side is th(0)(m m - m m + m m) - th(0) m m = 0
     assert nonreal or n == 1
@@ -436,38 +449,34 @@ def _genus2_chain_pair():
     return model, u, matrix_braid(u, 3)
 
 
-def _real_and_nonreal_points(table, seed):
-    real = suites._positive_point(table, random.Random(seed), 1, 9)
-    first = table.names[0]
-    return real, dict(real, **{first: GaussianRational(real[first], Fraction(1, 2))})
+def _two_points(table, seed):
+    rng = random.Random(seed)
+    return [suites._positive_point(table, rng, 1, 9) for _ in range(2)]
 
 
 def test_genus2_chain_tensors_match_the_references():
-    # the 6x6 braid chain matrix and its dual twist, at a real and a non-real
-    # point, with M1 is M2 and M1 is not M2
+    # the 6x6 braid chain matrix and its dual twist, at two points, with M1 is
+    # M2 and M1 is not M2
     model, u, tw = _genus2_chain_pair()
-    real, nonreal = _real_and_nonreal_points(model.seed.frame, 11)
-    for pt, kind in ((real, Fraction), (nonreal, GaussianRational)):
+    for pt in _two_points(model.seed.frame, 11):
         for m1, m2 in ((u, u), (u, tw)):
             tensor = bracket_tensor_at(m1, m2, model.quiver, pt).entries
             assert tensor == reference_bracket_tensor(m1, m2, model.quiver, pt)
-            assert all(type(x) is kind for row in tensor for x in row)
+            assert all(type(x) is Fraction for row in tensor for x in row)
         mv = u.evaluate(pt)
         rhs = reflection_rhs(mv).entries
         assert rhs == reference_reflection_rhs(mv.entries)
-        assert all(type(x) is kind for row in rhs for x in row)
+        assert all(type(x) is Fraction for row in rhs for x in row)
         assert bracket_tensor_at(u, u, model.quiver, pt).entries == rhs
-    assert any(x.im for row in reflection_rhs(u.evaluate(nonreal)).entries for x in row)
 
 
 def test_reflection_sides_match_the_tensor_and_the_evaluated_right_side():
     # both sides from one gradient pass equal the separate tensor and the
-    # right side of the separately evaluated matrix, at a real and a non-real
-    # point, for a matrix that satisfies the identity and one that does not
+    # right side of the separately evaluated matrix, at two points, for a
+    # matrix that satisfies the identity and one that does not
     model, u, tw = _genus2_chain_pair()
-    real, nonreal = _real_and_nonreal_points(model.seed.frame, 17)
     reversed_u = MatrixRF([list(reversed(row)) for row in u.entries])
-    for pt in (real, nonreal):
+    for pt in _two_points(model.seed.frame, 17):
         for m in (u, tw, reversed_u):
             lhs, rhs = reflection_sides_at(m, model.quiver, pt)
             assert lhs.entries == bracket_tensor_at(m, m, model.quiver, pt).entries

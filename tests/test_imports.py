@@ -1,6 +1,7 @@
 """Modules of the package reach one another through public names only,
 exact values have one zero test: ``bool()``, points are evaluated through
-``laurent`` alone, and no loop runs unbounded."""
+``laurent`` alone, Gaussian values stay in the modules that make or solve
+with them, and no loop runs unbounded."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,18 @@ def test_only_laurent_calls_point_pass():
             if name == "point_pass":
                 offenders.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert not offenders, offenders
+
+
+def test_only_the_gaussian_layer_imports_gaussian_rational():
+    # Gaussian values are made at imaginary-axis points (``suites``), evaluated
+    # there (``laurent``) and solved with (``matrices``); gradients and
+    # brackets are taken at real points, so ``quiver`` and ``groupoid`` never
+    # see one
+    allowed = {"gauss.py", "laurent.py", "matrices.py", "suites.py"}
+    importers = set()
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.alias) and node.name == "GaussianRational":
+                importers.add(path.name)
+    assert importers <= allowed, sorted(importers - allowed)
+    assert {"laurent.py", "matrices.py", "suites.py"} <= importers

@@ -1,12 +1,18 @@
 """Core exact-arithmetic checks: Laurent polynomials and rational functions."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symgroupoid
 from symgroupoid.gauss import GaussianRational
 from symgroupoid.laurent import (
     GeneratorTable,
@@ -271,14 +277,15 @@ def test_evaluate_rational_fns_over_several_functions():
     # the first function without a value names its denominator: a stored one,
     # or, at a zero coordinate under a numerator's negative exponent, the
     # stored one times the monomial that clears those exponents
-    at_pole = {"w:a": Q(1), "w:b": Q(0), "w:c": GaussianRational(0, 2)}
-    for order, named in (
-        ([0, 3, 1], gen("w:b")),
-        ([3, 0, 1], gen("w:a") - LaurentPoly.one(T)),
-        ([4, 1], gen("w:b") * gen("w:c")),
-        ([2, 0], gen("w:b")),
-    ):
-        for gradient in (False, True):
+    # (gradients are taken at real points only)
+    for gradient, c in ((False, GaussianRational(0, 2)), (True, Q(2))):
+        at_pole = {"w:a": Q(1), "w:b": Q(0), "w:c": c}
+        for order, named in (
+            ([0, 3, 1], gen("w:b")),
+            ([3, 0, 1], gen("w:a") - LaurentPoly.one(T)),
+            ([4, 1], gen("w:b") * gen("w:c")),
+            ([2, 0], gen("w:b")),
+        ):
             with pytest.raises(SingularPointError) as err:
                 evaluate_rational_fns([fns[k] for k in order], at_pole, gradient)
             assert err.value.denominator == named, order
@@ -596,15 +603,10 @@ coordinates = st.one_of(
 
 
 def _pass_values(p, point):
-    """The value and Euler gradient of p at a point, read off one point_pass."""
-    num, den, ((re, im, gaussian, (dre, dim)),) = point_pass([p], point, gradient=True)
-
-    def at(x, y):
-        if gaussian:
-            return GaussianRational(Fraction(x * num, den), Fraction(y * num, den))
-        return Fraction(x * num, den)
-
-    return at(re, im), [at(x, y) for x, y in zip(dre, dim)]
+    """The value and Euler gradient of p at a real point, read off one point_pass."""
+    num, den, ((re, im, gaussian, partials),) = point_pass([p], point, gradient=True)
+    assert not (im or gaussian)
+    return Fraction(re * num, den), [Fraction(x * num, den) for x in partials]
 
 
 @given(laurent_polys(), st.lists(coordinates, min_size=3, max_size=3))
@@ -638,12 +640,13 @@ def _gaussian_reference(p, point):
 
 nonzero_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=9).filter(bool)
 
+# the coordinates a point may have: real, given as a Fraction or as a
+# GaussianRational, zero, or on the imaginary axis
 gaussian_coordinates = st.one_of(
     st.just(Q(0)),
     st.fractions(min_value=-6, max_value=6, max_denominator=9),
     st.builds(GaussianRational, st.fractions(min_value=-6, max_value=6, max_denominator=9)),
     st.builds(GaussianRational, st.just(0), nonzero_fractions),
-    st.builds(GaussianRational, nonzero_fractions, nonzero_fractions),
 )
 
 
@@ -653,43 +656,33 @@ def test_evaluate_matches_gaussian_reference(p, coords):
     point = dict(zip(T.names, coords))
     try:
         expected = _gaussian_reference(p, point)
-        expected_grads = [point[n] * _gaussian_reference(p.derivative(n), point) for n in T.names]
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
             p.evaluate(point)
-        with pytest.raises(ZeroDivisionError):
-            point_pass([p], point, gradient=True)
         return
     value = p.evaluate(point)
     assert value == expected
-    value_too, grads = _pass_values(p, point)
-    assert value_too == expected and grads == expected_grads
     # a Gaussian value only where the terms use a coordinate off the real line
     nonreal = {
         i for i, v in enumerate(coords) if isinstance(v, GaussianRational) and v.im and any(e[i] for e in p.terms)
     }
     assert isinstance(value, GaussianRational) == bool(nonreal)
-    assert isinstance(value_too, GaussianRational) == bool(nonreal)
-
-
-def test_euler_gradient_at_a_gaussian_point():
-    p = LaurentPoly.monomial(T, Fraction(3, 2), {"w:a": 2, "w:b": -1}) + gen("w:c")
-    i = GaussianRational(0, 1)
-    point = {"w:a": i, "w:b": GaussianRational(2), "w:c": GaussianRational(1, 1)}
-    value, grads = _pass_values(p, point)
-    assert value == _gaussian_reference(p, point)
-    assert grads == [point[n] * _gaussian_reference(p.derivative(n), point) for n in T.names]
+    if not nonreal:
+        expected_grads = [point[n] * _gaussian_reference(p.derivative(n), point) for n in T.names]
+        assert _pass_values(p, point) == (expected, expected_grads)
 
 
 @given(laurent_polys(), laurent_polys(), st.lists(gaussian_coordinates, min_size=3, max_size=3))
 @settings(max_examples=150, deadline=None)
 def test_rational_euler_gradient_matches_derivative_oracle(p, q, coords):
     # the quotient rule over one shared pass, against w_i times the derivative
-    # values of num and den combined in field arithmetic
+    # values of num and den combined in field arithmetic, at a real point;
+    # the value alone at a point with a coordinate on the imaginary axis
     if not q:
         return
     f = RationalFn(p, q)
     point = dict(zip(T.names, coords))
+    real = not any(isinstance(v, GaussianRational) and v.im for v in coords)
     # num and den times the monomial w^s that clears num's negative exponents:
     # the same value with no negative exponent, so a pole on a zero coordinate
     # shows as a vanishing denominator
@@ -698,17 +691,54 @@ def test_rational_euler_gradient_matches_derivative_oracle(p, q, coords):
     nv, dv = _gaussian_reference(num, point), _gaussian_reference(den, point)
     if not dv:
         with pytest.raises(SingularPointError) as err:
-            evaluate_rational_fns([f], point, gradient=True)
+            evaluate_rational_fns([f], point, gradient=real)
         assert err.value.denominator == den
+        return
+    if not real:
+        (value,) = evaluate_rational_fns([f], point)
+        assert value == nv / dv == f.evaluate(point)
         return
     dn = [point[n] * _gaussian_reference(num.derivative(n), point) for n in T.names]
     dd = [point[n] * _gaussian_reference(den.derivative(n), point) for n in T.names]
     ((value, grads),) = evaluate_rational_fns([f], point, gradient=True)
     assert value == nv / dv == f.evaluate(point)
     assert grads == [(a * dv - nv * b) / (dv * dv) for a, b in zip(dn, dd)]
-    # a Fraction value has Fraction partials, a Gaussian one Gaussian partials
-    assert type(value) is type(f.evaluate(point))
-    assert all(type(g) is type(value) for g in grads)
+    # a Fraction value has Fraction partials
+    assert type(value) is Fraction and all(type(g) is Fraction for g in grads)
+
+
+def test_a_coordinate_off_both_axes_is_refused():
+    # a point takes real and imaginary-axis coordinates; one with both parts
+    # nonzero is a TypeError from the pass and from every entry above it
+    p = gen("w:a") * gen("w:b") + gen("w:c", -1)
+    f = RationalFn(p, gen("w:a") + LaurentPoly.one(T))
+    point = {"w:a": GaussianRational(Q(2, 3), -1), "w:b": Q(2), "w:c": Q(3)}
+    for gradient in (False, True):
+        with pytest.raises(TypeError, match="neither real nor on the imaginary axis"):
+            point_pass([p], point, gradient)
+        with pytest.raises(TypeError, match="neither real nor on the imaginary axis"):
+            evaluate_rational_fns([f], point, gradient)
+    with pytest.raises(TypeError, match="neither real nor on the imaginary axis"):
+        p.evaluate(point)
+    # a coordinate the terms do not use is not read
+    assert gen("w:b").evaluate(point) == 2
+
+
+def test_euler_gradient_at_a_gaussian_point():
+    # gradients are taken at real points: an imaginary coordinate in use is a
+    # TypeError (one off both axes is refused for values too)
+    p = gen("w:a", 2) * gen("w:b") + gen("w:c")
+    f = RationalFn(p, gen("w:b") + LaurentPoly.one(T))
+    point = {"w:a": GaussianRational(0, Q(1, 2)), "w:b": Q(2), "w:c": Q(3)}
+    with pytest.raises(TypeError, match="real points"):
+        point_pass([p], point, gradient=True)
+    with pytest.raises(TypeError, match="real points"):
+        evaluate_rational_fns([f], point, gradient=True)
+    # the values there are exact: (i/2)² · 2 + 3 = 5/2, over 3
+    assert p.evaluate(point) == GaussianRational(Q(5, 2))
+    assert evaluate_rational_fns([f], point) == [GaussianRational(Q(5, 6))]
+    # a gradient whose terms use only real coordinates is taken as usual
+    assert _pass_values(gen("w:b") * gen("w:c"), point) == (Q(6), [Q(0), Q(6), Q(6)])
 
 
 def test_zero_coordinate_under_negative_exponent_raises():
@@ -722,6 +752,46 @@ def test_zero_coordinate_under_negative_exponent_raises():
     # own Euler partial w_a * dq/dw_a is zero there
     q = gen("w:a") * gen("w:b") + gen("w:a", 2) + gen("w:b") * gen("w:c")
     assert _pass_values(q, point) == (Q(6), [Q(0), Q(6), Q(6)])
+
+
+def test_zero_coordinate_goes_through_the_power_table():
+    # the table of a = 0 holds 0**e, and the pass's scale stays nonzero
+    point = {"w:a": Q(0), "w:b": Q(2), "w:c": Q(3)}
+    q = gen("w:a") * gen("w:b") + gen("w:a", 2) + gen("w:b") * gen("w:c")
+    # a lone polynomial whose lowest exponent of the zero coordinate is
+    # positive: every term vanishes, and so does every partial
+    r = gen("w:a", 2) * gen("w:c", -1) + LaurentPoly.monomial(T, Q(5, 2), {"w:a": 3, "w:b": 1})
+    assert _pass_values(r, point) == (Q(0), [Q(0), Q(0), Q(0)])
+    assert r.evaluate(point) == 0 and gen("w:a", 4).evaluate(point) == 0
+    # beside a polynomial that does not use it, in one pass
+    assert evaluate_rational_fns([RationalFn.from_poly(r), RationalFn.from_poly(q)], point, gradient=True) == [
+        (Q(0), [Q(0), Q(0), Q(0)]),
+        (Q(6), [Q(0), Q(6), Q(6)]),
+    ]
+
+
+def test_power_tables_follow_the_exponents_that_occur():
+    # a table over the whole span 0..100000 held 10^5 integers of up to 160 000
+    # bits, and 1 + w^100000 at 3/2 ran out of a 512 MiB address space
+    code = textwrap.dedent(
+        """
+        import resource
+        from fractions import Fraction
+
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, hard))
+        from symgroupoid.laurent import GeneratorTable, LaurentPoly, RationalFn
+
+        p = LaurentPoly(GeneratorTable(["w:x"]), {(0,): 1, (100000,): 1})
+        expected = 1 + Fraction(3, 2) ** 100000
+        assert p.evaluate({"w:x": Fraction(3, 2)}) == expected
+        assert RationalFn.from_poly(p).evaluate({"w:x": Fraction(3, 2)}) == expected
+        """
+    )
+    package_root = str(Path(symgroupoid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
 
 
 def test_rational_evaluate_makes_one_point_pass(monkeypatch):

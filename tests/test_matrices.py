@@ -208,8 +208,8 @@ def _random_rf_matrix(rng: random.Random, point: dict, rows: int, cols: int, lo:
     [
         # a zero coordinate (nonnegative exponents only) beside an imaginary one
         ({"w:a": Fraction(0), "w:b": GaussianRational(0, Fraction(-3, 2)), "w:c": Fraction(5, 3)}, 0),
-        # a coordinate with both parts nonzero, an imaginary one and a real one
-        ({"w:a": GaussianRational(Fraction(2, 3), -1), "w:b": GaussianRational(0, 2), "w:c": Fraction(-4, 5)}, -2),
+        # two imaginary coordinates and a real one
+        ({"w:a": GaussianRational(0, Fraction(2, 3)), "w:b": GaussianRational(0, 2), "w:c": Fraction(-4, 5)}, -2),
         # a real point, a real part given as a GaussianRational
         ({"w:a": Fraction(7, 2), "w:b": GaussianRational(Fraction(-1, 3)), "w:c": 3}, -2),
     ],
@@ -231,6 +231,14 @@ def test_evaluate_raises_for_a_missing_generator_and_a_zero_denominator():
     with pytest.raises(SingularPointError):
         u.evaluate({"w:a": Fraction(2), "w:b": GaussianRational(1)})
     assert u.evaluate({"w:a": Fraction(2), "w:b": Fraction(3)}) == MatrixRF([[2, 1], [1, 1]])
+
+
+def test_evaluate_refuses_a_coordinate_off_both_axes():
+    x, y = (RationalFn.generator(G3, name) for name in ("w:a", "w:b"))
+    u = MatrixRF([[x, RationalFn.constant(G3, 1)], [y, x * y]])
+    with pytest.raises(TypeError, match="neither real nor on the imaginary axis"):
+        u.evaluate({"w:a": Fraction(2), "w:b": GaussianRational(1, 1)})
+    assert u.evaluate({"w:a": Fraction(2), "w:b": GaussianRational(0, 1)})[1, 1] == GaussianRational(0, 2)
 
 
 def test_evaluate_makes_one_point_pass(monkeypatch):
