@@ -176,9 +176,11 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, table: GeneratorTable, coeff, exps: Mapping[str, int]) -> "LaurentPoly":
+        """``coeff`` times the generators to integer exponents; any other
+        exponent is a ValueError."""
         vec = [0] * len(table)
         for name, e in exps.items():
-            vec[table.index(name)] = int(e)
+            vec[table.index(name)] = exact_int(e, f"exponent of {name}")
         return cls(table, {tuple(vec): coeff})
 
     # -- basic structure -------------------------------------------------
@@ -254,6 +256,12 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
+        # polynomials are never written after construction, so a product by
+        # the constant 1 can be the other operand itself
+        if _is_one(other.terms):
+            return self
+        if _is_one(self.terms):
+            return other
         if len(self.terms) > len(other.terms):
             big, small = self.terms, other.terms
         else:
@@ -398,6 +406,18 @@ class RationalFn:
     ``(its Laurent polynomial, 1)``.  Full multivariate gcd is not taken;
     equality of values with different denominators is decided by
     cross-multiplication, which needs none.
+
+    Normal denominators are closed under multiplication: lowest exponents
+    add (per generator, the lowest-degree parts multiply), a product of
+    primitive integer polynomials is primitive (Gauss's lemma), and
+    graded-lex leading coefficients multiply.  So a sum, difference,
+    product or non-negative power of normal forms, whose denominator is a
+    product of normal ones, is already normal, and only a zero numerator
+    needs a fix: its denominator becomes 1.  Those results, ``from_poly``
+    (over 1), ``derivative`` (over den·den) and ``quiver.poisson_bracket``
+    (over q²s²) go through the trusted ``_of``; a quotient, an inverse, a
+    substitution and every outside input (``from_json``,
+    ``ClusterValue.as_rational``) go through the validating constructor.
     """
 
     __slots__ = ("num", "den")
@@ -429,11 +449,20 @@ class RationalFn:
         self.num = num
         self.den = den
 
+    @classmethod
+    def _of(cls, num: LaurentPoly, den: LaurentPoly) -> "RationalFn":
+        """The pair ``(num, den)`` as it is, for a denominator already in
+        normal form (see the class docstring); a zero ``num`` goes over 1."""
+        f = object.__new__(cls)
+        f.num = num
+        f.den = den if num else LaurentPoly.one(den.table)
+        return f
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_poly(cls, p: LaurentPoly) -> "RationalFn":
-        return cls(p, LaurentPoly.one(p.table))
+        return cls._of(p, LaurentPoly.one(p.table))
 
     @classmethod
     def constant(cls, table: GeneratorTable, value) -> "RationalFn":
@@ -480,23 +509,26 @@ class RationalFn:
     def __add__(self, other) -> "RationalFn":
         o = self._coerce(other)
         if self.den == o.den:
-            return RationalFn(self.num + o.num, self.den)
-        return RationalFn(self.num * o.den + o.num * self.den, self.den * o.den)
+            return RationalFn._of(self.num + o.num, self.den)
+        return RationalFn._of(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.num, self.den)
+        return RationalFn._of(-self.num, self.den)
 
     def __sub__(self, other) -> "RationalFn":
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        if self.den == o.den:
+            return RationalFn._of(self.num - o.num, self.den)
+        return RationalFn._of(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other) -> "RationalFn":
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "RationalFn":
         o = self._coerce(other)
-        return RationalFn(self.num * o.num, self.den * o.den)
+        return RationalFn._of(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -517,7 +549,7 @@ class RationalFn:
     def __pow__(self, k: int) -> "RationalFn":
         if k < 0:
             return self.inverse() ** (-k)
-        return RationalFn(self.num ** k, self.den ** k)
+        return RationalFn._of(self.num ** k, self.den ** k)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (RationalFn, LaurentPoly, int, Fraction)):
@@ -535,7 +567,7 @@ class RationalFn:
 
     def derivative(self, name: str) -> "RationalFn":
         num = self.num.derivative(name) * self.den - self.num * self.den.derivative(name)
-        return RationalFn(num, self.den * self.den)
+        return RationalFn._of(num, self.den * self.den)
 
     def evaluate(self, point: Mapping[str, object]):
         return evaluate_rational_fns([self], point)[0]
@@ -792,6 +824,14 @@ def _power_table(exponents: set, a: int, b: int, lo: int) -> dict:
     for s in reversed(steps):
         bpow.append(bpow[-1] * b ** s)
     return dict(zip(es, map(mul, apow, reversed(bpow))))
+
+
+def _is_one(terms: Mapping[tuple, object]) -> bool:
+    """Whether a term dict is the constant 1."""
+    if len(terms) != 1:
+        return False
+    ((exps, c),) = terms.items()
+    return c == 1 and not any(exps)
 
 
 def _box(terms: Mapping[tuple, object]) -> list:

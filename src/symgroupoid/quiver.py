@@ -494,7 +494,8 @@ def poisson_bracket(f: RationalFn, g: RationalFn, quiver: Quiver) -> RationalFn:
 
     For f = p/q and g = r/s, 8·q²s²·{f, g} = 8({p, r}qs − {p, s}qr − {q, r}ps
     + {q, s}pr), which has integer coefficients when f and g have them; its 1/8
-    is taken once.
+    is taken once.  The denominator q²s² is a product of normal ones, so it
+    is normal too (see ``RationalFn``) and the pair is taken as it is.
     """
     p, q = f.num, f.den
     r, s = g.num, g.den
@@ -506,7 +507,7 @@ def poisson_bracket(f: RationalFn, g: RationalFn, quiver: Quiver) -> RationalFn:
         - _poly_bracket(q, r, rows) * p * s
         + _poly_bracket(q, s, rows) * p * r
     )
-    return RationalFn(num.scale(Fraction(1, 8)), qs * qs)
+    return RationalFn._of(num.scale(Fraction(1, 8)), qs * qs)
 
 
 def skein_product(f: RationalFn, g: RationalFn, quiver: Quiver) -> RationalFn:

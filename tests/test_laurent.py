@@ -307,6 +307,34 @@ def test_negative_monomial_power():
         (m + LaurentPoly.one(T)) ** -1
 
 
+def test_monomial_refuses_a_non_integer_exponent():
+    # int(e) used to truncate: an exponent 1/2 gave the constant 1, and 2.9 gave w_a^2
+    for bad in (Fraction(1, 2), 2.9, Fraction(4, 2), True, "2"):
+        with pytest.raises(ValueError, match="exponent of w:a"):
+            LaurentPoly.monomial(T, 1, {"w:a": bad})
+    assert LaurentPoly.monomial(T, Q(1, 2), {"w:a": -3, "w:c": 2}).terms == {(-3, 0, 2): Q(1, 2)}
+
+
+def test_a_product_by_one_is_the_other_operand():
+    one = LaurentPoly.one(T)
+    half = LaurentPoly.monomial(T, Q(1, 2), {"w:a": 1, "w:c": -2})
+    polys = [LaurentPoly.zero(T), one, gen("w:b"), half, half + gen("w:a", -1) + one]
+    for p in polys:
+        terms, h = dict(p.terms), hash(p)
+        assert p * one is p and one * p is p
+        # the shared operand is never written: results built on it copy it
+        for q in (p * one, one * p):
+            q + gen("w:c"), -q, q * half, q - q
+        assert p.terms == terms and hash(p) == h
+    # a product of operands other than 1 by a monomial builds a new polynomial
+    others = [LaurentPoly.constant(T, 2), LaurentPoly.constant(T, -1), LaurentPoly.constant(T, Q(1, 3)), gen("w:a"), gen("w:c", -1)]
+    for m in others:
+        for p in polys[2:]:
+            for product in (p * m, m * p):
+                assert product is not p and product is not m
+                assert product.terms == _reference_product(p, m)
+
+
 def test_positive_powers_start_from_the_base(monkeypatch):
     # powers used to start from one, so p ** k made one product too many
     p = gen("w:a") + gen("w:b", -1)
@@ -466,6 +494,54 @@ def test_a_monomial_denominator_is_stored_as_one(p, exps, c):
     f = RationalFn(p, q)
     assert f.den == LaurentPoly.one(T) and f.num == p * q ** -1
     assert f.is_laurent() and f.as_laurent() is f.num
+
+
+exponent_vectors = st.tuples(*[st.integers(min_value=-4, max_value=4)] * 3)
+
+
+@st.composite
+def normalized_fns(draw):
+    """A RationalFn in normal form, made from inputs that are not: a
+    denominator scaled by a fraction of either sign and shifted (one term
+    makes a Laurent value), put together by the validating constructor or by
+    a quotient, or a Laurent polynomial over 1."""
+    num = draw(laurent_polys())
+    den = draw(laurent_polys().filter(bool)).scale(draw(small_fractions.filter(bool))).shift(draw(exponent_vectors))
+    how = draw(st.sampled_from(["constructor", "quotient", "from_poly"]))
+    if how == "constructor":
+        return RationalFn(num, den)
+    if how == "quotient":
+        return rf(num) / rf(den)
+    return rf(num)
+
+
+def _assert_normal(r):
+    # field by field what the validating constructor makes of the pair
+    s = RationalFn(r.num, r.den)
+    assert (r.num, r.den) == (s.num, s.den), r
+    assert _well_formed(r.num) and _well_formed(r.den)
+
+
+@given(normalized_fns(), normalized_fns(), st.sampled_from(["free", "negated"]), st.integers(min_value=0, max_value=3))
+@settings(max_examples=100, deadline=None)
+def test_closed_operations_keep_the_normal_form(f, g, relation, k):
+    # sums, differences, products and powers of normal forms are stored as
+    # they come (RationalFn._of); quotients and inverses are normalized
+    if relation == "negated":
+        g = -f  # f + g is zero over a denominator other than 1
+    results = [f, g, f + g, g + f, f - g, g - f, f - f, f * g, f * 0, -f, f ** k, rf(f.num), rf(f.den)]
+    results += [f.derivative(name) for name in T.names]
+    results.append(poisson_bracket(f, g, CHAIN))
+    if g:
+        results += [f / g, g.inverse(), g ** -k]
+    for r in results:
+        _assert_normal(r)
+    assert not (f + g if relation == "negated" else f - f).num
+    # the values are those of the pairs the validating constructor takes
+    assert f + g == RationalFn(f.num * g.den + g.num * f.den, f.den * g.den)
+    assert f - g == RationalFn(f.num * g.den - g.num * f.den, f.den * g.den)
+    assert f * g == RationalFn(f.num * g.num, f.den * g.den)
+    assert f ** k == RationalFn(f.num ** k, f.den ** k)
 
 
 @st.composite
