@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
+from itertools import accumulate, compress
 from math import gcd, lcm
-from operator import add, attrgetter, le, mul, neg, sub
+from operator import add, attrgetter, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .gauss import GaussianRational
@@ -162,7 +162,7 @@ class LaurentPoly:
         c = exact_coefficient(value)
         if not c:
             return cls.zero(table)
-        return cls(table, {(0,) * len(table): c})
+        return cls._of(table, {(0,) * len(table): c})
 
     @classmethod
     def one(cls, table: GeneratorTable) -> "LaurentPoly":
@@ -701,6 +701,11 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
     mod 4, picks the sign of a term and whether it goes to the real or the
     imaginary sum.
 
+    The pass runs over the terms of all the polynomials at once, one
+    generator at a time: each generator's exponents form one column, whose
+    powers multiply every term in one sweep, and each polynomial owns a
+    slice of the terms, its value and partials being sums over that slice.
+
     Returns ``(num, den, rows)``, one row ``(re, im, gaussian, partials)`` per
     polynomial: its value is ``(re + i*im) * num/den``, with ``re`` and ``im``
     ints, and it is a GaussianRational exactly when ``gaussian``, that is,
@@ -713,20 +718,21 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
     if not polys:
         return 1, 1, []
     table = polys[0].table
-    single = len(polys) == 1
-    if not single and any(p.table != table for p in polys):
+    if len(polys) > 1 and any(p.table != table for p in polys):
         raise ValueError("mixed generator tables")
     names = table.names
-    # per polynomial, the exponents each generator takes over its terms
-    cols = [_columns(p.terms) for p in polys if p.terms]
-    present = cols[0] if len(cols) == 1 else [set().union(*s) for s in zip(*cols)]
-    lcd = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    # every term of every polynomial; polynomial k owns terms ends[k-1]:ends[k]
+    exps = [e for p in polys for e in p.terms]
+    coeffs = [c for p in polys for c in p.terms.values()]
+    ends = list(accumulate(len(p.terms) for p in polys))
+    lcd = lcm(*map(_denominator, coeffs))
+    vals = coeffs if lcd == 1 else [c.numerator * (lcd // c.denominator) for c in coeffs]
     num, den = 1, lcd
-    tabled = []  # table indices of the coordinates in use
-    tables = []  # (table index, {e: power}) where the exponent varies
-    imaginary_axis = set()  # table indices of the coordinates w = i*a/b
-    for i, col in enumerate(present):
-        if not any(col):
+    in_use = []  # (table index, exponent column) of each coordinate the terms use
+    imaginary = []  # the exponent columns of the coordinates w = i*a/b in use
+    for i, col in enumerate(zip(*exps)):
+        present = set(col)
+        if not any(present):
             continue
         if names[i] not in point:
             raise KeyError(f"no value for generator {names[i]!r}")
@@ -737,12 +743,12 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
             if v.im:
                 if gradient:
                     raise TypeError(f"Euler gradients are taken at real points, not at {names[i]} = {v!r}")
-                imaginary_axis.add(i)
+                imaginary.append(col)
             v = v.im or v.re
         elif not isinstance(v, (int, Fraction)):
             raise TypeError(f"{names[i]} = {v!r} is not an exact (Gaussian) rational")
         a, b = v.numerator, v.denominator
-        lo, hi = min(col), max(col)
+        lo, hi = min(present), max(present)
         if not a:
             if lo < 0:
                 raise ZeroDivisionError(f"{names[i]} = 0 under a negative exponent")
@@ -756,60 +762,43 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
         else:
             num *= b ** -hi
         if lo != hi:
-            tables.append((i, _power_table(col, a, b, lo)))
-        tabled.append(i)
-    cols = iter(cols)
-    rows = []
-    for p in polys:
-        if not p.terms:
-            rows.append((0, 0, False, [0] * len(names) if gradient else None))
-            continue
-        col = next(cols)
-        # a tabled generator whose exponent is constant here is one factor
-        factor, own = 1, tables
-        if not single:
-            own = []
-            for i, powers in tables:
-                if len(col[i]) == 1:
-                    (e,) = col[i]
-                    factor *= powers[e]
-                else:
-                    own.append((i, powers))
-        phased = [i for i in imaginary_axis if any(col[i])]
-        # (slot in ``sums``, table index) for each partial asked for
-        weighted = list(enumerate([i for i in tabled if any(col[i])])) if gradient else ()
-        re = im = 0
-        sums = [0] * len(weighted)
-        for exps, c in p.terms.items():
-            t = c.numerator * (lcd // c.denominator)
-            for i, powers in own:
-                t *= powers[exps[i]]
-            if phased:
-                quarter = sum([exps[i] for i in phased])
-                if quarter & 2:
-                    t = -t
-                if quarter & 1:
-                    im += t
-                    continue
-            re += t
-            for k, i in weighted:
-                e = exps[i]
-                if e:
-                    sums[k] += e * t
-        partials = None
-        if gradient:
-            partials = [0] * len(names)
-            for k, i in weighted:
-                partials[i] = sums[k] * factor
-        rows.append((re * factor, im * factor, bool(phased), partials))
+            powers = _power_table(present, a, b, lo)
+            vals = list(map(mul, vals, map(powers.__getitem__, col)))
+        in_use.append((i, col))
+    starts = [0, *ends[:-1]]
+    ims = [0] * len(polys)
+    gaussian = [False] * len(polys)
+    if imaginary:
+        re_vals, im_vals = [], []
+        for t, quarter in zip(vals, map(sum, zip(*imaginary))):
+            if quarter & 2:
+                t = -t
+            if quarter & 1:
+                re_vals.append(0)
+                im_vals.append(t)
+            else:
+                re_vals.append(t)
+                im_vals.append(0)
+        vals = re_vals
+        ims = _slice_sums(im_vals, starts, ends)
+        # judged per coordinate: exponents that cancel in every term still count
+        gaussian = [any(any(col[s:e]) for col in imaginary) for s, e in zip(starts, ends)]
+    partials = [None] * len(polys)
+    if gradient:
+        # per generator, its exponent-weighted sum over each polynomial's
+        # terms; one that no term uses reads 0 in every polynomial
+        weighted = [[0] * len(polys)] * len(names)
+        for i, col in in_use:
+            weighted[i] = _slice_sums(list(map(mul, col, vals)), starts, ends)
+        partials = [list(row) for row in zip(*weighted)] if names else [[] for _ in polys]
+    rows = list(zip(_slice_sums(vals, starts, ends), ims, gaussian, partials))
     return num, den, rows
 
 
-def _columns(terms: Mapping[tuple, object]) -> list:
-    """The set of exponents each generator takes over a nonempty set of terms."""
-    if len(terms) == 1:
-        return [{e} for e in next(iter(terms))]
-    return list(map(set, zip(*terms)))
+def _slice_sums(terms: list, starts: list, ends: list) -> list:
+    """The sum of each slice ``terms[start:end]``, from one running sum."""
+    running = [0, *accumulate(terms)]
+    return list(map(sub, map(running.__getitem__, ends), map(running.__getitem__, starts)))
 
 
 def _power_table(exponents: set, a: int, b: int, lo: int) -> dict:
@@ -902,57 +891,96 @@ def evaluate_rational_fns(fns: Sequence[RationalFn], point: Mapping[str, object]
 def exact_poly_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     """Exact Laurent division ``num / den`` or None when it does not divide.
 
-    The graded-lex leading-term algorithm on a mutable term dict with a lazy
-    max-heap, on the Laurent operands as they are: a common shift of the
-    terms changes no graded-lex comparison.  Degrees in each generator add
-    under multiplication, so an exact quotient lies in the box
-    ``min(num) - min(den) <= e <= max(num) - max(den)``, componentwise;
-    leading terms fall strictly in graded-lex order, which bounds the loop by
-    the box's size, and a quotient exponent outside the box ends it.  An
-    empty box ends the division before the heap is built.
-    """
-    import heapq
+    Two refusals come first.  Degrees in each generator add under
+    multiplication, so an exact quotient lies in the box
+    ``min(num) - min(den) <= e <= max(num) - max(den)``, componentwise, and
+    an empty box ends the division.  When every coefficient is an int and
+    ``den`` is primitive (its coefficients have gcd 1), an exact quotient has
+    integer coefficients by Gauss's lemma, so ``den(1)`` divides ``num(1)``
+    (both are coefficient sums) unless ``den(1)`` is 0.
 
+    Then the division runs one generator at a time (``_divide``): as
+    polynomials in one generator x, with coefficients in the others, the
+    quotient's coefficient of each power of x, from the top down, is the
+    remainder's top coefficient over ``den``'s, divided the same way, and
+    its product with ``den``'s lower coefficients is taken off the
+    remainder.  An exact quotient is unique and every step computes its
+    coefficients, so a coefficient that does not divide, an empty range of
+    quotient degrees or a remainder left at the end means none exists.
+    """
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
     if not num:
         return LaurentPoly.zero(num.table)
-    lows, tops = [], []
-    for (nlo, nhi), (dlo, dhi) in zip(_box(num.terms), _box(den.terms)):
-        lows.append(nlo - dlo)
-        tops.append(nhi - dhi)
-    if not all(map(le, lows, tops)):
-        return None  # the box is empty: no quotient has a term in it
-    lead = _grlex_max(den.terms)
-    lead_c = den.terms[lead]
-    d_rest = [(e, c) for e, c in den.terms.items() if e != lead]
+    nterms, dterms = num.terms, den.terms
+    for (nlo, nhi), (dlo, dhi) in zip(_box(nterms), _box(dterms)):
+        if nlo - dlo > nhi - dhi:
+            return None  # the box is empty: no quotient has a term in it
+    dcoeffs = dterms.values()
+    if Fraction not in map(type, dcoeffs) and Fraction not in map(type, nterms.values()) and gcd(*dcoeffs) == 1:
+        d1 = sum(dcoeffs)
+        if d1 and sum(nterms.values()) % d1:
+            return None  # an integer quotient q would make num(1) = den(1) * q(1)
+    quo = _divide(nterms, dterms)
+    return None if quo is None else LaurentPoly._of(num.table, quo)
+
+
+def _divide(num: dict, den: dict) -> dict | None:
+    """The exact quotient of two term dicts (``den`` nonzero), or None, by
+    recursion on a generator in which ``den`` varies (see ``exact_poly_div``).
+    The generator chosen is the one whose top coefficient in ``den`` has the
+    fewest terms, so that a monomial top coefficient, when one exists, makes
+    each step one shift-and-scale pass."""
+    if len(den) == 1:
+        ((e, c),) = den.items()
+        if c == 1:
+            return {tuple(map(sub, k, e)): v for k, v in num.items()}
+        return {tuple(map(sub, k, e)): _over(v, c) for k, v in num.items()}
+    best = None  # (terms of the top coefficient, generator, top degree)
+    for x, col in enumerate(zip(*den)):
+        top = max(col)
+        if top != min(col) and (best is None or col.count(top) < best[0]):
+            best = (col.count(top), x, top)
+            if best[0] == 1:
+                break
+    _, x, top = best
+    dgroups: dict = {}  # x-degree -> the terms of den with that degree
+    for e, c in den.items():
+        dgroups.setdefault(e[x], {})[e] = c
+    dtop = dgroups.pop(top)
+    dlow = min(dgroups)
+    groups: dict = {}  # x-degree -> the remainder's terms with that degree
+    for e, c in num.items():
+        groups.setdefault(e[x], {})[e] = c
     quo: dict = {}
-    rem = dict(num.terms)
-
-    def negkey(exps):
-        return (-sum(exps), tuple(map(neg, exps)))
-
-    heap = [negkey(e) for e in rem]
-    heapq.heapify(heap)
-    while heap:
-        nk = heapq.heappop(heap)
-        rlead = tuple(map(neg, nk[1]))
-        if rlead not in rem:
-            continue  # stale heap entry
-        qexps = tuple(map(sub, rlead, lead))
-        if not (all(map(le, lows, qexps)) and all(map(le, qexps, tops))):
+    # the quotient's x-degrees run from max(num) - top down to min(num) - min(den)
+    for j in range(max(groups) - top, min(groups) - dlow - 1, -1):
+        rtop = groups.pop(j + top, None)
+        if not rtop:
+            continue
+        q = _divide(rtop, dtop)
+        if q is None:
             return None
-        qc = exact_coefficient(Fraction(rem.pop(rlead), lead_c))
-        quo[qexps] = qc
-        for e, c in d_rest:
-            key = tuple(map(add, e, qexps))
-            s = rem.get(key, 0) - qc * c
-            if s:
-                if key not in rem:
-                    heapq.heappush(heap, negkey(key))
-                rem[key] = s
-            elif key in rem:
-                del rem[key]
-    if rem:
+        quo.update(q)
+        for i, d in dgroups.items():
+            g = groups.setdefault(j + i, {})
+            for e2, c2 in d.items():
+                for e1, c1 in q.items():
+                    key = tuple(map(add, e1, e2))
+                    s = g.get(key, 0) - c1 * c2
+                    if s:
+                        g[key] = s
+                    elif key in g:
+                        del g[key]
+    if any(groups.values()):
         return None
-    return LaurentPoly._of(num.table, quo)
+    return quo
+
+
+def _over(v, c) -> int | Fraction:
+    """The coefficient ``v / c``, an int when it is integral."""
+    if type(v) is int and type(c) is int:
+        q, r = divmod(v, c)
+        if not r:
+            return q
+    return exact_coefficient(Fraction(v, c))

@@ -77,7 +77,11 @@ class Face:
 
 
 class SquareNetwork:
-    """Planar face lattice of the SL_n square with its quiver family."""
+    """Planar face lattice of the SL_n square with its quiver family.
+
+    A network is never written after construction, so ``path_sums`` keeps
+    each entry ``path_sum_entry`` computes, keyed by ``(i, j, side)``.
+    """
 
     def __init__(self, n: int):
         if n not in SUPPORTED_N:
@@ -109,6 +113,7 @@ class SquareNetwork:
         self.face_names = names
         self.table = GeneratorTable([wname(x) for x in names])
         self.quiver = self._face_quiver()
+        self.path_sums: dict = {}
 
     def _band_word(self, t: int) -> list:
         """Lattice vertices of band t's faces, rightmost first."""
@@ -190,6 +195,12 @@ class SquareNetwork:
             raise ValueError("need 1 <= i < j <= n")
         if side not in ("A", "Atilde"):
             raise ValueError("side must be 'A' or 'Atilde'")
+        value = self.path_sums.get((i, j, side))
+        if value is None:
+            value = self.path_sums[i, j, side] = self._path_sum(i, j, side)
+        return value
+
+    def _path_sum(self, i: int, j: int, side: str) -> RationalFn:
         region = self.region(i, j)
         gen_index = {}
         for t, faces in region.items():

@@ -1,5 +1,6 @@
 """Core exact-arithmetic checks: Laurent polynomials and rational functions."""
 
+import heapq
 import os
 import random
 import subprocess
@@ -21,6 +22,7 @@ from symgroupoid.laurent import (
     RationalFn,
     SingularPointError,
     _box,
+    _grlex_max,
     evaluate_rational_fns,
     exact_coefficient,
     exact_poly_div,
@@ -881,6 +883,95 @@ def test_rational_evaluate_makes_one_point_pass(monkeypatch):
     assert calls == [[f.num, f.den]]
 
 
+def _row_value(num, den, row):
+    re, im, gaussian, partials = row
+    value = GaussianRational(Fraction(re * num, den), Fraction(im * num, den)) if gaussian else Fraction(re * num, den)
+    return value, partials and [Fraction(x * num, den) for x in partials]
+
+
+def _assert_one_pass_is_many(polys, point, gradient=False):
+    """One pass over ``polys`` against one pass per polynomial and the
+    term-by-term reference."""
+    num, den, rows = point_pass(polys, point, gradient)
+    assert len(rows) == len(polys)
+    for p, row in zip(polys, rows):
+        value, partials = _row_value(num, den, row)
+        n1, d1, (alone,) = point_pass([p], point, gradient)
+        assert row[2] == alone[2]
+        assert (value, partials) == _row_value(n1, d1, alone)
+        assert value == _gaussian_reference(p, point)
+        if gradient:
+            assert partials == [point[n] * _gaussian_reference(p.derivative(n), point) for n in T.names]
+    return rows
+
+
+@given(st.lists(laurent_polys(), max_size=5), st.lists(gaussian_coordinates, min_size=3, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_one_point_pass_over_several_polynomials(polys, coords):
+    point = dict(zip(T.names, coords))
+    real = not any(isinstance(v, GaussianRational) and v.im for v in coords)
+    try:
+        for p in polys:
+            _gaussian_reference(p, point)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            point_pass(polys, point)
+        return
+    _assert_one_pass_is_many(polys, point, gradient=real)
+
+
+def test_one_point_pass_shares_columns_across_polynomials():
+    one = LaurentPoly.one(T)
+    a, b, c = gen("w:a"), gen("w:b"), gen("w:c")
+    # w:a is constant in the first polynomial and varies in the second; the
+    # third is empty, and the last uses w:c, on the imaginary axis, alone
+    polys = [
+        a * a * (b + c.scale(3)),
+        a + gen("w:a", -1) * b + one,
+        LaurentPoly.zero(T),
+        b.scale(Q(1, 2)) + one,
+        c * c * b + c - one,
+    ]
+    real = {"w:a": Q(2, 3), "w:b": Q(-5), "w:c": Q(7, 2)}
+    rows = _assert_one_pass_is_many(polys, real, gradient=True)
+    assert rows[2] == (0, 0, False, [0, 0, 0])
+    mixed = dict(real, **{"w:c": GaussianRational(0, Q(2, 3))})
+    rows = _assert_one_pass_is_many(polys, mixed)
+    assert [row[2] for row in rows] == [True, False, False, False, True]
+    assert rows[2] == (0, 0, False, None)
+    # w:b and w:c both on the imaginary axis, with exponents that cancel in
+    # every term: the value is real, yet the polynomial uses them
+    axis = {"w:a": Q(3), "w:b": GaussianRational(0, Q(1, 2)), "w:c": GaussianRational(0, 3)}
+    cancel = b * gen("w:c", -1) + (b * b * gen("w:c", -2)).scale(2) + a
+    rows = _assert_one_pass_is_many([a + one, cancel, LaurentPoly.zero(T)], axis)
+    assert [row[2] for row in rows] == [False, True, False]
+    assert rows[1][1] == 0 and cancel.evaluate(axis) == GaussianRational(Q(1, 6) + Q(2, 36) + 3)
+
+
+def test_one_point_pass_refuses_as_a_pass_per_polynomial():
+    one = LaurentPoly.one(T)
+    a, b, c = gen("w:a"), gen("w:b"), gen("w:c")
+    polys = [a + one, LaurentPoly.zero(T), b * gen("w:c", -1)]
+    # a generator one polynomial uses and the point lacks
+    with pytest.raises(KeyError, match="no value for generator 'w:c'"):
+        point_pass(polys, {"w:a": Q(1), "w:b": Q(2)})
+    # a coordinate off both axes, and a gradient at an imaginary coordinate
+    with pytest.raises(TypeError, match="neither real nor on the imaginary axis"):
+        point_pass(polys, {"w:a": Q(1), "w:b": GaussianRational(1, 1), "w:c": Q(2)})
+    with pytest.raises(TypeError, match="real points"):
+        point_pass(polys, {"w:a": Q(1), "w:b": Q(2), "w:c": GaussianRational(0, 2)}, gradient=True)
+    with pytest.raises(TypeError, match="not an exact"):
+        point_pass(polys, {"w:a": 1.5, "w:b": Q(2), "w:c": Q(3)})
+    # zero under a negative exponent in the last polynomial only
+    with pytest.raises(ZeroDivisionError):
+        point_pass(polys, {"w:a": Q(1), "w:b": Q(2), "w:c": Q(0)})
+    # the same coordinate under non-negative exponents is an ordinary point
+    rows = _assert_one_pass_is_many([c * c + a, polys[0], c], {"w:a": Q(1), "w:b": Q(2), "w:c": Q(0)}, True)
+    assert [row[0] for row in rows][2] == 0
+    with pytest.raises(ValueError, match="mixed generator tables"):
+        point_pass([a, gen("w:x", table=W1)], {"w:a": Q(1), "w:x": Q(1)})
+
+
 def test_gaussian_hash_agrees_with_equality_on_real_values():
     assert GaussianRational(2) == Fraction(2) == 2
     assert len({GaussianRational(2), Fraction(2), 2}) == 1
@@ -1104,3 +1195,131 @@ def test_gaussian_parts_are_exact_rationals():
         with pytest.raises(TypeError):
             GaussianRational(1) + bad
     assert (GaussianRational(1) == True) is False  # noqa: E712
+
+
+def _heap_exact_poly_div(num, den):
+    """Reference division: the graded-lex leading-term algorithm on a
+    mutable term dict with a lazy max-heap (Monagan-Pearce), bounded by the
+    quotient box ``min(num) - min(den) <= e <= max(num) - max(den)``."""
+    if not num:
+        return LaurentPoly.zero(num.table)
+    lows, tops = [], []
+    for (nlo, nhi), (dlo, dhi) in zip(_box(num.terms), _box(den.terms)):
+        lows.append(nlo - dlo)
+        tops.append(nhi - dhi)
+    if any(lo > hi for lo, hi in zip(lows, tops)):
+        return None
+    lead = _grlex_max(den.terms)
+    lead_c = den.terms[lead]
+    d_rest = [(e, c) for e, c in den.terms.items() if e != lead]
+    quo, rem = {}, dict(num.terms)
+
+    def negkey(exps):
+        return (-sum(exps), tuple(-e for e in exps))
+
+    heap = [negkey(e) for e in rem]
+    heapq.heapify(heap)
+    while heap:
+        nk = heapq.heappop(heap)
+        rlead = tuple(-e for e in nk[1])
+        if rlead not in rem:
+            continue  # stale heap entry
+        qexps = tuple(a - b for a, b in zip(rlead, lead))
+        if not all(lo <= e <= hi for lo, e, hi in zip(lows, qexps, tops)):
+            return None
+        qc = exact_coefficient(Fraction(rem.pop(rlead), lead_c))
+        quo[qexps] = qc
+        for e, c in d_rest:
+            key = tuple(a + b for a, b in zip(e, qexps))
+            s = rem.get(key, 0) - qc * c
+            if s:
+                if key not in rem:
+                    heapq.heappush(heap, negkey(key))
+                rem[key] = s
+            elif key in rem:
+                del rem[key]
+    if rem:
+        return None
+    return LaurentPoly(num.table, quo)
+
+
+def _assert_divides_as_the_reference(n, d):
+    quotient, expected = exact_poly_div(n, d), _heap_exact_poly_div(n, d)
+    if expected is None:
+        assert quotient is None
+    else:
+        assert quotient is not None and quotient.terms == expected.terms
+        assert _well_formed(quotient)
+    return quotient
+
+
+@st.composite
+def divisor_polys(draw):
+    """Two to four terms over the three generators of T, with Fraction
+    coefficients or, half of the time, integer ones (primitive or not)."""
+    coefficients = draw(st.sampled_from([small_fractions, st.integers(min_value=-4, max_value=4)]))
+    exps = draw(
+        st.lists(st.tuples(*[st.integers(min_value=-2, max_value=2)] * 3), min_size=2, max_size=4, unique=True)
+    )
+    return LaurentPoly(T, {e: draw(coefficients.filter(bool)) for e in exps})
+
+
+@given(
+    laurent_polys(),
+    integer_half_third_polys(),
+    divisor_polys(),
+    st.tuples(*[st.integers(min_value=-4, max_value=4)] * 3),
+    integer_half_third.filter(bool),
+)
+@settings(max_examples=200, deadline=None)
+def test_exact_poly_div_agrees_with_the_heap_reference(p, r, q, exps, c):
+    # the same quotient as the graded-lex heap division, or None on both
+    # sides, for a product, a perturbed product and a product by q twice
+    m = LaurentPoly(T, {exps: c})
+    for a in (p, r):
+        assert _assert_divides_as_the_reference(a * q, q) == a
+        _assert_divides_as_the_reference(a * q + m, q)
+        assert _assert_divides_as_the_reference(a * q * q, q) == a * q
+    _assert_divides_as_the_reference(r * q + m, q.scale(2))
+
+
+def test_exact_poly_div_by_a_divisor_that_is_not_primitive():
+    # den(1) = 4 does not divide num(1) = 2, but den's content is 2, so the
+    # quotient 1/2 is not an integer polynomial and the unit point tells nothing
+    x, one = gen("w:a"), LaurentPoly.one(T)
+    assert exact_poly_div(one + x, (one + x).scale(2)) == LaurentPoly.constant(T, Q(1, 2))
+    assert exact_poly_div((one + x) * (one - x), (one + x).scale(-6)) == (one - x).scale(Q(-1, 6))
+
+
+def test_exact_poly_div_without_a_monomial_top_coefficient():
+    # in both generators (1 + x)(1 + y) has the top coefficient 1 + y or 1 + x
+    x, y, one = gen("w:a"), gen("w:b"), LaurentPoly.one(T)
+    d = (one + x) * (one + y)
+    p = x * gen("w:c", -1) + LaurentPoly.monomial(T, Q(2, 3), {"w:b": 2}) - one
+    assert exact_poly_div(d * p, d) == p
+    assert exact_poly_div(d * p + gen("w:c", -1), d) is None
+    for n in (d * p, d * p * d, d * p + x * y, (d * p).scale(3)):
+        _assert_divides_as_the_reference(n, d)
+
+
+def test_exact_poly_div_by_a_divisor_vanishing_at_one():
+    # den(1) = 0 leaves the unit-point test nothing to say
+    x, y, one = gen("w:a"), gen("w:b"), LaurentPoly.one(T)
+    d = x - one
+    assert exact_poly_div(d * (x + y.scale(2)), d) == x + y.scale(2)
+    assert exact_poly_div(x * x + y, d) is None
+    assert exact_poly_div(x * x - y, d) is None
+    assert exact_poly_div(x * y - y, d) == y
+
+
+def test_exact_poly_div_of_an_integer_dividend_that_fails_late():
+    # integer and primitive, a nonempty box, den(1) = 3 divides num(1) = 6,
+    # and still 3x - 3y is left over: the recursion refuses it
+    x, y, one = gen("w:a"), gen("w:b"), LaurentPoly.one(T)
+    d = one + x + y
+    n = d * (one + x) + (x - y).scale(3)
+    assert sum(n.terms.values()) % sum(d.terms.values()) == 0
+    assert exact_poly_div(n, d) is None
+    assert _heap_exact_poly_div(n, d) is None
+    # an integer dividend whose value at 1 the divisor's does not divide
+    assert exact_poly_div(d * (one + x) + one, d) is None
