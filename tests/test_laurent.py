@@ -955,7 +955,8 @@ def test_one_point_pass_refuses_as_a_pass_per_polynomial():
     # a generator one polynomial uses and the point lacks
     with pytest.raises(KeyError, match="no value for generator 'w:c'"):
         point_pass(polys, {"w:a": Q(1), "w:b": Q(2)})
-    # a coordinate off both axes, and a gradient at an imaginary coordinate
+    # a coordinate off both axes, a gradient at an imaginary coordinate and
+    # a float coordinate
     with pytest.raises(TypeError, match="neither real nor on the imaginary axis"):
         point_pass(polys, {"w:a": Q(1), "w:b": GaussianRational(1, 1), "w:c": Q(2)})
     with pytest.raises(TypeError, match="real points"):
@@ -967,7 +968,7 @@ def test_one_point_pass_refuses_as_a_pass_per_polynomial():
         point_pass(polys, {"w:a": Q(1), "w:b": Q(2), "w:c": Q(0)})
     # the same coordinate under non-negative exponents is an ordinary point
     rows = _assert_one_pass_is_many([c * c + a, polys[0], c], {"w:a": Q(1), "w:b": Q(2), "w:c": Q(0)}, True)
-    assert [row[0] for row in rows][2] == 0
+    assert rows[2][0] == 0
     with pytest.raises(ValueError, match="mixed generator tables"):
         point_pass([a, gen("w:x", table=W1)], {"w:a": Q(1), "w:x": Q(1)})
 
