@@ -126,10 +126,10 @@ def cmd_casimirs(args) -> int:
 
 def cmd_geodesic(args) -> int:
     if args.network is not None:
-        from .network import SquareNetwork
+        from .network import square_network
 
         try:
-            net = SquareNetwork(args.network)
+            net = square_network(args.network)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         _write_json(net.to_json(), args.json)

@@ -1,5 +1,9 @@
 """Gaussian rationals: exact field elements a + b*i for rank checks on loci
-where a squared generator must take a negative value."""
+where a squared generator must take a negative value.
+
+One rule types every exact number the program computes: a ``Fraction`` when
+it is real and a ``GaussianRational`` otherwise.  Every arithmetic
+operation below returns its result through ``exact``, which applies it."""
 
 from __future__ import annotations
 
@@ -7,6 +11,10 @@ from fractions import Fraction
 
 
 class GaussianRational:
+    """a + b*i with rational parts.  The program builds one only for b != 0
+    (see ``exact``); one built with b = 0 from outside input still equals,
+    and hashes as, its real part."""
+
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
@@ -17,18 +25,18 @@ class GaussianRational:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return exact(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return exact(-self.re, -self.im)
 
     def __sub__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return exact(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = _coerce(other)
@@ -38,17 +46,15 @@ class GaussianRational:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        return exact(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "GaussianRational":
+    def inverse(self):
         n = self.re * self.re + self.im * self.im
         if not n:
             raise ZeroDivisionError("inverse of zero")
-        return GaussianRational(self.re / n, -self.im / n)
+        return exact(self.re / n, -self.im / n)
 
     def __truediv__(self, other):
         o = _coerce(other)
@@ -61,13 +67,10 @@ class GaussianRational:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        if k == 0:
-            return GaussianRational(1)
-        out = None
-        base = self
+        out, base = Fraction(1), self
         while k:
             if k & 1:
-                out = base if out is None else out * base
+                out = base * out
             k >>= 1
             if k:
                 base = base * base
@@ -88,6 +91,12 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self.re}, {self.im})"
+
+
+def exact(re: Fraction, im: Fraction):
+    """The number re + i*im: ``re`` itself when ``im`` is 0, else a
+    GaussianRational."""
+    return GaussianRational(re, im) if im else re
 
 
 def _part(x) -> Fraction:

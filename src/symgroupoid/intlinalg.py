@@ -23,10 +23,6 @@ class IntMatrix:
         if any(len(row) != self.cols for row in self.entries):
             raise ValueError("ragged rows")
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]

@@ -26,7 +26,7 @@ from math import gcd, lcm
 from operator import add, attrgetter, mul, sub
 from typing import Iterable, Mapping, Sequence
 
-from .gauss import GaussianRational
+from .gauss import GaussianRational, exact
 
 Q = Fraction
 
@@ -346,10 +346,9 @@ class LaurentPoly:
 
     def evaluate(self, point: Mapping[str, object]):
         """Exact value at a point (see ``point_pass`` for the coordinates it takes)."""
-        num, den, ((re, im, gaussian, _),) = point_pass([self], point)
-        if gaussian:
-            return GaussianRational(Fraction(re * num, den), Fraction(im * num, den))
-        return Fraction(re * num, den)
+        num, den, ((re, im, _),) = point_pass([self], point)
+        value = Fraction(re * num, den)
+        return GaussianRational(value, Fraction(im * num, den)) if im else value
 
     # -- serialization -----------------------------------------------------
 
@@ -706,10 +705,9 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
     powers multiply every term in one sweep, and each polynomial owns a
     slice of the terms, its value and partials being sums over that slice.
 
-    Returns ``(num, den, rows)``, one row ``(re, im, gaussian, partials)`` per
+    Returns ``(num, den, rows)``, one row ``(re, im, partials)`` per
     polynomial: its value is ``(re + i*im) * num/den``, with ``re`` and ``im``
-    ints, and it is a GaussianRational exactly when ``gaussian``, that is,
-    when its terms use a coordinate on the imaginary axis.  With
+    ints, so it is real exactly when ``im`` is 0.  With
     ``gradient``, every coordinate in use must be real (else a TypeError),
     and ``partials`` is a list of ints in table order, the Euler partial
     ``w_i * dp/dw_i`` being ``partials[i] * num/den``: the exponent-weighted
@@ -767,7 +765,6 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
         in_use.append((i, col))
     starts = [0, *ends[:-1]]
     ims = [0] * len(polys)
-    gaussian = [False] * len(polys)
     if imaginary:
         re_vals, im_vals = [], []
         for t, quarter in zip(vals, map(sum, zip(*imaginary))):
@@ -781,8 +778,6 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
                 im_vals.append(0)
         vals = re_vals
         ims = _slice_sums(im_vals, starts, ends)
-        # judged per coordinate: exponents that cancel in every term still count
-        gaussian = [any(any(col[s:e]) for col in imaginary) for s, e in zip(starts, ends)]
     partials = [None] * len(polys)
     if gradient:
         # per generator, its exponent-weighted sum over each polynomial's
@@ -791,7 +786,7 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
         for i, col in in_use:
             weighted[i] = _slice_sums(list(map(mul, col, vals)), starts, ends)
         partials = [list(row) for row in zip(*weighted)] if names else [[] for _ in polys]
-    rows = list(zip(_slice_sums(vals, starts, ends), ims, gaussian, partials))
+    rows = list(zip(_slice_sums(vals, starts, ends), ims, partials))
     return num, den, rows
 
 
@@ -855,7 +850,7 @@ def evaluate_rational_fns(fns: Sequence[RationalFn], point: Mapping[str, object]
     The pass's shared scale cancels in each ratio N/D, and in each Euler
     partial ``(E·N·D - N·E·D)/D²`` of the quotient rule (E·N the numerator's
     Euler partial), so every value and partial is one Fraction, or the value
-    one GaussianRational when N or D uses a coordinate on the imaginary axis.
+    one GaussianRational when it is not real.
 
     A zero denominator is a SingularPointError, and so is a zero coordinate
     under a negative exponent of a numerator.  The error names the stored
@@ -870,16 +865,14 @@ def evaluate_rational_fns(fns: Sequence[RationalFn], point: Mapping[str, object]
         _, _, rows = point_pass([p for f in fns for p in _cleared(f)], point, gradient)
     out = []
     for k, f in enumerate(fns):
-        nre, nim, ngauss, npart = rows[2 * k]
-        dre, dim, dgauss, dpart = rows[2 * k + 1]
-        if ngauss or dgauss:
-            norm = dre * dre + dim * dim
-            if not norm:
-                raise SingularPointError(_cleared(f)[1])
-            out.append(GaussianRational(Fraction(nre * dre + nim * dim, norm), Fraction(nim * dre - nre * dim, norm)))
-            continue
-        if not dre:
+        nre, nim, npart = rows[2 * k]
+        dre, dim, dpart = rows[2 * k + 1]
+        if not (dre or dim):
             raise SingularPointError(_cleared(f)[1])
+        if nim or dim:
+            norm = dre * dre + dim * dim
+            out.append(exact(Fraction(nre * dre + nim * dim, norm), Fraction(nim * dre - nre * dim, norm)))
+            continue
         value = Fraction(nre, dre)
         if gradient:
             d2 = dre * dre

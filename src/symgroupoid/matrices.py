@@ -21,7 +21,7 @@ from math import lcm, prod
 from operator import mul
 from typing import Callable, Sequence
 
-from .gauss import GaussianRational
+from .gauss import GaussianRational, exact
 from .intlinalg import IntMatrix, det_bareiss, rank_bareiss, solve_bareiss
 from .laurent import evaluate_rational_fns
 
@@ -405,20 +405,16 @@ def _real_block(rows: list, unknowns: int) -> IntMatrix:
     return IntMatrix(out)
 
 
-def _complex(re: Fraction, im: Fraction):
-    return GaussianRational(re, im) if im else re
-
-
 def _numeric_solve(rows: list, unknowns: int, kind: str, allow_underdetermined: bool = False) -> list:
     """The solutions of A X = B for the numeric augmented rows [A | B], one
     list per column of B: ``intlinalg.solve_bareiss`` on the rows cleared of
-    denominators (on their real block form when ``kind`` is "gaussian", an
-    entry being a GaussianRational when its imaginary part is nonzero)."""
+    denominators (on their real block form when ``kind`` is "gaussian"); an
+    entry is a Fraction when it is real and a GaussianRational otherwise."""
     if kind == "rational":
         d, xs = solve_bareiss(_integer_rows(rows), unknowns, allow_underdetermined)
         return [[Fraction(y, d) for y in x] for x in xs]
     d, xs = solve_bareiss(_real_block(rows, unknowns), 2 * unknowns, allow_underdetermined)
-    return [[_complex(Fraction(u, d), Fraction(v, d)) for u, v in zip(x[::2], x[1::2])] for x in xs]
+    return [[exact(Fraction(u, d), Fraction(v, d)) for u, v in zip(x[::2], x[1::2])] for x in xs]
 
 
 def _rational_product(a: list, b: list) -> list:
@@ -434,42 +430,24 @@ def _rational_product(a: list, b: list) -> list:
 
 def _gaussian_product(a: list, b: list) -> list:
     """A B for numeric entries with GaussianRationals among them, from the
-    four integer products of the real and imaginary parts.  Each entry has
-    the type the entrywise sum of products gives it: a GaussianRational when
-    a nonzero term has a GaussianRational factor, and when no term is
-    nonzero, the type of A's first entry."""
+    four integer products of the real and imaginary parts; each entry is a
+    Fraction when it is real and a GaussianRational otherwise."""
     n = len(a[0])
     a_re, a_im = _parts(a)
     b_re, b_im = _parts([list(col) for col in zip(*b)])
     row_scales, rows = _cleared([r + i for r, i in zip(a_re, a_im)])
     col_scales, cols = _cleared([r + i for r, i in zip(b_re, b_im)])
-    a_nz, a_g = _masks(a)
-    b_nz, b_g = _masks(zip(*b))
-    empty_gaussian = type(a[0][0]) is GaussianRational
     out = []
-    for row, s, nz, g in zip(rows, row_scales, a_nz, a_g):
+    for row, s in zip(rows, row_scales):
         r_re, r_im = row[:n], row[n:]
         out_row = []
-        for col, t, c_nz, c_g in zip(cols, col_scales, b_nz, b_g):
+        for col, t in zip(cols, col_scales):
             c_re, c_im = col[:n], col[n:]
-            re = Fraction(sum(map(mul, r_re, c_re)) - sum(map(mul, r_im, c_im)), s * t)
-            if g & c_nz or nz & c_g or (not nz & c_nz and empty_gaussian):
-                im = Fraction(sum(map(mul, r_re, c_im)) + sum(map(mul, r_im, c_re)), s * t)
-                out_row.append(GaussianRational(re, im))
-            else:
-                out_row.append(re)
+            re = sum(map(mul, r_re, c_re)) - sum(map(mul, r_im, c_im))
+            im = sum(map(mul, r_re, c_im)) + sum(map(mul, r_im, c_re))
+            out_row.append(exact(Fraction(re, s * t), Fraction(im, s * t)))
         out.append(out_row)
     return out
-
-
-def _masks(rows) -> tuple:
-    """Per row, the bit masks of its nonzero entries and of its nonzero
-    GaussianRationals."""
-    nz, g = [], []
-    for row in rows:
-        nz.append(sum(1 << k for k, x in enumerate(row) if x))
-        g.append(sum(1 << k for k, x in enumerate(row) if x and type(x) is GaussianRational))
-    return nz, g
 
 
 def charpoly_is_palindromic(coeffs: list) -> bool:

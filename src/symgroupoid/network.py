@@ -21,6 +21,7 @@ edges and face centers) are stored as ``int`` counts of half-units;
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -271,6 +272,14 @@ class SquareNetwork:
             "regions": regions,
             "quiver": self.quiver.to_json(),
         }
+
+
+@functools.cache
+def square_network(n: int) -> SquareNetwork:
+    """The size-n network, built once per process and shared: a network is
+    never written after construction (``path_sums`` only keeps what it
+    derives), so every caller may read the same one."""
+    return SquareNetwork(n)
 
 
 def _half_units(x: int) -> str:

@@ -23,7 +23,7 @@ from .groupoid import (
 )
 from .laurent import GeneratorTable, Q, RationalFn, evaluate_rational_fns
 from .matrices import MatrixRF
-from .network import SquareNetwork, enumerate_paths_dfs, path_sum_bruteforce
+from .network import enumerate_paths_dfs, path_sum_bruteforce, square_network
 from .quiver import (
     Jet,
     Quiver,
@@ -413,7 +413,7 @@ for _n in (2, 3, 4, 5):
 
 @check("reflection", "network_term_counts_n4", "size-four entries have 5/6/17/7 terms")
 def path_counts(rng_seed):
-    net = SquareNetwork(4)
+    net = square_network(4)
     want = {(1, 2): 5, (2, 3): 6, (2, 4): 17, (3, 4): 7}
     for (i, j), count in want.items():
         f = net.path_sum_entry(i, j)
@@ -430,7 +430,7 @@ def path_counts(rng_seed):
     "the seventeen-term entry matches its published grouping after expansion",
 )
 def a24_verbatim(rng_seed):
-    net = SquareNetwork(4)
+    net = square_network(4)
     t = net.table
     gen = lambda v, p=1: RationalFn.generator(t, wname(v), p)
     one = RationalFn.constant(t, 1)
@@ -476,7 +476,7 @@ def a24_verbatim(rng_seed):
 )
 def oracle_agreement(rng_seed):
     for n in (3, 4, 5):
-        net = SquareNetwork(n)
+        net = square_network(n)
         for i in range(1, n):
             for j in range(i + 1, n + 1):
                 f = net.path_sum_entry(i, j)
@@ -492,7 +492,7 @@ def oracle_agreement(rng_seed):
 @check("reflection", "network_reciprocal_extremes", "each entry contains two mutually reciprocal extreme monomials")
 def reciprocal_extremes(rng_seed):
     for n in (3, 4, 5):
-        net = SquareNetwork(n)
+        net = square_network(n)
         for i in range(1, n):
             for j in range(i + 1, n + 1):
                 la = net.path_sum_entry(i, j).as_laurent()
@@ -505,7 +505,7 @@ def reciprocal_extremes(rng_seed):
 
 @check("reflection", "reflection_twin_commutation_n3", "all nine pairs of mirror entries commute symbolically (n = 3)")
 def twin_commutation_symbolic(rng_seed):
-    net = SquareNetwork(3)
+    net = square_network(3)
     for i in range(1, 3):
         for j in range(i + 1, 4):
             for k in range(1, 3):
@@ -526,7 +526,7 @@ def twin_commutation_symbolic(rng_seed):
     "both unipotent forms satisfy the r-matrix reflection identity at five points",
 )
 def reflection_equation_n3(rng_seed):
-    net = SquareNetwork(3)
+    net = square_network(3)
     a, at = net.assemble_A()
     rng = random.Random(rng_seed)
     for rep in range(5):
@@ -544,7 +544,7 @@ def reflection_equation_n3(rng_seed):
     "both size-four forms satisfy the r-matrix reflection identity at two points",
 )
 def reflection_equation_n4_points(rng_seed):
-    net = SquareNetwork(4)
+    net = square_network(4)
     a, at = net.assemble_A()
     rng = random.Random(rng_seed + 4)
     n = 4
@@ -563,7 +563,7 @@ def reflection_equation_n4_points(rng_seed):
 
 @check("reflection", "reflection_twin_commutation_n4", "mirror entries commute at random points (n = 4)")
 def twin_commutation_n4_points(rng_seed):
-    net = SquareNetwork(4)
+    net = square_network(4)
     a, at = net.assemble_A()
     rng = random.Random(rng_seed + 1)
     entries = [(i, j) for i in range(4) for j in range(i + 1, 4)]
@@ -581,7 +581,7 @@ def twin_commutation_n4_points(rng_seed):
 @check("reflection", "network_skein_consistency", "long entries satisfy the crossing resolution of consecutive entries")
 def skein_consistency(rng_seed):
     for n in (3, 4):
-        net = SquareNetwork(n)
+        net = square_network(n)
         for side in ("A", "Atilde"):
             for i in range(1, n - 1):
                 x = net.path_sum_entry(i, i + 1, side)
@@ -595,7 +595,7 @@ def skein_consistency(rng_seed):
 @check("reflection", "network_entry_bound", "normalized entries exceed two at a hundred positive points")
 def entry_bound(rng_seed):
     rng = random.Random(rng_seed + 2)
-    net = SquareNetwork(4)
+    net = square_network(4)
     for _ in range(100):
         pt = _positive_point(net.table, rng, 1, 50)
         i = rng.randint(1, 3)
@@ -653,7 +653,7 @@ def markov_commutes(rng_seed):
 def catalog_chart_consistency(rng_seed):
     # the telescopic catalog transports correctly along the chart chain
     orig = build_surface("genus2_original")
-    net = SquareNetwork(3)
+    net = square_network(3)
     latmap = {"s1": "b", "s2": "d", "f1": "e", "f2": "f", "R2_2": "c", "L1_1": "a"}
     bind = {wname(k): RationalFn.generator(orig.seed.frame, wname(v)) for k, v in latmap.items()}
     k33seed = mutate(orig.seed, "f")

@@ -428,7 +428,9 @@ def braid_twist(seed: Seed, chain: Sequence[str], mode: str = "mutation_sequence
     The chain lists the cycle vertices z_1 .. z_{2n-2}; the mutation
     realization is the palindrome through z_2 .. z_{2n-2} .. z_2 followed by
     the relabeling of the two chain endpoints (the palindrome alone returns
-    the quiver with those two labels exchanged).
+    the quiver with those two labels exchanged).  The closed form covers the
+    chain and its side vertices only: a chain with a twist vertex (see
+    ``locate_flanking``) is a ChainPatternError there.
     """
     m = len(chain)
     if mode == "mutation_sequence":
@@ -438,6 +440,8 @@ def braid_twist(seed: Seed, chain: Sequence[str], mode: str = "mutation_sequence
         raise ValueError(f"unknown mode {mode!r}")
 
     flank = locate_flanking(seed, chain)
+    if flank["twist"] is not None:
+        raise ChainPatternError(f"no closed form at the twist vertex {flank['twist']}; use the mutation sequence")
     q = seed.quiver
     values = dict(seed.values)
     z = {k + 1: seed.values[v] for k, v in enumerate(chain)}
@@ -465,9 +469,6 @@ def braid_twist(seed: Seed, chain: Sequence[str], mode: str = "mutation_sequence
     for k in range(1, m - 1):
         b = flank[k]
         new[b] = seed.values[b] * eta[k] * eta[k + 2].inverse()
-    if flank["twist"] is not None:
-        tv = flank["twist"]
-        new[tv] = seed.values[tv] * eta[1] * eta[m - 1] * (eta[2] * z[1] * z[m]).inverse()
     values.update(new)
     return Seed(q, values, seed.frame)
 

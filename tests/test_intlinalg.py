@@ -164,7 +164,7 @@ def test_kernel_basis_saturates_the_rational_lattice():
 
 
 def test_kernel_basis_of_zero_and_empty_matrices():
-    assert kernel_basis(IntMatrix.zero(2, 3)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert kernel_basis(IntMatrix([[0] * 3 for _ in range(2)])) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert kernel_basis(IntMatrix([])) == []
     assert rank_bareiss(IntMatrix([])) == 0
 
@@ -177,7 +177,7 @@ def test_int_matrix_rejects_inexact_entries(bad):
     # int(x) used to truncate: IntMatrix([[Fraction(1, 2), 2.7]]) was [[0, 2]]
     with pytest.raises(TypeError):
         IntMatrix([[1, bad]])
-    m = IntMatrix.zero(1, 2)
+    m = IntMatrix([[0, 0]])
     with pytest.raises(TypeError):
         m[0, 1] = bad
     assert m == IntMatrix([[0, 0]])
@@ -236,7 +236,7 @@ def test_det_bareiss_matches_leibniz_and_row_swaps(rows, rng):
 
 def test_det_bareiss_edge_cases():
     assert det_bareiss(IntMatrix([[0, 1], [1, 0]])) == -1
-    assert det_bareiss(IntMatrix.zero(3, 3)) == 0
+    assert det_bareiss(IntMatrix([[0] * 3 for _ in range(3)])) == 0
     assert det_bareiss(IntMatrix([[1, 2], [2, 4]])) == 0
     assert det_bareiss(IntMatrix([])) == 1
     with pytest.raises(ValueError):

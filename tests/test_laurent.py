@@ -681,8 +681,8 @@ coordinates = st.one_of(
 
 def _pass_values(p, point):
     """The value and Euler gradient of p at a real point, read off one point_pass."""
-    num, den, ((re, im, gaussian, partials),) = point_pass([p], point, gradient=True)
-    assert not (im or gaussian)
+    num, den, ((re, im, partials),) = point_pass([p], point, gradient=True)
+    assert not im
     return Fraction(re * num, den), [Fraction(x * num, den) for x in partials]
 
 
@@ -715,6 +715,12 @@ def _gaussian_reference(p, point):
     return total
 
 
+def _follows_the_rule(value):
+    """An exact value is a Fraction when it is real and a GaussianRational
+    otherwise."""
+    return bool(value.im) if isinstance(value, GaussianRational) else type(value) is Fraction
+
+
 nonzero_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=9).filter(bool)
 
 # the coordinates a point may have: real, given as a Fraction or as a
@@ -739,11 +745,12 @@ def test_evaluate_matches_gaussian_reference(p, coords):
         return
     value = p.evaluate(point)
     assert value == expected
-    # a Gaussian value only where the terms use a coordinate off the real line
+    # a Gaussian value exactly where the value is not real, even where the
+    # terms use a coordinate off the real line
+    assert _follows_the_rule(value)
     nonreal = {
         i for i, v in enumerate(coords) if isinstance(v, GaussianRational) and v.im and any(e[i] for e in p.terms)
     }
-    assert isinstance(value, GaussianRational) == bool(nonreal)
     if not nonreal:
         expected_grads = [point[n] * _gaussian_reference(p.derivative(n), point) for n in T.names]
         assert _pass_values(p, point) == (expected, expected_grads)
@@ -811,9 +818,10 @@ def test_euler_gradient_at_a_gaussian_point():
         point_pass([p], point, gradient=True)
     with pytest.raises(TypeError, match="real points"):
         evaluate_rational_fns([f], point, gradient=True)
-    # the values there are exact: (i/2)² · 2 + 3 = 5/2, over 3
-    assert p.evaluate(point) == GaussianRational(Q(5, 2))
-    assert evaluate_rational_fns([f], point) == [GaussianRational(Q(5, 6))]
+    # the values there are exact and real: (i/2)² · 2 + 3 = 5/2, over 3
+    (value,) = evaluate_rational_fns([f], point)
+    assert p.evaluate(point) == Q(5, 2) and type(p.evaluate(point)) is Fraction
+    assert value == Q(5, 6) and type(value) is Fraction
     # a gradient whose terms use only real coordinates is taken as usual
     assert _pass_values(gen("w:b") * gen("w:c"), point) == (Q(6), [Q(0), Q(6), Q(6)])
 
@@ -884,8 +892,8 @@ def test_rational_evaluate_makes_one_point_pass(monkeypatch):
 
 
 def _row_value(num, den, row):
-    re, im, gaussian, partials = row
-    value = GaussianRational(Fraction(re * num, den), Fraction(im * num, den)) if gaussian else Fraction(re * num, den)
+    re, im, partials = row
+    value = GaussianRational(Fraction(re * num, den), Fraction(im * num, den)) if im else Fraction(re * num, den)
     return value, partials and [Fraction(x * num, den) for x in partials]
 
 
@@ -897,9 +905,9 @@ def _assert_one_pass_is_many(polys, point, gradient=False):
     for p, row in zip(polys, rows):
         value, partials = _row_value(num, den, row)
         n1, d1, (alone,) = point_pass([p], point, gradient)
-        assert row[2] == alone[2]
         assert (value, partials) == _row_value(n1, d1, alone)
         assert value == _gaussian_reference(p, point)
+        assert _follows_the_rule(value)
         if gradient:
             assert partials == [point[n] * _gaussian_reference(p.derivative(n), point) for n in T.names]
     return rows
@@ -934,18 +942,19 @@ def test_one_point_pass_shares_columns_across_polynomials():
     ]
     real = {"w:a": Q(2, 3), "w:b": Q(-5), "w:c": Q(7, 2)}
     rows = _assert_one_pass_is_many(polys, real, gradient=True)
-    assert rows[2] == (0, 0, False, [0, 0, 0])
+    assert rows[2] == (0, 0, [0, 0, 0])
     mixed = dict(real, **{"w:c": GaussianRational(0, Q(2, 3))})
     rows = _assert_one_pass_is_many(polys, mixed)
-    assert [row[2] for row in rows] == [True, False, False, False, True]
-    assert rows[2] == (0, 0, False, None)
+    assert [bool(row[1]) for row in rows] == [True, False, False, False, True]
+    assert rows[2] == (0, 0, None)
     # w:b and w:c both on the imaginary axis, with exponents that cancel in
-    # every term: the value is real, yet the polynomial uses them
+    # every term: the polynomial uses them, yet its value is real, a Fraction
     axis = {"w:a": Q(3), "w:b": GaussianRational(0, Q(1, 2)), "w:c": GaussianRational(0, 3)}
     cancel = b * gen("w:c", -1) + (b * b * gen("w:c", -2)).scale(2) + a
     rows = _assert_one_pass_is_many([a + one, cancel, LaurentPoly.zero(T)], axis)
-    assert [row[2] for row in rows] == [False, True, False]
-    assert rows[1][1] == 0 and cancel.evaluate(axis) == GaussianRational(Q(1, 6) + Q(2, 36) + 3)
+    assert [bool(row[1]) for row in rows] == [False, False, False]
+    value = cancel.evaluate(axis)
+    assert value == Q(1, 6) + Q(2, 36) + 3 and type(value) is Fraction
 
 
 def test_one_point_pass_refuses_as_a_pass_per_polynomial():

@@ -77,7 +77,7 @@ def test_published_monomials_project_to_amalgamated_casimirs():
 def test_zero_quiver_all_singletons():
     from symgroupoid.intlinalg import IntMatrix
 
-    q = Quiver(["x", "y", "z"], IntMatrix.zero(3, 3))
+    q = Quiver(["x", "y", "z"], IntMatrix([[0] * 3 for _ in range(3)]))
     assert corank(q) == 3
     assert len(monomial_casimirs(q)) == 3
 

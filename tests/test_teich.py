@@ -12,6 +12,7 @@ from symgroupoid.matrices import MatrixRF
 from symgroupoid.quiver import Seed, apply_sequence, mutate, poisson_bracket, wname
 from symgroupoid.suites import unit_count
 from symgroupoid.teich import (
+    ChainPatternError,
     SkeinInconsistency,
     braid_twist,
     build_surface,
@@ -304,6 +305,21 @@ def test_braid_twist_modes_small():
         assert sm.values[v].as_rational() == sc.values[v].as_rational()
     g = telescopic(chain, model.seed)
     assert telescopic(chain, sm) == g
+
+
+def test_closed_form_twist_refuses_a_twist_vertex():
+    # the G_B chain a1, at of the size-five chart has the twist vertex a2, where
+    # the closed form gave w:a2²·(1 + w:at²)²/(w:a1²·w:at²) against the mutation
+    # sequence's w:a2² + w:a2²·w:at² (the image genus4_twist_realization uses)
+    model = build_surface("genus4_n5")
+    chain = list(surfaces.GENUS4_N5_CATALOG["G_B"])
+    assert locate_flanking(model.seed, chain)["twist"] == "a2"
+    za2 = RationalFn.generator(model.seed.frame, wname("a2"), 2)
+    zat = RationalFn.generator(model.seed.frame, wname("at"), 2)
+    sm = braid_twist(model.seed, chain, "mutation_sequence")
+    assert sm.value("a2") == za2 + za2 * zat
+    with pytest.raises(ChainPatternError, match="twist vertex a2"):
+        braid_twist(model.seed, chain, "closed_form")
 
 
 def test_extended_mutation_values():
