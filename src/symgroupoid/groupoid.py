@@ -317,12 +317,19 @@ def solve_unipotent_A(b: MatrixRF) -> dict:
 
 
 def leaf_diagnostics(a: MatrixRF) -> dict:
-    """Rank and spectrum data of a unipotent form at a rational point: the rank
-    of A + A^T, the characteristic polynomial of A^-T A, its palindromy, and the
-    multiplicity of the eigenvalue -1 against the count expected on a leaf."""
-    if not a.is_unipotent_upper():
-        raise ValueError("matrix must be unipotent upper-triangular")
+    """Rank and spectrum data of a form at a rational point: the rank of
+    A + A^T, the characteristic polynomial of A^-T A, its palindromy, and the
+    multiplicity of the eigenvalue -1 against the count expected on a leaf.
+
+    A is upper-triangular with each diagonal entry 1 or -1: a unipotent form,
+    or its congruence D A D by a diagonal D of fourth roots of unity (which
+    can make real a form evaluated off the real line).  The congruence keeps
+    the rank of A + A^T, and it conjugates A^-T A by D, so it keeps the
+    spectrum."""
     n = a.rows
+    one = a._one() if n else None
+    if not n or n != a.cols or not a.is_upper_triangular() or any(a[k, k] != one and a[k, k] != -one for k in range(n)):
+        raise ValueError("matrix must be square, upper-triangular, with diagonal entries 1 or -1")
     sym = a + a.transpose()
     rank = sym.rank()
     at_inv = a.transpose().inverse()

@@ -26,8 +26,6 @@ from math import gcd, lcm
 from operator import add, attrgetter, mul, sub
 from typing import Iterable, Mapping, Sequence
 
-from .gauss import GaussianRational, exact
-
 Q = Fraction
 
 
@@ -346,9 +344,8 @@ class LaurentPoly:
 
     def evaluate(self, point: Mapping[str, object]):
         """Exact value at a point (see ``point_pass`` for the coordinates it takes)."""
-        num, den, ((re, im, _),) = point_pass([self], point)
-        value = Fraction(re * num, den)
-        return GaussianRational(value, Fraction(im * num, den)) if im else value
+        num, den, ((value, _),) = point_pass([self], point)
+        return Fraction(value * num, den)
 
     # -- serialization -----------------------------------------------------
 
@@ -684,34 +681,27 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
     """Values (and Euler partials) of polynomials over one table at one point,
     from one pass over their terms in integers.
 
-    A coordinate is real (an int, a Fraction, or a GaussianRational with
-    imaginary part 0) or on the imaginary axis (a GaussianRational with real
-    part 0); one with both parts nonzero is a TypeError.  With ``w_i = a/b``,
-    or ``w_i = i*a/b`` on the imaginary axis, and ``lo`` and ``hi`` the
-    lowest and highest exponent of ``w_i`` over the terms of all the
-    polynomials, ``(a/b)**e = a**(e-lo) * b**(hi-e) * a**lo / b**hi``: one
-    integer table per generator, shared by every polynomial, makes every term
-    an integer, up to one scale shared by all terms, once the coefficients
-    are over their lcm.  A table holds the exponents that occur, so its size
-    follows them and not the span ``hi - lo``.  A zero coordinate takes the
-    table of ``a = 0`` with ``lo`` raised to 0, which keeps the scale
-    nonzero; under a negative exponent it is a ZeroDivisionError.  On the
-    imaginary axis, ``i**e``, with e summed over such coordinates and taken
-    mod 4, picks the sign of a term and whether it goes to the real or the
-    imaginary sum.
+    A coordinate is an int (not a bool) or a Fraction; anything else is a
+    TypeError.  With ``w_i = a/b`` and ``lo`` and ``hi`` the lowest and
+    highest exponent of ``w_i`` over the terms of all the polynomials,
+    ``(a/b)**e = a**(e-lo) * b**(hi-e) * a**lo / b**hi``: one integer table
+    per generator, shared by every polynomial, makes every term an integer,
+    up to one scale shared by all terms, once the coefficients are over
+    their lcm.  A table holds the exponents that occur, so its size follows
+    them and not the span ``hi - lo``.  A zero coordinate takes the table of
+    ``a = 0`` with ``lo`` raised to 0, which keeps the scale nonzero; under a
+    negative exponent it is a ZeroDivisionError.
 
     The pass runs over the terms of all the polynomials at once, one
     generator at a time: each generator's exponents form one column, whose
     powers multiply every term in one sweep, and each polynomial owns a
     slice of the terms, its value and partials being sums over that slice.
 
-    Returns ``(num, den, rows)``, one row ``(re, im, partials)`` per
-    polynomial: its value is ``(re + i*im) * num/den``, with ``re`` and ``im``
-    ints, so it is real exactly when ``im`` is 0.  With
-    ``gradient``, every coordinate in use must be real (else a TypeError),
-    and ``partials`` is a list of ints in table order, the Euler partial
-    ``w_i * dp/dw_i`` being ``partials[i] * num/den``: the exponent-weighted
-    sum of the same terms.  Otherwise it is None.
+    Returns ``(num, den, rows)``, one row ``(value, partials)`` per
+    polynomial: its value is ``value * num/den``, with ``value`` an int.
+    With ``gradient``, ``partials`` is a list of ints in table order, the
+    Euler partial ``w_i * dp/dw_i`` being ``partials[i] * num/den``: the
+    exponent-weighted sum of the same terms.  Otherwise it is None.
     """
     if not polys:
         return 1, 1, []
@@ -727,7 +717,6 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
     vals = coeffs if lcd == 1 else [c.numerator * (lcd // c.denominator) for c in coeffs]
     num, den = 1, lcd
     in_use = []  # (table index, exponent column) of each coordinate the terms use
-    imaginary = []  # the exponent columns of the coordinates w = i*a/b in use
     for i, col in enumerate(zip(*exps)):
         present = set(col)
         if not any(present):
@@ -735,16 +724,8 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
         if names[i] not in point:
             raise KeyError(f"no value for generator {names[i]!r}")
         v = point[names[i]]
-        if isinstance(v, GaussianRational):
-            if v.re and v.im:
-                raise TypeError(f"{names[i]} = {v!r} is neither real nor on the imaginary axis")
-            if v.im:
-                if gradient:
-                    raise TypeError(f"Euler gradients are taken at real points, not at {names[i]} = {v!r}")
-                imaginary.append(col)
-            v = v.im or v.re
-        elif not isinstance(v, (int, Fraction)):
-            raise TypeError(f"{names[i]} = {v!r} is not an exact (Gaussian) rational")
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise TypeError(f"{names[i]} = {v!r} is not an exact rational")
         a, b = v.numerator, v.denominator
         lo, hi = min(present), max(present)
         if not a:
@@ -764,20 +745,6 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
             vals = list(map(mul, vals, map(powers.__getitem__, col)))
         in_use.append((i, col))
     starts = [0, *ends[:-1]]
-    ims = [0] * len(polys)
-    if imaginary:
-        re_vals, im_vals = [], []
-        for t, quarter in zip(vals, map(sum, zip(*imaginary))):
-            if quarter & 2:
-                t = -t
-            if quarter & 1:
-                re_vals.append(0)
-                im_vals.append(t)
-            else:
-                re_vals.append(t)
-                im_vals.append(0)
-        vals = re_vals
-        ims = _slice_sums(im_vals, starts, ends)
     partials = [None] * len(polys)
     if gradient:
         # per generator, its exponent-weighted sum over each polynomial's
@@ -786,8 +753,7 @@ def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradie
         for i, col in in_use:
             weighted[i] = _slice_sums(list(map(mul, col, vals)), starts, ends)
         partials = [list(row) for row in zip(*weighted)] if names else [[] for _ in polys]
-    rows = list(zip(_slice_sums(vals, starts, ends), ims, partials))
-    return num, den, rows
+    return num, den, list(zip(_slice_sums(vals, starts, ends), partials))
 
 
 def _slice_sums(terms: list, starts: list, ends: list) -> list:
@@ -845,12 +811,11 @@ def _cleared(f: RationalFn) -> tuple:
 def evaluate_rational_fns(fns: Sequence[RationalFn], point: Mapping[str, object], gradient: bool = False) -> list:
     """The values of rational functions at a point, from one ``point_pass``
     over every numerator and denominator; with ``gradient``, one pair
-    ``(value, euler_gradient)`` per function, at a real point only.
+    ``(value, euler_gradient)`` per function.
 
     The pass's shared scale cancels in each ratio N/D, and in each Euler
     partial ``(E·N·D - N·E·D)/D²`` of the quotient rule (E·N the numerator's
-    Euler partial), so every value and partial is one Fraction, or the value
-    one GaussianRational when it is not real.
+    Euler partial), so every value and partial is one Fraction.
 
     A zero denominator is a SingularPointError, and so is a zero coordinate
     under a negative exponent of a numerator.  The error names the stored
@@ -865,18 +830,14 @@ def evaluate_rational_fns(fns: Sequence[RationalFn], point: Mapping[str, object]
         _, _, rows = point_pass([p for f in fns for p in _cleared(f)], point, gradient)
     out = []
     for k, f in enumerate(fns):
-        nre, nim, npart = rows[2 * k]
-        dre, dim, dpart = rows[2 * k + 1]
-        if not (dre or dim):
+        nv, npart = rows[2 * k]
+        dv, dpart = rows[2 * k + 1]
+        if not dv:
             raise SingularPointError(_cleared(f)[1])
-        if nim or dim:
-            norm = dre * dre + dim * dim
-            out.append(exact(Fraction(nre * dre + nim * dim, norm), Fraction(nim * dre - nre * dim, norm)))
-            continue
-        value = Fraction(nre, dre)
+        value = Fraction(nv, dv)
         if gradient:
-            d2 = dre * dre
-            value = value, [Fraction(a * dre - nre * b, d2) for a, b in zip(npart, dpart)]
+            d2 = dv * dv
+            value = value, [Fraction(a * dv - nv * b, d2) for a, b in zip(npart, dpart)]
         out.append(value)
     return out
 

@@ -4,14 +4,12 @@ Entries only need ``+ - * /``, equality with each other, a truth value that
 is false exactly at zero, and an ``inverse`` through ``1/x`` or division.  Everything is written for the small
 sizes appearing here (n <= 9), favoring exactness over asymptotics.
 
-Numeric matrices (``int``, ``Fraction`` and ``GaussianRational`` entries) do
-their product, ``solve``, ``inverse``, ``rank`` and (without Gaussian entries)
-``det`` in integers.  Each row is cleared of denominators (each column, for a
-product's right factor); a product is integer dot products, and the rest is
-``intlinalg``'s one Bareiss elimination, on the real block form of a Gaussian
-matrix R + iI.  The only ``Fraction`` or ``GaussianRational`` built is each
-output entry.  Other entries take the field path: ``row_reduce`` and the
-subset-DP determinant.
+Rational matrices (``int`` and ``Fraction`` entries) do their product,
+``solve``, ``inverse``, ``rank`` and ``det`` in integers.  Each row is cleared
+of denominators (each column, for a product's right factor); a product is
+integer dot products, and the rest is ``intlinalg``'s one Bareiss
+elimination.  The only ``Fraction`` built is each output entry.  Other
+entries take the field path: ``row_reduce`` and the subset-DP determinant.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from math import lcm, prod
 from operator import mul
 from typing import Callable, Sequence
 
-from .gauss import GaussianRational, exact
 from .intlinalg import IntMatrix, det_bareiss, rank_bareiss, solve_bareiss
 from .laurent import evaluate_rational_fns
 
@@ -60,13 +57,12 @@ def solve(mat: Sequence[Sequence], vec: Sequence, allow_underdetermined: bool = 
     Raises ``ZeroDivisionError`` on an inconsistent system (a pivot in the
     augmented column) and, unless ``allow_underdetermined``, on one without a
     pivot in every unknown's column; with it, free unknowns are zero.
-    Numeric systems are solved in integers (``_numeric_solve``).
+    Rational systems are solved in integers (``_rational_solve``).
     """
     n = len(mat[0]) if mat else 0
     rows = [list(row) + [v] for row, v in zip(mat, vec)]
-    kind = _numeric_kind(rows) if n else None
-    if kind:
-        return _numeric_solve(rows, n, kind, allow_underdetermined)[0]
+    if n and _is_rational(rows):
+        return _rational_solve(rows, n, allow_underdetermined)[0]
     pivots = row_reduce(rows, n + 1)
     if pivots and pivots[-1] == n:
         raise ZeroDivisionError("inconsistent linear system")
@@ -112,12 +108,8 @@ class MatrixRF:
     def __mul__(self, other: "MatrixRF") -> "MatrixRF":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        if self.rows and self.cols and other.cols:
-            kind = _numeric_kind(self.entries + other.entries)
-            if kind == "rational":
-                return MatrixRF(_rational_product(self.entries, other.entries))
-            if kind == "gaussian":
-                return MatrixRF(_gaussian_product(self.entries, other.entries))
+        if self.rows and self.cols and other.cols and _is_rational(self.entries + other.entries):
+            return MatrixRF(_rational_product(self.entries, other.entries))
         out = []
         for i in range(self.rows):
             row = []
@@ -184,7 +176,7 @@ class MatrixRF:
             raise ValueError("determinant of a non-square matrix")
         if n == 0:
             raise ValueError("empty matrix")
-        if _numeric_kind(self.entries) == "rational":
+        if _is_rational(self.entries):
             scales, rows = _cleared(self.entries)
             return Fraction(det_bareiss(IntMatrix(rows)), prod(scales))
         return _subset_det(self.entries, self._zero())
@@ -193,11 +185,10 @@ class MatrixRF:
         n = self.rows
         if n != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        kind = _numeric_kind(self.entries)
-        if kind:
+        if _is_rational(self.entries):
             rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.entries)]
             try:
-                columns = _numeric_solve(rows, n, kind)
+                columns = _rational_solve(rows, n)
             except ZeroDivisionError:
                 raise ZeroDivisionError("singular matrix") from None
             return MatrixRF([list(row) for row in zip(*columns)])
@@ -208,16 +199,12 @@ class MatrixRF:
         return MatrixRF([row[n:] for row in rows])
 
     def rank(self) -> int:
-        """Rank over the entries' field.  Numeric entries (ints, Fractions and
-        GaussianRationals) go to the fraction-free ``rank_bareiss`` once each
-        row is cleared of denominators: R + iI has half the rank of its real
-        block form.  Other entries go to ``row_reduce``."""
+        """Rank over the entries' field.  Rational entries (ints and Fractions)
+        go to the fraction-free ``rank_bareiss`` once each row is cleared of
+        denominators.  Other entries go to ``row_reduce``."""
         rows = self.entries
-        kind = _numeric_kind(rows)
-        if kind == "rational":
+        if _is_rational(rows):
             return rank_bareiss(_integer_rows(rows))
-        if kind == "gaussian":
-            return rank_bareiss(_real_block(rows, self.cols)) // 2
         return len(row_reduce(list(rows), self.cols))
 
     def charpoly(self) -> list:
@@ -348,17 +335,10 @@ def _subset_det(rows: list, zero):
     return prev[full]
 
 
-_RATIONAL = {int, Fraction}
-_NUMERIC = {int, Fraction, GaussianRational}
-
-
-def _numeric_kind(rows: list) -> str | None:
-    """"rational" when every entry is an int or a Fraction, "gaussian" when
-    GaussianRationals join them, None for any other entry or for no entry."""
+def _is_rational(rows: list) -> bool:
+    """Whether there are entries and every one is an int or a Fraction."""
     types = {type(x) for row in rows for x in row}
-    if not types or not types <= _NUMERIC:
-        return None
-    return "rational" if types <= _RATIONAL else "gaussian"
+    return bool(types) and types <= {int, Fraction}
 
 
 def _cleared(rows: list) -> tuple:
@@ -376,45 +356,12 @@ def _integer_rows(rows: list) -> IntMatrix:
     return IntMatrix(_cleared(rows)[1])
 
 
-def _parts(rows: list) -> tuple:
-    """The real and the imaginary parts of numeric rows, as rows of ints and Fractions."""
-    re = [[x.re if type(x) is GaussianRational else x for x in row] for row in rows]
-    im = [[x.im if type(x) is GaussianRational else 0 for x in row] for row in rows]
-    return re, im
-
-
-def _real_block(rows: list, unknowns: int) -> IntMatrix:
-    """The real form of numeric rows R + iI, each row cleared of the
-    denominators of both parts: it gives the rows of its real and of its
-    imaginary part.  Each of the first ``unknowns`` columns j (an unknown
-    x_j = u_j + i v_j) becomes the column pair (R_j over I_j, -I_j over R_j),
-    so the pivot columns come in pairs, those of the complex pivot columns,
-    and free unknowns zero here are free unknowns zero there; each later
-    column stays one column, R_j over I_j."""
-    n = len(rows[0])
-    re, im = _parts(rows)
-    out = []
-    for row in _cleared([r + i for r, i in zip(re, im)])[1]:
-        r, i = row[:n], row[n:]
-        top, bottom = [], []
-        for j in range(unknowns):
-            top += [r[j], -i[j]]
-            bottom += [i[j], r[j]]
-        out.append(top + r[unknowns:])
-        out.append(bottom + i[unknowns:])
-    return IntMatrix(out)
-
-
-def _numeric_solve(rows: list, unknowns: int, kind: str, allow_underdetermined: bool = False) -> list:
-    """The solutions of A X = B for the numeric augmented rows [A | B], one
-    list per column of B: ``intlinalg.solve_bareiss`` on the rows cleared of
-    denominators (on their real block form when ``kind`` is "gaussian"); an
-    entry is a Fraction when it is real and a GaussianRational otherwise."""
-    if kind == "rational":
-        d, xs = solve_bareiss(_integer_rows(rows), unknowns, allow_underdetermined)
-        return [[Fraction(y, d) for y in x] for x in xs]
-    d, xs = solve_bareiss(_real_block(rows, unknowns), 2 * unknowns, allow_underdetermined)
-    return [[exact(Fraction(u, d), Fraction(v, d)) for u, v in zip(x[::2], x[1::2])] for x in xs]
+def _rational_solve(rows: list, unknowns: int, allow_underdetermined: bool = False) -> list:
+    """The solutions of A X = B for the rational augmented rows [A | B], one
+    list of Fractions per column of B: ``intlinalg.solve_bareiss`` on the
+    rows cleared of denominators."""
+    d, xs = solve_bareiss(_integer_rows(rows), unknowns, allow_underdetermined)
+    return [[Fraction(y, d) for y in x] for x in xs]
 
 
 def _rational_product(a: list, b: list) -> list:
@@ -426,28 +373,6 @@ def _rational_product(a: list, b: list) -> list:
         [Fraction(sum(map(mul, row, col)), s * t) for col, t in zip(cols, col_scales)]
         for row, s in zip(rows, row_scales)
     ]
-
-
-def _gaussian_product(a: list, b: list) -> list:
-    """A B for numeric entries with GaussianRationals among them, from the
-    four integer products of the real and imaginary parts; each entry is a
-    Fraction when it is real and a GaussianRational otherwise."""
-    n = len(a[0])
-    a_re, a_im = _parts(a)
-    b_re, b_im = _parts([list(col) for col in zip(*b)])
-    row_scales, rows = _cleared([r + i for r, i in zip(a_re, a_im)])
-    col_scales, cols = _cleared([r + i for r, i in zip(b_re, b_im)])
-    out = []
-    for row, s in zip(rows, row_scales):
-        r_re, r_im = row[:n], row[n:]
-        out_row = []
-        for col, t in zip(cols, col_scales):
-            c_re, c_im = col[:n], col[n:]
-            re = sum(map(mul, r_re, c_re)) - sum(map(mul, r_im, c_im))
-            im = sum(map(mul, r_re, c_im)) + sum(map(mul, r_im, c_re))
-            out_row.append(exact(Fraction(re, s * t), Fraction(im, s * t)))
-        out.append(out_row)
-    return out
 
 
 def charpoly_is_palindromic(coeffs: list) -> bool:

@@ -9,7 +9,6 @@ import math
 import random
 from fractions import Fraction
 
-from .gauss import GaussianRational
 from .groupoid import (
     NUMERIC_ATTEMPTS,
     InadmissibleMatrixError,
@@ -21,7 +20,7 @@ from .groupoid import (
     solve_unipotent_A,
     transport_groupoid,
 )
-from .laurent import GeneratorTable, Q, RationalFn, evaluate_rational_fns
+from .laurent import GeneratorTable, LaurentPoly, Q, RationalFn, evaluate_rational_fns
 from .matrices import MatrixRF
 from .network import enumerate_paths_dfs, path_sum_bruteforce, square_network
 from .quiver import (
@@ -150,15 +149,65 @@ def _solve_admissible(draw) -> dict | None:
     return None
 
 
-def _casimir_point(frame: GeneratorTable, rng: random.Random, casimir: int) -> dict:
+def _casimir_point(frame: GeneratorTable, rng: random.Random) -> dict:
     """A point of the extended genus-three chart where the product of all the
-    z = w^2 is ``casimir`` (1 or -1): every coordinate but ``w:at`` is drawn
-    from ``rng`` and ``w:at`` is solved for, imaginary at -1."""
+    w is 1, so that the product of all the z = w^2 (the Casimir) is 1: every
+    coordinate but ``w:at`` is drawn from ``rng`` and ``w:at`` is solved for.
+    Moving ``w:at`` from r to i*r moves the Casimir to -1; ``_real_rank_chain``
+    is the rank chain there, as a real matrix in r."""
     at = wname("at")
     pt = {n: Fraction(rng.randint(2, 7), rng.randint(1, 4)) for n in frame.names if n != at}
-    inv = 1 / math.prod(pt.values())
-    pt[at] = inv if casimir == 1 else GaussianRational(0, inv)
+    pt[at] = 1 / math.prod(pt.values())
     return pt
+
+
+def _real_congruence(u: MatrixRF, name: str) -> MatrixRF:
+    """The real form B = D U D of a unipotent Laurent matrix U at ``name`` =
+    i*r, as a Laurent matrix in r.
+
+    Each entry u_jk must have exponents of ``name`` of the one parity
+    p_j + p_k, with p_j that of the last column's entry u_j,n-1 (p_n-1 = 0).
+    Then with D = diag(i^p_j), the term c*x*r^e of u_jk (x free of ``name``)
+    contributes i^(e + p_j + p_k) c*x*r^e to (D U D)_jk, and e + p_j + p_k is
+    even: B_jk is u_jk with each coefficient times (-1)^((e + p_j + p_k)/2).
+    B has the rank of U + U^T in B + B^T, the spectrum of U^-T U in
+    B^-T B, and the diagonal (-1)^p_j.  An entry that is not a Laurent
+    polynomial, or that breaks the grading, is an ArithmeticError."""
+    rows = [[f.as_laurent() for f in row] for row in u.entries]
+    table = rows[0][0].table
+    x = table.index(name)
+
+    def parities(p: LaurentPoly) -> set:
+        return {e[x] & 1 for e in p.terms}
+
+    p = []
+    for j, row in enumerate(rows):
+        last = parities(row[-1])
+        if len(last) != 1:
+            raise ArithmeticError(f"entry ({j}, {len(row) - 1}) has no single parity in {name}")
+        p.append(last.pop())
+    out = []
+    for j, row in enumerate(rows):
+        out_row = []
+        for k, f in enumerate(row):
+            terms = {}
+            for e, c in f.terms.items():
+                s = e[x] + p[j] + p[k]
+                if s & 1:
+                    raise ArithmeticError(f"entry ({j}, {k}) breaks the parity grading in {name}")
+                terms[e] = -c if s & 2 else c
+            out_row.append(RationalFn.from_poly(LaurentPoly(table, terms)))
+        out.append(out_row)
+    return MatrixRF(out)
+
+
+@functools.cache
+def _real_rank_chain() -> MatrixRF:
+    """``_real_congruence`` of the extended genus-three rank chain at
+    ``w:at``: built by the first of the two checks at Casimir -1 that runs,
+    once per process."""
+    model = build_surface("genus3_extended")
+    return _real_congruence(chain_matrix(model.name, model.chains["rank"]), wname("at"))
 
 
 # -- groupoid ------------------------------------------------------------------
@@ -327,15 +376,21 @@ def spectrum_on_reduced_locus(rng_seed):
             return (False, "missing -1 eigenvalues on the reduced size-3 locus")
         if d["rank_sym"] > 2:
             return (False, "rank too large on the reduced size-3 locus")
-    # size eight at the minus-one Casimir locus
-    model = build_surface("genus3_extended")
-    u = chain_matrix(model.name, model.chains["rank"])
-    upt = u.evaluate(_casimir_point(model.seed.frame, rng, -1))
-    d = leaf_diagnostics(upt)
+    # size eight at the minus-one Casimir locus, in its real form
+    frame = build_surface("genus3_extended").seed.frame
+    d = leaf_diagnostics(_real_rank_chain().evaluate(_casimir_point(frame, rng)))
     if d["minus_one_multiplicity"] < d["on_leaf_multiplicity"]:
         return (False, "missing -1 eigenvalues on the size-8 reduced locus")
-    # negative control: a generic unipotent matrix carries none
-    if leaf_diagnostics(_random_unipotent(rng, 5))["minus_one_multiplicity"] != 0:
+    # negative control: a unipotent A with det(A + A^T) != 0 carries none
+    # (det(A^-T A + 1) = det(A + A^T)); a draw with det(A + A^T) = 0 is
+    # on a locus itself, so it is drawn again
+    for _ in range(NUMERIC_ATTEMPTS):
+        a = _random_unipotent(rng, 5)
+        if (a + a.transpose()).det():
+            break
+    else:
+        return (False, f"no control with det(A + A^T) != 0 in {NUMERIC_ATTEMPTS} draws")
+    if leaf_diagnostics(a)["minus_one_multiplicity"] != 0:
         return (False, "off-locus control unexpectedly divisible")
     return True
 
@@ -910,9 +965,10 @@ def rank_locus(rng_seed):
     model = build_surface("genus3_extended")
     u = chain_matrix(model.name, model.chains["rank"])
     rng = random.Random(rng_seed)
-    for c_target, expect_low in ((-1, True), (1, False)):
+    # at Casimir -1 the rank is that of the real form's B + B^T
+    for m, expect_low in ((_real_rank_chain(), True), (u, False)):
         for rep in range(5):
-            upt = u.evaluate(_casimir_point(model.seed.frame, rng, c_target))
+            upt = m.evaluate(_casimir_point(model.seed.frame, rng))
             rank = (upt + upt.transpose()).rank()
             if expect_low and rank > 4:
                 return (False, f"rank {rank} on the locus")

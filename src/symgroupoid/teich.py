@@ -12,7 +12,7 @@ import functools
 from operator import truediv
 from typing import Sequence
 
-from .laurent import LaurentPoly, Q, RationalFn
+from .laurent import Q, RationalFn
 from .matrices import MatrixRF
 from .quiver import (
     ClusterValue,
@@ -365,24 +365,6 @@ def markov(model: SurfaceModel, form: str = "product_G") -> RationalFn:
         f = RationalFn.generator(t, wname("f"), 2)
         return f * (g12 * gt12 * gb + g12 ** 2 + gt12 ** 2 + gb ** 2 - 4) - 4
     raise ValueError(f"unknown form {form!r}")
-
-
-def eliminate_constraint(model: SurfaceModel, f: RationalFn, solve_for: str) -> RationalFn:
-    """Substitute the unit-Casimir relation, eliminating one generator."""
-    if model.casimir_constraint is None:
-        raise ValueError("model carries no Casimir constraint")
-    exps, value = model.casimir_constraint
-    if value != 1:
-        raise ValueError("only unit constraints are eliminated symbolically")
-    e0 = exps[solve_for]
-    if e0 != 1:
-        raise ValueError("eliminated variable must appear in power one")
-    table = f.table
-    # z_solve = prod z_v^-e, so w_solve = prod w_v^-e (positive branch): a monomial
-    root = LaurentPoly.monomial(table, 1, {wname(v): -e for v, e in exps.items() if v != solve_for})
-    bindings = {name: RationalFn.generator(table, name) for name in table.names}
-    bindings[wname(solve_for)] = RationalFn.from_poly(root)
-    return f.substitute(bindings)
 
 
 # -- mutation-sequence twist and its closed form -------------------------------------

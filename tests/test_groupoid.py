@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from symgroupoid import groupoid, laurent, suites
-from symgroupoid.gauss import GaussianRational
 from symgroupoid.groupoid import (
     InadmissibleMatrixError,
     RMatrix,
@@ -218,6 +217,31 @@ def test_leaf_diagnostics_requires_unipotent():
     b = rational_matrix([[1, 2], [3, 4]])
     with pytest.raises(ValueError):
         leaf_diagnostics(b)
+    # upper-triangular, but a diagonal entry is neither 1 nor -1
+    for diag in ([2, 1], [1, -2], [0, 1]):
+        with pytest.raises(ValueError, match="diagonal entries 1 or -1"):
+            leaf_diagnostics(rational_matrix([[diag[0], 3], [0, diag[1]]]))
+    # an empty, a wide and a tall matrix
+    for rows in ([], [[1, 2, 3], [0, 1, 4]], [[1, 2], [0, 1], [0, 0]]):
+        with pytest.raises(ValueError, match="square"):
+            leaf_diagnostics(rational_matrix(rows))
+
+
+def test_leaf_diagnostics_takes_a_diagonal_of_signs():
+    # the congruence D A D by D = i Id is -A: the same rank of A + A^T and the
+    # same characteristic polynomial of A^-T A
+    rng = random.Random(11)
+    for n in (4, 5, 6):
+        a = rational_matrix(
+            [[1 if i == j else (rng.randint(-9, 9) if j > i else 0) for j in range(n)] for i in range(n)]
+        )
+        assert leaf_diagnostics(a.scale(-1)) == leaf_diagnostics(a)
+    # mixed signs: B = [[-1, 2], [0, 1]] is its own inverse, B^T B is
+    # [[1, -2], [-2, 5]], and B + B^T = [[-2, 2], [2, 2]] has rank 2
+    d = leaf_diagnostics(rational_matrix([[-1, 2], [0, 1]]))
+    assert d["rank_sym"] == 2
+    assert d["charpoly"] == [1, -6, 1] and d["palindromic"]
+    assert d["minus_one_multiplicity"] == 0
 
 
 def test_bracket_tensor_at_matches_entrywise_brackets():
@@ -377,10 +401,9 @@ def reference_bracket_tensor(m1, m2, quiver, point) -> list:
     ]
 
 
-def _random_field_matrix(rng, n, offset, gaussian=False):
+def _random_field_matrix(rng, n, offset):
     """A seeded matrix whose entries run through zero, a nonzero int and a
-    nonzero Fraction in turn, starting at ``offset``; with ``gaussian``, every
-    nonzero entry gets a nonzero imaginary part.  Entries are set after
+    nonzero Fraction in turn, starting at ``offset``.  Entries are set after
     construction, so ints stay ints."""
 
     def entry(kind):
@@ -389,7 +412,7 @@ def _random_field_matrix(rng, n, offset, gaussian=False):
         x = rng.choice([-1, 1]) * rng.randint(1, 9)
         if kind == 2:
             x = Fraction(x, rng.randint(2, 7))
-        return GaussianRational(x, Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5))) if gaussian else x
+        return x
 
     m = MatrixRF([[0] * n for _ in range(n)])
     for i in range(n):
@@ -406,27 +429,6 @@ def test_reflection_rhs_matches_reference_on_random_matrices(n):
         got = reflection_rhs(m).entries
         assert got == reference_reflection_rhs(m.entries)
         assert all(type(x) is Fraction for row in got for x in row)
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_reflection_rhs_matches_reference_on_gaussian_matrices(n):
-    # the right side is a quadratic form Q with rational coefficients, so at
-    # M = R + iI it is Q(R) - Q(I) + i(Q(R + I) - Q(R) - Q(I)): the form on
-    # real matrices gives the right side of a Gaussian one
-    rng = random.Random(800 + n)
-    nonreal = 0
-    # offsets that start at a nonzero entry, so even a 1x1 matrix is non-real
-    for offset in (1, 2, 4):
-        m = _random_field_matrix(rng, n, offset, gaussian=True)
-        re = [[x.re if isinstance(x, GaussianRational) else x for x in row] for row in m.entries]
-        im = [[x.im if isinstance(x, GaussianRational) else 0 for x in row] for row in m.entries]
-        both = [[x + y for x, y in zip(*rows)] for rows in zip(re, im)]
-        q_re, q_im, q_both = (reflection_rhs(MatrixRF(x)).entries for x in (re, im, both))
-        got = [[GaussianRational(a - b, c - a - b) for a, b, c in zip(*rows)] for rows in zip(q_re, q_im, q_both)]
-        assert got == reference_reflection_rhs(m.entries)
-        nonreal += sum(bool(x.im) for row in got for x in row)
-    # a 1x1 right side is th(0)(m m - m m + m m) - th(0) m m = 0
-    assert nonreal or n == 1
 
 
 def test_pointwise_tensors_of_the_zero_matrix():

@@ -4,12 +4,11 @@ import random
 from fractions import Fraction
 
 from symgroupoid import surfaces
-from symgroupoid.laurent import RationalFn
+from symgroupoid.laurent import LaurentPoly, RationalFn
 from symgroupoid.quiver import Seed, mutate, wname
 from symgroupoid.teich import (
     build_surface,
     catalog_value,
-    eliminate_constraint,
     markov,
     telescopic,
 )
@@ -24,10 +23,22 @@ def test_markov_forms_are_equal():
     assert m1 != m1 + catalog_value(x7, "G_{1,2}")
 
 
+def _eliminate_g(model, f):
+    """``f`` with w:g bound to the monomial the unit Casimir constraint
+    z_e^2 z_a z_b z_c z_d z_f z_g = 1 solves it for (positive branch)."""
+    exps, value = model.casimir_constraint
+    assert value == 1 and exps["g"] == 1
+    table = f.table
+    root = LaurentPoly.monomial(table, 1, {wname(v): -e for v, e in exps.items() if v != "g"})
+    bindings = {name: RationalFn.generator(table, name) for name in table.names}
+    bindings[wname("g")] = RationalFn.from_poly(root)
+    return f.substitute(bindings)
+
+
 def test_eliminate_constraint_x7():
     x7 = build_surface("genus2_x7")
     m = markov(x7, "product_G")
-    reduced = eliminate_constraint(x7, m, "g")
+    reduced = _eliminate_g(x7, m)
     assert wname("g") not in reduced.support()
     # evaluation agreement on the constraint locus
     rng = random.Random(2)
@@ -49,7 +60,7 @@ def test_papillon_and_extended_charts_agree_on_dual_geodesic():
     # eliminating the added vertex through the unit constraint
     x7 = build_surface("genus2_x7")
     pap = build_surface("genus2_papillon")
-    gb_x7 = eliminate_constraint(x7, catalog_value(x7, "G_B"), "g")
+    gb_x7 = _eliminate_g(x7, catalog_value(x7, "G_B"))
     gb_pap = catalog_value(pap, "G_B")
     # same generators (a..f) in both frames; compare by name
     bind = {n: RationalFn.generator(pap.seed.frame, n) for n in pap.seed.frame.names}

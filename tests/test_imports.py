@@ -1,7 +1,7 @@
 """Modules of the package reach one another through public names only,
 exact values have one zero test: ``bool()``, points are evaluated through
-``laurent`` alone, Gaussian values stay in the modules that make or solve
-with them, and no loop runs unbounded."""
+``laurent`` alone, every exact value is an int or a Fraction, and no loop
+runs unbounded."""
 
 import ast
 from pathlib import Path
@@ -74,16 +74,10 @@ def test_only_laurent_calls_point_pass():
     assert not offenders, offenders
 
 
-def test_only_the_gaussian_layer_imports_gaussian_rational():
-    # Gaussian values are made at imaginary-axis points (``suites``), evaluated
-    # there (``laurent``) and solved with (``matrices``); gradients and
-    # brackets are taken at real points, so ``quiver`` and ``groupoid`` never
-    # see one
-    allowed = {"gauss.py", "laurent.py", "matrices.py", "suites.py"}
-    importers = set()
-    for path in sorted(PACKAGE_DIR.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.alias) and node.name == "GaussianRational":
-                importers.add(path.name)
-    assert importers <= allowed, sorted(importers - allowed)
-    assert {"laurent.py", "matrices.py", "suites.py"} <= importers
+def test_no_module_names_gaussian_rational():
+    # exact values are ints and Fractions: the checks at Casimir -1 run on a
+    # real congruent form of the chain matrix (``suites._real_congruence``),
+    # so no second number system is needed
+    assert not (PACKAGE_DIR / "gauss.py").exists()
+    offenders = [path.name for path in sorted(PACKAGE_DIR.rglob("*.py")) if "GaussianRational" in path.read_text()]
+    assert not offenders, offenders

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symgroupoid
-from symgroupoid.gauss import GaussianRational
 from symgroupoid.laurent import (
     GeneratorTable,
     LaurentPoly,
@@ -51,8 +50,6 @@ def test_bool_is_false_exactly_at_zero():
     quotient = RationalFn(w - one, w + one)
     assert quotient and rf(w) and not rf(w - w) and not quotient - quotient
     assert not RationalFn(w - w, w ** 2 + one)
-    assert GaussianRational(0, 2) and GaussianRational(Q(1, 2)) and GaussianRational(0, -1)
-    assert not GaussianRational() and not GaussianRational(0, 2) - GaussianRational(0, 2)
 
 
 def test_difference_of_squares():
@@ -279,9 +276,8 @@ def test_evaluate_rational_fns_over_several_functions():
     # the first function without a value names its denominator: a stored one,
     # or, at a zero coordinate under a numerator's negative exponent, the
     # stored one times the monomial that clears those exponents
-    # (gradients are taken at real points only)
-    for gradient, c in ((False, GaussianRational(0, 2)), (True, Q(2))):
-        at_pole = {"w:a": Q(1), "w:b": Q(0), "w:c": c}
+    for gradient in (False, True):
+        at_pole = {"w:a": Q(1), "w:b": Q(0), "w:c": Q(2)}
         for order, named in (
             ([0, 3, 1], gen("w:b")),
             ([3, 0, 1], gen("w:a") - LaurentPoly.one(T)),
@@ -356,8 +352,6 @@ def test_positive_powers_start_from_the_base(monkeypatch):
         for _ in range(k):
             expected = mul(expected, p)
         assert power == expected
-    g = GaussianRational(Q(1, 2), 3)
-    assert g ** 0 == 1 and g ** 1 == g and g ** 3 == g * g * g and g ** -2 == 1 / (g * g)
 
 
 def test_equality_with_a_rational_function_is_symmetric():
@@ -681,9 +675,8 @@ coordinates = st.one_of(
 
 def _pass_values(p, point):
     """The value and Euler gradient of p at a real point, read off one point_pass."""
-    num, den, ((re, im, partials),) = point_pass([p], point, gradient=True)
-    assert not im
-    return Fraction(re * num, den), [Fraction(x * num, den) for x in partials]
+    num, den, ((value, partials),) = point_pass([p], point, gradient=True)
+    return Fraction(value * num, den), [Fraction(x * num, den) for x in partials]
 
 
 @given(laurent_polys(), st.lists(coordinates, min_size=3, max_size=3))
@@ -701,89 +694,32 @@ def test_euler_gradient_matches_fraction_reference(p, coords):
             point_pass([p], point, gradient=True)
         return
     assert _pass_values(p, point) == expected
-    assert p.evaluate(point) == expected[0]
-
-
-def _gaussian_reference(p, point):
-    total = GaussianRational(0)
-    for exps, c in p.terms.items():
-        term = GaussianRational(c)
-        for name, e in zip(p.table.names, exps):
-            if e:
-                term = term * point[name] ** e
-        total = total + term
-    return total
-
-
-def _follows_the_rule(value):
-    """An exact value is a Fraction when it is real and a GaussianRational
-    otherwise."""
-    return bool(value.im) if isinstance(value, GaussianRational) else type(value) is Fraction
-
-
-nonzero_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=9).filter(bool)
-
-# the coordinates a point may have: real, given as a Fraction or as a
-# GaussianRational, zero, or on the imaginary axis
-gaussian_coordinates = st.one_of(
-    st.just(Q(0)),
-    st.fractions(min_value=-6, max_value=6, max_denominator=9),
-    st.builds(GaussianRational, st.fractions(min_value=-6, max_value=6, max_denominator=9)),
-    st.builds(GaussianRational, st.just(0), nonzero_fractions),
-)
-
-
-@given(laurent_polys(), st.lists(gaussian_coordinates, min_size=3, max_size=3))
-@settings(max_examples=150, deadline=None)
-def test_evaluate_matches_gaussian_reference(p, coords):
-    point = dict(zip(T.names, coords))
-    try:
-        expected = _gaussian_reference(p, point)
-    except ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError):
-            p.evaluate(point)
-        return
     value = p.evaluate(point)
-    assert value == expected
-    # a Gaussian value exactly where the value is not real, even where the
-    # terms use a coordinate off the real line
-    assert _follows_the_rule(value)
-    nonreal = {
-        i for i, v in enumerate(coords) if isinstance(v, GaussianRational) and v.im and any(e[i] for e in p.terms)
-    }
-    if not nonreal:
-        expected_grads = [point[n] * _gaussian_reference(p.derivative(n), point) for n in T.names]
-        assert _pass_values(p, point) == (expected, expected_grads)
+    assert value == expected[0] and type(value) is Fraction
 
 
-@given(laurent_polys(), laurent_polys(), st.lists(gaussian_coordinates, min_size=3, max_size=3))
+@given(laurent_polys(), laurent_polys(), st.lists(coordinates, min_size=3, max_size=3))
 @settings(max_examples=150, deadline=None)
 def test_rational_euler_gradient_matches_derivative_oracle(p, q, coords):
     # the quotient rule over one shared pass, against w_i times the derivative
-    # values of num and den combined in field arithmetic, at a real point;
-    # the value alone at a point with a coordinate on the imaginary axis
+    # values of num and den combined in field arithmetic
     if not q:
         return
     f = RationalFn(p, q)
     point = dict(zip(T.names, coords))
-    real = not any(isinstance(v, GaussianRational) and v.im for v in coords)
     # num and den times the monomial w^s that clears num's negative exponents:
     # the same value with no negative exponent, so a pole on a zero coordinate
     # shows as a vanishing denominator
     clear = tuple(max(0, -e) for e in f.num.content_exponents())
     num, den = f.num.shift(clear), f.den.shift(clear)
-    nv, dv = _gaussian_reference(num, point), _gaussian_reference(den, point)
+    nv, dv = _reference_value(num, point), _reference_value(den, point)
     if not dv:
         with pytest.raises(SingularPointError) as err:
-            evaluate_rational_fns([f], point, gradient=real)
+            evaluate_rational_fns([f], point, gradient=True)
         assert err.value.denominator == den
         return
-    if not real:
-        (value,) = evaluate_rational_fns([f], point)
-        assert value == nv / dv == f.evaluate(point)
-        return
-    dn = [point[n] * _gaussian_reference(num.derivative(n), point) for n in T.names]
-    dd = [point[n] * _gaussian_reference(den.derivative(n), point) for n in T.names]
+    dn = [point[n] * _reference_value(num.derivative(n), point) for n in T.names]
+    dd = [point[n] * _reference_value(den.derivative(n), point) for n in T.names]
     ((value, grads),) = evaluate_rational_fns([f], point, gradient=True)
     assert value == nv / dv == f.evaluate(point)
     assert grads == [(a * dv - nv * b) / (dv * dv) for a, b in zip(dn, dd)]
@@ -792,38 +728,20 @@ def test_rational_euler_gradient_matches_derivative_oracle(p, q, coords):
 
 
 def test_a_coordinate_off_both_axes_is_refused():
-    # a point takes real and imaginary-axis coordinates; one with both parts
-    # nonzero is a TypeError from the pass and from every entry above it
+    # a coordinate is an int or a Fraction; a complex one is a TypeError from
+    # the pass and from every entry above it
     p = gen("w:a") * gen("w:b") + gen("w:c", -1)
     f = RationalFn(p, gen("w:a") + LaurentPoly.one(T))
-    point = {"w:a": GaussianRational(Q(2, 3), -1), "w:b": Q(2), "w:c": Q(3)}
+    point = {"w:a": Fraction(2, 3) - 1j, "w:b": Q(2), "w:c": Q(3)}
     for gradient in (False, True):
-        with pytest.raises(TypeError, match="neither real nor on the imaginary axis"):
+        with pytest.raises(TypeError, match="not an exact rational"):
             point_pass([p], point, gradient)
-        with pytest.raises(TypeError, match="neither real nor on the imaginary axis"):
+        with pytest.raises(TypeError, match="not an exact rational"):
             evaluate_rational_fns([f], point, gradient)
-    with pytest.raises(TypeError, match="neither real nor on the imaginary axis"):
+    with pytest.raises(TypeError, match="not an exact rational"):
         p.evaluate(point)
     # a coordinate the terms do not use is not read
     assert gen("w:b").evaluate(point) == 2
-
-
-def test_euler_gradient_at_a_gaussian_point():
-    # gradients are taken at real points: an imaginary coordinate in use is a
-    # TypeError (one off both axes is refused for values too)
-    p = gen("w:a", 2) * gen("w:b") + gen("w:c")
-    f = RationalFn(p, gen("w:b") + LaurentPoly.one(T))
-    point = {"w:a": GaussianRational(0, Q(1, 2)), "w:b": Q(2), "w:c": Q(3)}
-    with pytest.raises(TypeError, match="real points"):
-        point_pass([p], point, gradient=True)
-    with pytest.raises(TypeError, match="real points"):
-        evaluate_rational_fns([f], point, gradient=True)
-    # the values there are exact and real: (i/2)² · 2 + 3 = 5/2, over 3
-    (value,) = evaluate_rational_fns([f], point)
-    assert p.evaluate(point) == Q(5, 2) and type(p.evaluate(point)) is Fraction
-    assert value == Q(5, 6) and type(value) is Fraction
-    # a gradient whose terms use only real coordinates is taken as usual
-    assert _pass_values(gen("w:b") * gen("w:c"), point) == (Q(6), [Q(0), Q(6), Q(6)])
 
 
 def test_zero_coordinate_under_negative_exponent_raises():
@@ -892,9 +810,8 @@ def test_rational_evaluate_makes_one_point_pass(monkeypatch):
 
 
 def _row_value(num, den, row):
-    re, im, partials = row
-    value = GaussianRational(Fraction(re * num, den), Fraction(im * num, den)) if im else Fraction(re * num, den)
-    return value, partials and [Fraction(x * num, den) for x in partials]
+    value, partials = row
+    return Fraction(value * num, den), partials and [Fraction(x * num, den) for x in partials]
 
 
 def _assert_one_pass_is_many(polys, point, gradient=False):
@@ -906,33 +823,31 @@ def _assert_one_pass_is_many(polys, point, gradient=False):
         value, partials = _row_value(num, den, row)
         n1, d1, (alone,) = point_pass([p], point, gradient)
         assert (value, partials) == _row_value(n1, d1, alone)
-        assert value == _gaussian_reference(p, point)
-        assert _follows_the_rule(value)
+        assert value == _reference_value(p, point)
         if gradient:
-            assert partials == [point[n] * _gaussian_reference(p.derivative(n), point) for n in T.names]
+            assert partials == [point[n] * _reference_value(p.derivative(n), point) for n in T.names]
     return rows
 
 
-@given(st.lists(laurent_polys(), max_size=5), st.lists(gaussian_coordinates, min_size=3, max_size=3))
+@given(st.lists(laurent_polys(), max_size=5), st.lists(coordinates, min_size=3, max_size=3))
 @settings(max_examples=150, deadline=None)
 def test_one_point_pass_over_several_polynomials(polys, coords):
     point = dict(zip(T.names, coords))
-    real = not any(isinstance(v, GaussianRational) and v.im for v in coords)
     try:
         for p in polys:
-            _gaussian_reference(p, point)
+            _reference_value(p, point)
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
             point_pass(polys, point)
         return
-    _assert_one_pass_is_many(polys, point, gradient=real)
+    _assert_one_pass_is_many(polys, point, gradient=True)
 
 
 def test_one_point_pass_shares_columns_across_polynomials():
     one = LaurentPoly.one(T)
     a, b, c = gen("w:a"), gen("w:b"), gen("w:c")
     # w:a is constant in the first polynomial and varies in the second; the
-    # third is empty, and the last uses w:c, on the imaginary axis, alone
+    # third is empty
     polys = [
         a * a * (b + c.scale(3)),
         a + gen("w:a", -1) * b + one,
@@ -942,19 +857,9 @@ def test_one_point_pass_shares_columns_across_polynomials():
     ]
     real = {"w:a": Q(2, 3), "w:b": Q(-5), "w:c": Q(7, 2)}
     rows = _assert_one_pass_is_many(polys, real, gradient=True)
-    assert rows[2] == (0, 0, [0, 0, 0])
-    mixed = dict(real, **{"w:c": GaussianRational(0, Q(2, 3))})
-    rows = _assert_one_pass_is_many(polys, mixed)
-    assert [bool(row[1]) for row in rows] == [True, False, False, False, True]
-    assert rows[2] == (0, 0, None)
-    # w:b and w:c both on the imaginary axis, with exponents that cancel in
-    # every term: the polynomial uses them, yet its value is real, a Fraction
-    axis = {"w:a": Q(3), "w:b": GaussianRational(0, Q(1, 2)), "w:c": GaussianRational(0, 3)}
-    cancel = b * gen("w:c", -1) + (b * b * gen("w:c", -2)).scale(2) + a
-    rows = _assert_one_pass_is_many([a + one, cancel, LaurentPoly.zero(T)], axis)
-    assert [bool(row[1]) for row in rows] == [False, False, False]
-    value = cancel.evaluate(axis)
-    assert value == Q(1, 6) + Q(2, 36) + 3 and type(value) is Fraction
+    assert rows[2] == (0, [0, 0, 0])
+    rows = _assert_one_pass_is_many(polys, real)
+    assert rows[2] == (0, None)
 
 
 def test_one_point_pass_refuses_as_a_pass_per_polynomial():
@@ -964,14 +869,12 @@ def test_one_point_pass_refuses_as_a_pass_per_polynomial():
     # a generator one polynomial uses and the point lacks
     with pytest.raises(KeyError, match="no value for generator 'w:c'"):
         point_pass(polys, {"w:a": Q(1), "w:b": Q(2)})
-    # a coordinate off both axes, a gradient at an imaginary coordinate and
-    # a float coordinate
-    with pytest.raises(TypeError, match="neither real nor on the imaginary axis"):
-        point_pass(polys, {"w:a": Q(1), "w:b": GaussianRational(1, 1), "w:c": Q(2)})
-    with pytest.raises(TypeError, match="real points"):
-        point_pass(polys, {"w:a": Q(1), "w:b": Q(2), "w:c": GaussianRational(0, 2)}, gradient=True)
-    with pytest.raises(TypeError, match="not an exact"):
-        point_pass(polys, {"w:a": 1.5, "w:b": Q(2), "w:c": Q(3)})
+    # a coordinate that is neither an int nor a Fraction: a float, a bool, or
+    # a complex number off the real line
+    for bad in (1.5, True, 2j, 1 + 1j):
+        for gradient in (False, True):
+            with pytest.raises(TypeError, match="not an exact rational"):
+                point_pass(polys, {"w:a": bad, "w:b": Q(2), "w:c": Q(3)}, gradient)
     # zero under a negative exponent in the last polynomial only
     with pytest.raises(ZeroDivisionError):
         point_pass(polys, {"w:a": Q(1), "w:b": Q(2), "w:c": Q(0)})
@@ -980,46 +883,6 @@ def test_one_point_pass_refuses_as_a_pass_per_polynomial():
     assert rows[2][0] == 0
     with pytest.raises(ValueError, match="mixed generator tables"):
         point_pass([a, gen("w:x", table=W1)], {"w:a": Q(1), "w:x": Q(1)})
-
-
-def test_gaussian_hash_agrees_with_equality_on_real_values():
-    assert GaussianRational(2) == Fraction(2) == 2
-    assert len({GaussianRational(2), Fraction(2), 2}) == 1
-    assert len({GaussianRational(Fraction(1, 3)), Fraction(1, 3)}) == 1
-    assert len({GaussianRational(2, 1), GaussianRational(2)}) == 2
-
-
-class _Reflected:
-    """An operand that only the reflected operators know."""
-
-    def __radd__(self, other):
-        return ("radd", other)
-
-    def __rsub__(self, other):
-        return ("rsub", other)
-
-    def __rmul__(self, other):
-        return ("rmul", other)
-
-    def __rtruediv__(self, other):
-        return ("rtruediv", other)
-
-
-def test_gaussian_arithmetic_defers_to_a_foreign_operand():
-    z = GaussianRational(1, 2)
-    x = _Reflected()
-    assert z + x == ("radd", z) and z * x == ("rmul", z)
-    assert z - x == ("rsub", z) and z / x == ("rtruediv", z)
-    # with no reflected method either, the mix is still a TypeError
-    for bad in (1.5, "1", True):
-        for op in (lambda a, b: a + b, lambda a, b: b - a, lambda a, b: a * b, lambda a, b: b / a):
-            with pytest.raises(TypeError):
-                op(z, bad)
-
-
-def test_gaussian_equality_with_a_foreign_operand_is_false():
-    assert (GaussianRational(1) == None) is False  # noqa: E711
-    assert GaussianRational(1) != "1"
 
 
 def _exact_coefficient_ok(c):
@@ -1178,33 +1041,6 @@ def test_negative_power_of_an_integer_monomial_is_exact():
     m = LaurentPoly.monomial(T, 3, {"w:a": 1})
     assert (m ** -1).terms == {(-1, 0, 0): Fraction(1, 3)}
     assert (m ** -2 * m ** 2) == LaurentPoly.one(T)
-
-
-def test_gaussian_zero_is_falsy():
-    # truthiness zero-skips (gradients, the bracket contraction) must skip it
-    assert not GaussianRational(0)
-    assert not GaussianRational(Fraction(0), Fraction(0))
-    assert GaussianRational(0, 1)
-    assert GaussianRational(Fraction(1, 3))
-    assert [x for x in (GaussianRational(2) - 2, GaussianRational(1, -1)) if x] == [GaussianRational(1, -1)]
-
-
-def test_gaussian_parts_are_exact_rationals():
-    # an int or Fraction part is taken as is; a float part would store its
-    # binary expansion (0.1 as 3602879701896397/36028797018963968)
-    third = Fraction(1, 3)
-    assert GaussianRational(third, 2).re is third
-    assert GaussianRational(2, third).im is third
-    assert (GaussianRational(2).re, GaussianRational(2).im) == (Fraction(2), Fraction(0))
-    assert type(GaussianRational(2).re) is Fraction
-    for bad in (0.1, 1.0, True, "1/3"):
-        with pytest.raises(TypeError):
-            GaussianRational(bad)
-        with pytest.raises(TypeError):
-            GaussianRational(1, bad)
-        with pytest.raises(TypeError):
-            GaussianRational(1) + bad
-    assert (GaussianRational(1) == True) is False  # noqa: E712
 
 
 def _heap_exact_poly_div(num, den):

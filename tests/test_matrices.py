@@ -15,10 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symgroupoid import laurent, matrices
-from symgroupoid.gauss import GaussianRational
 from symgroupoid.laurent import GeneratorTable, LaurentPoly, RationalFn, SingularPointError
 from symgroupoid.matrices import MatrixRF, _subset_det, row_reduce, solve
-from symgroupoid.suites import _casimir_point, _positive_point
+from symgroupoid.suites import _casimir_point, _positive_point, _real_rank_chain
 from symgroupoid.teich import build_surface, chain_matrix
 
 T = GeneratorTable(["w:x"])
@@ -106,23 +105,24 @@ def assert_same_charpoly(m: MatrixRF):
     assert type(got[-1]) is Fraction and got[-1] == 1
 
 
-def _random_entry(rng: random.Random, kind: str):
-    def part():
-        # a third of the parts vanish, so pivots must be searched for
-        return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.67 else Fraction(0)
-
-    return part() if kind == "fraction" else GaussianRational(part(), part())
+def _random_entry(rng: random.Random) -> Fraction:
+    # a third of the entries vanish, so pivots must be searched for
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.67 else Fraction(0)
 
 
-@pytest.mark.parametrize("kind", ["fraction", "gaussian"])
+# the kinds of numeric entry: Fractions (a matrix stores an int as one)
+KINDS = ["fraction"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", range(1, 9))
 def test_charpoly_matches_faddeev_on_random_matrices(kind, n):
     rng = random.Random(100 * n + len(kind))
     for _ in range(6):
-        assert_same_charpoly(MatrixRF([[_random_entry(rng, kind) for _ in range(n)] for _ in range(n)]))
+        assert_same_charpoly(MatrixRF([[_random_entry(rng) for _ in range(n)] for _ in range(n)]))
 
 
-@pytest.mark.parametrize("field", [Fraction, lambda x: GaussianRational(Fraction(x), Fraction(x, 3))])
+@pytest.mark.parametrize("field", [Fraction, lambda x: RationalFn.constant(T, x)])
 def test_charpoly_swaps_onto_a_zero_subdiagonal_pivot(field):
     # column 0 is zero on the subdiagonal but not in row 3, so the reduction
     # must swap rows 1 and 3 and columns 1 and 3 before it clears column 0
@@ -130,7 +130,7 @@ def test_charpoly_swaps_onto_a_zero_subdiagonal_pivot(field):
     assert_same_charpoly(MatrixRF([[field(x) for x in row] for row in rows]))
 
 
-@pytest.mark.parametrize("field", [Fraction, lambda x: GaussianRational(Fraction(x), Fraction(x, 3))])
+@pytest.mark.parametrize("field", [Fraction, lambda x: RationalFn.constant(T, x)])
 def test_charpoly_with_a_zero_column_below_the_subdiagonal(field):
     # column 0 is zero from the subdiagonal down, so that step has no pivot
     # and the Hessenberg form splits into blocks
@@ -139,14 +139,12 @@ def test_charpoly_with_a_zero_column_below_the_subdiagonal(field):
 
 
 def test_charpoly_of_the_genus3_rank_matrix_at_casimir_minus_one():
-    # the size-8 leaf matrix of groupoid_spectrum_locus, with Fraction and
-    # GaussianRational entries mixed
+    # the size-8 leaf matrix of groupoid_spectrum_locus, in its real form
     model = build_surface("genus3_extended")
-    u = chain_matrix(model.name, model.chains["rank"])
-    upt = u.evaluate(_casimir_point(model.seed.frame, random.Random(5), -1))
+    upt = _real_rank_chain().evaluate(_casimir_point(model.seed.frame, random.Random(5)))
     core = upt.transpose().inverse() * upt
     assert core.rows == 8
-    assert {type(x) for row in core.entries for x in row} == {Fraction, GaussianRational}
+    assert {type(x) for row in core.entries for x in row} == {Fraction}
     for m in (upt, core):
         assert_same_charpoly(m)
 
@@ -164,11 +162,12 @@ def assert_evaluates_like_its_entries(u: MatrixRF, point: dict):
 
 @pytest.mark.parametrize("casimir", [-1, 1])
 def test_evaluate_matches_entries_on_the_genus3_rank_chain(casimir):
+    # at Casimir -1, the chain's real form
     model = build_surface("genus3_extended")
-    u = chain_matrix(model.name, model.chains["rank"])
+    u = _real_rank_chain() if casimir == -1 else chain_matrix(model.name, model.chains["rank"])
     rng = random.Random(11)
     for _ in range(3):
-        assert_evaluates_like_its_entries(u, _casimir_point(model.seed.frame, rng, casimir))
+        assert_evaluates_like_its_entries(u, _casimir_point(model.seed.frame, rng))
 
 
 def test_evaluate_matches_entries_on_the_genus2_braid_chain():
@@ -206,12 +205,12 @@ def _random_rf_matrix(rng: random.Random, point: dict, rows: int, cols: int, lo:
 @pytest.mark.parametrize(
     "point, lo",
     [
-        # a zero coordinate (nonnegative exponents only) beside an imaginary one
-        ({"w:a": Fraction(0), "w:b": GaussianRational(0, Fraction(-3, 2)), "w:c": Fraction(5, 3)}, 0),
-        # two imaginary coordinates and a real one
-        ({"w:a": GaussianRational(0, Fraction(2, 3)), "w:b": GaussianRational(0, 2), "w:c": Fraction(-4, 5)}, -2),
-        # a real point, a real part given as a GaussianRational
-        ({"w:a": Fraction(7, 2), "w:b": GaussianRational(Fraction(-1, 3)), "w:c": 3}, -2),
+        # a zero coordinate (nonnegative exponents only)
+        ({"w:a": Fraction(0), "w:b": Fraction(-3, 2), "w:c": Fraction(5, 3)}, 0),
+        # negative coordinates under negative exponents
+        ({"w:a": Fraction(2, 3), "w:b": Fraction(-2), "w:c": Fraction(-4, 5)}, -2),
+        # a coordinate given as an int
+        ({"w:a": Fraction(7, 2), "w:b": Fraction(-1, 3), "w:c": 3}, -2),
     ],
 )
 def test_evaluate_matches_entries_on_random_matrices(point, lo):
@@ -229,16 +228,18 @@ def test_evaluate_raises_for_a_missing_generator_and_a_zero_denominator():
     with pytest.raises(SingularPointError):
         u.evaluate({"w:a": Fraction(2), "w:b": Fraction(1)})
     with pytest.raises(SingularPointError):
-        u.evaluate({"w:a": Fraction(2), "w:b": GaussianRational(1)})
+        u.evaluate({"w:a": Fraction(2), "w:b": 1})
     assert u.evaluate({"w:a": Fraction(2), "w:b": Fraction(3)}) == MatrixRF([[2, 1], [1, 1]])
 
 
 def test_evaluate_refuses_a_coordinate_off_both_axes():
+    # a coordinate is an int or a Fraction: a complex one is refused, off
+    # both axes or on the imaginary axis, and so is a float
     x, y = (RationalFn.generator(G3, name) for name in ("w:a", "w:b"))
     u = MatrixRF([[x, RationalFn.constant(G3, 1)], [y, x * y]])
-    with pytest.raises(TypeError, match="neither real nor on the imaginary axis"):
-        u.evaluate({"w:a": Fraction(2), "w:b": GaussianRational(1, 1)})
-    assert u.evaluate({"w:a": Fraction(2), "w:b": GaussianRational(0, 1)})[1, 1] == GaussianRational(0, 2)
+    for bad in (1 + 1j, 1j, 1.5):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            u.evaluate({"w:a": Fraction(2), "w:b": bad})
 
 
 def test_evaluate_makes_one_point_pass(monkeypatch):
@@ -249,7 +250,7 @@ def test_evaluate_makes_one_point_pass(monkeypatch):
     calls = []
     point_pass = laurent.point_pass
     monkeypatch.setattr(laurent, "point_pass", lambda polys, *args, **kw: calls.append(polys) or point_pass(polys, *args, **kw))
-    u.evaluate(_casimir_point(model.seed.frame, random.Random(3), -1))
+    u.evaluate(_casimir_point(model.seed.frame, random.Random(3)))
     assert len(calls) == 1 and len(calls[0]) == 2 * u.rows * u.cols
 
 
@@ -260,37 +261,31 @@ def _reference_rank(m: MatrixRF) -> int:
     return len(row_reduce(list(m.entries), m.cols))
 
 
-def _low_rank(rng: random.Random, kind: str, rows: int, cols: int, rank: int) -> MatrixRF:
+def _low_rank(rng: random.Random, rows: int, cols: int, rank: int) -> MatrixRF:
     """A rows x cols product of random rows x rank and rank x cols factors."""
     if not rank:
         return MatrixRF([[Fraction(0)] * cols for _ in range(rows)])
-    left = [[_random_entry(rng, kind) for _ in range(rank)] for _ in range(rows)]
-    right = [[_random_entry(rng, kind) for _ in range(cols)] for _ in range(rank)]
+    left = [[_random_entry(rng) for _ in range(rank)] for _ in range(rows)]
+    right = [[_random_entry(rng) for _ in range(cols)] for _ in range(rank)]
     return MatrixRF(left) * MatrixRF(right)
 
 
-@pytest.mark.parametrize("kind", ["fraction", "gaussian"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_numeric_rank_matches_row_reduce(kind):
     rng = random.Random(20 + len(kind))
     for _ in range(40):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
         for m in (
-            MatrixRF([[_random_entry(rng, kind) for _ in range(cols)] for _ in range(rows)]),
-            _low_rank(rng, kind, rows, cols, rng.randint(0, min(rows, cols))),
+            MatrixRF([[_random_entry(rng) for _ in range(cols)] for _ in range(rows)]),
+            _low_rank(rng, rows, cols, rng.randint(0, min(rows, cols))),
         ):
             assert m.rank() == _reference_rank(m)
 
 
 def test_numeric_rank_edge_cases():
-    i = GaussianRational(0, 1)
-    # complex rank 1: the second row is i times the first; the real parts
-    # alone, [[1, 0], [0, -1]], have rank 2
-    m = MatrixRF([[GaussianRational(1), i], [i, GaussianRational(-1)]])
-    assert m.rank() == 1 == _reference_rank(m)
     assert MatrixRF([[1, 0], [0, -1]]).rank() == 2
-    for zero in (Fraction(0), GaussianRational(0)):
-        m = MatrixRF([[zero] * 3 for _ in range(2)])
-        assert m.rank() == 0 == _reference_rank(m)
+    m = MatrixRF([[Fraction(0)] * 3 for _ in range(2)])
+    assert m.rank() == 0 == _reference_rank(m)
     m = MatrixRF([[], [], []])
     assert (m.rows, m.cols) == (3, 0) and m.rank() == 0 == _reference_rank(m)
     assert MatrixRF([]).rank() == 0
@@ -337,19 +332,10 @@ def reference_inverse(m: MatrixRF) -> list:
 
 
 def assert_numeric_entries(values: list, expected: list):
-    """Equal values, each a GaussianRational exactly when it is not real."""
+    """Equal values, each a Fraction."""
     assert values == expected
     for x in values:
-        assert type(x) is (GaussianRational if isinstance(x, GaussianRational) and x.im else Fraction), x
-
-
-def _numeric_entry(rng: random.Random, kind: str):
-    """A Fraction, or for "gaussian" mostly GaussianRationals (a part of either
-    may vanish) among Fractions, as in a chain matrix at a Casimir -1 point."""
-    re = _random_entry(rng, "fraction")
-    if kind == "gaussian" and rng.random() < 0.75:
-        return GaussianRational(re, _random_entry(rng, "fraction"))
-    return re
+        assert type(x) is Fraction, x
 
 
 def seeded_rngs():
@@ -357,8 +343,8 @@ def seeded_rngs():
 
 
 @st.composite
-def numeric_matrices(draw, kind: str, rows=None, cols=None):
-    """A rows x cols matrix (sizes 1-8) of ``_numeric_entry`` values from a
+def numeric_matrices(draw, rows=None, cols=None):
+    """A rows x cols matrix (sizes 1-8) of ``_random_entry`` values from a
     drawn seed; given a drawn rank, the product of random rows x rank and
     rank x cols factors, so singular and low-rank matrices are common."""
     rows = rows or draw(st.integers(1, 8))
@@ -367,7 +353,7 @@ def numeric_matrices(draw, kind: str, rows=None, cols=None):
     rng = draw(seeded_rngs())
 
     def random_matrix(r: int, c: int) -> MatrixRF:
-        return MatrixRF([[_numeric_entry(rng, kind) for _ in range(c)] for _ in range(r)])
+        return MatrixRF([[_random_entry(rng) for _ in range(c)] for _ in range(r)])
 
     if rank is None:
         return random_matrix(rows, cols)
@@ -376,15 +362,12 @@ def numeric_matrices(draw, kind: str, rows=None, cols=None):
     return MatrixRF(entrywise_product(random_matrix(rows, rank), random_matrix(rank, cols)))
 
 
-KINDS = ["fraction", "gaussian"]
-
-
 @pytest.mark.parametrize("kind", KINDS)
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_numeric_product_matches_the_entrywise_product(kind, data):
-    a = data.draw(numeric_matrices(kind))
-    b = data.draw(numeric_matrices(kind, rows=a.cols))
+    a = data.draw(numeric_matrices())
+    b = data.draw(numeric_matrices(rows=a.cols))
     got = (a * b).entries
     expected = entrywise_product(a, b)
     assert got == expected
@@ -396,13 +379,13 @@ def test_numeric_product_matches_the_entrywise_product(kind, data):
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_numeric_solve_matches_row_reduce(kind, allow_underdetermined, data):
-    m = data.draw(numeric_matrices(kind))
+    m = data.draw(numeric_matrices())
     rng = data.draw(seeded_rngs())
     if data.draw(st.booleans()):
-        vec = [_numeric_entry(rng, kind) for _ in range(m.rows)]
+        vec = [_random_entry(rng) for _ in range(m.rows)]
     else:
         # a right-hand side in the column span: a consistent system
-        x = MatrixRF([[_numeric_entry(rng, kind)] for _ in range(m.cols)])
+        x = MatrixRF([[_random_entry(rng)] for _ in range(m.cols)])
         vec = [row[0] for row in entrywise_product(m, x)]
     try:
         expected = reference_solve(m.entries, vec, allow_underdetermined)
@@ -414,18 +397,16 @@ def test_numeric_solve_matches_row_reduce(kind, allow_underdetermined, data):
 
 
 def test_numeric_solve_error_messages_and_free_unknowns():
-    i = GaussianRational(0, 1)
-    for one in (Fraction(1), GaussianRational(1)):
-        # x + y = 1 and 2x + 2y = 3: inconsistent, also when underdetermined
-        with pytest.raises(ZeroDivisionError, match="^inconsistent linear system$"):
-            solve([[one, one], [2 * one, 2 * one]], [one, 3 * one], allow_underdetermined=True)
-        # x + y = 1 twice: consistent but singular
-        with pytest.raises(ZeroDivisionError, match="^singular linear system$"):
-            solve([[one, one], [one, one]], [one, one])
-    # x0 + i x1 = 2 + 3i and x2 = i: x1 is free, so zero, as in row_reduce,
-    # though the real block column of Re x1 is independent of that of Re x0
-    mat = [[GaussianRational(1), i, Fraction(0)], [Fraction(0), Fraction(0), Fraction(1)]]
-    assert solve(mat, [GaussianRational(2, 3), i], allow_underdetermined=True) == [GaussianRational(2, 3), 0, i]
+    one = Fraction(1)
+    # x + y = 1 and 2x + 2y = 3: inconsistent, also when underdetermined
+    with pytest.raises(ZeroDivisionError, match="^inconsistent linear system$"):
+        solve([[one, one], [2 * one, 2 * one]], [one, 3 * one], allow_underdetermined=True)
+    # x + y = 1 twice: consistent but singular
+    with pytest.raises(ZeroDivisionError, match="^singular linear system$"):
+        solve([[one, one], [one, one]], [one, one])
+    # x0 + 2 x1 = 3 and x2 = 5: x1 is free, so zero, as in row_reduce
+    mat = [[one, 2 * one, Fraction(0)], [Fraction(0), Fraction(0), one]]
+    assert solve(mat, [3 * one, 5 * one], allow_underdetermined=True) == [3, 0, 5]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -433,7 +414,7 @@ def test_numeric_solve_error_messages_and_free_unknowns():
 @settings(max_examples=50, deadline=None)
 def test_numeric_inverse_matches_row_reduce(kind, data):
     n = data.draw(st.integers(1, 8))
-    m = data.draw(numeric_matrices(kind, rows=n, cols=n))
+    m = data.draw(numeric_matrices(rows=n, cols=n))
     try:
         expected = reference_inverse(m)
     except ZeroDivisionError:
@@ -447,8 +428,7 @@ def test_numeric_inverse_matches_row_reduce(kind, data):
 
 
 def test_numeric_inverse_of_singular_matrices_raises():
-    i = GaussianRational(0, 1)
-    for entries in ([[Fraction(0)]], [[1, 2], [2, 4]], [[GaussianRational(1), i], [i, GaussianRational(-1)]]):
+    for entries in ([[Fraction(0)]], [[1, 2], [2, 4]]):
         with pytest.raises(ZeroDivisionError, match="^singular matrix$"):
             MatrixRF(entries).inverse()
 
@@ -461,7 +441,7 @@ def _sign(perm) -> int:
 @settings(max_examples=50, deadline=None)
 def test_numeric_det_matches_the_subset_dp(data):
     n = data.draw(st.integers(1, 8))
-    m = data.draw(numeric_matrices("fraction", rows=n, cols=n))
+    m = data.draw(numeric_matrices(rows=n, cols=n))
     d = m.det()
     assert type(d) is Fraction and d == _subset_det(m.entries, Fraction(0))
     assert (d == 0) == (m.rank() < n)
@@ -480,23 +460,17 @@ def test_numeric_det_of_singular_and_permuted_matrices():
 
 
 def _numeric_operations():
-    """Numeric product, solve, inverse and det on Fraction entries, and
-    product, solve and inverse with GaussianRational entries."""
+    """Numeric product, solve, inverse, det and rank on Fraction entries."""
     rng = random.Random(7)
-    i = GaussianRational(0, 1)
     frac = MatrixRF([[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)] for _ in range(4)])
-    gauss = MatrixRF([[frac[r, c] + (i * frac[c, r] if (r + c) % 2 else 0) for c in range(4)] for r in range(4)])
     vec = [Fraction(k + 1, 3) for k in range(4)]
-    assert frac.det() and gauss.rank() == 4
+    assert frac.det()
     return [
         lambda: frac * frac,
         lambda: solve(frac.entries, vec),
         frac.inverse,
         frac.det,
-        lambda: gauss * frac,
-        lambda: gauss * gauss,
-        lambda: solve(gauss.entries, vec),
-        gauss.inverse,
+        frac.rank,
     ]
 
 
@@ -520,7 +494,7 @@ FRACTION_ARITHMETIC = [
 
 
 def test_numeric_operations_do_no_fraction_arithmetic(monkeypatch):
-    # every Fraction or GaussianRational they build is an output entry, from
+    # every Fraction they build is an output entry, from
     # integer numerators and denominators
     operations = _numeric_operations()
     expected = [op() for op in operations]

@@ -6,12 +6,26 @@ import random
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
 
+from symgroupoid.laurent import RationalFn
+from symgroupoid.matrices import MatrixRF
 from symgroupoid.quiver import Jet, brackets_at
 from symgroupoid.report import all_report, write_report
-from symgroupoid.suites import SUITE_NAMES, _positive_point, build_suite, check, twist_leaves, twist_quantities
-from symgroupoid.teich import build_surface
+from symgroupoid.suites import (
+    SUITE_NAMES,
+    _casimir_point,
+    _positive_point,
+    _real_congruence,
+    _real_rank_chain,
+    build_suite,
+    check,
+    twist_leaves,
+    twist_quantities,
+)
+from symgroupoid.teich import build_surface, chain_matrix
 
 # written by `symgroupoid verify all --rng 42 --json`; the report must stay
 # byte-identical, so a change to any verdict, witness, claim or check id shows here
@@ -39,6 +53,66 @@ def test_markov_invariance_holds_where_a_random_point_fixes_the_markov_element(r
     # moves it is symbolic, so no point can make it fail
     (markov,) = [c for c in build_suite("braid", rng_seed) if c.id == "braid_markov_invariance"]
     assert markov.run() is True
+
+
+@pytest.mark.parametrize("rng_seed", [68, 328])
+def test_spectrum_locus_control_is_drawn_off_the_locus(rng_seed):
+    # at these seeds the first random control has det(A + A^T) = 0, so -1
+    # is an eigenvalue of A^-T A; the control is drawn again until it is not
+    (spectrum,) = [c for c in build_suite("groupoid", rng_seed) if c.id == "groupoid_spectrum_locus"]
+    assert spectrum.run() is True
+
+
+# the powers of i as (re, im) pairs
+I_POWERS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+
+
+def _value_at_imaginary(f: RationalFn, point: dict, name: str) -> tuple:
+    """A Laurent polynomial at ``point`` with ``name`` moved from r to i*r,
+    term by term, as a pair (re, im) of Fractions."""
+    re = im = Fraction(0)
+    for exps, c in f.as_laurent().terms.items():
+        term = Fraction(c)
+        for n, e in zip(f.table.names, exps):
+            term *= Fraction(point[n]) ** e
+        x, y = I_POWERS[exps[f.table.index(name)] % 4]
+        re, im = re + x * term, im + y * term
+    return re, im
+
+
+def test_real_form_is_the_rank_chain_at_casimir_minus_one():
+    # with p_j = 1 on the rows above G_B (0-3) and 0 below, the chain U at
+    # w:at = i*r has u_jk = i^-(p_j + p_k) * B_jk(r) for the real form B
+    model = build_surface("genus3_extended")
+    u = chain_matrix(model.name, model.chains["rank"])
+    p = [1, 1, 1, 1, 0, 0, 0, 0]
+    rng = random.Random(3)
+    for _ in range(2):
+        point = _casimir_point(model.seed.frame, rng)
+        b = _real_rank_chain().evaluate(point)
+        for j in range(8):
+            for k in range(8):
+                x, y = I_POWERS[-(p[j] + p[k]) % 4]
+                assert _value_at_imaginary(u[j, k], point, "w:at") == (x * b[j, k], y * b[j, k]), (j, k)
+    assert [b[j, j] for j in range(8)] == [-1] * 4 + [1] * 4
+
+
+def test_real_form_refuses_an_entry_of_mixed_parity():
+    # an entry of odd parity in w:at plus 1 has both parities: in the last
+    # column, where the parities are read, and beside it
+    model = build_surface("genus3_extended")
+    u = chain_matrix(model.name, model.chains["rank"])
+    one = RationalFn.constant(u[0, 0].table, 1)
+    for j, k in ((0, 7), (0, 4)):
+        bad = MatrixRF(u.entries)
+        bad[j, k] = u[j, k] + one
+        with pytest.raises(ArithmeticError, match=f"entry \\({j}, {k}\\)"):
+            _real_congruence(bad, "w:at")
+    # an entry that is not a Laurent polynomial has no real form either
+    bad = MatrixRF(u.entries)
+    bad[2, 5] = u[2, 5] / (u[0, 1] + one)
+    with pytest.raises(ArithmeticError, match="not in Laurent form"):
+        _real_congruence(bad, "w:at")
 
 
 def _squared_twist_identity_holds(x, y2, model, pt):
