@@ -1,8 +1,7 @@
-"""Run ``verify`` over a range of rng seeds in one process and print every
-check that fails at some seed, with the seed and the witness.
+"""Run ``verify all`` over a range of rng seeds in one process and print
+every check that fails at some seed, with the seed and the witness.
 
     python3 probes/seed_sweep.py --start 0 --stop 100
-    python3 probes/seed_sweep.py --suite groupoid --start 60 --stop 70
 
 Run from anywhere inside a checkout: the program is imported from the
 checkout's ``src``.  A verdict that depends on the seed is a defect of the
@@ -10,7 +9,7 @@ check (a random draw that can land where its claim does not hold), so a
 clean sweep prints only its summary line.  Each failure is one line
 ``seed <n>  <suite>/<check id>  <witness>``; the last line counts the seeds,
 checks run and failures.  Exit status is 1 when some check failed, else 0.
-The sweep is slow (about a third of a second per seed for ``all``), so it
+The sweep is slow (about a third of a second per seed), so it
 is kept out of the test suite.
 """
 
@@ -27,12 +26,12 @@ from symgroupoid.report import run_suite_checks  # noqa: E402
 from symgroupoid.suites import SUITE_NAMES, build_suite  # noqa: E402
 
 
-def sweep(suites: list, seeds: range) -> tuple:
-    """The failures ``(seed, suite, check id, witness)`` of ``suites`` over
+def sweep(seeds: range) -> tuple:
+    """The failures ``(seed, suite, check id, witness)`` of every suite over
     ``seeds``, in seed order, and the number of checks run."""
     failures, runs = [], 0
     for seed in seeds:
-        for name in suites:
+        for name in SUITE_NAMES:
             report = run_suite_checks(name, build_suite(name, seed), seed)
             runs += len(report.checks)
             failures += [(seed, name, c.id, c.witness) for c in report.checks if c.status == "fail"]
@@ -41,20 +40,18 @@ def sweep(suites: list, seeds: range) -> tuple:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
     parser.add_argument("--start", type=int, default=0, help="first rng seed (default 0)")
     parser.add_argument("--stop", type=int, default=100, help="one past the last rng seed (default 100)")
     args = parser.parse_args(argv)
     if args.stop <= args.start:
         parser.error(f"--stop must be larger than --start, got {args.start}..{args.stop}")
-    suites = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     seeds = range(args.start, args.stop)
     begin = time.perf_counter()
-    failures, runs = sweep(suites, seeds)
+    failures, runs = sweep(seeds)
     for seed, name, check_id, witness in failures:
         print(f"seed {seed}  {name}/{check_id}  {witness}")
     print(
-        f"{args.suite} at rng {args.start}..{args.stop - 1}: {len(seeds)} seeds, {runs} checks run, "
+        f"all at rng {args.start}..{args.stop - 1}: {len(seeds)} seeds, {runs} checks run, "
         f"{len(failures)} failed, {time.perf_counter() - begin:.0f} s"
     )
     return 1 if failures else 0

@@ -57,8 +57,9 @@ def test_markov_invariance_holds_where_a_random_point_fixes_the_markov_element(r
 
 @pytest.mark.parametrize("rng_seed", [68, 328])
 def test_spectrum_locus_control_is_drawn_off_the_locus(rng_seed):
-    # at these seeds the first random control has det(A + A^T) = 0, so -1
-    # is an eigenvalue of A^-T A; the control is drawn again until it is not
+    # at these seeds a random unipotent 5x5 control had det(A + A^T) = 0, so
+    # -1 was an eigenvalue of A^-T A; the control is now the rank chain at
+    # Casimir +1, which does not depend on such a draw
     (spectrum,) = [c for c in build_suite("groupoid", rng_seed) if c.id == "groupoid_spectrum_locus"]
     assert spectrum.run() is True
 
