@@ -89,7 +89,10 @@ def reflection_rhs(mv: MatrixRF) -> MatrixRF:
 def _reflection_form(m: list) -> list:
     """The integer form behind ``reflection_rhs``: entry ((i,k),(j,l)) is
     (t(k-i) - t(j-l)) m_kj m_il - t(j-k) m_ik m_jl + t(l-i) m_ki m_lj with
-    t = ``twice_theta``; rows in the doubled index order."""
+    t = ``twice_theta``; rows in the doubled index order.  It takes only
+    +, - and * of the entries and of ints, so it works over any commutative
+    ring: on ints here, and on the ``LaurentPoly`` entries of a chain matrix,
+    where 4 times it is 8·{M ⊗, M} as ``quiver._poly_bracket`` forms it."""
     n = len(m)
     # half[a][b] = t(a - b)
     half = [[twice_theta(a - b) for b in range(n)] for a in range(n)]

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, compress
-from math import gcd, lcm
+from itertools import accumulate, compress, repeat
+from math import gcd, lcm, prod
 from operator import add, attrgetter, mul, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Q = Fraction
 
@@ -679,81 +679,126 @@ class RationalFn:
 
 def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradient: bool = False) -> tuple:
     """Values (and Euler partials) of polynomials over one table at one point,
-    from one pass over their terms in integers.
+    from one pass over their terms in integers: ``point_plan(polys)`` run once
+    (see there for the coordinates it takes and what it returns)."""
+    return point_plan(polys)(point, gradient)
+
+
+def point_plan(polys: Sequence[LaurentPoly]) -> Callable:
+    """The evaluation of polynomials over one table, prepared once from their
+    exponents, as a function ``run(point, gradient=False)`` to call at each
+    point.
 
     A coordinate is an int (not a bool) or a Fraction; anything else is a
-    TypeError.  With ``w_i = a/b`` and ``lo`` and ``hi`` the lowest and
-    highest exponent of ``w_i`` over the terms of all the polynomials,
-    ``(a/b)**e = a**(e-lo) * b**(hi-e) * a**lo / b**hi``: one integer table
-    per generator, shared by every polynomial, makes every term an integer,
-    up to one scale shared by all terms, once the coefficients are over
-    their lcm.  A table holds the exponents that occur, so its size follows
-    them and not the span ``hi - lo``.  A zero coordinate takes the table of
-    ``a = 0`` with ``lo`` raised to 0, which keeps the scale nonzero; under a
-    negative exponent it is a ZeroDivisionError.
+    TypeError.  With ``w_i = a/b`` and ``lo <= e <= hi`` for every exponent
+    e of ``w_i`` over the terms of all the polynomials,
+    ``(a/b)**e = a**(e-lo) * b**(hi-e) * a**lo / b**hi``: one integer power
+    list per generator, shared by every polynomial, makes every term an
+    integer, up to one scale shared by all terms, once the coefficients are
+    over their lcm.  A zero coordinate takes the powers of ``a = 0`` with
+    ``lo`` raised to 0, which keeps the scale nonzero; under a negative
+    exponent it is a ZeroDivisionError.  Each of these errors, and the
+    KeyError of a missing coordinate that a term uses, is raised by the run
+    at the point that meets it.
 
-    The pass runs over the terms of all the polynomials at once, one
-    generator at a time: each generator's exponents form one column, whose
-    powers multiply every term in one sweep, and each polynomial owns a
-    slice of the terms, its value and partials being sums over that slice.
+    The plan holds what depends on the exponents alone: the coefficients
+    over their lcm, each polynomial's slice of the terms of all of them and,
+    per generator in use, the exponents of its power list and each term's
+    index into it.  When the exponents from ``min(lo, 0)`` to ``max(hi, 0)``
+    are no more than the terms, the list holds all of them and the index is
+    the exponent itself: the list is rotated to start at exponent 0, so that
+    a negative one counts from its end.  Otherwise the list holds the
+    exponents that occur, and the index is each term's position among them.
+    Either way a list is never longer than the terms, whatever the span
+    ``hi - lo``.  A run builds each generator's power list and multiplies
+    every term by its powers in one sweep over the terms; each polynomial's
+    value and partials are sums over its slice.
 
-    Returns ``(num, den, rows)``, one row ``(value, partials)`` per
+    A run returns ``(num, den, rows)``, one row ``(value, partials)`` per
     polynomial: its value is ``value * num/den``, with ``value`` an int.
     With ``gradient``, ``partials`` is a list of ints in table order, the
     Euler partial ``w_i * dp/dw_i`` being ``partials[i] * num/den``: the
     exponent-weighted sum of the same terms.  Otherwise it is None.
     """
     if not polys:
-        return 1, 1, []
+        return lambda point, gradient=False: (1, 1, [])
     table = polys[0].table
     if len(polys) > 1 and any(p.table != table for p in polys):
         raise ValueError("mixed generator tables")
     names = table.names
-    # every term of every polynomial; polynomial k owns terms ends[k-1]:ends[k]
+    count = len(polys)
+    # every term of every polynomial; polynomial k owns terms starts[k]:ends[k]
     exps = [e for p in polys for e in p.terms]
     coeffs = [c for p in polys for c in p.terms.values()]
     ends = list(accumulate(len(p.terms) for p in polys))
+    starts = [0, *ends[:-1]]
     lcd = lcm(*map(_denominator, coeffs))
-    vals = coeffs if lcd == 1 else [c.numerator * (lcd // c.denominator) for c in coeffs]
-    num, den = 1, lcd
-    in_use = []  # (table index, exponent column) of each coordinate the terms use
+    base = coeffs if lcd == 1 else [c.numerator * (lcd // c.denominator) for c in coeffs]
+    # per generator in use: (table index, name, exponent column, lowest and
+    # highest exponent of its power list, gaps between the list's exponents,
+    # each term's index into the list, the list's rotation); a generator with
+    # one exponent scales every term alike and needs no list
+    in_use = []
     for i, col in enumerate(zip(*exps)):
         present = set(col)
-        if not any(present):
-            continue
-        if names[i] not in point:
-            raise KeyError(f"no value for generator {names[i]!r}")
-        v = point[names[i]]
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-            raise TypeError(f"{names[i]} = {v!r} is not an exact rational")
-        a, b = v.numerator, v.denominator
         lo, hi = min(present), max(present)
-        if not a:
-            if lo < 0:
-                raise ZeroDivisionError(f"{names[i]} = 0 under a negative exponent")
-            lo = 0
-        if lo > 0:
-            num *= a ** lo
+        if lo == hi:
+            if lo:
+                in_use.append((i, names[i], col, lo, hi, None, None, 0))
+            continue
+        low, high = min(lo, 0), max(hi, 0)
+        if high - low < len(col):
+            # the list runs over every exponent from low to high; rotated to
+            # start at exponent 0 it is indexed by the exponent itself, a
+            # negative one counting from its end
+            in_use.append((i, names[i], col, low, high, [1] * (high - low), col, -low))
         else:
-            den *= a ** -lo
-        if hi > 0:
-            den *= b ** hi
-        else:
-            num *= b ** -hi
-        if lo != hi:
-            powers = _power_table(present, a, b, lo)
-            vals = list(map(mul, vals, map(powers.__getitem__, col)))
-        in_use.append((i, col))
-    starts = [0, *ends[:-1]]
-    partials = [None] * len(polys)
-    if gradient:
-        # per generator, its exponent-weighted sum over each polynomial's
-        # terms; one that no term uses reads 0 in every polynomial
-        weighted = [[0] * len(polys)] * len(names)
-        for i, col in in_use:
-            weighted[i] = _slice_sums(list(map(mul, col, vals)), starts, ends)
-        partials = [list(row) for row in zip(*weighted)] if names else [[] for _ in polys]
-    return num, den, list(zip(_slice_sums(vals, starts, ends), partials))
+            es = sorted(present)
+            position = {e: k for k, e in enumerate(es)}
+            in_use.append((i, names[i], col, lo, hi, list(map(sub, es[1:], es)), list(map(position.__getitem__, col)), 0))
+
+    def run(point: Mapping[str, object], gradient: bool = False) -> tuple:
+        num, den = 1, lcd
+        columns = []
+        for _, name, _, lo, hi, steps, index, rotation in in_use:
+            if name not in point:
+                raise KeyError(f"no value for generator {name!r}")
+            v = point[name]
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise TypeError(f"{name} = {v!r} is not an exact rational")
+            a, b = v.numerator, v.denominator
+            first = 0  # the power of a at the list's lowest exponent
+            if not a:
+                if lo < 0:
+                    raise ZeroDivisionError(f"{name} = 0 under a negative exponent")
+                lo, first = 0, lo
+            if lo > 0:
+                num *= a ** lo
+            else:
+                den *= a ** -lo
+            if hi > 0:
+                den *= b ** hi
+            else:
+                num *= b ** -hi
+            if index is not None:
+                powers = _powers(a, b, first, steps)
+                if rotation:
+                    powers = powers[rotation:] + powers[:rotation]
+                columns.append(map(powers.__getitem__, index))
+            elif first:
+                columns.append(repeat(0))  # a zero coordinate under the one, positive, exponent
+        vals = list(map(prod, zip(base, *columns))) if columns else base
+        partials = [None] * count
+        if gradient:
+            # per generator, its exponent-weighted sum over each polynomial's
+            # terms; one that no term uses reads 0 in every polynomial
+            weighted = [[0] * count] * len(names)
+            for i, _, col, *_ in in_use:
+                weighted[i] = _slice_sums(list(map(mul, col, vals)), starts, ends)
+            partials = [list(row) for row in zip(*weighted)] if names else [[] for _ in range(count)]
+        return num, den, list(zip(_slice_sums(vals, starts, ends), partials))
+
+    return run
 
 
 def _slice_sums(terms: list, starts: list, ends: list) -> list:
@@ -762,18 +807,16 @@ def _slice_sums(terms: list, starts: list, ends: list) -> list:
     return list(map(sub, map(running.__getitem__, ends), map(running.__getitem__, starts)))
 
 
-def _power_table(exponents: set, a: int, b: int, lo: int) -> dict:
-    """``{e: a**(e-lo) * b**(hi-e)}`` for the exponents e, all at least lo,
-    with hi the largest: in ascending order, each power of a from the one
-    before, and each power of b from the one after."""
-    es = sorted(exponents)
-    steps = list(map(sub, es[1:], es))
-    apow, bpow = [a ** (es[0] - lo)], [1]
+def _powers(a: int, b: int, first: int, steps: list) -> list:
+    """``a**(e-lo) * b**(hi-e)`` for ascending exponents e up to hi, the
+    lowest ``first`` above lo and the others ``steps`` apart: each power of a
+    from the one before, and each power of b from the one after."""
+    apow, bpow = [a ** first], [1]
     for s in steps:
         apow.append(apow[-1] * a ** s)
     for s in reversed(steps):
         bpow.append(bpow[-1] * b ** s)
-    return dict(zip(es, map(mul, apow, reversed(bpow))))
+    return list(map(mul, apow, reversed(bpow)))
 
 
 def _is_one(terms: Mapping[tuple, object]) -> bool:
@@ -809,9 +852,16 @@ def _cleared(f: RationalFn) -> tuple:
 
 
 def evaluate_rational_fns(fns: Sequence[RationalFn], point: Mapping[str, object], gradient: bool = False) -> list:
-    """The values of rational functions at a point, from one ``point_pass``
-    over every numerator and denominator; with ``gradient``, one pair
-    ``(value, euler_gradient)`` per function.
+    """The values of rational functions at a point (see ``rational_evaluator``);
+    with ``gradient``, one pair ``(value, euler_gradient)`` per function."""
+    return rational_evaluator(fns)(point, gradient)
+
+
+def rational_evaluator(fns: Sequence[RationalFn]) -> Callable:
+    """The evaluation of rational functions, prepared once as one
+    ``point_plan`` over every numerator and denominator, as a function
+    ``evaluate(point, gradient=False)`` that returns their values at a point
+    or, with ``gradient``, one pair ``(value, euler_gradient)`` per function.
 
     The pass's shared scale cancels in each ratio N/D, and in each Euler
     partial ``(E·N·D - N·E·D)/D²`` of the quotient rule (E·N the numerator's
@@ -821,25 +871,34 @@ def evaluate_rational_fns(fns: Sequence[RationalFn], point: Mapping[str, object]
     under a negative exponent of a numerator.  The error names the stored
     denominator times the monomial that clears the numerator's negative
     exponents, which vanishes at the point."""
-    try:
-        _, _, rows = point_pass([p for f in fns for p in (f.num, f.den)], point, gradient)
-    except ZeroDivisionError:
-        # a denominator has content zero, so a numerator put a zero coordinate
-        # under a negative exponent; the cleared pairs have the same values,
-        # and that function's cleared denominator vanishes at the point
-        _, _, rows = point_pass([p for f in fns for p in _cleared(f)], point, gradient)
-    out = []
-    for k, f in enumerate(fns):
-        nv, npart = rows[2 * k]
-        dv, dpart = rows[2 * k + 1]
-        if not dv:
-            raise SingularPointError(_cleared(f)[1])
-        value = Fraction(nv, dv)
-        if gradient:
-            d2 = dv * dv
-            value = value, [Fraction(a * dv - nv * b, d2) for a, b in zip(npart, dpart)]
-        out.append(value)
-    return out
+    run = point_plan([p for f in fns for p in (f.num, f.den)])
+    cleared = None  # the plan of the cleared pairs, made when a point first needs it
+
+    def evaluate(point: Mapping[str, object], gradient: bool = False) -> list:
+        nonlocal cleared
+        try:
+            _, _, rows = run(point, gradient)
+        except ZeroDivisionError:
+            # a denominator has content zero, so a numerator put a zero
+            # coordinate under a negative exponent; the cleared pairs have the
+            # same values, and that function's cleared denominator vanishes
+            if cleared is None:
+                cleared = point_plan([p for f in fns for p in _cleared(f)])
+            _, _, rows = cleared(point, gradient)
+        out = []
+        for k, f in enumerate(fns):
+            nv, npart = rows[2 * k]
+            dv, dpart = rows[2 * k + 1]
+            if not dv:
+                raise SingularPointError(_cleared(f)[1])
+            value = Fraction(nv, dv)
+            if gradient:
+                d2 = dv * dv
+                value = value, [Fraction(a * dv - nv * b, d2) for a, b in zip(npart, dpart)]
+            out.append(value)
+        return out
+
+    return evaluate
 
 
 def exact_poly_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:

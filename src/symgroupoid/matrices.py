@@ -20,7 +20,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .intlinalg import IntMatrix, det_bareiss, rank_bareiss, solve_bareiss
-from .laurent import evaluate_rational_fns
+from .laurent import rational_evaluator
 
 
 def row_reduce(rows: list, ncols: int) -> list:
@@ -298,8 +298,20 @@ class MatrixRF:
     def evaluate(self, point) -> "MatrixRF":
         """Every (rational function) entry at a point, as its ``evaluate`` gives
         it, from one shared pass over all numerators and denominators."""
-        values = iter(evaluate_rational_fns([f for row in self.entries for f in row], point))
-        return MatrixRF([[next(values) for _ in row] for row in self.entries])
+        return self.evaluator()(point)
+
+    def evaluator(self) -> Callable:
+        """``evaluate`` as a function of the point, its pass prepared once
+        (``laurent.rational_evaluator``) from the entries as they are now, for
+        a caller that evaluates the matrix at many points."""
+        evaluate = rational_evaluator([f for row in self.entries for f in row])
+        rows, cols = self.rows, self.cols
+
+        def at(point) -> "MatrixRF":
+            values = evaluate(point)
+            return MatrixRF([values[r * cols : (r + 1) * cols] for r in range(rows)])
+
+        return at
 
     def __repr__(self) -> str:
         return f"MatrixRF({self.rows}x{self.cols})"

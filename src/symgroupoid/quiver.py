@@ -21,7 +21,6 @@ from .laurent import (
     LaurentPoly,
     Q,
     RationalFn,
-    evaluate_rational_fns,
     exact_coefficient,
     exact_int,
     exact_poly_div,
@@ -538,17 +537,14 @@ class Jet:
     one point: forward mode.  Closed under +, -, *, / and integer powers by
     the sum, product and quotient rules, which hold for any derivation; an int
     or Fraction operand, on either side, is a constant with zero gradient.
-    ``Jet.at`` takes a leaf from ``laurent.evaluate_rational_fns``."""
+    A leaf is ``Jet(value, grad)`` of a pair that
+    ``laurent.rational_evaluator`` gives with ``gradient``."""
 
     __slots__ = ("value", "grad")
 
     def __init__(self, value, grad: list):
         self.value = value
         self.grad = grad
-
-    @classmethod
-    def at(cls, h: RationalFn, point: Mapping[str, object]) -> "Jet":
-        return cls(*evaluate_rational_fns([h], point, gradient=True)[0])
 
     def __add__(self, other):
         if isinstance(other, Jet):

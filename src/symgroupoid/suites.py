@@ -20,7 +20,7 @@ from .groupoid import (
     solve_unipotent_A,
     transport_groupoid,
 )
-from .laurent import GeneratorTable, LaurentPoly, Q, RationalFn, evaluate_rational_fns
+from .laurent import GeneratorTable, LaurentPoly, Q, RationalFn, evaluate_rational_fns, rational_evaluator
 from .matrices import MatrixRF
 from .network import enumerate_paths_dfs, path_sum_bruteforce, square_network
 from .quiver import (
@@ -746,10 +746,11 @@ def twist_identities(rng_seed):
     t = model.seed.frame
     q = model.quiver
     leaves = twist_leaves(model)
+    evaluate = rational_evaluator(leaves)
     rng = random.Random(rng_seed)
     for rep in range(10):
         pt = _positive_point(t, rng, 1, 25)
-        x, y2, t2, tt2 = twist_quantities(*(Jet.at(h, pt) for h in leaves))
+        x, y2, t2, tt2 = twist_quantities(*(Jet(*leaf) for leaf in evaluate(pt, gradient=True)))
         ((br, t2br, tt2br),) = brackets_at(q, t, [y2.grad], [x.grad, t2.grad, tt2.grad])
         if br * br != 4 * y2.value * (x.value ** 2 - 4) * (y2.value - 4):
             return (False, f"squared twist identity fails at rep {rep}")
@@ -962,8 +963,9 @@ def rank_locus(rng_seed):
     rng = random.Random(rng_seed)
     # at Casimir -1 the rank is that of the real form's B + B^T
     for m, expect_low in ((_real_rank_chain(), True), (u, False)):
+        evaluate = m.evaluator()
         for rep in range(5):
-            upt = m.evaluate(_casimir_point(model.seed.frame, rng))
+            upt = evaluate(_casimir_point(model.seed.frame, rng))
             rank = (upt + upt.transpose()).rank()
             if expect_low and rank > 4:
                 return (False, f"rank {rank} on the locus")
@@ -1191,9 +1193,10 @@ def relations(rng_seed):
             m = images[seq[: j + 1]] = matrix_braid(m, seq[j])
         return m
 
+    evaluate = u.evaluator()
     for rep in range(5):
         pt = _positive_point(model.seed.frame, rng, 1, 12)
-        upt = u.evaluate(pt)
+        upt = evaluate(pt)
         images = {(): upt}
         if not word([5, 4, 3, 2, 1, 1, 2, 3, 4, 5]) == upt:
             return (False, f"rep {rep}: hyperelliptic composition differs from identity")

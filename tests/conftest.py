@@ -42,3 +42,28 @@ def joint_content_json():
         return {"num": f.num.shift(back).to_json(), "den": f.den.shift(back).to_json()}
 
     return old_form
+
+
+@pytest.fixture
+def point_plans(monkeypatch):
+    """The evaluation plans built while a test runs: ``laurent.point_plan`` is
+    wrapped so that each build appends ``[polys, runs]`` here, ``runs``
+    counting the points at which that plan was run."""
+    from symgroupoid import laurent
+
+    plans = []
+    original = laurent.point_plan
+
+    def build(polys):
+        record = [list(polys), 0]
+        plans.append(record)
+        run = original(polys)
+
+        def counted(*args, **kwargs):
+            record[1] += 1
+            return run(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(laurent, "point_plan", build)
+    return plans

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from symgroupoid import groupoid, laurent, suites
+from symgroupoid import groupoid, suites
 from symgroupoid.groupoid import (
     InadmissibleMatrixError,
     RMatrix,
+    _reflection_form,
     antidiagonal_S,
     bracket_tensor_at,
     corner_minor_ratios,
@@ -25,7 +26,7 @@ from symgroupoid.intlinalg import IntMatrix
 from symgroupoid.laurent import GeneratorTable, RationalFn
 from symgroupoid.matrices import MatrixRF, charpoly_is_palindromic
 from symgroupoid.network import SquareNetwork
-from symgroupoid.quiver import Quiver, exchange_rows, poisson_bracket
+from symgroupoid.quiver import Quiver, _poly_bracket, exchange_rows, poisson_bracket
 from symgroupoid.report import run_suite_checks
 from symgroupoid.suites import build_suite
 from symgroupoid.teich import matrix_braid
@@ -488,19 +489,45 @@ def test_reflection_sides_match_the_tensor_and_the_evaluated_right_side():
         assert lhs != rhs
 
 
-def test_pointwise_tensors_make_one_point_pass_per_matrix(monkeypatch):
-    # the entries of a matrix, numerators and denominators, share one pass; the
-    # per-entry gradients made two passes per entry
+def test_pointwise_tensors_make_one_point_pass_per_matrix(point_plans):
+    # the entries of a matrix, numerators and denominators, share one plan, run
+    # once; the per-entry gradients made two passes per entry
     model, u, tw = _genus2_chain_pair()
     pt = suites._positive_point(model.seed.frame, random.Random(19), 1, 9)
-    calls = []
-    original = laurent.point_pass
-    monkeypatch.setattr(laurent, "point_pass", lambda polys, *a, **kw: calls.append(polys) or original(polys, *a, **kw))
     reflection_sides_at(u, model.quiver, pt)
-    assert [len(polys) for polys in calls] == [2 * u.rows * u.cols]
-    calls.clear()
+    assert [(len(polys), runs) for polys, runs in point_plans] == [(2 * u.rows * u.cols, 1)]
+    point_plans.clear()
     bracket_tensor_at(u, tw, model.quiver, pt)
-    assert [len(polys) for polys in calls] == [2 * u.rows * u.cols] * 2
+    assert [(len(polys), runs) for polys, runs in point_plans] == [(2 * u.rows * u.cols, 1)] * 2
+
+
+def _reversed_a_to_d(q: Quiver) -> Quiver:
+    """The quiver with the weight-4 arrow a -> d of genus2_x7 reversed."""
+    assert q.b("a", "d") == 4
+    doubled = [list(row) for row in q.doubled.entries]
+    ia, id_ = q.index("a"), q.index("d")
+    doubled[ia][id_], doubled[id_][ia] = -4, 4
+    return Quiver(q.vertices, IntMatrix(doubled), q.frozen)
+
+
+def test_reflection_form_over_laurent_entries_is_the_symbolic_bracket():
+    # the reflection identity proved symbolically on the genus2_x7 braid chain:
+    # over its Laurent entries 4·_reflection_form is 8·{a_ij, a_kl} on all
+    # 1296 ordered quadruples; with the arrow a -> d reversed, 136 differ
+    model, u, _ = _genus2_chain_pair()
+    m = [[x.as_laurent() for x in row] for row in u.entries]
+    n = len(m)
+    form = [4 * x for row in _reflection_form(m) for x in row]
+    cells = [(i, k, j, l) for i in range(n) for k in range(n) for j in range(n) for l in range(n)]
+    assert len(form) == len(cells) == 1296
+
+    def doubled_brackets(quiver):
+        rows = exchange_rows(quiver, model.seed.frame)
+        return [_poly_bracket(m[i][j], m[k][l], rows) for i, k, j, l in cells]
+
+    assert doubled_brackets(model.quiver) == form
+    wrong = doubled_brackets(_reversed_a_to_d(model.quiver))
+    assert sum(x != y for x, y in zip(wrong, form)) == 136
 
 
 def test_reversed_arrow_breaks_the_genus2_reflection_identity():
@@ -509,11 +536,7 @@ def test_reversed_arrow_breaks_the_genus2_reflection_identity():
     # exactly those, in both orders: 136 of the 1296 entries
     model, u, _ = _genus2_chain_pair()
     q = model.quiver
-    assert q.b("a", "d") == 4
-    doubled = [list(row) for row in q.doubled.entries]
-    ia, id_ = q.index("a"), q.index("d")
-    doubled[ia][id_], doubled[id_][ia] = -4, 4
-    reversed_q = Quiver(q.vertices, IntMatrix(doubled), q.frozen)
+    reversed_q = _reversed_a_to_d(q)
     pt = suites._positive_point(model.seed.frame, random.Random(13), 1, 9)
     rhs = reflection_rhs(u.evaluate(pt)).entries
     true_tensor = bracket_tensor_at(u, u, q, pt).entries

@@ -55,8 +55,9 @@ def test_no_module_has_a_while_true_loop():
 
 
 def test_only_laurent_calls_point_pass():
-    # one evaluation entry: other modules go through LaurentPoly.evaluate or
-    # laurent.evaluate_rational_fns, never the integer pass itself
+    # one evaluation entry: other modules go through LaurentPoly.evaluate,
+    # laurent.evaluate_rational_fns or laurent.rational_evaluator, and never
+    # name the integer pass or its plan, by import, call or attribute
     offenders = []
     for path in sorted(PACKAGE_DIR.rglob("*.py")):
         if path.name == "laurent.py":
@@ -64,13 +65,14 @@ def test_only_laurent_calls_point_pass():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.alias):
                 name = node.name
-            elif isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
             else:
                 continue
-            if name == "point_pass":
-                offenders.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+            if name in ("point_pass", "point_plan"):
+                offenders.append(f"{path.name}:{getattr(node, 'lineno', '?')}: {name}")
     assert not offenders, offenders
 
 

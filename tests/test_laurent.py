@@ -26,6 +26,8 @@ from symgroupoid.laurent import (
     exact_coefficient,
     exact_poly_div,
     point_pass,
+    point_plan,
+    rational_evaluator,
 )
 from symgroupoid.quiver import Quiver, _poly_bracket, exchange_rows, poisson_bracket, skein_product
 
@@ -797,16 +799,12 @@ def test_power_tables_follow_the_exponents_that_occur():
     assert run.returncode == 0, run.stderr[-2000:]
 
 
-def test_rational_evaluate_makes_one_point_pass(monkeypatch):
-    # numerator and denominator share one pass; it used to be one each
-    from symgroupoid import laurent
-
-    calls = []
-    original = laurent.point_pass
-    monkeypatch.setattr(laurent, "point_pass", lambda polys, *a, **kw: calls.append(polys) or original(polys, *a, **kw))
+def test_rational_evaluate_makes_one_point_pass(point_plans):
+    # numerator and denominator share one plan, run once; it used to be one
+    # pass each
     f = RationalFn(gen("w:a") + gen("w:b", 2), gen("w:c") + LaurentPoly.one(T))
     assert f.evaluate({"w:a": Q(1), "w:b": Q(1, 2), "w:c": Q(3)}) == Q(5, 16)
-    assert calls == [[f.num, f.den]]
+    assert point_plans == [[[f.num, f.den], 1]]
 
 
 def _row_value(num, den, row):
@@ -883,6 +881,118 @@ def test_one_point_pass_refuses_as_a_pass_per_polynomial():
     assert rows[2][0] == 0
     with pytest.raises(ValueError, match="mixed generator tables"):
         point_pass([a, gen("w:x", table=W1)], {"w:a": Q(1), "w:x": Q(1)})
+
+
+@given(st.lists(laurent_polys(), max_size=4), st.lists(st.lists(coordinates, min_size=3, max_size=3), min_size=2, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_one_plan_at_many_points_matches_a_pass_at_each(polys, coords):
+    # a plan keeps nothing of one point for the next: each run gives what a
+    # fresh pass gives there, or raises as it does
+    run = point_plan(polys)
+    for point in (dict(zip(T.names, c)) for c in coords):
+        for gradient in (False, True):
+            try:
+                expected = point_pass(polys, point, gradient)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    run(point, gradient)
+                continue
+            assert run(point, gradient) == expected
+
+
+def test_power_lists_by_exponent_and_by_position():
+    # a column whose exponents from min(lo, 0) to max(hi, 0) are no more than
+    # its terms is read through a list indexed by the exponent itself: w:a
+    # takes 0 to 3 and w:b -3 to -1 here (the other tests mix signs); w:c,
+    # from -40 to 40 over 8 terms, through its exponents' positions
+    a, b, c = gen("w:a"), gen("w:b", -1), gen("w:c")
+    polys = [
+        a * b + gen("w:a", 2) * gen("w:b", -3) + gen("w:a", 3) * gen("w:b", -2) * gen("w:c", 40),
+        b * a + (c * b).scale(Q(5, 3)) - gen("w:b", -2),
+        gen("w:c", -40) * b + a * gen("w:b", -2),
+    ]
+    assert sorted({e[1] for p in polys for e in p.terms}) == [-3, -2, -1]
+    run = point_plan(polys)
+    for point in (
+        {"w:a": Q(2, 3), "w:b": Q(-5), "w:c": Q(7, 2)},
+        {"w:a": 3, "w:b": Q(1, 4), "w:c": -1},
+        {"w:a": 0, "w:b": Q(1, 4), "w:c": -1},
+    ):
+        num, den, rows = run(point, gradient=True)
+        for p, row in zip(polys, rows):
+            value, partials = _row_value(num, den, row)
+            assert value == _reference_value(p, point)
+            assert partials == [point[n] * _reference_value(p.derivative(n), point) for n in T.names]
+
+
+def _evaluator_functions():
+    a, b, c = (rf(gen(n)) for n in T.names)
+    one = RationalFn.constant(T, 1)
+    return [a + one / b, (a + one) / (b * c), a / (b + c), one / (a - one), b * b / c]
+
+
+def test_one_evaluator_at_many_points_matches_a_fresh_evaluation():
+    # int, Fraction and zero coordinates, with and without gradients, through
+    # one evaluator in turn
+    fns = _evaluator_functions()
+    evaluate = rational_evaluator(fns)
+    points = [
+        {"w:a": 3, "w:b": -2, "w:c": 5},
+        {"w:a": Q(3, 2), "w:b": Q(-2), "w:c": Q(5, 7)},
+        {"w:a": 0, "w:b": Q(1, 3), "w:c": 4},
+        {"w:a": Q(-7, 3), "w:b": 6, "w:c": Q(1, 9)},
+    ]
+    for gradient in (False, True, False):
+        for point in points:
+            assert evaluate(point, gradient) == evaluate_rational_fns(fns, point, gradient)
+    assert rational_evaluator([])({}) == []
+
+
+def test_evaluator_errors_are_raised_by_the_run_that_meets_them():
+    fns = _evaluator_functions()
+    evaluate = rational_evaluator(fns)
+    good = {"w:a": Q(3, 2), "w:b": Q(-2), "w:c": Q(5, 7)}
+    at_pole = {"w:a": Q(1), "w:b": Q(0), "w:c": Q(2)}
+    with pytest.raises(SingularPointError) as fresh:
+        evaluate_rational_fns(fns, at_pole)
+    assert fresh.value.denominator == gen("w:b")
+    for gradient in (False, True):
+        expected = evaluate_rational_fns(fns, good, gradient)
+        for bad, error, message in (
+            ({"w:a": 1, "w:b": 2}, KeyError, "no value for generator 'w:c'"),
+            ({"w:a": 1, "w:b": 1.5, "w:c": 3}, TypeError, "not an exact rational"),
+            ({"w:a": 1, "w:b": 2, "w:c": True}, TypeError, "not an exact rational"),
+            (at_pole, SingularPointError, "vanishes"),
+            (at_pole, SingularPointError, "vanishes"),
+        ):
+            with pytest.raises(error, match=message) as err:
+                evaluate(bad, gradient)
+            if error is SingularPointError:
+                # the zero w:b sits under the first numerator's negative exponent
+                assert err.value.denominator == fresh.value.denominator
+            assert evaluate(good, gradient) == expected
+    # a generator no term uses need not have a value, nor a rational one
+    first_and_fourth = rational_evaluator([fns[0], fns[3]])
+    for unused in ({}, {"w:c": 1.5}):
+        assert first_and_fourth({"w:a": 2, "w:b": 3, **unused}) == [Q(7, 3), Q(1)]
+
+
+def test_evaluator_builds_the_cleared_plan_once(point_plans):
+    # one plan for the stored pairs; the cleared pairs get theirs at the first
+    # point that needs them, and keep it
+    fns = _evaluator_functions()
+    evaluate = rational_evaluator(fns)
+    good = {"w:a": Q(3, 2), "w:b": Q(-2), "w:c": Q(5, 7)}
+    zero_a = {"w:a": 0, "w:b": Q(1, 3), "w:c": 4}
+    at_pole = {"w:a": Q(1), "w:b": Q(0), "w:c": Q(2)}
+    evaluate(good)
+    evaluate(zero_a, gradient=True)
+    assert [(len(polys), runs) for polys, runs in point_plans] == [(10, 2)]
+    for _ in range(2):
+        with pytest.raises(SingularPointError):
+            evaluate(at_pole)
+        evaluate(good)
+    assert [(len(polys), runs) for polys, runs in point_plans] == [(10, 6), (10, 2)]
 
 
 def _exact_coefficient_ok(c):

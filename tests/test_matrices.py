@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symgroupoid import laurent, matrices
+from symgroupoid import matrices
 from symgroupoid.laurent import GeneratorTable, LaurentPoly, RationalFn, SingularPointError
 from symgroupoid.matrices import MatrixRF, _subset_det, row_reduce, solve
 from symgroupoid.suites import _casimir_point, _positive_point, _real_rank_chain
@@ -244,16 +244,26 @@ def test_evaluate_refuses_a_coordinate_off_both_axes():
             u.evaluate({"w:a": Fraction(2), "w:b": bad})
 
 
-def test_evaluate_makes_one_point_pass(monkeypatch):
-    # one pass over all numerators and denominators: the per-entry evaluation
-    # made two passes per entry
+def test_evaluate_makes_one_point_pass(point_plans):
+    # one plan over all numerators and denominators, run once: the per-entry
+    # evaluation made two passes per entry
     model = build_surface("genus3_extended")
     u = chain_matrix(model.name, model.chains["rank"])
-    calls = []
-    point_pass = laurent.point_pass
-    monkeypatch.setattr(laurent, "point_pass", lambda polys, *args, **kw: calls.append(polys) or point_pass(polys, *args, **kw))
     u.evaluate(_casimir_point(model.seed.frame, random.Random(3)))
-    assert len(calls) == 1 and len(calls[0]) == 2 * u.rows * u.cols
+    assert [(len(polys), runs) for polys, runs in point_plans] == [(2 * u.rows * u.cols, 1)]
+
+
+def test_evaluator_builds_one_plan_for_every_point(point_plans):
+    # the evaluator of a matrix prepares its pass once and runs it at each
+    # point, with the values a fresh evaluate gives there
+    model = build_surface("genus3_extended")
+    u = chain_matrix(model.name, model.chains["rank"])
+    rng = random.Random(4)
+    points = [_casimir_point(model.seed.frame, rng) for _ in range(3)]
+    evaluate = u.evaluator()
+    values = [evaluate(pt) for pt in points]
+    assert [(len(polys), runs) for polys, runs in point_plans] == [(2 * u.rows * u.cols, 3)]
+    assert values == [u.evaluate(pt) for pt in points]
 
 
 # -- numeric rank: fraction-free elimination against row_reduce ----------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from symgroupoid.groupoid import bracket_tensor_at
 from symgroupoid.intlinalg import IntMatrix
-from symgroupoid.laurent import GeneratorTable, LaurentPoly, Q, RationalFn
+from symgroupoid.laurent import GeneratorTable, LaurentPoly, Q, RationalFn, rational_evaluator
 from symgroupoid.matrices import MatrixRF
 from symgroupoid.quiver import (
     ClusterValue,
@@ -455,10 +455,11 @@ def test_twist_jets_match_gradients_of_the_symbolic_forms():
     model, leaves, forms = _genus2_twist_forms()
     assert len(forms[1].num.terms) > 1000  # y² is large expanded; its leaves are not
     assert all(len(h.num.terms) <= 43 and len(h.den.terms) <= 43 for h in leaves)
+    evaluate = rational_evaluator(leaves)
     rng = random.Random(5)
     for _ in range(4):
         pt = _positive_point(model.seed.frame, rng, 1, 25)
-        jets = twist_quantities(*(Jet.at(h, pt) for h in leaves))
+        jets = twist_quantities(*(Jet(*leaf) for leaf in evaluate(pt, gradient=True)))
         for jet, form in zip(jets, forms):
             assert (jet.value, jet.grad) == _euler_gradient(form, pt)
 
@@ -488,14 +489,15 @@ def test_jet_arithmetic_matches_the_derivative_oracle():
             + (g - 1) ** 0
         )
 
-    jf, jg = Jet.at(f, pt), Jet.at(g, pt)
+    evaluate = rational_evaluator([f, g])
+    jf, jg = (Jet(*leaf) for leaf in evaluate(pt, gradient=True))
     jet = expression(jf, jg)
     value, grad = _euler_gradient(expression(f, g), pt)
     assert jet.value == value
     assert jet.grad == grad
     # a jet is taken at an exact rational point: a complex w:a is refused
     with pytest.raises(TypeError, match="not an exact rational"):
-        Jet.at(f, dict(pt, **{"w:a": 2j}))
+        evaluate(dict(pt, **{"w:a": 2j}), gradient=True)
     with pytest.raises(TypeError):
         jf + 1.5
     with pytest.raises(TypeError):
