@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .laurent import GeneratorTable, Q, RationalFn, evaluate_rational_fns
-from .matrices import MatrixRF, charpoly_is_palindromic, divide_out_root, solve
+from .matrices import MatrixRF, charpoly_is_palindromic, divide_out_root
 from .quiver import Quiver, brackets_at, integer_vectors
 
 # random specializations tried per point before a numeric check gives up
@@ -203,16 +203,18 @@ def generic_transport_pair(n: int, specialize=None) -> dict:
     }
 
 
-def _solve_entries(
-    p: MatrixRF, x: MatrixRF, q: MatrixRF, unknowns, targets, allow_underdetermined: bool = False
-) -> MatrixRF:
+def _solve_entries(p: MatrixRF, x: MatrixRF, q: MatrixRF, unknowns, targets) -> MatrixRF:
     """Set the ``unknowns`` entries of ``x`` (given as zero) in place so that
     the ``targets`` entries of P X Q vanish, the other entries of ``x`` staying
-    fixed; the coefficient of X_ij in (P X Q)_ab is P_ai Q_jb."""
+    fixed; the coefficient of X_ij in (P X Q)_ab is P_ai Q_jb.  Raises
+    ``ZeroDivisionError`` unless the solution is unique; with no unknowns (size
+    one), ``x`` is left as it is."""
+    if not unknowns:
+        return x
     fixed = p * x * q
-    mat = [[p[a, i] * q[j, b] for i, j in unknowns] for a, b in targets]
-    sol = solve(mat, [-fixed[t] for t in targets], allow_underdetermined)
-    for (i, j), val in zip(unknowns, sol):
+    mat = MatrixRF([[p[a, i] * q[j, b] for i, j in unknowns] for a, b in targets])
+    sol = mat.solve(MatrixRF([[-fixed[t]] for t in targets]))
+    for (i, j), (val,) in zip(unknowns, sol.entries):
         x[i, j] = val
     return x
 
@@ -223,7 +225,7 @@ def groupoid_matrices(parts: dict) -> dict:
     t1, t2, t1t, t2t = parts["T1"], parts["T2"], parts["T1t"], parts["T2t"]
     t1bar_inv, t2bar_inv = parts["T1bar_inv"], parts["T2bar_inv"]
     b = t2 * t1
-    a = t1.inverse() * s * t2t * t1t.transpose() * s
+    a = t1.solve(s * t2t * t1t.transpose() * s)
     atilde = s * t2bar_inv * t1bar_inv.transpose() * s * t2.transpose()
     return {"B": b, "A": a, "Atilde": atilde, "BABt": b * a * b.transpose()}
 
@@ -275,44 +277,36 @@ def corner_minor_ratios(b: MatrixRF) -> tuple:
 def solve_unipotent_A(b: MatrixRF) -> dict:
     """The unique unipotent upper-triangular A with B A B^T lower-free.
 
-    Solves the linear system "strict lower triangle of B A B^T = 0" for the
-    strict upper entries of A, then reports diag(B A B^T) and checks it
-    against the corner-minor ratio formula
-    (-1)^(n+1) (delta~_{n-k}/delta_{n-k}) (delta_{n-k+1}/delta~_{n-k+1}).
+    B is refused (``InadmissibleMatrixError``) when an interior corner minor
+    delta_k or delta~_k (0 < k < n) vanishes, naming the first, and when the
+    linear system "strict lower triangle of B A B^T = 0" for the strict upper
+    entries of A has no unique solution.  Otherwise it reports A, B A B^T and
+    its diagonal, and whether the diagonal is the corner-minor ratio formula
+    (-1)^(n+1) (delta~_{n-k}/delta_{n-k}) (delta_{n-k+1}/delta~_{n-k+1}),
+    which divides by interior minors only.
     """
     n = b.rows
+    deltas, tildes = corner_minor_ratios(b)
+    for name, minors in (("delta", deltas), ("delta~", tildes)):
+        k = next((k for k in range(1, n) if not minors[k]), None)
+        if k is not None:
+            raise InadmissibleMatrixError(f"{name}_{k}")
     one = b._one()
     bt = b.transpose()
     a = MatrixRF.identity(n, one, b._zero())
     unknowns = [(i, j) for i in range(n) for j in range(i + 1, n)]
     targets = [(i, j) for i in range(n) for j in range(i)]
     try:
-        _solve_entries(b, a, bt, unknowns, targets, allow_underdetermined=True)
+        _solve_entries(b, a, bt, unknowns, targets)
     except ZeroDivisionError:
-        deltas, tildes = corner_minor_ratios(b)
-        for k, x in enumerate(deltas):
-            if not x:
-                raise InadmissibleMatrixError(f"delta_{k}") from None
-        for k, x in enumerate(tildes):
-            if not x:
-                raise InadmissibleMatrixError(f"delta~_{k}") from None
         raise InadmissibleMatrixError("linear system for the unipotent solution") from None
     image = b * a * bt
     diag = [image[k, k] for k in range(n)]
-    deltas, tildes = corner_minor_ratios(b)
     sign = one if n % 2 else -one
-    ratio_ok = True
-    for k in range(1, n + 1):
-        dk, tk = deltas[n - k], tildes[n - k]
-        dk1, tk1 = deltas[n - k + 1], tildes[n - k + 1]
-        if not dk or not tk1:
-            # off the stratum where the ratio formula applies; the solution
-            # itself may still be fine (the identity matrix, for instance)
-            ratio_ok = None
-            break
-        expected = sign * (tk / dk) * (dk1 / tk1)
-        if diag[k - 1] != expected:
-            ratio_ok = False
+    ratio_ok = all(
+        diag[k - 1] == sign * (tildes[n - k] / deltas[n - k]) * (deltas[n - k + 1] / tildes[n - k + 1])
+        for k in range(1, n + 1)
+    )
     return {"A": a, "image": image, "diag": diag, "ratio_formula_holds": ratio_ok}
 
 
@@ -335,8 +329,7 @@ def leaf_diagnostics(a: MatrixRF) -> dict:
         raise ValueError("matrix must be square, upper-triangular, with diagonal entries 1 or -1")
     sym = a + a.transpose()
     rank = sym.rank()
-    at_inv = a.transpose().inverse()
-    core = at_inv * a
+    core = a.transpose().solve(a)
     coeffs = core.charpoly()
     palindromic = charpoly_is_palindromic(coeffs)
     expected_power = n - 4 if n % 2 == 0 else n - 2

@@ -118,31 +118,22 @@ def _back_substitute(u: list, pivots: list, f: int) -> list:
     return y
 
 
-def solve_bareiss(m: IntMatrix, unknowns: int, allow_underdetermined: bool = False) -> tuple:
-    """Solutions of A X = B for M = [A | B], A its first ``unknowns`` columns.
+def solve_bareiss(m: IntMatrix, unknowns: int) -> tuple:
+    """The solution of A X = B for M = [A | B], A its first ``unknowns``
+    columns (at least one).
 
-    Returns (d, xs): for each column of B, the integer vector d x of length
-    ``unknowns`` whose quotient by d is the solution x, with free unknowns
-    zero (those of the reduced row echelon form, whose pivot columns are the
-    Bareiss ones).  Raises ``ZeroDivisionError`` when a column of B is not in
-    the span of A's (a pivot in B: inconsistent) and, unless
-    ``allow_underdetermined``, when A has fewer pivots than unknowns.
+    Returns (d, xs), d the last pivot: for each column of B, the integer
+    vector d x whose quotient by d is the solution x.  Raises
+    ``ZeroDivisionError`` when a column of B is not in the span of A's (a
+    pivot in B: inconsistent) and when A has fewer pivots than unknowns
+    (singular), so that every column of A is a pivot column.
     """
     u, pivots, _ = _bareiss_echelon(m)
     if pivots and pivots[-1] >= unknowns:
         raise ZeroDivisionError("inconsistent linear system")
-    if len(pivots) < unknowns and not allow_underdetermined:
+    if len(pivots) < unknowns:
         raise ZeroDivisionError("singular linear system")
-    if not pivots:
-        return 1, [[0] * unknowns for _ in range(unknowns, m.cols)]
-    d = u[-1][pivots[-1]]
-    xs = []
-    for f in range(unknowns, m.cols):
-        x = [0] * unknowns
-        for p, y in zip(pivots, _back_substitute(u, pivots, f)):
-            x[p] = y
-        xs.append(x)
-    return d, xs
+    return u[-1][pivots[-1]], [_back_substitute(u, pivots, f) for f in range(unknowns, m.cols)]
 
 
 def kernel_basis(m: IntMatrix) -> list:

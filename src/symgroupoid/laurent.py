@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm, prod
 from operator import add, attrgetter, mul, sub
 from typing import Callable, Iterable, Mapping, Sequence
@@ -113,7 +113,8 @@ class LaurentPoly:
 
     Invariant of ``terms``: every key is a tuple of ints of the table's length,
     and every coefficient is a nonzero ``int``, or a ``Fraction`` with
-    denominator > 1.  The public constructor establishes it for any input.
+    denominator > 1.  The public constructor establishes it for any
+    coefficients, and refuses (ValueError) a key that breaks it.
     The trusted constructor ``_of`` only turns integral ``Fraction``s into
     ints; it may be called by the arithmetic of this module and by
     ``quiver._poly_bracket`` and ``quiver.skein_product``, on a term dict
@@ -127,10 +128,13 @@ class LaurentPoly:
         self.table = table
         clean = {}
         if terms:
-            for exps, coeff in terms.items():
+            keys = list(map(tuple, terms))
+            if set(map(len, keys)) - {len(table)} or set(map(type, chain.from_iterable(keys))) - {int}:
+                raise ValueError(f"every key must be a tuple of {len(table)} ints, one exponent per generator")
+            for exps, coeff in zip(keys, terms.values()):
                 c = exact_coefficient(coeff)
                 if c:
-                    clean[tuple(exps)] = c
+                    clean[exps] = c
         self.terms = clean
         self._hash = None
 

@@ -1,22 +1,25 @@
 """Dense matrices over an exact field (rational functions, rationals, ...).
 
-Entries only need ``+ - * /``, equality with each other, a truth value that
-is false exactly at zero, and an ``inverse`` through ``1/x`` or division.  Everything is written for the small
-sizes appearing here (n <= 9), favoring exactness over asymptotics.
+Entries only need ``+ - * /`` (``1 / x`` included), equality with each
+other, and a truth value that is false exactly at zero.  Everything is
+written for the small sizes appearing here (n <= 9), favoring exactness over
+asymptotics.
 
 Rational matrices (``int`` and ``Fraction`` entries) do their product,
-``solve``, ``inverse``, ``rank`` and ``det`` in integers.  Each row is cleared
-of denominators (each column, for a product's right factor); a product is
+``solve``, ``rank`` and ``det`` in integers.  Each row is cleared of
+denominators (each column, for a product's right factor); a product is
 integer dot products, and the rest is ``intlinalg``'s one Bareiss
 elimination.  The only ``Fraction`` built is each output entry.  Other
 entries take the field path: ``row_reduce`` and the subset-DP determinant.
+``MatrixRF.solve`` is the one linear solve: it asks for a unique solution,
+so a singular or inconsistent system is a ``ZeroDivisionError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from operator import mul
+from operator import add, mul, sub
 from typing import Callable, Sequence
 
 from .intlinalg import IntMatrix, det_bareiss, rank_bareiss, solve_bareiss
@@ -49,29 +52,6 @@ def row_reduce(rows: list, ncols: int) -> list:
                 rows[i] = [x - f * y for x, y in zip(row, pivot_row)]
         pivots.append(c)
     return pivots
-
-
-def solve(mat: Sequence[Sequence], vec: Sequence, allow_underdetermined: bool = False) -> list:
-    """A solution x of ``mat x = vec`` over an exact field.
-
-    Raises ``ZeroDivisionError`` on an inconsistent system (a pivot in the
-    augmented column) and, unless ``allow_underdetermined``, on one without a
-    pivot in every unknown's column; with it, free unknowns are zero.
-    Rational systems are solved in integers (``_rational_solve``).
-    """
-    n = len(mat[0]) if mat else 0
-    rows = [list(row) + [v] for row, v in zip(mat, vec)]
-    if n and _is_rational(rows):
-        return _rational_solve(rows, n, allow_underdetermined)[0]
-    pivots = row_reduce(rows, n + 1)
-    if pivots and pivots[-1] == n:
-        raise ZeroDivisionError("inconsistent linear system")
-    if len(pivots) < n and not allow_underdetermined:
-        raise ZeroDivisionError("singular linear system")
-    sol = [vec[0] - vec[0]] * n if vec else []
-    for row, c in zip(rows, pivots):
-        sol[c] = row[n]
-    return sol
 
 
 class MatrixRF:
@@ -129,14 +109,15 @@ class MatrixRF:
         return MatrixRF(out)
 
     def __add__(self, other: "MatrixRF") -> "MatrixRF":
-        return MatrixRF(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "MatrixRF") -> "MatrixRF":
-        return MatrixRF(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
+        return self._entrywise(sub, other)
+
+    def _entrywise(self, op: Callable, other: "MatrixRF") -> "MatrixRF":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        return MatrixRF([list(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)])
 
     def scale(self, c) -> "MatrixRF":
         return self.map(lambda x: x * c)
@@ -181,22 +162,30 @@ class MatrixRF:
             return Fraction(det_bareiss(IntMatrix(rows)), prod(scales))
         return _subset_det(self.entries, self._zero())
 
-    def inverse(self) -> "MatrixRF":
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        if _is_rational(self.entries):
-            rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.entries)]
-            try:
-                columns = _rational_solve(rows, n)
-            except ZeroDivisionError:
-                raise ZeroDivisionError("singular matrix") from None
-            return MatrixRF([list(row) for row in zip(*columns)])
-        zero, one = self._zero(), self._one()
-        rows = [row + [one if i == j else zero for j in range(n)] for i, row in enumerate(self.entries)]
-        if len(row_reduce(rows, n)) < n:
-            raise ZeroDivisionError("singular matrix")
-        return MatrixRF([row[n:] for row in rows])
+    def solve(self, rhs: "MatrixRF") -> "MatrixRF":
+        """X with A X = ``rhs`` for this matrix A, which has at least one
+        column and no fewer rows than columns; ``rhs`` has A's rows.
+
+        Raises ``ZeroDivisionError`` when A is singular (a column without a
+        pivot) or the system is inconsistent (a pivot in ``rhs``).  Of ``int``
+        and ``Fraction`` entries, one ``intlinalg.solve_bareiss`` on [A | rhs]
+        cleared of denominators; of other entries, one ``row_reduce``.
+        """
+        n = self.cols
+        if not 0 < n <= self.rows:
+            raise ValueError("solve needs a matrix with at least one column and no fewer rows than columns")
+        if rhs.rows != self.rows:
+            raise ValueError("shape mismatch")
+        rows = [a + b for a, b in zip(self.entries, rhs.entries)]
+        if _is_rational(rows):
+            d, xs = solve_bareiss(_integer_rows(rows), n)
+            return MatrixRF([[Fraction(x[i], d) for x in xs] for i in range(n)])
+        pivots = row_reduce(rows, n + rhs.cols)
+        if pivots and pivots[-1] >= n:
+            raise ZeroDivisionError("inconsistent linear system")
+        if len(pivots) < n:
+            raise ZeroDivisionError("singular linear system")
+        return MatrixRF([row[n:] for row in rows[:n]])
 
     def rank(self) -> int:
         """Rank over the entries' field.  Rational entries (ints and Fractions)
@@ -366,14 +355,6 @@ def _cleared(rows: list) -> tuple:
 
 def _integer_rows(rows: list) -> IntMatrix:
     return IntMatrix(_cleared(rows)[1])
-
-
-def _rational_solve(rows: list, unknowns: int, allow_underdetermined: bool = False) -> list:
-    """The solutions of A X = B for the rational augmented rows [A | B], one
-    list of Fractions per column of B: ``intlinalg.solve_bareiss`` on the
-    rows cleared of denominators."""
-    d, xs = solve_bareiss(_integer_rows(rows), unknowns, allow_underdetermined)
-    return [[Fraction(y, d) for y in x] for x in xs]
 
 
 def _rational_product(a: list, b: list) -> list:

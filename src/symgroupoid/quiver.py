@@ -660,7 +660,11 @@ def monomial_casimirs(quiver: Quiver) -> list:
 def monomial_is_casimir(quiver: Quiver, z_exponents: Mapping[str, Fraction]) -> bool:
     """Check Sum_j eps_ij alpha_j = 0 for a monomial prod z_j^alpha_j (alpha
     rational, an int or a Fraction per vertex), with alpha scaled to integers
-    by the lcm of its denominators."""
+    by the lcm of its denominators.  A name that is not a vertex is a
+    ValueError."""
+    unknown = set(z_exponents) - set(quiver.vertices)
+    if unknown:
+        raise ValueError(f"not vertices of the quiver: {', '.join(sorted(unknown))}")
     alpha = [z_exponents.get(v, 0) for v in quiver.vertices]
     d = lcm(*(a.denominator for a in alpha))
     return not any(quiver.doubled.mul_vector([a.numerator * (d // a.denominator) for a in alpha]))

@@ -141,11 +141,9 @@ def _solve_admissible(draw) -> dict | None:
         if b is None:
             continue
         try:
-            out = solve_unipotent_A(b)
-        except (InadmissibleMatrixError, ZeroDivisionError):
+            return solve_unipotent_A(b)
+        except InadmissibleMatrixError:
             continue
-        if out["ratio_formula_holds"] is not None:
-            return out
     return None
 
 

@@ -137,22 +137,39 @@ def test_unique_unipotent_on_random_matrices():
             )
             try:
                 out = solve_unipotent_A(b)
-            except (InadmissibleMatrixError, ZeroDivisionError):
-                continue
-            if out["ratio_formula_holds"] is None:
+            except InadmissibleMatrixError:
                 continue
             done += 1
             assert out["A"].is_unipotent_upper()
             assert not any(out["image"][i, j] for i in range(n) for j in range(i))
-            assert out["ratio_formula_holds"]
+            assert out["ratio_formula_holds"] is True
 
 
-def test_identity_matrix_degenerate_but_solved():
+def test_identity_matrix_is_inadmissible():
+    # delta_1 and delta_2 vanish: every upper-triangular A makes Id A Id^T
+    # lower-free, so no unipotent solution is unique
     ident = MatrixRF.identity(3, wrap(1), wrap(0))
-    out = solve_unipotent_A(ident)
-    assert out["A"] == ident
     deltas, _ = corner_minor_ratios(ident)
     assert not any(deltas[1:3])
+    with pytest.raises(InadmissibleMatrixError) as err:
+        solve_unipotent_A(ident)
+    assert err.value.minor == "delta_1"
+
+
+def test_first_vanishing_interior_minor_is_named():
+    # delta_1 = 6, delta_2 = -3 and delta~_1 = 10, but delta~_2, the top-right
+    # entry, is 0
+    b = rational_matrix([[1, 2, 0], [3, 4, 5], [6, 7, 8]])
+    with pytest.raises(InadmissibleMatrixError) as err:
+        solve_unipotent_A(b)
+    assert err.value.minor == "delta~_2"
+
+
+def test_size_one_has_no_unknowns():
+    # A = (1) is the unique unipotent matrix, and B A B^T = (b^2) is the ratio
+    out = solve_unipotent_A(rational_matrix([[3]]))
+    assert out["A"] == rational_matrix([[1]])
+    assert out["diag"] == [wrap(9)] and out["ratio_formula_holds"] is True
 
 
 def test_corner_minor_conventions():
@@ -337,7 +354,7 @@ def test_theta_has_one_definition(monkeypatch):
 def test_integer_matrix_stays_exact():
     # int entries used to give the unit 1 / 1 == 1.0, so these came back as floats
     m = MatrixRF([[2, 1], [1, 1]])
-    inv = m.inverse()
+    inv = m.solve(MatrixRF.identity(2, 1, 0))
     assert inv == MatrixRF([[1, -1], [-1, 2]])
     assert m.rank() == 2
     assert m.charpoly() == [1, -3, 1]

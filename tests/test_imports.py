@@ -1,7 +1,8 @@
 """Modules of the package reach one another through public names only,
 exact values have one zero test: ``bool()``, points are evaluated through
-``laurent`` alone, every exact value is an int or a Fraction, and no loop
-runs unbounded."""
+``laurent`` alone, linear systems are solved through ``MatrixRF.solve``
+alone, every exact value is an int or a Fraction, and no loop runs
+unbounded."""
 
 import ast
 from pathlib import Path
@@ -54,13 +55,12 @@ def test_no_module_has_a_while_true_loop():
     assert not offenders, offenders
 
 
-def test_only_laurent_calls_point_pass():
-    # one evaluation entry: other modules go through LaurentPoly.evaluate,
-    # laurent.evaluate_rational_fns or laurent.rational_evaluator, and never
-    # name the integer pass or its plan, by import, call or attribute
+def _named_outside(owners: tuple, names: tuple) -> list:
+    """Where a module other than ``owners`` names one of ``names``, by
+    import, call or attribute."""
     offenders = []
     for path in sorted(PACKAGE_DIR.rglob("*.py")):
-        if path.name == "laurent.py":
+        if path.name in owners:
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.alias):
@@ -71,8 +71,23 @@ def test_only_laurent_calls_point_pass():
                 name = node.attr
             else:
                 continue
-            if name in ("point_pass", "point_plan"):
+            if name in names:
                 offenders.append(f"{path.name}:{getattr(node, 'lineno', '?')}: {name}")
+    return offenders
+
+
+def test_only_laurent_calls_point_pass():
+    # one evaluation entry: other modules go through LaurentPoly.evaluate,
+    # laurent.evaluate_rational_fns or laurent.rational_evaluator, and never
+    # name the integer pass or its plan, by import, call or attribute
+    offenders = _named_outside(("laurent.py",), ("point_pass", "point_plan"))
+    assert not offenders, offenders
+
+
+def test_only_matrices_calls_solve_bareiss():
+    # one linear solve: other modules go through MatrixRF.solve and never
+    # name the integer solve, by import, call or attribute
+    offenders = _named_outside(("intlinalg.py", "matrices.py"), ("solve_bareiss",))
     assert not offenders, offenders
 
 

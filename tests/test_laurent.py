@@ -315,6 +315,17 @@ def test_monomial_refuses_a_non_integer_exponent():
     assert LaurentPoly.monomial(T, Q(1, 2), {"w:a": -3, "w:c": 2}).terms == {(-3, 0, 2): Q(1, 2)}
 
 
+def test_constructor_refuses_a_key_that_is_not_one_int_per_generator():
+    # such keys used to be kept: the square of {(1,): 1} was {(2,): 1}
+    for key in ((1,), (1, 0, 0, 0), (0.5, 1, 0), (True, 1, 0), (Fraction(1), 1, 0), ("1", 0, 0)):
+        with pytest.raises(ValueError, match="one exponent per generator"):
+            LaurentPoly(T, {key: 1})
+    # a zero coefficient does not excuse its key
+    with pytest.raises(ValueError, match="one exponent per generator"):
+        LaurentPoly(T, {(0, 0, 0): 1, (1,): 0})
+    assert LaurentPoly(T, {(1, 0, -2): 3, (0, 0, 0): 0}).terms == {(1, 0, -2): 3}
+
+
 def test_a_product_by_one_is_the_other_operand():
     one = LaurentPoly.one(T)
     half = LaurentPoly.monomial(T, Q(1, 2), {"w:a": 1, "w:c": -2})

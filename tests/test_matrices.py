@@ -1,5 +1,5 @@
-"""The one exact row reduction behind inverse, rank and solve of
-rational-function entries, the characteristic polynomial against a
+"""The one exact row reduction behind solve and rank of rational-function
+entries, the one strict solve and its refusals, the characteristic polynomial against a
 Faddeev-LeVerrier reference, evaluation against per-entry evaluation, and
 numeric ranks, products, solutions, inverses and determinants against the
 field path."""
@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
-from operator import add
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from symgroupoid import matrices
 from symgroupoid.laurent import GeneratorTable, LaurentPoly, RationalFn, SingularPointError
-from symgroupoid.matrices import MatrixRF, _subset_det, row_reduce, solve
+from symgroupoid.matrices import MatrixRF, _subset_det, row_reduce
 from symgroupoid.suites import _casimir_point, _positive_point, _real_rank_chain
 from symgroupoid.teich import build_surface, chain_matrix
 
@@ -38,41 +38,83 @@ def _rows(field, rows):
     return [[field(x) for x in row] for row in rows]
 
 
+def _column(field, values):
+    return MatrixRF([[field(x)] for x in values])
+
+
 def test_inverse_of_singular_matrix_raises(field):
+    # A X = I has no solution when A is singular
     m = MatrixRF(_rows(field, [[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
-    with pytest.raises(ZeroDivisionError):
-        m.inverse()
+    with pytest.raises(ZeroDivisionError, match="^inconsistent linear system$"):
+        m.solve(MatrixRF.identity(3, field(1), field(0)))
     assert m.rank() == 2
 
 
 def test_inverse_and_solve_agree_on_a_nonsingular_system(field):
-    rows = _rows(field, [[0, 2, 1], [1, 1, 0], [3, 0, 2]])
-    m = MatrixRF(rows)
-    inv = m.inverse()
-    one, zero = field(1), field(0)
-    assert m * inv == MatrixRF.identity(3, one, zero)
-    vec = [field(5), field(-1), field(Fraction(1, 2))]
-    x = solve(rows, vec)
-    assert [sum((r * y for r, y in zip(row, x)), zero) for row in rows] == vec
-    assert x == [sum((inv[i, j] * vec[j] for j in range(3)), zero) for i in range(3)]
+    m = MatrixRF(_rows(field, [[0, 2, 1], [1, 1, 0], [3, 0, 2]]))
+    ident = MatrixRF.identity(3, field(1), field(0))
+    inv = m.solve(ident)
+    assert m * inv == ident == inv * m
+    vec = _column(field, [5, -1, Fraction(1, 2)])
+    x = m.solve(vec)
+    assert (x.rows, x.cols) == (3, 1)
+    assert m * x == vec
+    assert x == inv * vec
+    # several right-hand sides are solved together, column by column
+    rhs = MatrixRF(_rows(field, [[5, 1], [-1, 0], [Fraction(1, 2), 7]]))
+    both = m.solve(rhs)
+    assert [both[i, 1] for i in range(3)] == [y[0] for y in m.solve(_column(field, [1, 0, 7])).entries]
+    assert [both[i, 0] for i in range(3)] == [y[0] for y in x.entries]
 
 
-@pytest.mark.parametrize("allow_underdetermined", [False, True])
-def test_solve_raises_on_an_inconsistent_system(field, allow_underdetermined):
-    # x + y = 1 and 2x + 2y = 3: underdetermined and inconsistent
-    mat = _rows(field, [[1, 1], [2, 2]])
-    vec = [field(1), field(3)]
-    with pytest.raises(ZeroDivisionError):
-        solve(mat, vec, allow_underdetermined=allow_underdetermined)
+@pytest.mark.parametrize("tall", [False, True])
+def test_solve_raises_on_an_inconsistent_system(field, tall):
+    if tall:
+        # x + y = 1, x - y = 0 and x = 1: the first two give x = y = 1/2
+        mat, vec = [[1, 1], [1, -1], [1, 0]], [1, 0, 1]
+    else:
+        # x + y = 1 and 2x + 2y = 3: singular and inconsistent
+        mat, vec = [[1, 1], [2, 2]], [1, 3]
+    with pytest.raises(ZeroDivisionError, match="^inconsistent linear system$"):
+        MatrixRF(_rows(field, mat)).solve(_column(field, vec))
 
 
-def test_solve_sets_free_unknowns_to_zero(field):
-    # x0 + 2 x1 = 3, x2 = 4, and a redundant third equation: x1 is free
-    mat = _rows(field, [[1, 2, 0], [0, 0, 1], [2, 4, 1]])
-    vec = [field(3), field(4), field(10)]
-    assert solve(mat, vec, allow_underdetermined=True) == [field(3), field(0), field(4)]
-    with pytest.raises(ZeroDivisionError):
-        solve(mat, vec)
+def test_solve_of_a_consistent_tall_system(field):
+    # x + y = 1, x - y = 0 and 2x = 1: three equations, one solution
+    m = MatrixRF(_rows(field, [[1, 1], [1, -1], [2, 0]]))
+    assert m.solve(_column(field, [1, 0, 1])) == _column(field, [Fraction(1, 2), Fraction(1, 2)])
+
+
+def test_solve_refuses_a_free_unknown(field):
+    # x0 + 2 x1 = 3, x2 = 4, and a redundant third equation: consistent, but
+    # x1 is free, so there is no unique solution
+    m = MatrixRF(_rows(field, [[1, 2, 0], [0, 0, 1], [2, 4, 1]]))
+    with pytest.raises(ZeroDivisionError, match="^singular linear system$"):
+        m.solve(_column(field, [3, 4, 10]))
+
+
+def test_solve_refuses_an_empty_or_wide_matrix_and_a_right_hand_side_of_other_rows(field):
+    square = MatrixRF(_rows(field, [[1, 2], [3, 4]]))
+    for a, rhs in [
+        (MatrixRF([]), MatrixRF([])),
+        (MatrixRF([[], []]), _column(field, [1, 2])),
+        (MatrixRF(_rows(field, [[1, 2]])), _column(field, [1])),
+        (square, _column(field, [1])),
+        (square, _column(field, [1, 2, 3])),
+    ]:
+        with pytest.raises(ValueError):
+            a.solve(rhs)
+
+
+def test_sum_and_difference_refuse_a_shape_mismatch(field):
+    a = MatrixRF(_rows(field, [[1, 2]]))
+    # zip used to cut the longer operand: [[1, 2]] + [[1]] was [[2]]
+    for b in (MatrixRF(_rows(field, [[1]])), a.transpose(), MatrixRF(_rows(field, [[1, 2], [3, 4]]))):
+        for x, y in ((a, b), (b, a)):
+            for op in (add, sub):
+                with pytest.raises(ValueError, match="^shape mismatch$"):
+                    op(x, y)
+    assert a + a == MatrixRF(_rows(field, [[2, 4]])) and (a - a).entries == _rows(field, [[0, 0]])
 
 
 def test_rank_of_a_wide_matrix(field):
@@ -144,7 +186,7 @@ def test_charpoly_of_the_genus3_rank_matrix_at_casimir_minus_one():
     # the size-8 leaf matrix of groupoid_spectrum_locus, in its real form
     model = build_surface("genus3_extended")
     upt = _real_rank_chain().evaluate(_casimir_point(model.seed.frame, random.Random(5)))
-    core = upt.transpose().inverse() * upt
+    core = upt.transpose().solve(upt)
     assert core.rows == 8
     assert {type(x) for row in core.entries for x in row} == {Fraction}
     for m in (upt, core):
@@ -320,19 +362,17 @@ def entrywise_product(a: MatrixRF, b: MatrixRF) -> list:
     return out
 
 
-def reference_solve(mat: list, vec: list, allow_underdetermined: bool = False) -> list:
-    """Reference: Gauss-Jordan on the augmented rows by ``row_reduce``."""
+def reference_solve(mat: list, rhs: list) -> list:
+    """Reference: Gauss-Jordan on the augmented rows [A | rhs] by
+    ``row_reduce``; the rows of the solution."""
     n = len(mat[0])
-    rows = [list(row) + [v] for row, v in zip(mat, vec)]
-    pivots = row_reduce(rows, n + 1)
-    if pivots and pivots[-1] == n:
+    rows = [list(a) + list(b) for a, b in zip(mat, rhs)]
+    pivots = row_reduce(rows, len(rows[0]))
+    if pivots and pivots[-1] >= n:
         raise ZeroDivisionError("inconsistent linear system")
-    if len(pivots) < n and not allow_underdetermined:
+    if len(pivots) < n:
         raise ZeroDivisionError("singular linear system")
-    sol = [Fraction(0)] * n
-    for row, c in zip(rows, pivots):
-        sol[c] = row[n]
-    return sol
+    return [row[n:] for row in rows[:n]]
 
 
 def reference_inverse(m: MatrixRF) -> list:
@@ -387,38 +427,49 @@ def test_numeric_product_matches_the_entrywise_product(kind, data):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("allow_underdetermined", [False, True])
+@pytest.mark.parametrize("several_columns", [False, True])
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
-def test_numeric_solve_matches_row_reduce(kind, allow_underdetermined, data):
-    m = data.draw(numeric_matrices())
+def test_numeric_solve_matches_row_reduce(kind, several_columns, data):
+    # a square or tall matrix, and one right-hand side or two to three
+    cols = data.draw(st.integers(1, 8))
+    m = data.draw(numeric_matrices(rows=data.draw(st.integers(cols, 8)), cols=cols))
     rng = data.draw(seeded_rngs())
+    k = rng.randint(2, 3) if several_columns else 1
     if data.draw(st.booleans()):
-        vec = [_random_entry(rng) for _ in range(m.rows)]
+        rhs = MatrixRF([[_random_entry(rng) for _ in range(k)] for _ in range(m.rows)])
     else:
-        # a right-hand side in the column span: a consistent system
-        x = MatrixRF([[_random_entry(rng)] for _ in range(m.cols)])
-        vec = [row[0] for row in entrywise_product(m, x)]
+        # right-hand sides in the column span: a consistent system
+        x = MatrixRF([[_random_entry(rng) for _ in range(k)] for _ in range(m.cols)])
+        rhs = MatrixRF(entrywise_product(m, x))
     try:
-        expected = reference_solve(m.entries, vec, allow_underdetermined)
+        expected = reference_solve(m.entries, rhs.entries)
     except ZeroDivisionError as exc:
         with pytest.raises(ZeroDivisionError, match=f"^{exc}$"):
-            solve(m.entries, vec, allow_underdetermined)
+            m.solve(rhs)
         return
-    assert_numeric_entries(solve(m.entries, vec, allow_underdetermined), expected)
+    got = m.solve(rhs)
+    assert (got.rows, got.cols) == (cols, k)
+    for row, want in zip(got.entries, expected):
+        assert_numeric_entries(row, want)
 
 
 def test_numeric_solve_error_messages_and_free_unknowns():
-    one = Fraction(1)
-    # x + y = 1 and 2x + 2y = 3: inconsistent, also when underdetermined
+    def solve(mat, vec):
+        return MatrixRF(mat).solve(MatrixRF([[v] for v in vec]))
+
+    # x + y = 1 and 2x + 2y = 3: inconsistent, and singular too
     with pytest.raises(ZeroDivisionError, match="^inconsistent linear system$"):
-        solve([[one, one], [2 * one, 2 * one]], [one, 3 * one], allow_underdetermined=True)
+        solve([[1, 1], [2, 2]], [1, 3])
     # x + y = 1 twice: consistent but singular
     with pytest.raises(ZeroDivisionError, match="^singular linear system$"):
-        solve([[one, one], [one, one]], [one, one])
-    # x0 + 2 x1 = 3 and x2 = 5: x1 is free, so zero, as in row_reduce
-    mat = [[one, 2 * one, Fraction(0)], [Fraction(0), Fraction(0), one]]
-    assert solve(mat, [3 * one, 5 * one], allow_underdetermined=True) == [3, 0, 5]
+        solve([[1, 1], [1, 1]], [1, 1])
+    # x0 + 2 x1 = 3, x2 = 5 and their sum: x1 is free, so no solution is unique
+    with pytest.raises(ZeroDivisionError, match="^singular linear system$"):
+        solve([[1, 2, 0], [0, 0, 1], [1, 2, 1]], [3, 5, 8])
+    # the first two equations alone are fewer than the unknowns
+    with pytest.raises(ValueError):
+        solve([[1, 2, 0], [0, 0, 1]], [3, 5])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -427,22 +478,25 @@ def test_numeric_solve_error_messages_and_free_unknowns():
 def test_numeric_inverse_matches_row_reduce(kind, data):
     n = data.draw(st.integers(1, 8))
     m = data.draw(numeric_matrices(rows=n, cols=n))
+    ident = MatrixRF.identity(n, Fraction(1), Fraction(0))
     try:
         expected = reference_inverse(m)
     except ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError, match="^singular matrix$"):
-            m.inverse()
+        # A X = I has no solution when A is singular
+        with pytest.raises(ZeroDivisionError, match="^inconsistent linear system$"):
+            m.solve(ident)
         return
-    inv = m.inverse()
+    inv = m.solve(ident)
     for row, want in zip(inv.entries, expected):
         assert_numeric_entries(row, want)
-    assert m * inv == MatrixRF.identity(n, Fraction(1), Fraction(0))
+    assert m * inv == ident
 
 
 def test_numeric_inverse_of_singular_matrices_raises():
     for entries in ([[Fraction(0)]], [[1, 2], [2, 4]]):
-        with pytest.raises(ZeroDivisionError, match="^singular matrix$"):
-            MatrixRF(entries).inverse()
+        n = len(entries)
+        with pytest.raises(ZeroDivisionError, match="^inconsistent linear system$"):
+            MatrixRF(entries).solve(MatrixRF.identity(n, Fraction(1), Fraction(0)))
 
 
 def _sign(perm) -> int:
@@ -475,12 +529,13 @@ def _numeric_operations():
     """Numeric product, solve, inverse, det and rank on Fraction entries."""
     rng = random.Random(7)
     frac = MatrixRF([[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)] for _ in range(4)])
-    vec = [Fraction(k + 1, 3) for k in range(4)]
+    vec = MatrixRF([[Fraction(k + 1, 3)] for k in range(4)])
+    ident = MatrixRF.identity(4, Fraction(1), Fraction(0))
     assert frac.det()
     return [
         lambda: frac * frac,
-        lambda: solve(frac.entries, vec),
-        frac.inverse,
+        lambda: frac.solve(vec),
+        lambda: frac.solve(ident),
         frac.det,
         frac.rank,
     ]
@@ -495,8 +550,8 @@ def test_numeric_solve_and_inverse_never_call_row_reduce(monkeypatch):
     monkeypatch.setattr(matrices, "row_reduce", refuse)
     for op in operations:
         op()
-    with pytest.raises(ZeroDivisionError, match="^singular matrix$"):
-        MatrixRF([[1, 2], [2, 4]]).inverse()
+    with pytest.raises(ZeroDivisionError, match="^inconsistent linear system$"):
+        MatrixRF([[1, 2], [2, 4]]).solve(MatrixRF.identity(2, Fraction(1), Fraction(0)))
 
 
 FRACTION_ARITHMETIC = [

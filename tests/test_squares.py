@@ -42,6 +42,15 @@ def test_transport_quiver_corank(n):
     assert corank(q) - 1 == n - 1
 
 
+def test_a_monomial_in_names_that_are_not_vertices_is_refused():
+    # such a monomial used to "commute" with every vertex
+    q = square_quiver(3)
+    with pytest.raises(ValueError, match="^not vertices of the quiver: nope$"):
+        monomial_is_casimir(q, {"nope": 1})
+    with pytest.raises(ValueError, match="^not vertices of the quiver: nope, zz$"):
+        monomial_is_casimir(q, {q.vertices[0]: 1, "zz": 2, "nope": 1})
+
+
 def test_kernel_rank_n3_square_is_four():
     basis = monomial_casimirs(square_quiver(3))
     assert len(basis) == 4

@@ -215,10 +215,11 @@ def _dense_braid(u, i, direction):
     [[a, 1], [-1, 0]] on lines i-1, i (a = u[i-1][i]), by dense products."""
     a = u[i - 1, i]
     one, zero = a / a, a - a
+    ident = MatrixRF.identity(u.rows, one, zero)
     b = MatrixRF.identity(u.rows, one, zero)
     b[i - 1, i - 1], b[i - 1, i], b[i, i - 1], b[i, i] = a, one, zero - one, zero
     if direction == "-":
-        b = b.inverse()
+        b = b.solve(ident)
     return b.transpose() * u * b
 
 
