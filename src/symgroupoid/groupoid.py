@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .laurent import GeneratorTable, Q, RationalFn, evaluate_rational_fns
+from .laurent import GeneratorTable, Q, RationalFn, rational_evaluator
 from .matrices import MatrixRF, charpoly_is_palindromic, divide_out_root
 from .quiver import Quiver, brackets_at, integer_vectors
 
@@ -131,11 +131,11 @@ def reflection_sides_at(m: MatrixRF, quiver: Quiver, point) -> tuple:
 
 def _tensor_and_values(m1: MatrixRF, m2: MatrixRF, quiver: Quiver, point) -> tuple:
     """``bracket_tensor_at`` and the rows of values of M1, from one
-    ``evaluate_rational_fns`` pass per matrix (one in all when M1 is M2)."""
+    ``rational_evaluator`` run per matrix (one in all when M1 is M2)."""
     n = m1.rows
 
     def at(m: MatrixRF) -> list:
-        return evaluate_rational_fns([x for row in m.entries for x in row], point, gradient=True)
+        return rational_evaluator([x for row in m.entries for x in row])(point, gradient=True)
 
     at1 = at(m1)
     g1 = [g for _, g in at1]

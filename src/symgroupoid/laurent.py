@@ -117,9 +117,10 @@ class LaurentPoly:
     coefficients, and refuses (ValueError) a key that breaks it.
     The trusted constructor ``_of`` only turns integral ``Fraction``s into
     ints; it may be called by the arithmetic of this module and by
-    ``quiver._poly_bracket`` and ``quiver.skein_product``, on a term dict
-    they have just built, with tuple keys of the table's length and nonzero
-    ``int``/``Fraction`` coefficients, and no longer touch.
+    ``quiver._poly_bracket``, ``quiver.skein_product``, ``quiver.cv_sum`` and
+    ``quiver.ClusterValue.split``, on a term dict they have just built, with
+    tuple keys of the table's length and nonzero ``int``/``Fraction``
+    coefficients, and no longer touch.
     """
 
     __slots__ = ("table", "terms", "_hash")
@@ -327,7 +328,7 @@ class LaurentPoly:
             self._hash = hash((self.table, frozenset(self.terms.items())))
         return self._hash
 
-    # -- calculus and evaluation ------------------------------------------
+    # -- calculus ----------------------------------------------------------
 
     def derivative(self, name: str) -> "LaurentPoly":
         i = self.table.index(name)
@@ -345,11 +346,6 @@ class LaurentPoly:
             elif key in terms:
                 del terms[key]
         return LaurentPoly._of(self.table, terms)
-
-    def evaluate(self, point: Mapping[str, object]):
-        """Exact value at a point (see ``point_pass`` for the coordinates it takes)."""
-        num, den, ((value, _),) = point_pass([self], point)
-        return Fraction(value * num, den)
 
     # -- serialization -----------------------------------------------------
 
@@ -570,7 +566,7 @@ class RationalFn:
         return RationalFn._of(num, self.den * self.den)
 
     def evaluate(self, point: Mapping[str, object]):
-        return evaluate_rational_fns([self], point)[0]
+        return rational_evaluator([self])(point)[0]
 
     def substitute(
         self,
@@ -679,13 +675,6 @@ class RationalFn:
 
     def __repr__(self) -> str:
         return f"RationalFn({self.to_text()})"
-
-
-def point_pass(polys: Sequence[LaurentPoly], point: Mapping[str, object], gradient: bool = False) -> tuple:
-    """Values (and Euler partials) of polynomials over one table at one point,
-    from one pass over their terms in integers: ``point_plan(polys)`` run once
-    (see there for the coordinates it takes and what it returns)."""
-    return point_plan(polys)(point, gradient)
 
 
 def point_plan(polys: Sequence[LaurentPoly]) -> Callable:
@@ -853,12 +842,6 @@ def _cleared(f: RationalFn) -> tuple:
     if not any(clear):
         return f.num, f.den
     return f.num.shift(clear), f.den.shift(clear)
-
-
-def evaluate_rational_fns(fns: Sequence[RationalFn], point: Mapping[str, object], gradient: bool = False) -> list:
-    """The values of rational functions at a point (see ``rational_evaluator``);
-    with ``gradient``, one pair ``(value, euler_gradient)`` per function."""
-    return rational_evaluator(fns)(point, gradient)
 
 
 def rational_evaluator(fns: Sequence[RationalFn]) -> Callable:

@@ -123,6 +123,8 @@ class MatrixRF:
         return self.map(lambda x: x * c)
 
     def _zero(self):
+        if not self.cols:
+            raise ValueError("empty matrix")
         probe = self.entries[0][0]
         return probe - probe
 
@@ -284,15 +286,10 @@ class MatrixRF:
         out = rec(tuple(idx))
         return self._zero() if out is None else out
 
-    def evaluate(self, point) -> "MatrixRF":
-        """Every (rational function) entry at a point, as its ``evaluate`` gives
-        it, from one shared pass over all numerators and denominators."""
-        return self.evaluator()(point)
-
     def evaluator(self) -> Callable:
-        """``evaluate`` as a function of the point, its pass prepared once
-        (``laurent.rational_evaluator``) from the entries as they are now, for
-        a caller that evaluates the matrix at many points."""
+        """The entries' values at a point, as a function of the point: one
+        ``laurent.rational_evaluator`` over the entries as they are now,
+        prepared once and run at each point."""
         evaluate = rational_evaluator([f for row in self.entries for f in row])
         rows, cols = self.rows, self.cols
 

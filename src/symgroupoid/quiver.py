@@ -179,7 +179,8 @@ def initial_table(vertices: Sequence[str]) -> GeneratorTable:
 
 
 class ClusterValue:
-    """Product form  coeff * w^mono * prod(factor_i^exp_i)  of a seed value.
+    """Product form  coeff * w^mono * prod(factor_i^exp_i)  of a seed value,
+    ``coeff`` a nonzero exact coefficient and ``mono`` a tuple of ints.
 
     A value is never written after construction: every operation builds a new
     one.  So ``as_rational`` keeps the expanded ``RationalFn`` it builds.
@@ -265,7 +266,7 @@ class ClusterValue:
 
     def split(self) -> tuple:
         """(numerator LaurentPoly, denominator LaurentPoly) with den = positive-exponent part."""
-        num = LaurentPoly(self.table, {self.mono: self.coeff})
+        num = LaurentPoly._of(self.table, {self.mono: self.coeff})
         den = LaurentPoly.one(self.table)
         for p, e in self.factors.items():
             if e > 0:
@@ -325,7 +326,7 @@ def cv_sum(values: Sequence[ClusterValue], known=()) -> ClusterValue:
                 den_exp[p] = max(den_exp.get(p, 0), -e)
     total = LaurentPoly.zero(table)
     for v in values:
-        num = LaurentPoly(table, {v.mono: v.coeff})
+        num = LaurentPoly._of(table, {v.mono: v.coeff})
         for p, e in v.factors.items():
             lift = e + den_exp.get(p, 0)
             if lift:
@@ -359,6 +360,9 @@ class Seed:
         missing = set(quiver.vertices) - set(self.values)
         if missing:
             raise ValueError(f"vertices without values: {sorted(missing)}")
+        unknown = set(self.values) - set(quiver.vertices)
+        if unknown:
+            raise ValueError(f"values for names that are not vertices: {sorted(unknown)}")
 
     @classmethod
     def initial(cls, quiver: Quiver, frame: GeneratorTable | None = None) -> "Seed":
@@ -380,10 +384,10 @@ class Seed:
         frame = initial_table(quiver.vertices)
         if "values" not in data:
             return cls.initial(quiver, frame)
-        values = {
-            v: ClusterValue.from_rational(RationalFn.from_json(frame, data["values"][v]))
-            for v in quiver.vertices
-        }
+        given = data["values"]
+        if not isinstance(given, dict):
+            raise ValueError(f"values must be an object from vertex to value, got {given!r}")
+        values = {v: ClusterValue.from_rational(RationalFn.from_json(frame, f)) for v, f in given.items()}
         return cls(quiver, values, frame)
 
     def __eq__(self, other) -> bool:
@@ -608,7 +612,7 @@ def integer_vectors(vectors: Sequence[Sequence]) -> tuple:
 
 def brackets_at(quiver: Quiver, table: GeneratorTable, left: Sequence[Sequence], right: Sequence[Sequence]) -> list:
     """The brackets at one real point of functions given by their Euler
-    gradients (``laurent.evaluate_rational_fns``): row a holds {f_a, g_b} for
+    gradients (``laurent.rational_evaluator``): row a holds {f_a, g_b} for
     every b, with ``left[a]`` the gradient of f_a and ``right[b]`` that of g_b.
 
     The bracket is log-canonical, so {f, g} = (1/8)·Σ b_ij·F_i·G_j with B the

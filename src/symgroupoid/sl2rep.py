@@ -16,7 +16,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .laurent import evaluate_rational_fns
+from .laurent import rational_evaluator
 
 DEFAULT_TOL = 1e-9
 PRECISION = 60
@@ -227,5 +227,5 @@ def cluster_to_lengths(model, point: Mapping[str, Fraction]) -> dict:
         raise ValueError("point violates the unit-Casimir constraint")
     u = chain_matrix(model.name, model.chains["braid"])
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    values = evaluate_rational_fns([u[i, j] for i, j in pairs], point)
+    values = rational_evaluator([u[i, j] for i, j in pairs])(point)
     return {(i + 1, j + 1): v for (i, j), v in zip(pairs, values)}

@@ -20,7 +20,7 @@ from .groupoid import (
     solve_unipotent_A,
     transport_groupoid,
 )
-from .laurent import GeneratorTable, LaurentPoly, Q, RationalFn, evaluate_rational_fns, rational_evaluator
+from .laurent import GeneratorTable, LaurentPoly, Q, RationalFn, rational_evaluator
 from .matrices import MatrixRF
 from .network import enumerate_paths_dfs, path_sum_bruteforce, square_network
 from .quiver import (
@@ -347,7 +347,7 @@ def pfaffian_vs_pencil(rng_seed):
     pt = _positive_point(model.seed.frame, rng, 1, 9)
     upper = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     signed = MatrixRF.identity(4, Q(1), Q(0))
-    for (i, j), value in zip(upper, evaluate_rational_fns([u[i, j] for i, j in upper], pt)):
+    for (i, j), value in zip(upper, rational_evaluator([u[i, j] for i, j in upper])(pt)):
         signed[i, j] = ((-1) ** (i + j)) * value
     g = lambda i, j: signed[i - 1, j - 1]
     msum = g(1, 3) * g(2, 4) - g(1, 2) * g(3, 4) - g(2, 3) * g(1, 4)
@@ -377,12 +377,12 @@ def spectrum_on_reduced_locus(rng_seed):
     # size eight at the minus-one Casimir locus, in its real form
     model = build_surface("genus3_extended")
     pt = _casimir_point(model.seed.frame, rng)
-    d = leaf_diagnostics(_real_rank_chain().evaluate(pt))
+    d = leaf_diagnostics(_real_rank_chain().evaluator()(pt))
     if d["minus_one_multiplicity"] < d["on_leaf_multiplicity"]:
         return (False, "missing -1 eigenvalues on the size-8 reduced locus")
     # negative control: the same chain at the same point with w:at back on
     # the real line, where the Casimir is +1, carries fewer
-    d = leaf_diagnostics(chain_matrix(model.name, model.chains["rank"]).evaluate(pt))
+    d = leaf_diagnostics(chain_matrix(model.name, model.chains["rank"]).evaluator()(pt))
     if d["minus_one_multiplicity"] >= d["on_leaf_multiplicity"]:
         return (False, "off-locus control unexpectedly divisible")
     return True
@@ -1220,7 +1220,7 @@ def braid_basics(rng_seed):
     u = chain_matrix(model.name, model.chains["braid"])
     rng = random.Random(rng_seed + 1)
     pt = _positive_point(model.seed.frame, rng, 1, 9)
-    upt = u.evaluate(pt)
+    upt = u.evaluator()(pt)
     for i in range(1, 6):
         b = matrix_braid(upt, i)
         if not b.is_unipotent_upper():
@@ -1271,7 +1271,7 @@ def markov_twist_invariance(rng_seed):
     rng = random.Random(rng_seed + 3)
     for rep in range(3):
         pt = _positive_point(model.seed.frame, rng, 1, 9)
-        upt = u.evaluate(pt)
+        upt = u.evaluator()(pt)
         base = markov_of(upt)
         for i in (1, 2, 4, 5):
             if markov_of(matrix_braid(upt, i)) != base:

@@ -393,6 +393,24 @@ def test_mutate_zero_seed_value_exits_two(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_mutate_seed_values_that_do_not_match_the_vertices_exit_two(tmp_path, capsys):
+    # a missing vertex was named only as the KeyError 'b', a non-object
+    # "values" as "'int' object is not subscriptable", and a value for a name
+    # that is not a vertex was dropped without a word
+    one = {"num": [{"coeff": "1", "exps": {}}], "den": [{"coeff": "1", "exps": {}}]}
+    qfile = tmp_path / "q.json"
+    for values, message in (
+        ({"a": one}, "vertices without values: ['b']"),
+        (5, "values must be an object"),
+        ([one, one], "values must be an object"),
+        ({"a": one, "b": one, "c": one}, "values for names that are not vertices: ['c']"),
+    ):
+        qfile.write_text(json.dumps({"vertices": ["a", "b"], "doubled_exchange": [["a", "b", 2]], "values": values}))
+        assert main(["mutate", "--quiver", str(qfile), "--seq", "a"]) == 2, values
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err, err
+
+
 def test_verify_checks_json_path_before_running(tmp_path, capsys):
     # a directory for --json used to be found only after every suite had run
     assert main(["verify", "casimirs", "-n", "2", "--json", str(tmp_path)]) == 2

@@ -388,9 +388,12 @@ def reference_partials(h, point) -> list:
     """Reference: the partials dh/dw_i at a point, by the quotient rule in field
     arithmetic over the values of ``LaurentPoly.derivative`` of the numerator
     and the denominator."""
+    def at(x):
+        return RationalFn.from_poly(x).evaluate(point)
+
     p, q = h.num, h.den
-    pv, qv = p.evaluate(point), q.evaluate(point)
-    return [(p.derivative(n).evaluate(point) * qv - pv * q.derivative(n).evaluate(point)) / (qv * qv) for n in h.table.names]
+    pv, qv = at(p), at(q)
+    return [(at(p.derivative(n)) * qv - pv * at(q.derivative(n))) / (qv * qv) for n in h.table.names]
 
 
 def reference_bracket_tensor(m1, m2, quiver, point) -> list:
@@ -483,7 +486,7 @@ def test_genus2_chain_tensors_match_the_references():
             tensor = bracket_tensor_at(m1, m2, model.quiver, pt).entries
             assert tensor == reference_bracket_tensor(m1, m2, model.quiver, pt)
             assert all(type(x) is Fraction for row in tensor for x in row)
-        mv = u.evaluate(pt)
+        mv = u.evaluator()(pt)
         rhs = reflection_rhs(mv).entries
         assert rhs == reference_reflection_rhs(mv.entries)
         assert all(type(x) is Fraction for row in rhs for x in row)
@@ -500,7 +503,7 @@ def test_reflection_sides_match_the_tensor_and_the_evaluated_right_side():
         for m in (u, tw, reversed_u):
             lhs, rhs = reflection_sides_at(m, model.quiver, pt)
             assert lhs.entries == bracket_tensor_at(m, m, model.quiver, pt).entries
-            assert rhs.entries == reflection_rhs(m.evaluate(pt)).entries
+            assert rhs.entries == reflection_rhs(m.evaluator()(pt)).entries
         assert operator.eq(*reflection_sides_at(u, model.quiver, pt))
         lhs, rhs = reflection_sides_at(reversed_u, model.quiver, pt)
         assert lhs != rhs
@@ -555,7 +558,7 @@ def test_reversed_arrow_breaks_the_genus2_reflection_identity():
     q = model.quiver
     reversed_q = _reversed_a_to_d(q)
     pt = suites._positive_point(model.seed.frame, random.Random(13), 1, 9)
-    rhs = reflection_rhs(u.evaluate(pt)).entries
+    rhs = reflection_rhs(u.evaluator()(pt)).entries
     true_tensor = bracket_tensor_at(u, u, q, pt).entries
     wrong_tensor = bracket_tensor_at(u, u, reversed_q, pt).entries
     assert true_tensor == rhs

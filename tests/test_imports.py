@@ -1,13 +1,16 @@
 """Modules of the package reach one another through public names only,
-exact values have one zero test: ``bool()``, points are evaluated through
-``laurent`` alone, linear systems are solved through ``MatrixRF.solve``
-alone, every exact value is an int or a Fraction, and no loop runs
-unbounded."""
+exact values have one zero test: ``bool()``, a value at a point is read
+through ``laurent.rational_evaluator`` alone, linear systems are solved
+through ``MatrixRF.solve`` alone, every exact value is an int or a Fraction,
+and no loop runs unbounded."""
 
 import ast
 from pathlib import Path
 
 import symgroupoid
+from symgroupoid import laurent
+from symgroupoid.laurent import LaurentPoly
+from symgroupoid.matrices import MatrixRF
 
 PACKAGE_DIR = Path(symgroupoid.__file__).parent
 
@@ -76,12 +79,17 @@ def _named_outside(owners: tuple, names: tuple) -> list:
     return offenders
 
 
-def test_only_laurent_calls_point_pass():
-    # one evaluation entry: other modules go through LaurentPoly.evaluate,
-    # laurent.evaluate_rational_fns or laurent.rational_evaluator, and never
-    # name the integer pass or its plan, by import, call or attribute
-    offenders = _named_outside(("laurent.py",), ("point_pass", "point_plan"))
+def test_only_laurent_names_point_plan():
+    # one evaluation routine: outside laurent a value at a point is read
+    # through laurent.rational_evaluator, whose one-point form is
+    # RationalFn.evaluate and whose matrix form is MatrixRF.evaluator; no
+    # other module names the integer plan, by import, call or attribute, and
+    # no module names an entry that only passed through to these
+    deleted = ("point_pass", "evaluate_rational_fns")
+    offenders = _named_outside(("laurent.py",), ("point_plan",)) + _named_outside((), deleted)
     assert not offenders, offenders
+    assert not [name for name in deleted if hasattr(laurent, name)]
+    assert "evaluate" not in vars(LaurentPoly) and "evaluate" not in vars(MatrixRF)
 
 
 def test_only_matrices_calls_solve_bareiss():

@@ -106,6 +106,15 @@ def test_solve_refuses_an_empty_or_wide_matrix_and_a_right_hand_side_of_other_ro
             a.solve(rhs)
 
 
+def test_an_empty_matrix_is_refused_by_every_method_that_needs_an_entry():
+    # pfaffian and is_unipotent_upper raised IndexError from the zero they
+    # read off the first entry, while det raised ValueError
+    empty = MatrixRF([])
+    for method in (empty.pfaffian, empty.is_unipotent_upper, empty.det):
+        with pytest.raises(ValueError, match="^empty matrix$"):
+            method()
+
+
 def test_sum_and_difference_refuse_a_shape_mismatch(field):
     a = MatrixRF(_rows(field, [[1, 2]]))
     # zip used to cut the longer operand: [[1, 2]] + [[1]] was [[2]]
@@ -185,7 +194,7 @@ def test_charpoly_with_a_zero_column_below_the_subdiagonal(field):
 def test_charpoly_of_the_genus3_rank_matrix_at_casimir_minus_one():
     # the size-8 leaf matrix of groupoid_spectrum_locus, in its real form
     model = build_surface("genus3_extended")
-    upt = _real_rank_chain().evaluate(_casimir_point(model.seed.frame, random.Random(5)))
+    upt = _real_rank_chain().evaluator()(_casimir_point(model.seed.frame, random.Random(5)))
     core = upt.transpose().solve(upt)
     assert core.rows == 8
     assert {type(x) for row in core.entries for x in row} == {Fraction}
@@ -197,7 +206,7 @@ def test_charpoly_of_the_genus3_rank_matrix_at_casimir_minus_one():
 
 
 def assert_evaluates_like_its_entries(u: MatrixRF, point: dict):
-    got = u.evaluate(point)
+    got = u.evaluator()(point)
     for i in range(u.rows):
         for j in range(u.cols):
             want = u[i, j].evaluate(point)
@@ -240,7 +249,7 @@ def _random_rf_matrix(rng: random.Random, point: dict, rows: int, cols: int, lo:
         row = []
         while len(row) < cols:
             den = _random_poly(rng, lo)
-            if den and den.evaluate(point):
+            if den and RationalFn.from_poly(den).evaluate(point):
                 row.append(RationalFn(_random_poly(rng, lo), den))
         entries.append(row)
     return MatrixRF(entries)
@@ -268,12 +277,12 @@ def test_evaluate_raises_for_a_missing_generator_and_a_zero_denominator():
     one = RationalFn.constant(G3, 1)
     u = MatrixRF([[x, one], [one, x / (y - one)]])
     with pytest.raises(KeyError):
-        u.evaluate({"w:a": Fraction(2)})
+        u.evaluator()({"w:a": Fraction(2)})
     with pytest.raises(SingularPointError):
-        u.evaluate({"w:a": Fraction(2), "w:b": Fraction(1)})
+        u.evaluator()({"w:a": Fraction(2), "w:b": Fraction(1)})
     with pytest.raises(SingularPointError):
-        u.evaluate({"w:a": Fraction(2), "w:b": 1})
-    assert u.evaluate({"w:a": Fraction(2), "w:b": Fraction(3)}) == MatrixRF([[2, 1], [1, 1]])
+        u.evaluator()({"w:a": Fraction(2), "w:b": 1})
+    assert u.evaluator()({"w:a": Fraction(2), "w:b": Fraction(3)}) == MatrixRF([[2, 1], [1, 1]])
 
 
 def test_evaluate_refuses_a_coordinate_off_both_axes():
@@ -283,7 +292,7 @@ def test_evaluate_refuses_a_coordinate_off_both_axes():
     u = MatrixRF([[x, RationalFn.constant(G3, 1)], [y, x * y]])
     for bad in (1 + 1j, 1j, 1.5):
         with pytest.raises(TypeError, match="not an exact rational"):
-            u.evaluate({"w:a": Fraction(2), "w:b": bad})
+            u.evaluator()({"w:a": Fraction(2), "w:b": bad})
 
 
 def test_evaluate_makes_one_point_pass(point_plans):
@@ -291,7 +300,7 @@ def test_evaluate_makes_one_point_pass(point_plans):
     # evaluation made two passes per entry
     model = build_surface("genus3_extended")
     u = chain_matrix(model.name, model.chains["rank"])
-    u.evaluate(_casimir_point(model.seed.frame, random.Random(3)))
+    u.evaluator()(_casimir_point(model.seed.frame, random.Random(3)))
     assert [(len(polys), runs) for polys, runs in point_plans] == [(2 * u.rows * u.cols, 1)]
 
 
@@ -305,7 +314,7 @@ def test_evaluator_builds_one_plan_for_every_point(point_plans):
     evaluate = u.evaluator()
     values = [evaluate(pt) for pt in points]
     assert [(len(polys), runs) for polys, runs in point_plans] == [(2 * u.rows * u.cols, 3)]
-    assert values == [u.evaluate(pt) for pt in points]
+    assert values == [u.evaluator()(pt) for pt in points]
 
 
 # -- numeric rank: fraction-free elimination against row_reduce ----------------

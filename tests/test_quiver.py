@@ -359,6 +359,33 @@ def test_cv_sum_merges_known_factors_and_refuses_zero():
         cv_sum([x, x * ClusterValue(t, -1)])
 
 
+def test_split_and_cv_sum_build_one_term_maps_without_validation(monkeypatch):
+    # a value's monomial and coefficient make a one-term map the trusted
+    # LaurentPoly._of takes as it is; through the validating constructor
+    # these two made most of its calls in the genus3 suite
+    t = initial_table(["a", "b"])
+    wa, wb = (LaurentPoly.generator(t, wname(v)) for v in "ab")
+    one = LaurentPoly.one(t)
+    p, q = one + wa, one + wb
+    values = [ClusterValue(t, Q(3, 2), (1, -2), {p: 2, q: -1}), ClusterValue(t, -4, (0, 1), {q: -2})]
+    validated = []
+    original = LaurentPoly.__init__
+
+    def counted(self, table, terms=None):
+        if terms:
+            validated.append(dict(terms))
+        original(self, table, terms)
+
+    monkeypatch.setattr(LaurentPoly, "__init__", counted)
+    splits = [v.split() for v in values]
+    total = cv_sum(values)
+    monkeypatch.undo()
+    assert validated == []
+    mono = [LaurentPoly(t, {v.mono: v.coeff}) for v in values]
+    assert splits == [(mono[0] * p ** 2, q), (mono[1], q ** 2)]
+    assert total.as_rational() == values[0].as_rational() + values[1].as_rational()
+
+
 def _bracket_operands(t):
     """Pairs with a monomial, a non-monomial, and a non-unit-constant
     denominator, on int and on Fraction coefficients."""
@@ -441,11 +468,13 @@ def _euler_gradient(h, point):
     """Oracle for a jet: the value of h and w_i·∂h/∂w_i at a point, by the
     quotient rule in field arithmetic over the values of ``LaurentPoly.derivative``
     of its numerator and denominator."""
+    def at(x):
+        return RationalFn.from_poly(x).evaluate(point)
+
     p, q = h.num, h.den
-    pv, qv = p.evaluate(point), q.evaluate(point)
+    pv, qv = at(p), at(q)
     return pv / qv, [
-        point[n] * (p.derivative(n).evaluate(point) * qv - pv * q.derivative(n).evaluate(point)) / (qv * qv)
-        for n in h.table.names
+        point[n] * (at(p.derivative(n)) * qv - pv * at(q.derivative(n))) / (qv * qv) for n in h.table.names
     ]
 
 

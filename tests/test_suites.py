@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from symgroupoid.laurent import RationalFn, evaluate_rational_fns
+from symgroupoid.laurent import RationalFn, rational_evaluator
 from symgroupoid.matrices import MatrixRF
 from symgroupoid.quiver import Jet, brackets_at
 from symgroupoid.report import all_report, write_report
@@ -90,7 +90,7 @@ def test_real_form_is_the_rank_chain_at_casimir_minus_one():
     rng = random.Random(3)
     for _ in range(2):
         point = _casimir_point(model.seed.frame, rng)
-        b = _real_rank_chain().evaluate(point)
+        b = _real_rank_chain().evaluator()(point)
         for j in range(8):
             for k in range(8):
                 x, y = I_POWERS[-(p[j] + p[k]) % 4]
@@ -128,7 +128,7 @@ def test_squared_twist_identity_fails_without_the_outer_square():
     # 42, and N/(PQ), the outer square dropped, fails there
     model = build_surface("genus2_x7")
     pt = _positive_point(model.seed.frame, random.Random(42), 1, 25)
-    m, g12, gt12, gb, g23, gt23 = (Jet(*leaf) for leaf in evaluate_rational_fns(twist_leaves(model), pt, gradient=True))
+    m, g12, gt12, gb, g23, gt23 = (Jet(*leaf) for leaf in rational_evaluator(twist_leaves(model))(pt, gradient=True))
     x, y2 = twist_quantities(m, g12, gt12, gb, g23, gt23)[:2]
     n, p, q = m * gb - 2 * g12 * gt12, m + g12 ** 2, m + gt12 ** 2
     assert y2.value == (n ** 2 / (p * q)).value

@@ -201,7 +201,7 @@ def test_matrix_braid_involution_and_shape():
     model = build_surface("genus2_x7")
     u = chain_matrix(model.name, model.chains["braid"])
     pt = {name: Q(k + 2, k + 1) for k, name in enumerate(model.seed.frame.names)}
-    upt = u.evaluate(pt)
+    upt = u.evaluator()(pt)
     for i in (1, 3, 5):
         tw = matrix_braid(upt, i)
         assert tw.is_unipotent_upper()
@@ -259,11 +259,11 @@ def test_matrix_braid_matches_dense_conjugation():
     pt = {name: Q(k + 2, k + 1) for k, name in enumerate(model.seed.frame.names)}
     rng = random.Random(30)
     dense = _fraction_matrix(5, rng)
-    for m in (u.evaluate(pt), _generic_unipotent(4), dense):
+    for m in (u.evaluator()(pt), _generic_unipotent(4), dense):
         for i in range(1, m.rows):
             for direction in ("+", "-"):
                 assert matrix_braid(m, i, direction) == _dense_braid(m, i, direction)
-    for m in (dense, u.evaluate(pt)):
+    for m in (dense, u.evaluator()(pt)):
         for i in range(1, m.rows):
             for shift in range(4):
                 z = _with_zeros_on_lines(m, i, shift)
