@@ -10,9 +10,10 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+from .intlinalg import integer_vectors
 from .laurent import GeneratorTable, Q, RationalFn, rational_evaluator
 from .matrices import MatrixRF, charpoly_is_palindromic, divide_out_root
-from .quiver import Quiver, brackets_at, integer_vectors
+from .quiver import Quiver, brackets_at
 
 # random specializations tried per point before a numeric check gives up
 NUMERIC_ATTEMPTS = 100
@@ -79,7 +80,7 @@ def reflection_rhs(mv: MatrixRF) -> MatrixRF:
     Fractions, built entrywise: entry ((i,k),(j,l)) is
     (th(k-i) - th(j-l)) m_kj m_il - th(j-k) m_ik m_jl + th(l-i) m_ki m_lj.
 
-    With the matrix written as M/d (d the lcm of all denominators) and th in
+    With the matrix written as M/d (``integer_vectors``) and th in
     half-units, every entry is a Fraction, ``_reflection_form``(M)/(2d²)."""
     ints, d = integer_vectors(mv.entries)
     den = 2 * d * d

@@ -1,11 +1,14 @@
 """Exact integer matrices.  One fraction-free (Bareiss) elimination gives the
 rank, the determinant (its last pivot, signed by its row swaps), the solutions
 of a linear system (back-substitution over the last pivot) and, with a Hermite
-normal form modulo the last pivot, the kernel lattice."""
+normal form modulo the last pivot, the kernel lattice.  ``integer_vectors`` is
+the one clearing of denominators: rational vectors as integer ones over one
+scale."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import neg
 from typing import Sequence
 
@@ -44,6 +47,14 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.entries!r})"
+
+
+def integer_vectors(vectors: Sequence[Sequence]) -> tuple:
+    """Vectors of ints and Fractions as integer vectors over one scale:
+    ``(ints, d)`` with d the least positive integer that makes d·x integral
+    for every entry x, and ``ints[k]`` the vector d·vectors[k]."""
+    d = lcm(*(x.denominator for v in vectors for x in v))
+    return [[x.numerator * (d // x.denominator) for x in v] for v in vectors], d
 
 
 def _exact_int(x) -> int:

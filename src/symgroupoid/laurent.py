@@ -22,9 +22,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, compress, repeat
-from math import gcd, lcm, prod
-from operator import add, attrgetter, mul, sub
+from math import gcd, prod
+from operator import add, mul, sub
 from typing import Callable, Iterable, Mapping, Sequence
+
+from .intlinalg import integer_vectors
 
 Q = Fraction
 
@@ -386,10 +388,6 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_text()})"
 
 
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
-
-
 class RationalFn:
     """Ratio of two Laurent polynomials in canonical form.
 
@@ -435,7 +433,8 @@ class RationalFn:
             # a product of denominators with content 1 has content 1 (Gauss's
             # lemma), so most denominators pass here, the monomial 1 fastest
             if len(coeffs) > 1 or 1 not in coeffs:
-                g, d = gcd(*map(_numerator, coeffs)), lcm(*map(_denominator, coeffs))
+                (ints,), d = integer_vectors([coeffs])
+                g = gcd(*ints)  # the content is g/d
                 if g != 1 or d != 1:
                     num = num.scale(Fraction(d, g))
                     den = den.scale(Fraction(d, g))
@@ -688,14 +687,14 @@ def point_plan(polys: Sequence[LaurentPoly]) -> Callable:
     ``(a/b)**e = a**(e-lo) * b**(hi-e) * a**lo / b**hi``: one integer power
     list per generator, shared by every polynomial, makes every term an
     integer, up to one scale shared by all terms, once the coefficients are
-    over their lcm.  A zero coordinate takes the powers of ``a = 0`` with
-    ``lo`` raised to 0, which keeps the scale nonzero; under a negative
-    exponent it is a ZeroDivisionError.  Each of these errors, and the
+    over one scale (``intlinalg.integer_vectors``).  A zero coordinate takes
+    the powers of ``a = 0`` with ``lo`` raised to 0, which keeps the scale
+    nonzero; under a negative exponent it is a ZeroDivisionError.  Each of these errors, and the
     KeyError of a missing coordinate that a term uses, is raised by the run
     at the point that meets it.
 
     The plan holds what depends on the exponents alone: the coefficients
-    over their lcm, each polynomial's slice of the terms of all of them and,
+    over their scale, each polynomial's slice of the terms of all of them and,
     per generator in use, the exponents of its power list and each term's
     index into it.  When the exponents from ``min(lo, 0)`` to ``max(hi, 0)``
     are no more than the terms, the list holds all of them and the index is
@@ -725,8 +724,7 @@ def point_plan(polys: Sequence[LaurentPoly]) -> Callable:
     coeffs = [c for p in polys for c in p.terms.values()]
     ends = list(accumulate(len(p.terms) for p in polys))
     starts = [0, *ends[:-1]]
-    lcd = lcm(*map(_denominator, coeffs))
-    base = coeffs if lcd == 1 else [c.numerator * (lcd // c.denominator) for c in coeffs]
+    (base,), lcd = integer_vectors([coeffs])
     # per generator in use: (table index, name, exponent column, lowest and
     # highest exponent of its power list, gaps between the list's exponents,
     # each term's index into the list, the list's rotation); a generator with
@@ -835,7 +833,7 @@ def _grlex_max(terms: Mapping[tuple, object]) -> tuple:
     return max(compress(terms, map(top.__eq__, degrees)))
 
 
-def _cleared(f: RationalFn) -> tuple:
+def _polynomial_pair(f: RationalFn) -> tuple:
     """``(num, den)`` of ``f`` times the monomial that clears the numerator's
     negative exponents: the same value, as a ratio of polynomials."""
     clear = tuple(max(0, -e) for e in f.num.content_exponents())
@@ -870,14 +868,14 @@ def rational_evaluator(fns: Sequence[RationalFn]) -> Callable:
             # coordinate under a negative exponent; the cleared pairs have the
             # same values, and that function's cleared denominator vanishes
             if cleared is None:
-                cleared = point_plan([p for f in fns for p in _cleared(f)])
+                cleared = point_plan([p for f in fns for p in _polynomial_pair(f)])
             _, _, rows = cleared(point, gradient)
         out = []
         for k, f in enumerate(fns):
             nv, npart = rows[2 * k]
             dv, dpart = rows[2 * k + 1]
             if not dv:
-                raise SingularPointError(_cleared(f)[1])
+                raise SingularPointError(_polynomial_pair(f)[1])
             value = Fraction(nv, dv)
             if gradient:
                 d2 = dv * dv

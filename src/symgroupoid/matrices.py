@@ -6,9 +6,9 @@ written for the small sizes appearing here (n <= 9), favoring exactness over
 asymptotics.
 
 Rational matrices (``int`` and ``Fraction`` entries) do their product,
-``solve``, ``rank`` and ``det`` in integers.  Each row is cleared of
-denominators (each column, for a product's right factor); a product is
-integer dot products, and the rest is ``intlinalg``'s one Bareiss
+``solve``, ``rank`` and ``det`` in integers.  ``intlinalg.integer_vectors``
+puts each matrix over one scale (a product's right factor by columns); a
+product is integer dot products, and the rest is ``intlinalg``'s one Bareiss
 elimination.  The only ``Fraction`` built is each output entry.  Other
 entries take the field path: ``row_reduce`` and the subset-DP determinant.
 ``MatrixRF.solve`` is the one linear solve: it asks for a unique solution,
@@ -18,11 +18,10 @@ so a singular or inconsistent system is a ``ZeroDivisionError``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
 from operator import add, mul, sub
 from typing import Callable, Sequence
 
-from .intlinalg import IntMatrix, det_bareiss, rank_bareiss, solve_bareiss
+from .intlinalg import IntMatrix, det_bareiss, integer_vectors, rank_bareiss, solve_bareiss
 from .laurent import rational_evaluator
 
 
@@ -151,17 +150,16 @@ class MatrixRF:
 
     def det(self):
         """Determinant: of ``int`` and ``Fraction`` entries, the Bareiss
-        determinant of the rows cleared of denominators over the product of
-        their scales; of other entries, by subset dynamic programming
-        (division-free)."""
+        determinant of the matrix over one scale d, divided by d^n; of other
+        entries, by subset dynamic programming (division-free)."""
         n = self.rows
         if n != self.cols:
             raise ValueError("determinant of a non-square matrix")
         if n == 0:
             raise ValueError("empty matrix")
         if _is_rational(self.entries):
-            scales, rows = _cleared(self.entries)
-            return Fraction(det_bareiss(IntMatrix(rows)), prod(scales))
+            ints, d = integer_vectors(self.entries)
+            return Fraction(det_bareiss(IntMatrix(ints)), d ** n)
         return _subset_det(self.entries, self._zero())
 
     def solve(self, rhs: "MatrixRF") -> "MatrixRF":
@@ -171,7 +169,7 @@ class MatrixRF:
         Raises ``ZeroDivisionError`` when A is singular (a column without a
         pivot) or the system is inconsistent (a pivot in ``rhs``).  Of ``int``
         and ``Fraction`` entries, one ``intlinalg.solve_bareiss`` on [A | rhs]
-        cleared of denominators; of other entries, one ``row_reduce``.
+        over one scale; of other entries, one ``row_reduce``.
         """
         n = self.cols
         if not 0 < n <= self.rows:
@@ -180,7 +178,7 @@ class MatrixRF:
             raise ValueError("shape mismatch")
         rows = [a + b for a, b in zip(self.entries, rhs.entries)]
         if _is_rational(rows):
-            d, xs = solve_bareiss(_integer_rows(rows), n)
+            d, xs = solve_bareiss(IntMatrix(integer_vectors(rows)[0]), n)
             return MatrixRF([[Fraction(x[i], d) for x in xs] for i in range(n)])
         pivots = row_reduce(rows, n + rhs.cols)
         if pivots and pivots[-1] >= n:
@@ -191,11 +189,11 @@ class MatrixRF:
 
     def rank(self) -> int:
         """Rank over the entries' field.  Rational entries (ints and Fractions)
-        go to the fraction-free ``rank_bareiss`` once each row is cleared of
-        denominators.  Other entries go to ``row_reduce``."""
+        go to the fraction-free ``rank_bareiss`` once put over one scale.
+        Other entries go to ``row_reduce``."""
         rows = self.entries
         if _is_rational(rows):
-            return rank_bareiss(_integer_rows(rows))
+            return rank_bareiss(IntMatrix(integer_vectors(rows)[0]))
         return len(row_reduce(list(rows), self.cols))
 
     def charpoly(self) -> list:
@@ -339,30 +337,14 @@ def _is_rational(rows: list) -> bool:
     return bool(types) and types <= {int, Fraction}
 
 
-def _cleared(rows: list) -> tuple:
-    """Each row of ints and Fractions times the lcm of its denominators: the
-    scales and the integer rows."""
-    scales, out = [], []
-    for row in rows:
-        d = lcm(*(x.denominator for x in row))
-        scales.append(d)
-        out.append([x.numerator * (d // x.denominator) for x in row])
-    return scales, out
-
-
-def _integer_rows(rows: list) -> IntMatrix:
-    return IntMatrix(_cleared(rows)[1])
-
-
 def _rational_product(a: list, b: list) -> list:
     """A B for int and Fraction entries: integer dot products of the rows of
-    A and the columns of B cleared of denominators, one Fraction per entry."""
-    row_scales, rows = _cleared(a)
-    col_scales, cols = _cleared([list(col) for col in zip(*b)])
-    return [
-        [Fraction(sum(map(mul, row, col)), s * t) for col, t in zip(cols, col_scales)]
-        for row, s in zip(rows, row_scales)
-    ]
+    A and the columns of B, each matrix over one scale, one Fraction per
+    entry."""
+    rows, s = integer_vectors(a)
+    cols, t = integer_vectors(list(zip(*b)))
+    den = s * t
+    return [[Fraction(sum(map(mul, row, col)), den) for col in cols] for row in rows]
 
 
 def charpoly_is_palindromic(coeffs: list) -> bool:

@@ -11,11 +11,10 @@ than by multivariate gcd.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
-from .intlinalg import IntMatrix, kernel_basis, rank_bareiss
+from .intlinalg import IntMatrix, integer_vectors, kernel_basis, rank_bareiss
 from .laurent import (
     GeneratorTable,
     LaurentPoly,
@@ -602,14 +601,6 @@ class Jet:
         return Jet(v ** k, [slope * g for g in self.grad])
 
 
-def integer_vectors(vectors: Sequence[Sequence]) -> tuple:
-    """Vectors of ints and Fractions as integer vectors over one scale:
-    ``(ints, d)`` with d the least positive integer that makes d·x integral
-    for every entry x, and ``ints[k]`` the vector d·vectors[k]."""
-    d = lcm(*(x.denominator for v in vectors for x in v))
-    return [[x.numerator * (d // x.denominator) for x in v] for v in vectors], d
-
-
 def brackets_at(quiver: Quiver, table: GeneratorTable, left: Sequence[Sequence], right: Sequence[Sequence]) -> list:
     """The brackets at one real point of functions given by their Euler
     gradients (``laurent.rational_evaluator``): row a holds {f_a, g_b} for
@@ -664,11 +655,9 @@ def monomial_casimirs(quiver: Quiver) -> list:
 def monomial_is_casimir(quiver: Quiver, z_exponents: Mapping[str, Fraction]) -> bool:
     """Check Sum_j eps_ij alpha_j = 0 for a monomial prod z_j^alpha_j (alpha
     rational, an int or a Fraction per vertex), with alpha scaled to integers
-    by the lcm of its denominators.  A name that is not a vertex is a
-    ValueError."""
+    by ``integer_vectors``.  A name that is not a vertex is a ValueError."""
     unknown = set(z_exponents) - set(quiver.vertices)
     if unknown:
         raise ValueError(f"not vertices of the quiver: {', '.join(sorted(unknown))}")
-    alpha = [z_exponents.get(v, 0) for v in quiver.vertices]
-    d = lcm(*(a.denominator for a in alpha))
-    return not any(quiver.doubled.mul_vector([a.numerator * (d // a.denominator) for a in alpha]))
+    (alpha,), _ = integer_vectors([[z_exponents.get(v, 0) for v in quiver.vertices]])
+    return not any(quiver.doubled.mul_vector(alpha))

@@ -11,12 +11,15 @@ locus; the residuals are reported as ordinary floats.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .laurent import rational_evaluator
+from .quiver import wname
+from .teich import chain_matrix, trace_cubic
 
 DEFAULT_TOL = 1e-9
 PRECISION = 60
@@ -75,11 +78,6 @@ def _trace_residual(m4, m5, g45):
     return abs(d * k + g * h - e * j - i * f - g45)
 
 
-def _markov_combination(g: Mapping, a: int, b: int, c: int):
-    gab, gbc, gac = g[(a, b)], g[(b, c)], g[(a, c)]
-    return gab * gbc * gac - gab ** 2 - gbc ** 2 - gac ** 2
-
-
 def _normalize_input(g: Mapping) -> dict:
     return {tuple(sorted(k)): to_decimal(v) for k, v in g.items()}
 
@@ -111,7 +109,7 @@ def reconstruct(g: Mapping) -> Reconstruction:
     h5, k5 = linear_pair(g[(2, 5)], g[(1, 5)])
 
     disc = g12 ** 2 - 4
-    b2 = (_markov_combination(g, 1, 2, 3) + 4) / disc
+    b2 = (trace_cubic(g12, g[(2, 3)], g[(1, 3)]) + 4) / disc
     if abs(b2 - (a3 * c3 - 1)) > Decimal("1e-20") * max(Decimal(1), abs(b2)):
         raise ReconstructionError("b^2", "trace identity a c - 1 violated")
     if b2 < 0:
@@ -215,15 +213,10 @@ def cluster_to_lengths(model, point: Mapping[str, Fraction]) -> dict:
     five indices become the reconstruction input (exact rationals, so the
     decimal solve keeps full precision).
     """
-    from .teich import chain_matrix
-
     if "braid" not in model.chains:
         raise ValueError("model carries no chain data")
     exps, value = model.casimir_constraint
-    prod = Fraction(1)
-    for v, e in exps.items():
-        prod *= point[f"w:{v}"] ** int(2 * e)
-    if prod != value:
+    if math.prod(point[wname(v)] ** int(2 * e) for v, e in exps.items()) != value:
         raise ValueError("point violates the unit-Casimir constraint")
     u = chain_matrix(model.name, model.chains["braid"])
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]

@@ -5,6 +5,7 @@ structural identity of the construction with exact arithmetic."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -64,7 +65,9 @@ from .teich import (
     check_split_points,
     markov,
     matrix_braid,
+    separating_sum,
     telescopic,
+    trace_cubic,
 )
 
 SUITE_NAMES = (
@@ -147,15 +150,18 @@ def _solve_admissible(draw) -> dict | None:
     return None
 
 
-def _casimir_point(frame: GeneratorTable, rng: random.Random) -> dict:
-    """A point of the extended genus-three chart where the product of all the
-    w is 1, so that the product of all the z = w^2 (the Casimir) is 1: every
-    coordinate but ``w:at`` is drawn from ``rng`` and ``w:at`` is solved for.
-    Moving ``w:at`` from r to i*r moves the Casimir to -1; ``_real_rank_chain``
-    is the rank chain there, as a real matrix in r."""
-    at = wname("at")
-    pt = {n: Fraction(rng.randint(2, 7), rng.randint(1, 4)) for n in frame.names if n != at}
-    pt[at] = 1 / math.prod(pt.values())
+def _casimir_point(model: surfaces.SurfaceModel, vertex: str, rng: random.Random) -> dict:
+    """A point of the model's chart on the unit level set of its Casimir, the
+    product of the z = w^2 to the exponents of ``model.casimir_constraint``:
+    every coordinate but ``w:vertex`` is drawn from ``rng`` in table order,
+    and ``w:vertex``, of exponent one, is solved for so that the product of
+    the w to those exponents is 1.  On the extended genus-three chart,
+    moving ``w:at`` from r to i*r moves the Casimir to -1;
+    ``_real_rank_chain`` is the rank chain there, as a real matrix in r."""
+    exps, _ = model.casimir_constraint
+    solved = wname(vertex)
+    pt = {n: Fraction(rng.randint(2, 7), rng.randint(1, 4)) for n in model.seed.frame.names if n != solved}
+    pt[solved] = 1 / math.prod(pt[wname(v)] ** e for v, e in exps.items() if v != vertex)
     return pt
 
 
@@ -349,8 +355,7 @@ def pfaffian_vs_pencil(rng_seed):
     signed = MatrixRF.identity(4, Q(1), Q(0))
     for (i, j), value in zip(upper, rational_evaluator([u[i, j] for i, j in upper])(pt)):
         signed[i, j] = ((-1) ** (i + j)) * value
-    g = lambda i, j: signed[i - 1, j - 1]
-    msum = g(1, 3) * g(2, 4) - g(1, 2) * g(3, 4) - g(2, 3) * g(1, 4)
+    msum = separating_sum(signed)
     skew = signed - signed.transpose()
     pf = skew.pfaffian()
     if pf * pf != skew.det():
@@ -376,7 +381,7 @@ def spectrum_on_reduced_locus(rng_seed):
             return (False, "rank too large on the reduced size-3 locus")
     # size eight at the minus-one Casimir locus, in its real form
     model = build_surface("genus3_extended")
-    pt = _casimir_point(model.seed.frame, rng)
+    pt = _casimir_point(model, "at", rng)
     d = leaf_diagnostics(_real_rank_chain().evaluator()(pt))
     if d["minus_one_multiplicity"] < d["on_leaf_multiplicity"]:
         return (False, "missing -1 eigenvalues on the size-8 reduced locus")
@@ -878,13 +883,23 @@ def word_lengths(rng_seed):
     return True
 
 
+def _symmetrizes(base: Quiver, sequence) -> bool | tuple:
+    """Whether mutation at the vertices of ``sequence``, in any order, carries
+    ``base`` to the symmetric genus-three chart: no arrow joins two of them,
+    so the mutations commute, and every order gives that chart."""
+    for j, k in itertools.combinations(sequence, 2):
+        if base.b(j, k):
+            return (False, f"{j} and {k} are joined by an arrow")
+    target = build_surface("genus3_symmetric").quiver
+    for order in itertools.permutations(sequence):
+        if functools.reduce(Quiver.mutate_matrix, order, base) != target:
+            return (False, f"the order {', '.join(order)} misses the symmetric chart")
+    return True
+
+
 @check("genus3", "genus3_symmetrizing_sequence", "four commuting mutations carry the base chart to the symmetric one")
 def symmetrizing_sequence(rng_seed):
-    base = surfaces.genus3_original_quiver()
-    q = base
-    for k in surfaces.SYMMETRIZING_SEQUENCE:
-        q = q.mutate_matrix(k)
-    return q == surfaces.genus3_symmetric_quiver()
+    return _symmetrizes(build_surface("genus3_original").quiver, surfaces.SYMMETRIZING_SEQUENCE)
 
 
 @check(
@@ -929,7 +944,7 @@ def markov_pair(rng_seed):
     check_split_points(u, q)
     g12, g23, g34 = u[0, 1], u[1, 2], u[2, 3]
     g13, g24, g14 = u[0, 2], u[1, 3], u[0, 3]
-    msum = g13 * g24 - g12 * g34 - g23 * g14
+    msum = separating_sum(u)
     sq = g12 ** 2 + g13 ** 2 + g14 ** 2 + g23 ** 2 + g24 ** 2 + g34 ** 2
     mprod = (
         g12 * g23 * g34 * g14
@@ -945,8 +960,7 @@ def markov_pair(rng_seed):
     if unit_count(mprod) != 417:
         return (False, f"separating product counts {unit_count(mprod)}")
     ut = chain_matrix(model.name, ("Gt_{1,2}", "Gt_{2,3}", "Gt_{3,4}"))
-    msum_t = ut[0, 2] * ut[1, 3] - ut[0, 1] * ut[2, 3] - ut[1, 2] * ut[0, 3]
-    if msum != msum_t:
+    if msum != separating_sum(ut):
         return (False, "separating sum differs between the two sides")
     for g in (g12, g23, g34, ut[0, 1], ut[1, 2], ut[2, 3]):
         if poisson_bracket(msum, g, q):
@@ -963,7 +977,7 @@ def rank_locus(rng_seed):
     for m, expect_low in ((_real_rank_chain(), True), (u, False)):
         evaluate = m.evaluator()
         for rep in range(5):
-            upt = evaluate(_casimir_point(model.seed.frame, rng))
+            upt = evaluate(_casimir_point(model, "at", rng))
             rank = (upt + upt.transpose()).rank()
             if expect_low and rank > 4:
                 return (False, f"rank {rank} on the locus")
@@ -991,14 +1005,11 @@ def dual_geodesic_transport(rng_seed):
     s3 = apply_sequence(seed2, ["a2", "a3"])
     if telescopic(["a1", "a2", "a3", "at"], s3) != gb2:
         return (False, "dual geodesic does not transport along the chart chain")
-    q3 = q2.mutate_matrix("a2").mutate_matrix("a3")
-    if q3 != surfaces.genus3_extended_quiver():
+    extended = build_surface("genus3_extended")
+    if s3.quiver != extended.quiver:
         return (False, "transported quiver differs from the extended chart")
     # unit-Casimir of the extended chart has all exponents one
-    if not monomial_is_casimir(
-        surfaces.genus3_extended_quiver(),
-        {v: 1 for v in surfaces.genus3_extended_quiver().vertices},
-    ):
+    if not monomial_is_casimir(extended.quiver, extended.casimir_constraint[0]):
         return (False, "product of all extended-chart variables is not a Casimir")
     return True
 
@@ -1012,16 +1023,11 @@ def grouped_word(rng_seed):
     # the symmetric-chart dual geodesic uses a grouped slot; as a word on
     # that chart it has eight monomials and it transports to the
     # four-letter dual geodesic of the base chart
-    q4 = surfaces.genus3_extended_quiver()
-    seed = Seed.initial(q4)
+    seed = build_surface("genus3_extended").seed
     word = ["a2", "a3", ("d1", "b3"), "at", "a1"]
-    sym_ext = q4
-    for k in ("d1", "c2", "b3", "a1"):
-        sym_ext = sym_ext.mutate_matrix(k)
-    fresh = Seed.initial(sym_ext)
-    if unit_count(telescopic(word, fresh)) != 8:
-        return (False, "grouped word does not have eight monomials on its own chart")
     s = apply_sequence(seed, ["d1", "c2", "b3", "a1"])
+    if unit_count(telescopic(word, Seed.initial(s.quiver))) != 8:
+        return (False, "grouped word does not have eight monomials on its own chart")
     if telescopic(word, s) != telescopic(["a1", "a2", "a3", "at"], seed):
         return (False, "grouped word does not transport to the base-chart dual geodesic")
     return True
@@ -1044,11 +1050,9 @@ def chiral_toy(rng_seed):
     u, v, ut, vt = gen("u"), gen("v"), gen("ut"), gen("vt")
     g12, g23, g13 = gfun(u), gfun(v), gfun(u * v)
     gt12, gt23, gt13 = gfun(ut), gfun(vt), gfun(ut * vt)
-    lhs = g12 * g13 * g23 - g12 ** 2 - g13 ** 2 - g23 ** 2 + 4
-    if lhs:
+    if trace_cubic(g12, g13, g23) + 4:
         return (False, "chiral trace identity fails")
-    lhs_t = gt12 * gt13 * gt23 - gt12 ** 2 - gt13 ** 2 - gt23 ** 2 + 4
-    if lhs_t:
+    if trace_cubic(gt12, gt13, gt23) + 4:
         return (False, "anti-chiral trace identity fails")
     gb = -(u * ut) - (u * ut).inverse()
     rel = g12 * gt12 * gb + g12 ** 2 + gt12 ** 2 + gb ** 2 - 4
@@ -1261,8 +1265,7 @@ def markov_twist_invariance(rng_seed):
     u = chain_matrix(model.name, model.chains["braid"])
 
     def markov_of(m):
-        x, y, z = m[0, 1], m[1, 2], m[0, 2]
-        return x * y * z - x * x - y * y - z * z
+        return trace_cubic(m[0, 1], m[1, 2], m[0, 2])
 
     # the negative control is symbolic: a random point can fall on a locus
     # where the dual twist happens to fix the separating element
@@ -1312,18 +1315,7 @@ def reconstruction_roundtrip(rng_seed):
     model = build_surface("genus2_x7")
     rng = random.Random(rng_seed)
     for rep in range(10):
-        pt = {}
-        for v in "abcdef":
-            pt[wname(v)] = Fraction(rng.randint(2, 9), rng.randint(2, 9))
-        pt[wname("g")] = 1 / (
-            pt[wname("e")] ** 2
-            * pt[wname("a")]
-            * pt[wname("b")]
-            * pt[wname("c")]
-            * pt[wname("d")]
-            * pt[wname("f")]
-        )
-        g = cluster_to_lengths(model, pt)
+        g = cluster_to_lengths(model, _casimir_point(model, "g", rng))
         rec = reconstruct(g)
         dets = determinant_residuals(rec.matrices)
         if max(float(x) for x in dets) > DEFAULT_TOL:

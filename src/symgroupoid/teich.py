@@ -347,6 +347,20 @@ def catalog_value(model: SurfaceModel, label: str) -> RationalFn:
 # -- separating-curve element -----------------------------------------------------
 
 
+def trace_cubic(x, y, z):
+    """x·y·z − x² − y² − z²: the genus-two separating (Markov) element of
+    three chain functions G₁₂, G₁₃, G₂₃, over any ring."""
+    return x * y * z - x ** 2 - y ** 2 - z ** 2
+
+
+def separating_sum(u):
+    """u₁₃u₂₄ − u₁₂u₃₄ − u₂₃u₁₄ of a matrix indexed from 0 (at least 4×4):
+    the genus-three separating sum of a chain matrix.  Each product takes
+    every index once, so on the signed matrix, entries (−1)^(i+j)·u_ij, it
+    is the same."""
+    return u[0, 2] * u[1, 3] - u[0, 1] * u[2, 3] - u[1, 2] * u[0, 3]
+
+
 def markov(model: SurfaceModel, form: str = "product_G") -> RationalFn:
     """The separating-curve element of a genus-two model, three equivalent ways."""
     t = model.seed.frame
@@ -355,7 +369,7 @@ def markov(model: SurfaceModel, form: str = "product_G") -> RationalFn:
         g12 = catalog_value(model, f"G{p}_{{1,2}}")
         g23 = catalog_value(model, f"G{p}_{{2,3}}")
         g13 = catalog_value(model, f"G{p}_{{1,3}}")
-        return g12 * g13 * g23 - g12 ** 2 - g13 ** 2 - g23 ** 2
+        return trace_cubic(g12, g13, g23)
     if form == "via_GB":
         if "G_B" not in model.catalog:
             raise ValueError(f"model {model.name} has no dual geodesic in its catalog")

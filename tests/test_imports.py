@@ -1,8 +1,9 @@
 """Modules of the package reach one another through public names only,
 exact values have one zero test: ``bool()``, a value at a point is read
 through ``laurent.rational_evaluator`` alone, linear systems are solved
-through ``MatrixRF.solve`` alone, every exact value is an int or a Fraction,
-and no loop runs unbounded."""
+through ``MatrixRF.solve`` alone, denominators are cleared by
+``intlinalg.integer_vectors`` alone, every exact value is an int or a
+Fraction, and no loop runs unbounded."""
 
 import ast
 from pathlib import Path
@@ -60,13 +61,13 @@ def test_no_module_has_a_while_true_loop():
 
 def _named_outside(owners: tuple, names: tuple) -> list:
     """Where a module other than ``owners`` names one of ``names``, by
-    import, call or attribute."""
+    definition, import, call or attribute."""
     offenders = []
     for path in sorted(PACKAGE_DIR.rglob("*.py")):
         if path.name in owners:
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.alias):
+            if isinstance(node, (ast.alias, ast.FunctionDef)):
                 name = node.name
             elif isinstance(node, ast.Name):
                 name = node.id
@@ -90,6 +91,15 @@ def test_only_laurent_names_point_plan():
     assert not offenders, offenders
     assert not [name for name in deleted if hasattr(laurent, name)]
     assert "evaluate" not in vars(LaurentPoly) and "evaluate" not in vars(MatrixRF)
+
+
+def test_only_intlinalg_names_lcm():
+    # one clearing of denominators: intlinalg.integer_vectors puts rational
+    # vectors over one scale, so no other module names lcm, and the
+    # per-module clearing helpers and the second trace cubic are gone
+    deleted = ("_cleared", "_integer_rows", "_markov_combination")
+    offenders = _named_outside(("intlinalg.py",), ("lcm",)) + _named_outside((), deleted)
+    assert not offenders, offenders
 
 
 def test_only_matrices_calls_solve_bareiss():

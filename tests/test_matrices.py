@@ -194,7 +194,7 @@ def test_charpoly_with_a_zero_column_below_the_subdiagonal(field):
 def test_charpoly_of_the_genus3_rank_matrix_at_casimir_minus_one():
     # the size-8 leaf matrix of groupoid_spectrum_locus, in its real form
     model = build_surface("genus3_extended")
-    upt = _real_rank_chain().evaluator()(_casimir_point(model.seed.frame, random.Random(5)))
+    upt = _real_rank_chain().evaluator()(_casimir_point(model, "at", random.Random(5)))
     core = upt.transpose().solve(upt)
     assert core.rows == 8
     assert {type(x) for row in core.entries for x in row} == {Fraction}
@@ -220,7 +220,7 @@ def test_evaluate_matches_entries_on_the_genus3_rank_chain(casimir):
     u = _real_rank_chain() if casimir == -1 else chain_matrix(model.name, model.chains["rank"])
     rng = random.Random(11)
     for _ in range(3):
-        assert_evaluates_like_its_entries(u, _casimir_point(model.seed.frame, rng))
+        assert_evaluates_like_its_entries(u, _casimir_point(model, "at", rng))
 
 
 def test_evaluate_matches_entries_on_the_genus2_braid_chain():
@@ -300,7 +300,7 @@ def test_evaluate_makes_one_point_pass(point_plans):
     # evaluation made two passes per entry
     model = build_surface("genus3_extended")
     u = chain_matrix(model.name, model.chains["rank"])
-    u.evaluator()(_casimir_point(model.seed.frame, random.Random(3)))
+    u.evaluator()(_casimir_point(model, "at", random.Random(3)))
     assert [(len(polys), runs) for polys, runs in point_plans] == [(2 * u.rows * u.cols, 1)]
 
 
@@ -310,7 +310,7 @@ def test_evaluator_builds_one_plan_for_every_point(point_plans):
     model = build_surface("genus3_extended")
     u = chain_matrix(model.name, model.chains["rank"])
     rng = random.Random(4)
-    points = [_casimir_point(model.seed.frame, rng) for _ in range(3)]
+    points = [_casimir_point(model, "at", rng) for _ in range(3)]
     evaluate = u.evaluator()
     values = [evaluate(pt) for pt in points]
     assert [(len(polys), runs) for polys, runs in point_plans] == [(2 * u.rows * u.cols, 3)]

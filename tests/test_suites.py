@@ -2,6 +2,7 @@
 
 import importlib.util
 import io
+import math
 import random
 import sys
 from pathlib import Path
@@ -12,14 +13,16 @@ import pytest
 
 from symgroupoid.laurent import RationalFn, rational_evaluator
 from symgroupoid.matrices import MatrixRF
-from symgroupoid.quiver import Jet, brackets_at
-from symgroupoid.report import all_report, write_report
+from symgroupoid import surfaces
+from symgroupoid.quiver import Jet, brackets_at, wname
+from symgroupoid.report import Check, all_report, run_suite_checks, write_report
 from symgroupoid.suites import (
     SUITE_NAMES,
     _casimir_point,
     _positive_point,
     _real_congruence,
     _real_rank_chain,
+    _symmetrizes,
     build_suite,
     check,
     twist_leaves,
@@ -89,7 +92,7 @@ def test_real_form_is_the_rank_chain_at_casimir_minus_one():
     p = [1, 1, 1, 1, 0, 0, 0, 0]
     rng = random.Random(3)
     for _ in range(2):
-        point = _casimir_point(model.seed.frame, rng)
+        point = _casimir_point(model, "at", rng)
         b = _real_rank_chain().evaluator()(point)
         for j in range(8):
             for k in range(8):
@@ -146,6 +149,38 @@ def test_registry_rejects_unknown_suite_and_taken_id():
         check("nope", "nope_check", "a claim")
     with pytest.raises(ValueError, match="declared twice"):
         check("genus4", "groupoid_s_matrix", "a claim")
+
+
+def test_a_check_that_raises_not_implemented_fails_with_its_witness():
+    # it was reported as skipped, so a run of such checks passed having
+    # tested nothing
+    def unfinished():
+        raise NotImplementedError("no identity yet")
+
+    report = run_suite_checks("groupoid", [Check("unfinished", "a claim", unfinished)], 42)
+    assert [(c.status, c.witness) for c in report.checks] == [("fail", "NotImplementedError: no identity yet")]
+    assert report.to_json()["summary"] == {"pass": 0, "fail": 1, "skipped": 0}
+    assert report.render_table().endswith("total: 0 passed, 1 failed")
+
+
+def test_symmetrizing_check_refuses_two_linked_vertices():
+    # the four mutations commute because no arrow joins two of their
+    # vertices; a sequence with a neighbor of a1 in place of b3 breaks that
+    base = build_surface("genus3_original").quiver
+    sequence = surfaces.SYMMETRIZING_SEQUENCE
+    assert _symmetrizes(base, sequence) is True
+    linked = next(v for v in base.vertices if base.b("a1", v) and v not in sequence)
+    assert _symmetrizes(base, ["a1", "d1", "c2", linked]) == (False, f"a1 and {linked} are joined by an arrow")
+
+
+@pytest.mark.parametrize("name, vertex", [("genus2_x7", "g"), ("genus3_extended", "at")])
+def test_casimir_point_lies_on_the_unit_level_set(name, vertex):
+    model = build_surface(name)
+    exps, _ = model.casimir_constraint
+    for seed in range(3):
+        pt = _casimir_point(model, vertex, random.Random(seed))
+        assert set(pt) == set(model.seed.frame.names)
+        assert math.prod(pt[wname(v)] ** (2 * e) for v, e in exps.items()) == 1
 
 
 def _benchmark_worker():

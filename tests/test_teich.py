@@ -22,9 +22,11 @@ from symgroupoid.teich import (
     locate_flanking,
     markov,
     matrix_braid,
+    separating_sum,
     skein_complete,
     skein_product,
     telescopic,
+    trace_cubic,
 )
 
 
@@ -110,6 +112,18 @@ def test_markov_unit_counts_and_forms():
     mx = markov(x7, "product_G")
     assert mx == markov(x7, "product_Gtilde") == markov(x7, "via_GB")
     assert unit_count(mx) == 46
+
+
+def test_trace_cubic_and_separating_sum_on_numbers():
+    # the chiral traces u + 1/u, v + 1/v, uv + 1/(uv) put the cubic at -4
+    u, v = Q(3), Q(2, 5)
+    assert trace_cubic(u + 1 / u, u * v + 1 / (u * v), v + 1 / v) == -4
+    # the signs (-1)^(i+j) of a signed matrix cancel in each product
+    rng = random.Random(0)
+    m = MatrixRF([[Q(rng.randint(-9, 9)) for _ in range(4)] for _ in range(4)])
+    signed = MatrixRF([[(-1) ** (i + j) * m[i, j] for j in range(4)] for i in range(4)])
+    assert separating_sum(m) == m[0, 2] * m[1, 3] - m[0, 1] * m[2, 3] - m[1, 2] * m[0, 3]
+    assert separating_sum(signed) == separating_sum(m)
 
 
 def test_markov_needs_dual_for_gb_form():
